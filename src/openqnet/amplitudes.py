@@ -21,6 +21,15 @@ The two amplitudes are tied together by unitarity of the block:
     2 Re(u_s* u_d) + (N-2)|u_d|^2 = 0,
 
 so a single function of time, |u_d(t)|^2, drives all reduced dynamics.
+
+Two routes read it. The probability route (mixing probabilities, entropy,
+Fisher information, Bloch z-scale, positivity transition) calls one private
+kernel, ``_hop``, for x = |u_d|^2 = 4/N^2 sin^2(NJt/2) and the half-angle
+sine and cosine; a mixing probability is p = 1 - w x with the class weight
+w = N - K for a K-qubit subsystem containing the excited qubit, K for one
+excluding it. The amplitude route (propagators, flow weights) reads x from
+the :func:`amplitudes` call that also supplies its phases. The two forms of
+x agree to round-off only.
 """
 
 from __future__ import annotations
@@ -86,6 +95,13 @@ class Amplitudes:
     def cross_abs2(self) -> float:
         """|u_d|^2, the hop probability to one specific other qubit."""
         return abs(self.cross_site) ** 2
+
+
+def _hop(n: int, j: float, t: float) -> tuple[float, float, float]:
+    # Already-validated inputs: (x, sin(NJt/2), cos(NJt/2)), x = 4/N^2 sin^2(NJt/2).
+    half = 0.5 * n * j * t
+    sh = math.sin(half)
+    return 4.0 / n**2 * (sh * sh), sh, math.cos(half)
 
 
 def amplitudes(params: NetworkParams, t) -> Amplitudes:

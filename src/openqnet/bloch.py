@@ -18,7 +18,7 @@ import numpy as np
 
 from .amplitudes import NetworkParams, _check_time, amplitudes
 from .errors import ParameterError, SingularIntervalError
-from .states import DynClass, SubsystemSelector, excitation_probability
+from .states import DynClass, _check_class, _mixing
 
 _TINY = 1e-12
 
@@ -38,30 +38,23 @@ class BlochAffineMap:
 
 def affine_map(params: NetworkParams, dyn_class: DynClass, t1, t2) -> BlochAffineMap:
     """Bloch-space form of the single-qubit propagator over [t1, t2]."""
-    sel = SubsystemSelector(1, dyn_class)
-    sel.validate(params)
+    _check_class(dyn_class)  # K = 1 fits every network
     t1 = _check_time(t1, "t1")
     t2 = _check_time(t2, "t2")
-    a1, a2 = amplitudes(params, t1), amplitudes(params, t2)
-    if abs(a1.same_site) < _TINY:
-        # u_s only vanishes for N=2 at odd half-periods.
+    contains = dyn_class is DynClass.CONTAINS_EXCITED
+    p1 = _mixing(params, 1, contains, t1)[0]
+    if p1 < _TINY:
+        # Only N=2 at odd half-periods, where u_s vanishes as well.
         raise SingularIntervalError(
-            f"stay amplitude vanishes at anchor t1={t1!r}", t1=t1
+            f"mixing probability vanishes at anchor t1={t1!r}", t1=t1
         )
-    ratio = a2.same_site / a1.same_site
-    if dyn_class is DynClass.CONTAINS_EXCITED:
-        z_scale = abs(ratio) ** 2
+    z_scale = _mixing(params, 1, contains, t2)[0] / p1
+    ratio = amplitudes(params, t2).same_site / amplitudes(params, t1).same_site
+    if contains:
         # Coherence rotates against the unit ground phase.
         return BlochAffineMap(
             abs(ratio), cmath.phase(ratio), z_scale, 1.0 - z_scale, dyn_class, t1, t2
         )
-    p1 = 1.0 - a1.cross_abs2
-    p2 = 1.0 - a2.cross_abs2
-    if p1 < _TINY:
-        raise SingularIntervalError(
-            f"ground probability vanishes at anchor t1={t1!r}", t1=t1
-        )
-    z_scale = p2 / p1
     # Coherence rotates against the unit local single-excitation phase,
     # opposite in sense to the containing class.
     return BlochAffineMap(
@@ -116,8 +109,9 @@ def ball_membership(bmap: BlochAffineMap, b) -> bool:
 
 def physical_bloch_z(params: NetworkParams, dyn_class: DynClass, t) -> float:
     """z-component of the physical single-qubit orbit at time ``t``."""
-    sel = SubsystemSelector(1, dyn_class)
-    p = excitation_probability(params, sel, t)
-    if dyn_class is DynClass.CONTAINS_EXCITED:
+    _check_class(dyn_class)
+    contains = dyn_class is DynClass.CONTAINS_EXCITED
+    p = _mixing(params, 1, contains, _check_time(t))[0]
+    if contains:
         return 1.0 - 2.0 * p  # p is the excitation probability
     return 2.0 * p - 1.0  # p is the ground probability

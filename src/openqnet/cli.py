@@ -5,7 +5,8 @@ All times on the command line are in units of the recurrence period
 leading ``t_over_period`` column, and 17 significant digits per value so
 doubles round-trip losslessly; output is byte-identical across runs (the
 verification suites use a fixed seed). Exit codes: 0 success, 1 usage
-error, 2 numerical-verification failure, 3 singular-point request.
+error, 2 numerical-verification failure, 3 singular-point request (a
+singular propagator anchor or a degenerate state; the message names the time).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from . import bloch, fisher, inference, propagator, states, verification
 from .amplitudes import NetworkParams, amplitudes
 from .errors import (
+    DegenerateStateError,
     IndeterminateFlowError,
     InconsistentObservationError,
     OpenQNetError,
@@ -32,11 +34,11 @@ class _VerificationFailed(OpenQNetError):
     """Raised by the verify subcommand when any residual exceeds tolerance."""
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _fmt(value: float | str) -> str:
+    return value if isinstance(value, str) else f"{value:.17g}"
 
 
-def _write_csv(out_path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
+def _write_csv(out_path: str, header: Sequence[str], rows: Iterable[Sequence[float | str]]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -136,24 +138,12 @@ def flow_cmd(n_qubits: int, coupling: float, dt: float, k_text: str | None, step
     header = ["t_over_period"]
     header += [f"phi_tau_c1_k{k}" for k in ks]
     header += [f"phi_tau_c0_k{k}" for k in ks if k <= n_qubits - 1]
+    sels = [SubsystemSelector(k, DynClass.CONTAINS_EXCITED) for k in ks]
+    sels += [SubsystemSelector(k, DynClass.EXCLUDES_EXCITED) for k in ks if k <= n_qubits - 1]
     rows = []
     for tau in _grid(steps):
         t1, t2 = tau * params.period, (tau + dt) * params.period
-        row = [tau]
-        for k in ks:
-            row.append(
-                propagator.flow_amplitude(
-                    params, SubsystemSelector(k, DynClass.CONTAINS_EXCITED), t1, t2
-                )
-            )
-        for k in ks:
-            if k <= n_qubits - 1:
-                row.append(
-                    propagator.flow_amplitude(
-                        params, SubsystemSelector(k, DynClass.EXCLUDES_EXCITED), t1, t2
-                    )
-                )
-        rows.append(row)
+        rows.append([tau] + [propagator.flow_amplitude(params, sel, t1, t2) for sel in sels])
     _write_csv(out_path, header, rows)
 
 
@@ -218,13 +208,11 @@ def entropy_cmd(n_qubits: int, coupling: float, dyn_class: str, k_text: str | No
     cls = _dyn_class(dyn_class)
     ks = _parse_k_values(k_text, n_qubits, (cls,))
     header = ["t_over_period"] + [f"entropy_k{k}" for k in ks]
+    sels = [SubsystemSelector(k, cls) for k in ks]
     rows = []
     for tau in _grid(steps):
         t = tau * params.period
-        row = [tau]
-        for k in ks:
-            row.append(states.entanglement_entropy(params, SubsystemSelector(k, cls), t))
-        rows.append(row)
+        rows.append([tau] + [states.entanglement_entropy(params, sel, t) for sel in sels])
     _write_csv(out_path, header, rows)
 
 
@@ -249,12 +237,12 @@ def fisher_cmd(n_qubits: int, coupling: float, dyn_class: str, k_text: str | Non
         header += [f"fj_classical_k{k}", f"fj_quantum_k{k}", f"fj_total_k{k}"]
         if not (cls is DynClass.CONTAINS_EXCITED and k == n_qubits):
             header += [f"fn_classical_k{k}", f"fn_quantum_k{k}", f"fn_total_k{k}"]
+    sels = [SubsystemSelector(k, cls) for k in ks]
     rows = []
     for tau in _grid(steps):
         t = tau * params.period
         row = [tau]
-        for k in ks:
-            sel = SubsystemSelector(k, cls)
+        for k, sel in zip(ks, sels):
             fj = fisher.qfi_closed_form(params, sel, GlobalParameter.COUPLING_J, t)
             row += [fj.classical, fj.quantum, fj.total]
             if not (cls is DynClass.CONTAINS_EXCITED and k == n_qubits):
@@ -358,18 +346,7 @@ def verify_cmd(n_qubits: int, coupling: float, out_path: str) -> None:
         status = "PASS" if r.passed else "FAIL"
         click.echo(f"{status}  {r.name:<{width}}  max={r.value:.3e}  tol={r.tolerance:.1e}", err=True)
         rows.append((r.name, r.value, r.tolerance, status))
-    lines = ["check,value,tolerance,status"]
-    for name, value, tolerance, status in rows:
-        lines.append(f"{name},{_fmt(value)},{_fmt(tolerance)},{status}")
-    text = "\n".join(lines) + "\n"
-    if out_path == "-":
-        click.echo(text, nl=False)
-    else:
-        try:
-            with open(out_path, "w", encoding="ascii") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise click.UsageError(f"cannot write {out_path!r}: {exc}") from exc
+    _write_csv(out_path, ["check", "value", "tolerance", "status"], rows)
     failed = [r.name for r in results if not r.passed]
     if failed:
         raise _VerificationFailed(f"verification failed: {', '.join(failed)}")
@@ -386,7 +363,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except click.exceptions.ClickException as exc:
         exc.show()
         return 1
-    except SingularIntervalError as exc:
+    except (SingularIntervalError, DegenerateStateError) as exc:
         click.echo(f"singular point: {exc}", err=True)
         return 3
     except _VerificationFailed as exc:

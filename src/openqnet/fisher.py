@@ -14,20 +14,20 @@ from __future__ import annotations
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .amplitudes import NetworkParams, _check_time
 from .errors import (
+    DegenerateStateError,
     DivergenceError,
     OracleFailureError,
     ParameterError,
     PoleError,
     SingularIntervalError,
 )
-from .states import DynClass, SubsystemSelector
+from .states import _ZERO_WEIGHT, DynClass, SubsystemSelector, _check_class, _class_weight, _mixing
 
 #: Eigenvalue-pair cutoff in the SLD solve.
 SLD_PAIR_CUTOFF = 1e-12
@@ -67,54 +67,59 @@ class ProcessStateSplit:
     t2: float
 
 
+def _mixing_slope(
+    params: NetworkParams, k: int, contains: bool, by_coupling: bool, t: float, sh: float, ch: float
+) -> float:
+    # d_theta p / sin(NJt/2) for p = 1 - w x, x = 4/N^2 sin^2(NJt/2), on
+    # already-validated inputs. The common sine factor is left out so that
+    # (d_theta p)^2 / (p (1 - p)) can cancel it against 1 - p = w x.
+    n = params.n_qubits
+    w = _class_weight(n, k, contains)
+    if by_coupling:
+        # dx/dJ = 4/N^2 sin cos N t
+        return -4.0 / n * w * t * ch
+    # dx/dN = 4/N^2 sin (J t cos - 2 sin / N); w = N - K moves with N too.
+    dw = 1.0 if contains else 0.0
+    return -4.0 / n**2 * (dw * sh + w * (params.coupling * t * ch - 2.0 * sh / n))
+
+
 def qfi_closed_form(
     params: NetworkParams, sel: SubsystemSelector, theta: GlobalParameter, t
 ) -> FisherBreakdown:
     """Closed-form quantum Fisher information of the reduced state at ``t``.
 
-    For the size parameter with a subsystem equal to the whole network the
-    classical piece diverges (the state is pure but its eigenvalue formula
-    still moves with N), so that configuration raises DivergenceError.
+    The classical piece is the binary Fisher information (d_theta p)^2 /
+    (p (1 - p)) of the mixing probability p. For the size parameter with a
+    subsystem equal to the whole network it diverges (the state is pure but
+    its eigenvalue formula still moves with N): DivergenceError. Where p
+    vanishes (N=2, K=1 at odd half-periods) it raises DegenerateStateError.
     """
     sel.validate(params)
     t = _check_time(t)
     if not isinstance(theta, GlobalParameter):
         raise ParameterError(f"theta must be a GlobalParameter, got {theta!r}")
-    n, k, j = params.n_qubits, sel.k_qubits, params.coupling
+    n, k = params.n_qubits, sel.k_qubits
     contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
-    alpha = n * j * t
-    sh, ch = math.sin(0.5 * alpha), math.cos(0.5 * alpha)
-    if theta is GlobalParameter.COUPLING_J:
-        if contains:
-            weight = 1.0 - 4.0 * (n - k) / n**2 * sh * sh  # p1(t; K)
-            classical = 4.0 * t * t * (n - k) * ch * ch / weight
-            quantum = 4.0 * t * t * (k - 1) / weight
-        else:
-            weight = 1.0 - 4.0 * k / n**2 * sh * sh  # p0(t; K)
-            classical = 4.0 * t * t * k * ch * ch / weight
-            quantum = 0.0
+    by_coupling = theta is GlobalParameter.COUPLING_J
+    w = _class_weight(n, k, contains)
+    if w == 0 and not by_coupling:
+        raise DivergenceError(
+            "size-parameter information diverges when the subsystem is the whole network"
+        )
+    p, sh, ch = _mixing(params, k, contains, t)
+    if p <= _ZERO_WEIGHT:
+        raise DegenerateStateError(f"mixing probability vanishes at t={t!r}")
+    slope = _mixing_slope(params, k, contains, by_coupling, t, sh, ch)
+    # With w = 0 the eigenvalue p = 1 does not move: no classical part.
+    classical = n * n * slope * slope / (4.0 * w * p) if w else 0.0
+    if not contains:
+        quantum = 0.0
+    elif by_coupling:
+        quantum = 4.0 * t * t * (k - 1) / p
     else:
-        if contains:
-            if k == n:
-                raise DivergenceError(
-                    "size-parameter information diverges when the subsystem is the whole network"
-                )
-            big = n * n - 4.0 * (n - k) * sh * sh
-            classical = (
-                4.0
-                * ((n - 2 * k) * sh - (n - k) * alpha * ch) ** 2
-                / (n * n * (n - k) * big)
-            )
-            quantum = (
-                4.0
-                * (k - 1)
-                * (alpha * alpha - 2.0 * alpha * math.sin(alpha) + 4.0 * sh * sh)
-                / (n * n * big)
-            )
-        else:
-            big = n * n - 4.0 * k * sh * sh
-            classical = 4.0 * k * (j * t * ch - 2.0 * sh / n) ** 2 / big
-            quantum = 0.0
+        alpha = n * params.coupling * t
+        quantum = 4.0 * (k - 1) * (alpha * alpha - 4.0 * alpha * sh * ch + 4.0 * sh * sh)
+        quantum /= n**4 * p
     return FisherBreakdown(float(classical), float(quantum), float(classical + quantum), theta)
 
 
@@ -189,20 +194,11 @@ def qfi_numeric_oracle(
 def _p_dp_single_qubit(
     params: NetworkParams, dyn_class: DynClass, theta: GlobalParameter, t: float
 ) -> tuple[float, float]:
-    # Mixing probability p^i(t; K=1) and its theta-derivative, closed form.
-    n, j = params.n_qubits, params.coupling
-    alpha = n * j * t
-    sh, ch = math.sin(0.5 * alpha), math.cos(0.5 * alpha)
-    weight = (n - 1) if dyn_class is DynClass.CONTAINS_EXCITED else 1
-    p = 1.0 - 4.0 * weight / n**2 * sh * sh
-    if theta is GlobalParameter.COUPLING_J:
-        # d/dJ sin^2(NJt/2) = N t sin(NJt/2) cos(NJt/2)
-        dp = -4.0 * weight / n**2 * sh * ch * n * t
-    elif dyn_class is DynClass.CONTAINS_EXCITED:
-        dp = 4.0 * sh / n**3 * ((n - 2.0) * sh - (n - 1.0) * alpha * ch)
-    else:
-        dp = -4.0 * sh / n**2 * (j * t * ch - 2.0 * sh / n)
-    return p, dp
+    # Mixing probability p^i(t; K=1) and its theta-derivative.
+    contains = dyn_class is DynClass.CONTAINS_EXCITED
+    p, sh, ch = _mixing(params, 1, contains, t)
+    by_coupling = theta is GlobalParameter.COUPLING_J
+    return p, sh * _mixing_slope(params, 1, contains, by_coupling, t, sh, ch)
 
 
 def process_state_split(
@@ -222,7 +218,7 @@ def process_state_split(
     unrescaled they are divided by p(t2)(1 - p(t2)), which has poles at the
     period points (use the rescaled form there).
     """
-    SubsystemSelector(1, dyn_class).validate(params)
+    _check_class(dyn_class)  # K = 1 fits every network
     t1 = _check_time(t1, "t1")
     t2 = _check_time(t2, "t2")
     p1, dp1 = _p_dp_single_qubit(params, dyn_class, theta, t1)

@@ -19,7 +19,7 @@ from .errors import (
     InconsistentObservationError,
     ParameterError,
 )
-from .propagator import build_propagator
+from .propagator import _flow_weight, _window
 from .states import DynClass, SubsystemSelector
 
 #: Flows smaller than this carry no usable information.
@@ -126,21 +126,18 @@ def conservation_residual(params: NetworkParams, k_qubits: int, t1, t2) -> float
     (|u_d(t2)|^2 - |u_d(t1)|^2) * (1/flow_class0 - 1/flow_class1), and
     returns its absolute deviation from 1 - 1/(N-K).
     """
-    t1 = _check_time(t1, "t1")
-    t2 = _check_time(t2, "t2")
-    flow1 = build_propagator(
-        params, SubsystemSelector(k_qubits, DynClass.CONTAINS_EXCITED), t1, t2
-    ).flow_weight
-    flow0 = build_propagator(
-        params, SubsystemSelector(k_qubits, DynClass.EXCLUDES_EXCITED), t1, t2
-    ).flow_weight
+    # The excluding selector is the stricter one: K <= N-1.
+    t1, t2 = _window(params, SubsystemSelector(k_qubits, DynClass.EXCLUDES_EXCITED), t1, t2)
+    n = params.n_qubits
+    x1, x2 = amplitudes(params, t1).cross_abs2, amplitudes(params, t2).cross_abs2
+    flow1 = _flow_weight(n, k_qubits, True, x1, x2, t1)
+    flow0 = _flow_weight(n, k_qubits, False, x1, x2, t1)
     if min(abs(flow0), abs(flow1)) < FLOW_FLOOR:
         raise IndeterminateFlowError(
             "window carries no net flow (t2 mirrors t1); relation is indeterminate"
         )
-    dx = amplitudes(params, t2).cross_abs2 - amplitudes(params, t1).cross_abs2
-    lhs = dx * (1.0 / flow0 - 1.0 / flow1)
-    return abs(lhs - (1.0 - 1.0 / (params.n_qubits - k_qubits)))
+    lhs = (x2 - x1) * (1.0 / flow0 - 1.0 / flow1)
+    return abs(lhs - (1.0 - 1.0 / (n - k_qubits)))
 
 
 def estimate_period(

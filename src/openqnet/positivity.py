@@ -12,16 +12,15 @@ so nothing is lost by the restriction.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _check_time
+from .amplitudes import NetworkParams, _check_time, _hop
 from .errors import ParameterError, SizeLimitError
 from .linalg import basis_matrix
 from .propagator import PropagatorOps, apply, build_propagator
-from .states import SubsystemSelector, excitation_probability
+from .states import DynClass, SubsystemSelector, _mixing
 
 #: Guard on the Choi matrix dimension (K+1)^2.
 CHOI_MAX_DIM = 4096
@@ -75,14 +74,12 @@ def classify(
     params: NetworkParams, sel: SubsystemSelector, t1, t2, tol: float = VERDICT_TOL
 ) -> PositivityVerdict:
     """Run all three positivity routes over [t1, t2] and classify the map."""
-    t1 = _check_time(t1, "t1")
-    t2 = _check_time(t2, "t2")
     ops = build_propagator(params, sel, t1, t2)
+    t1, t2 = ops.t1, ops.t2  # validated
     flow = ops.flow_weight
     choi_min = float(np.linalg.eigvalsh(choi_matrix(ops)).min())
-    delta = excitation_probability(params, sel, t2) - excitation_probability(
-        params, sel, t1
-    )
+    k, contains = sel.k_qubits, sel.dyn_class is DynClass.CONTAINS_EXCITED
+    delta = _mixing(params, k, contains, t2)[0] - _mixing(params, k, contains, t1)[0]
     verdict = Verdict.POSITIVE_AND_CP if flow >= -tol else Verdict.NON_POSITIVE_NON_CP
     return PositivityVerdict(
         flow_sign=flow, choi_min_eig=choi_min, trace_dist_delta=float(delta), verdict=verdict
@@ -101,17 +98,13 @@ def positivity_transition_time(params: NetworkParams, sel: SubsystemSelector, dt
     dt = _check_time(dt, "dt")
     if not 0.0 < dt < params.period:
         raise ParameterError(f"dt must lie strictly between 0 and one period, got {dt!r}")
-    delta = dt / params.period
-
-    def gain(tau: float) -> float:
-        # |u_d|^2 change over the window, in period units and up to 4/N^2.
-        return math.sin(math.pi * (tau + delta)) ** 2 - math.sin(math.pi * tau) ** 2
-
-    lo, hi = 0.0, 0.5  # gain(0) > 0, gain(0.5) = cos^2(pi*delta) - 1 < 0
+    n, j = params.n_qubits, params.coupling
+    # |u_d|^2 grows over the window [t, t + dt] at t = 0 and shrinks at t = period/2.
+    lo, hi = 0.0, 0.5 * params.period
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if gain(mid) > 0.0:
+        if _hop(n, j, mid + dt)[0] > _hop(n, j, mid)[0]:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi) * params.period
+    return 0.5 * (lo + hi)

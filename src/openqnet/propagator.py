@@ -22,7 +22,9 @@ real scalars instead of forming operators with imaginary entries, so the
 action is exact and sign-transparent in both flow directions.
 
 Construction fails only at anchor times t1 where the one-time map cannot be
-inverted: K = N/2 with t1 at an odd half-period.
+inverted: K = N/2 with t1 at an odd half-period. The flow weight is closed
+form in x1 = |u_d(t1)|^2 and x2 = |u_d(t2)|^2, and its denominator vanishes
+wherever a denominator of B does, so one guard on it refuses those anchors.
 """
 
 from __future__ import annotations
@@ -91,58 +93,66 @@ def _singular_error(t1: float, detail: str) -> SingularIntervalError:
     )
 
 
+def _window(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> tuple[float, float]:
+    # Validated (t1, t2) of a propagator window; refuses singular anchors.
+    sel.validate(params)
+    t1 = _check_time(t1, "t1")
+    t2 = _check_time(t2, "t2")
+    if is_singular(params, sel.k_qubits, t1):
+        raise _singular_error(t1, f"K=N/2={sel.k_qubits} with t1 at an odd half-period")
+    return t1, t2
+
+
+def _flow_weight(n: int, k: int, contains: bool, x1: float, x2: float, t1: float) -> float:
+    # (x2 - x1) / (c - K x1) with c = 1/(N-K) for the containing class and
+    # c = 1 for the excluding class; refuses a vanishing denominator.
+    if contains:
+        if k == n:
+            return 0.0  # full network: unitary evolution, no flow channel
+        denom = 1.0 / (n - k) - k * x1
+    else:
+        denom = 1.0 - k * x1
+    if abs(denom) < DENOMINATOR_FLOOR:
+        raise _singular_error(t1, "flow denominator vanishes")
+    return (x2 - x1) / denom
+
+
 def build_propagator(
     params: NetworkParams, sel: SubsystemSelector, t1, t2
 ) -> PropagatorOps:
     """Construct the closed-form propagator over [t1, t2] for the subsystem."""
-    sel.validate(params)
-    t1 = _check_time(t1, "t1")
-    t2 = _check_time(t2, "t2")
+    t1, t2 = _window(params, sel, t1, t2)
     n, k = params.n_qubits, sel.k_qubits
-    if is_singular(params, k, t1):
-        raise _singular_error(t1, f"K=N/2={k} with t1 at an odd half-period")
+    contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
     a1, a2 = amplitudes(params, t1), amplitudes(params, t2)
+    flow = _flow_weight(n, k, contains, a1.cross_abs2, a2.cross_abs2, t1)
     us1, ud1 = a1.same_site, a1.cross_site
     us2, ud2 = a2.same_site, a2.cross_site
-    x1, x2 = a1.cross_abs2, a2.cross_abs2
 
     block = np.zeros((k + 1, k + 1), dtype=complex)
-    if sel.dyn_class is DynClass.CONTAINS_EXCITED:
+    if contains:
         denom = (ud1 - us1) * ((k - 1) * ud1 + us1)
-        if abs(denom) < DENOMINATOR_FLOOR:
-            raise _singular_error(t1, "internal-block denominator vanishes")
         phi_s = (ud1 * ud2 - us1 * us2 + (k - 2) * ud1 * (ud2 - us2)) / denom
         phi_d = (ud1 * us2 - us1 * ud2) / denom
-        if k == n:
-            flow = 0.0  # full network: unitary evolution, no flow channel
-        else:
-            flow_denom = 1.0 / (n - k) - k * x1
-            if abs(flow_denom) < DENOMINATOR_FLOOR:
-                raise _singular_error(t1, "flow denominator vanishes")
-            flow = (x2 - x1) / flow_denom
         block[0, 0] = 1.0  # ground-sector phase is unity by gauge
         q1 = np.full((k, k), phi_d, dtype=complex)
         np.fill_diagonal(q1, phi_s)
         block[1:, 1:] = q1
         return PropagatorOps(
-            block, float(flow), FlowKind.OUT_OF_SUBSYSTEM, None, k, sel.dyn_class, t1, t2
+            block, flow, FlowKind.OUT_OF_SUBSYSTEM, None, k, sel.dyn_class, t1, t2
         )
 
-    p1, p2 = 1.0 - k * x1, 1.0 - k * x2  # ground-state probabilities
-    if abs(p1) < DENOMINATOR_FLOOR or abs(us1) < DENOMINATOR_FLOOR:
-        raise _singular_error(t1, "ground-sector denominator vanishes")
     phi_s0 = us2 / us1
-    phi00 = p2 / p1
-    flow = (x2 - x1) / p1
     block[0, 0] = phi_s0
     # Local single-excitation phases are unity by gauge; there is no
     # internal mixing in this class (all K qubits are equivalent).
     block[1:, 1:] = np.eye(k)
+    # Ground weight p(t2)/p(t1) = 1 - K flow (excitation balance).
     return PropagatorOps(
         block,
-        float(flow),
+        flow,
         FlowKind.INTO_SUBSYSTEM,
-        float(phi00 - abs(phi_s0) ** 2),
+        float(1.0 - k * flow - abs(phi_s0) ** 2),
         k,
         sel.dyn_class,
         t1,
@@ -154,9 +164,14 @@ def flow_amplitude(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> flo
     """The real flow weight over [t1, t2]; its sign is the flow direction.
 
     Positive means excitation dispersing away from the excited qubit,
-    negative means backflow toward it, for either class.
+    negative means backflow toward it, for either class. Equal, bit for
+    bit, to ``build_propagator(params, sel, t1, t2).flow_weight``, and
+    refuses the same anchors.
     """
-    return build_propagator(params, sel, t1, t2).flow_weight
+    t1, t2 = _window(params, sel, t1, t2)
+    x1, x2 = amplitudes(params, t1).cross_abs2, amplitudes(params, t2).cross_abs2
+    contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
+    return _flow_weight(params.n_qubits, sel.k_qubits, contains, x1, x2, t1)
 
 
 def apply(ops: PropagatorOps, density: np.ndarray) -> np.ndarray:
@@ -208,10 +223,7 @@ def compose_residual(
     the one-time map's matrix on the operator space. Returns the max-entry
     absolute deviation.
     """
-    t1 = _check_time(t1, "t1")
-    t2 = _check_time(t2, "t2")
-    if is_singular(params, sel.k_qubits, t1):
-        raise _singular_error(t1, "one-time map not invertible")
+    t1, t2 = _window(params, sel, t1, t2)  # the one-time map must invert at t1
     d = sel.k_qubits + 1
     rho = np.asarray(test_density, dtype=complex)
     if rho.shape != (d, d):

@@ -17,8 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _check_time, amplitudes
+from .amplitudes import NetworkParams, _check_time, _hop, amplitudes
 from .errors import DegenerateStateError, ParameterError
+
+#: Mixing probabilities at or below this leave the rank-two state degenerate.
+_ZERO_WEIGHT = 1e-14
 
 
 class DynClass(enum.Enum):
@@ -26,6 +29,11 @@ class DynClass(enum.Enum):
 
     EXCLUDES_EXCITED = 0
     CONTAINS_EXCITED = 1
+
+
+def _check_class(dyn_class) -> None:
+    if not isinstance(dyn_class, DynClass):
+        raise ParameterError(f"dyn_class must be a DynClass, got {dyn_class!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +50,7 @@ class SubsystemSelector:
         if k < 1:
             raise ParameterError(f"k_qubits must be >= 1, got {k}")
         object.__setattr__(self, "k_qubits", int(k))
-        if not isinstance(self.dyn_class, DynClass):
-            raise ParameterError(f"dyn_class must be a DynClass, got {self.dyn_class!r}")
+        _check_class(self.dyn_class)
 
     def validate(self, params: NetworkParams) -> None:
         """Raise unless the selector fits inside the given network."""
@@ -76,8 +83,16 @@ class ReducedState:
     dyn_class: DynClass
 
 
-def _sin2_half(params: NetworkParams, t: float) -> float:
-    return math.sin(0.5 * params.n_qubits * params.coupling * t) ** 2
+def _class_weight(n: int, k: int, contains: bool) -> int:
+    # w in p = 1 - w |u_d|^2: the qubits outside a subsystem that holds the
+    # excitation, or the qubits of one that does not.
+    return n - k if contains else k
+
+
+def _mixing(params: NetworkParams, k: int, contains: bool, t: float) -> tuple[float, float, float]:
+    # Already-validated inputs: (p, sin(NJt/2), cos(NJt/2)) with p = 1 - w x.
+    x, sh, ch = _hop(params.n_qubits, params.coupling, t)
+    return 1.0 - _class_weight(params.n_qubits, k, contains) * x, sh, ch
 
 
 def excitation_probability(params: NetworkParams, sel: SubsystemSelector, t) -> float:
@@ -88,12 +103,8 @@ def excitation_probability(params: NetworkParams, sel: SubsystemSelector, t) -> 
     is the ground-state probability p0 = 1 - 4K/N^2 sin^2(NJt/2).
     """
     sel.validate(params)
-    t = _check_time(t)
-    n, k = params.n_qubits, sel.k_qubits
-    s2 = _sin2_half(params, t)
-    if sel.dyn_class is DynClass.CONTAINS_EXCITED:
-        return 1.0 - 4.0 * (n - k) / n**2 * s2
-    return 1.0 - 4.0 * k / n**2 * s2
+    contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
+    return _mixing(params, sel.k_qubits, contains, _check_time(t))[0]
 
 
 def reduced_state(params: NetworkParams, sel: SubsystemSelector, t) -> ReducedState:
@@ -101,10 +112,10 @@ def reduced_state(params: NetworkParams, sel: SubsystemSelector, t) -> ReducedSt
     sel.validate(params)
     t = _check_time(t)
     k = sel.k_qubits
-    if sel.dyn_class is DynClass.CONTAINS_EXCITED:
-        amps = amplitudes(params, t)
-        p1 = excitation_probability(params, sel, t)
-        if p1 <= 1e-14:
+    contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
+    p = _mixing(params, k, contains, t)[0]
+    if contains:
+        if p <= _ZERO_WEIGHT:
             # Only reachable at N=2, K=1, odd half-periods; the internal
             # direction limits to the bare excited state of qubit 1.
             limit = np.zeros(k, dtype=complex)
@@ -113,13 +124,13 @@ def reduced_state(params: NetworkParams, sel: SubsystemSelector, t) -> ReducedSt
                 f"excitation probability vanishes at t={t!r}; internal vector undefined",
                 limit_direction=limit,
             )
+        amps = amplitudes(params, t)
         vec = np.full(k, amps.cross_site, dtype=complex)
         vec[0] = amps.same_site
-        vec /= math.sqrt(p1)
-        return ReducedState(p1, vec, k, sel.dyn_class)
-    p0 = excitation_probability(params, sel, t)
+        vec /= math.sqrt(p)
+        return ReducedState(p, vec, k, sel.dyn_class)
     vec = np.full(k, 1.0 / math.sqrt(k), dtype=complex)
-    return ReducedState(1.0 - p0, vec, k, sel.dyn_class)
+    return ReducedState(1.0 - p, vec, k, sel.dyn_class)
 
 
 def materialize_density(state: ReducedState) -> np.ndarray:
@@ -149,14 +160,10 @@ def entanglement_entropy(params: NetworkParams, sel: SubsystemSelector, t) -> fl
     It also equals the quantum discord across the same cut.
     """
     sel.validate(params)
-    t = _check_time(t)
-    n, k = params.n_qubits, sel.k_qubits
-    s2 = _sin2_half(params, t)
-    if sel.dyn_class is DynClass.CONTAINS_EXCITED:
-        x = 4.0 * (n - k) / n**2 * s2
-    else:
-        x = 4.0 * k / n**2 * s2
-    return _binary_entropy(x)
+    n = params.n_qubits
+    x = _hop(n, params.coupling, _check_time(t))[0]
+    contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
+    return _binary_entropy(_class_weight(n, sel.k_qubits, contains) * x)
 
 
 def trace_distance_to_fixed(state: ReducedState) -> float:

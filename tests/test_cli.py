@@ -203,3 +203,45 @@ def test_stdout_output(capsys):
     assert main(["amplitudes", "--n", "3", "--steps", "3", "--out", "-"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("t_over_period,")
+
+
+CONTRACT_COMMANDS = (
+    ("amplitudes",),
+    ("flow", "--dt", "0.05"),
+    ("bloch-traj", "--class", "1"),
+    ("bloch-traj", "--class", "0"),
+    ("bloch-domain", "--class", "1", "--dt", "0.05"),
+    ("bloch-domain", "--class", "0", "--dt", "0.05"),
+    ("entropy", "--class", "1"),
+    ("entropy", "--class", "0"),
+    ("fisher", "--class", "1"),
+    ("fisher", "--class", "0"),
+    ("fisher-decomp", "--class", "1", "--t1", "0.25"),
+    ("fisher-decomp", "--class", "0", "--t1", "0.25"),
+    ("infer",),
+)
+
+
+@pytest.mark.parametrize("steps", ["400", "401"])
+@pytest.mark.parametrize("n", ["2", "3", "4", "6"])
+@pytest.mark.parametrize("command", CONTRACT_COMMANDS, ids=" ".join)
+def test_exit_code_contract(command, n, steps, tmp_path, capsys):
+    # Odd step counts put the half-period on the grid: singular anchors for
+    # K = N/2 and degenerate states at N = 2 must end in exit 3, not a traceback.
+    out = tmp_path / "out.csv"
+    code = main([command[0], "--n", n, *command[1:], "--steps", steps, "--out", str(out)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_degenerate_point_exits_3(capsys):
+    assert main(["fisher", "--n", "2", "--steps", "401", "--out", "-"]) == 3
+    err = capsys.readouterr().err
+    assert "t=" in err
+
+
+@pytest.mark.parametrize("n", ["2", "3", "6"])
+def test_verify_passes_at_small_sizes(n, tmp_path, capsys):
+    # N = 2 samples its degenerate half-period point in the reduced-state check.
+    assert main(["verify", "--n", n, "--out", str(tmp_path / "verify.csv")]) == 0
+    assert "FAIL" not in capsys.readouterr().err

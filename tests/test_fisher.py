@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from openqnet import (
+    DegenerateStateError,
     DivergenceError,
     DynClass,
     GlobalParameter,
@@ -70,6 +71,18 @@ def test_breakdown_invariants():
 def test_size_divergence_at_full_network():
     with pytest.raises(DivergenceError):
         qfi_closed_form(N5, SubsystemSelector(5, C1), SIZE, 0.3)
+
+
+def test_degenerate_point_raises():
+    # N=2, K=1 at an odd half-period: the mixing probability vanishes.
+    params = NetworkParams(2, 1.0)
+    t = 0.5 * params.period
+    for cls in (C0, C1):
+        for theta in (J, SIZE):
+            with pytest.raises(DegenerateStateError, match="t="):
+                qfi_closed_form(params, SubsystemSelector(1, cls), theta, t)
+    # The whole network keeps p = 1 there and stays finite.
+    assert qfi_closed_form(params, SubsystemSelector(2, C1), J, t).total == pytest.approx(4 * t * t)
 
 
 def test_classical_symmetry_between_classes():

@@ -218,6 +218,55 @@ def test_n2_half_period_is_singular():
         build_propagator(params, SubsystemSelector(1, C0), math.pi / 2, 1.0)
 
 
+def test_flow_amplitude_is_the_block_flow_weight():
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 5, 6):
+        params = NetworkParams(n, 0.8)
+        for sel in all_selectors(params):
+            for _ in range(20):
+                t1, t2 = rng.uniform(-params.period, 2 * params.period, size=2)
+                direct = flow_amplitude(params, sel, t1, t2)
+                assert direct == build_propagator(params, sel, t1, t2).flow_weight
+
+
+def _flow_or_refusal(fn, *args):
+    try:
+        return fn(*args)
+    except SingularIntervalError as exc:
+        return ("refused", exc.t1)
+
+
+def test_flow_amplitude_refuses_the_block_anchors():
+    # K = N/2 anchors at and near the half-period, and the N=2 half-period.
+    cases = []
+    for n in (4, 6):
+        params = NetworkParams(n, 1.0)
+        half = 0.5 * params.period
+        for offset in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6):
+            cases.append((params, n // 2, half + offset * params.period))
+    params2 = NetworkParams(2, 1.0)
+    cases.append((params2, 1, 0.5 * params2.period))
+    cases.append((params2, 1, 1.5 * params2.period))
+    refused = accepted = 0
+    for params, k, t1 in cases:
+        t2 = t1 + 0.3 * params.period
+        outcomes = []
+        for cls in (C1, C0):
+            sel = SubsystemSelector(k, cls)
+            try:
+                block = build_propagator(params, sel, t1, t2).flow_weight
+            except SingularIntervalError as exc:
+                block = ("refused", exc.t1)
+            assert _flow_or_refusal(flow_amplitude, params, sel, t1, t2) == block
+            outcomes.append(block)
+        either_refused = any(isinstance(o, tuple) for o in outcomes)
+        residual = _flow_or_refusal(conservation_residual, params, k, t1, t2)
+        assert isinstance(residual, tuple) == either_refused
+        refused += either_refused
+        accepted += not either_refused
+    assert refused and accepted  # both sides of the guard are exercised
+
+
 def test_full_network_is_unitary():
     sel = SubsystemSelector(5, C1)
     rng = np.random.default_rng(5)
