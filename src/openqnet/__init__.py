@@ -68,6 +68,7 @@ from .positivity import (
     PositivityVerdict,
     Verdict,
     choi_matrix,
+    choi_spectrum,
     classify,
     positivity_transition_time,
 )
@@ -131,6 +132,7 @@ __all__ = [
     "bilinear_partial_trace",
     "build_propagator",
     "choi_matrix",
+    "choi_spectrum",
     "classify",
     "completeness_residual",
     "compose_residual",

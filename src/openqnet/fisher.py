@@ -67,6 +67,11 @@ class ProcessStateSplit:
     t2: float
 
 
+def _check_theta(theta) -> None:
+    if not isinstance(theta, GlobalParameter):
+        raise ParameterError(f"theta must be a GlobalParameter, got {theta!r}")
+
+
 def _mixing_slope(
     params: NetworkParams, k: int, contains: bool, by_coupling: bool, t: float, sh: float, ch: float
 ) -> float:
@@ -96,8 +101,7 @@ def qfi_closed_form(
     """
     sel.validate(params)
     t = _check_time(t)
-    if not isinstance(theta, GlobalParameter):
-        raise ParameterError(f"theta must be a GlobalParameter, got {theta!r}")
+    _check_theta(theta)
     n, k = params.n_qubits, sel.k_qubits
     contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
     by_coupling = theta is GlobalParameter.COUPLING_J
@@ -219,6 +223,7 @@ def process_state_split(
     period points (use the rescaled form there).
     """
     _check_class(dyn_class)  # K = 1 fits every network
+    _check_theta(theta)
     t1 = _check_time(t1, "t1")
     t2 = _check_time(t2, "t2")
     p1, dp1 = _p_dp_single_qubit(params, dyn_class, theta, t1)

@@ -7,8 +7,6 @@ vec(action(E_mu_nu))`` where ``E_mu_nu = |mu><nu|``.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 
@@ -28,11 +26,3 @@ def basis_matrix(dim: int, mu: int, nu: int) -> np.ndarray:
     e[mu, nu] = 1.0
     return e
 
-
-def map_matrix(action: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Matrix of a linear operator map on column-stacked ``dim x dim`` operators."""
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for nu in range(dim):
-        for mu in range(dim):
-            out[:, nu * dim + mu] = vec(action(basis_matrix(dim, mu, nu)))
-    return out

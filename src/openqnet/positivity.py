@@ -7,19 +7,37 @@ interval. The Choi matrix gives the direct complete-positivity test; it is
 built on the q <= 1 subspace only, because the omitted higher local sectors
 evolve by unit phases and would contribute non-negative eigenvalues alone,
 so nothing is lost by the restriction.
+
+The Choi matrix C = sum_{mu,nu} Phi[|mu><nu|] (x) |mu><nu| is a sum of
+rank-one terms, so its spectrum is known in closed form. With B the
+excitation-conserving block, f the flow weight and g the excluding class's
+ground-to-ground weight:
+
+- containing class: C = |vec B><vec B| + f |w><w| with w = sum_i |0>|i>
+  orthogonal to vec B, so the eigenvalues are ||B||_F^2 and K f;
+- excluding class: C = |v><v| + f |w><w| + g |00><00| with
+  v = phi_0 |00> + sum_i |ii> and w = sum_i |i>|0>. K f is an eigenvalue;
+  the other two are those of the 2x2 matrix
+  [[|phi_0|^2 + g, sqrt(K) phi_0], [sqrt(K) conj(phi_0), K]] on
+  span{|00>, sum_i |ii>/sqrt(K)}, with phi_0 = B[0, 0]. Its determinant
+  is K g, so the smaller one carries the sign of g.
+
+Every other eigenvalue is exactly zero, and at least one zero is always
+present. :func:`classify` reads the Choi route from :func:`choi_spectrum`;
+the dense :func:`choi_matrix` is kept as the independent oracle for it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .amplitudes import NetworkParams, _check_time, _hop
 from .errors import ParameterError, SizeLimitError
-from .linalg import basis_matrix
-from .propagator import PropagatorOps, apply, build_propagator
+from .propagator import FlowKind, PropagatorOps, apply, build_propagator
 from .states import DynClass, SubsystemSelector, _mixing
 
 #: Guard on the Choi matrix dimension (K+1)^2.
@@ -57,17 +75,38 @@ def choi_matrix(ops: PropagatorOps) -> np.ndarray:
     """C = sum_{mu,nu} Phi[|mu><nu|] (x) |mu><nu| over the q <= 1 basis.
 
     Hermitian with trace K+1 (trace preservation of the map); positive
-    semidefinite exactly when the propagator is completely positive.
+    semidefinite exactly when the propagator is completely positive. The
+    dense oracle for :func:`choi_spectrum`; built from one :func:`apply`
+    on the stack of all (K+1)^2 basis operators.
     """
     d = ops.k_qubits + 1
     if d * d > CHOI_MAX_DIM:
         raise SizeLimitError(f"Choi dimension {(d * d)}^2 exceeds guard {CHOI_MAX_DIM}^2")
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for mu in range(d):
-        for nu in range(d):
-            e = basis_matrix(d, mu, nu)
-            choi += np.kron(apply(ops, e), e)
-    return choi
+    # images[mu, nu] = Phi[|mu><nu|]
+    images = apply(ops, np.eye(d * d, dtype=complex).reshape(d, d, d, d))
+    # C[a*d + mu, b*d + nu] = images[mu, nu, a, b]
+    return images.transpose(2, 0, 3, 1).reshape(d * d, d * d)
+
+
+def choi_spectrum(ops: PropagatorOps) -> tuple[float, ...]:
+    """The Choi eigenvalues that can be nonzero, in closed form.
+
+    ``(||B||_F^2, K*flow)`` for the containing class and ``(K*flow,
+    lambda_+, lambda_-)`` for the excluding class (see the module
+    docstring); all other (K+1)^2 - 2 or - 3 eigenvalues are exactly zero.
+    """
+    k, flow = ops.k_qubits, ops.flow_weight
+    if ops.flow_kind is FlowKind.OUT_OF_SUBSYSTEM:
+        block = ops.block_diag
+        return float(np.vdot(block, block).real), k * flow
+    phi0_abs2 = abs(ops.block_diag[0, 0]) ** 2
+    g = ops.ground_extra
+    top = phi0_abs2 + g  # ground weight p(t2)/p(t1) >= 0, so trace > 0
+    trace = top + k
+    # tr^2 - 4 det written as a sum of squares: never negative by round-off.
+    root = math.sqrt((top - k) ** 2 + 4.0 * k * phi0_abs2)
+    # The smaller root from det / larger root, free of cancellation.
+    return k * flow, 0.5 * (trace + root), 2.0 * k * g / (trace + root)
 
 
 def classify(
@@ -77,7 +116,7 @@ def classify(
     ops = build_propagator(params, sel, t1, t2)
     t1, t2 = ops.t1, ops.t2  # validated
     flow = ops.flow_weight
-    choi_min = float(np.linalg.eigvalsh(choi_matrix(ops)).min())
+    choi_min = float(min(0.0, *choi_spectrum(ops)))  # a zero eigenvalue is always present
     k, contains = sel.k_qubits, sel.dyn_class is DynClass.CONTAINS_EXCITED
     delta = _mixing(params, k, contains, t2)[0] - _mixing(params, k, contains, t1)[0]
     verdict = Verdict.POSITIVE_AND_CP if flow >= -tol else Verdict.NON_POSITIVE_NON_CP

@@ -36,7 +36,7 @@ import numpy as np
 
 from .amplitudes import NetworkParams, _check_time, amplitudes
 from .errors import ParameterError, SingularIntervalError
-from .linalg import map_matrix, unvec, vec
+from .linalg import unvec, vec
 from .states import DynClass, SubsystemSelector
 
 #: Absolute guard on construction denominators.
@@ -175,28 +175,36 @@ def flow_amplitude(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> flo
 
 
 def apply(ops: PropagatorOps, density: np.ndarray) -> np.ndarray:
-    """Act with the propagator on a (K+1)x(K+1) operator.
+    """Act with the propagator on a (K+1)x(K+1) operator, or on a stack of them.
 
-    The input need not be positive; probing the map with arbitrary
+    ``density`` has shape ``(..., K+1, K+1)``; the map acts on the last two
+    axes. The input need not be positive; probing the map with arbitrary
     Hermitian (or even non-Hermitian) operators is legitimate. Hermitian
     unit-trace input yields Hermitian unit-trace output.
     """
     d = ops.k_qubits + 1
     rho = np.asarray(density, dtype=complex)
-    if rho.shape != (d, d):
+    if rho.shape[-2:] != (d, d):
         raise ParameterError(f"operator must be {d}x{d}, got shape {rho.shape}")
     out = ops.block_diag @ rho @ ops.block_diag.conj().T
     if ops.flow_kind is FlowKind.OUT_OF_SUBSYSTEM:
-        out[0, 0] += ops.flow_weight * rho[1:, 1:].sum()
+        out[..., 0, 0] += ops.flow_weight * rho[..., 1:, 1:].sum(axis=(-2, -1))
     else:
-        out[1:, 1:] += ops.flow_weight * rho[0, 0]
-        out[0, 0] += ops.ground_extra * rho[0, 0]
+        ground = rho[..., 0, 0]
+        out[..., 1:, 1:] += ops.flow_weight * ground[..., None, None]
+        out[..., 0, 0] += ops.ground_extra * ground
     return out
 
 
 def propagator_matrix(ops: PropagatorOps) -> np.ndarray:
-    """Matrix of the propagator on column-stacked (K+1)x(K+1) operators."""
-    return map_matrix(lambda e: apply(ops, e), ops.k_qubits + 1)
+    """Matrix of the propagator on column-stacked (K+1)x(K+1) operators.
+
+    Column ``nu*d + mu`` is vec(Phi[|mu><nu|]), with vec stacking columns.
+    """
+    d = ops.k_qubits + 1
+    # images[mu, nu] = Phi[|mu><nu|]
+    images = apply(ops, np.eye(d * d, dtype=complex).reshape(d, d, d, d))
+    return images.transpose(3, 2, 1, 0).reshape(d * d, d * d)
 
 
 def completeness_residual(ops: PropagatorOps) -> float:

@@ -162,7 +162,9 @@ def check_pcp_agreement(params: NetworkParams, samples: int = 2000) -> CheckResu
         flow_cp = verdict.flow_sign >= -positivity.VERDICT_TOL
         choi_cp = verdict.choi_min_eig >= -positivity.VERDICT_TOL
         trace_cp = verdict.trace_dist_delta <= positivity.VERDICT_TOL
-        if not (flow_cp == choi_cp == trace_cp):
+        dense = positivity.choi_matrix(propagator.build_propagator(params, sel, t1, t2))
+        dense_cp = np.linalg.eigvalsh(dense).min() >= -positivity.VERDICT_TOL
+        if not (flow_cp == choi_cp == trace_cp == dense_cp):
             disagreements += 1
     return _result("pcp_agreement_disagreements", float(disagreements), 0.0)
 

@@ -4,10 +4,11 @@ Every test prints one ``[criterion NN] PASS/FAIL`` line (visible with
 ``pytest -s`` or in captured output on failure).
 
 Criterion 5 is split: 5a is the three-route positive/CP agreement over ten
-thousand random cases and passes. 5b additionally asserts that whenever the
-flow weight is negative the minimum Choi eigenvalue equals it and is the
-unique negative eigenvalue; that is exactly true only for single-qubit
-containing-class maps (the flow direction of a K-qubit containing-class map
+thousand random cases (the Choi route in closed form, checked against the
+dense Choi matrix as a fourth route) and passes. 5b additionally asserts
+that whenever the flow weight is negative the minimum Choi eigenvalue
+equals it and is the unique negative eigenvalue; that is exactly true only
+for single-qubit containing-class maps (the flow direction of a K-qubit containing-class map
 carries K times the flow weight, and excluding-class backflow adds a second
 negative eigenvalue from the ground-sector operator), so over the general
 ensemble this assertion cannot hold and the test is marked strict-xfail.
@@ -179,10 +180,13 @@ def test_criterion_05a_three_route_agreement():
         flow_cp = verdict.flow_sign >= -tol
         choi_cp = verdict.choi_min_eig >= -tol
         trace_cp = verdict.trace_dist_delta <= tol
-        if not (flow_cp == choi_cp == trace_cp):
+        dense = choi_matrix(build_propagator(params, sel, t1, t2))
+        dense_cp = np.linalg.eigvalsh(dense).min() >= -tol
+        if not (flow_cp == choi_cp == trace_cp == dense_cp):
             disagreements += 1
     assert report(
-        "5a", "P<->CP three-route agreement (10^4 cases)", disagreements == 0,
+        "5a", "P<->CP three-route agreement, dense Choi oracle too (10^4 cases)",
+        disagreements == 0,
         f"disagreements={disagreements}",
     )
 

@@ -9,6 +9,7 @@ from openqnet import (
     DynClass,
     GlobalParameter,
     NetworkParams,
+    ParameterError,
     PoleError,
     SubsystemSelector,
     Verdict,
@@ -199,6 +200,16 @@ def test_split_supports_size_parameter():
     period = N5.period
     split = process_state_split(N5, C0, 0.25 * period, 0.7 * period, theta=SIZE, rescaled=True)
     assert abs(split.process + split.cross + split.state - split.total) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", ["J", "N", None])
+def test_theta_must_be_a_global_parameter(theta):
+    message = f"theta must be a GlobalParameter, got {theta!r}"
+    with pytest.raises(ParameterError) as split_err:
+        process_state_split(N5, C1, 0.3, 0.9, theta=theta)
+    with pytest.raises(ParameterError) as qfi_err:
+        qfi_closed_form(N5, SubsystemSelector(1, C1), theta, 0.9)
+    assert str(split_err.value) == str(qfi_err.value) == message
 
 
 def test_dips_align_with_backflow_windows():

@@ -13,10 +13,13 @@ from openqnet import (
     Verdict,
     build_propagator,
     choi_matrix,
+    choi_spectrum,
     classify,
     is_singular,
     positivity_transition_time,
 )
+from openqnet.linalg import basis_matrix
+from openqnet.propagator import apply
 
 N5 = NetworkParams(5, 1.0)
 C1 = DynClass.CONTAINS_EXCITED
@@ -79,10 +82,71 @@ def test_choi_excluding_class_backflow_spectrum():
 
 
 def test_choi_size_guard():
-    params = NetworkParams(64, 1.0)
-    ops = build_propagator(params, SubsystemSelector(64, C1), 0.1, 0.2)
-    with pytest.raises(SizeLimitError):
-        choi_matrix(ops)
+    # The guard stops the dense oracle only; classify needs no dense matrix.
+    for n, sel in [(64, SubsystemSelector(64, C1)), (65, SubsystemSelector(64, C0))]:
+        params = NetworkParams(n, 1.0)
+        ops = build_propagator(params, sel, 0.1, 0.2)
+        with pytest.raises(SizeLimitError):
+            choi_matrix(ops)
+        assert isinstance(classify(params, sel, 0.1, 0.2).verdict, Verdict)
+
+
+def _spectrum_cases():
+    # Every (N, K, class) for N = 2..12 at two random windows and at t1 = t2,
+    # plus K = N/2 anchors just off the singular half-period.
+    rng = np.random.default_rng(7)
+    for n in range(2, 13):
+        params = NetworkParams(n, 1.0)
+        sels = [SubsystemSelector(k, C1) for k in range(1, n + 1)]
+        sels += [SubsystemSelector(k, C0) for k in range(1, n)]
+        for sel in sels:
+            t1, t2 = rng.uniform(0, params.period, size=2)
+            yield params, sel, t1, t2
+            t1, t2 = rng.uniform(0, params.period, size=2)
+            yield params, sel, t1, t2
+            yield params, sel, t1, t1
+            if 2 * sel.k_qubits == n:
+                for offset in (-1e-6, 1e-6, -1e-4, 1e-4):
+                    t1 = (0.5 + offset) * params.period
+                    yield params, sel, t1, rng.uniform(0, params.period)
+
+
+def test_choi_spectrum_matches_dense_eigenvalues():
+    for params, sel, t1, t2 in _spectrum_cases():
+        ops = build_propagator(params, sel, t1, t2)
+        dense = np.linalg.eigvalsh(choi_matrix(ops))
+        closed = np.zeros_like(dense)
+        spectrum = choi_spectrum(ops)
+        closed[: len(spectrum)] = spectrum
+        scale = max(1.0, float(np.abs(dense).max()))
+        assert np.abs(np.sort(closed) - dense).max() <= 1e-12 * scale, (params, sel, t1, t2)
+
+
+def test_choi_matrix_equals_kron_loop():
+    for params, sel, t1, t2 in _spectrum_cases():
+        ops = build_propagator(params, sel, t1, t2)
+        d = sel.k_qubits + 1
+        reference = np.zeros((d * d, d * d), dtype=complex)
+        for mu in range(d):
+            for nu in range(d):
+                e = basis_matrix(d, mu, nu)
+                reference += np.kron(apply(ops, e), e)
+        assert np.array_equal(choi_matrix(ops), reference)
+
+
+def test_stacked_apply_equals_per_operator_apply():
+    rng = np.random.default_rng(11)
+    for sel in [SubsystemSelector(1, C1), SubsystemSelector(4, C1), SubsystemSelector(3, C0)]:
+        ops = build_propagator(N5, sel, 0.3, 1.1)
+        d = sel.k_qubits + 1
+        stack = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+        stacked = apply(ops, stack)
+        assert stacked.shape == stack.shape
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(stacked[i, j], apply(ops, stack[i, j]))
+    with pytest.raises(ParameterError):
+        apply(ops, np.zeros((2, d, d + 1)))
 
 
 def test_classify_trivial_interval():
