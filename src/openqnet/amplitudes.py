@@ -30,6 +30,15 @@ w = N - K for a K-qubit subsystem containing the excited qubit, K for one
 excluding it. The amplitude route (propagators, flow weights) reads x from
 the :func:`amplitudes` call that also supplies its phases. The two forms of
 x agree to round-off only.
+
+The kernel and the closed forms built on it take a float time or an ndarray
+of times; an array gives arrays, elementwise, and a float still gives a
+float. An array is refused exactly as a loop of scalar calls over its
+elements would refuse it: same first element, same error, same message. A
+time whose phase N*J*t overflows is refused like a non-finite one. On the
+amplitude route an array keeps Python's complex ``abs`` (libm ``hypot``)
+one element at a time, so a flow weight over an array equals its scalar
+calls bit for bit; numpy's ``abs`` and ``hypot`` round differently.
 """
 
 from __future__ import annotations
@@ -38,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ParameterError, SizeLimitError
 
@@ -46,7 +54,19 @@ from .errors import ParameterError, SizeLimitError
 ORACLE_MAX_QUBITS = 2048
 
 
-def _check_time(t, name: str = "t") -> float:
+def _check_time(t, name: str = "t", arrays: bool = False):
+    # A finite float. With ``arrays`` (the broadcasting functions), an
+    # ndarray of times (ndim >= 1) gives a float array instead. Validated
+    # times are exact floats or float arrays, so the kernels below tell them
+    # apart by type(t) is float.
+    if arrays and not isinstance(t, float) and isinstance(t, np.ndarray) and t.ndim:
+        if t.dtype.kind not in "biuf":
+            raise ParameterError(f"{name} must hold real numbers, got dtype {t.dtype}")
+        values = t.astype(float)
+        bad = ~np.isfinite(values)
+        if not bad.any():
+            return values
+        t = values[bad][0]  # refused below, by name
     try:
         value = float(t)
     except (TypeError, ValueError):
@@ -56,9 +76,55 @@ def _check_time(t, name: str = "t") -> float:
     return value
 
 
+def _phase(n: int, j: float, t):
+    # N J t of a validated float or array t. A finite t can still overflow
+    # it, and no trig function of an infinite phase means anything.
+    if type(t) is float:
+        phase = n * j * t
+        if math.isfinite(phase):
+            return phase
+    else:
+        with np.errstate(over="ignore"):  # refused below
+            phase = n * j * t
+        bad = ~np.isfinite(phase)
+        if not bad.any():
+            return phase
+        t = float(t[bad][0])
+    raise ParameterError(f"phase N*J*t overflows at t={t!r} (N={n}, J={j!r})")
+
+
+def _any(flags) -> bool:
+    # Whether a check fails at a float time, or at any element of an array.
+    return flags if type(flags) is bool else bool(flags.any())
+
+
+def _replay(fn, *args) -> None:
+    """Raise an array refusal of ``fn(*args)`` as a loop of scalar calls would.
+
+    Called from the handler of the refusal: the ndarray arguments (ndim >= 1)
+    are broadcast together and ``fn`` is called on their elements one at a
+    time, in C order, so the error that propagates is the first refusing
+    element's, message included. Returns when no argument is an array, or
+    when no element refuses on its own. The handler costs a float call
+    nothing, where a wrapper around every call would.
+    """
+    slots = [i for i, a in enumerate(args) if isinstance(a, np.ndarray) and a.ndim]
+    if not slots:
+        return
+    scalar = list(args)
+    grids = np.broadcast_arrays(*(args[i] for i in slots))
+    for values in zip(*(g.ravel().tolist() for g in grids)):
+        for i, value in zip(slots, values):
+            scalar[i] = value
+        fn(*scalar)
+
+
 @dataclass(frozen=True)
 class NetworkParams:
-    """Global system: qubit count N >= 2 and exchange coupling J > 0."""
+    """Global system: qubit count N >= 2 and exchange coupling J > 0.
+
+    N*J must leave a finite, positive period 2*pi/(N*J).
+    """
 
     n_qubits: int
     coupling: float = 1.0
@@ -77,6 +143,9 @@ class NetworkParams:
         if not math.isfinite(j) or j <= 0.0:
             raise ParameterError(f"coupling must be finite and positive, got {j!r}")
         object.__setattr__(self, "coupling", j)
+        # N*J finite and nonzero, so that N*J*t is never NaN for a finite t.
+        if not 0.0 < self.period < math.inf:
+            raise ParameterError(f"N*J = {n * j!r} leaves no finite, positive period")
 
     @property
     def period(self) -> float:
@@ -92,24 +161,56 @@ class Amplitudes:
     cross_site: complex
 
     @property
-    def cross_abs2(self) -> float:
+    def cross_abs2(self):
         """|u_d|^2, the hop probability to one specific other qubit."""
         return abs(self.cross_site) ** 2
 
 
-def _hop(n: int, j: float, t: float) -> tuple[float, float, float]:
-    # Already-validated inputs: (x, sin(NJt/2), cos(NJt/2)), x = 4/N^2 sin^2(NJt/2).
-    half = 0.5 * n * j * t
-    sh = math.sin(half)
-    return 4.0 / n**2 * (sh * sh), sh, math.cos(half)
+def _hop(n: int, j: float, t):
+    # Validated float or array t: (x, sin(NJt/2), cos(NJt/2)), x = 4/N^2 sin^2(NJt/2).
+    if type(t) is float:
+        half = 0.5 * (n * j * t)  # equal to ((0.5 N) J) t, and infinite where N J t is
+        try:
+            sh, ch = math.sin(half), math.cos(half)
+        except ValueError:  # an infinite phase: NetworkParams keeps N*J finite, so never NaN
+            _phase(n, j, t)
+            raise
+    else:
+        half = 0.5 * _phase(n, j, t)
+        sh, ch = np.sin(half), np.cos(half)
+    return 4.0 / (n * n) * (sh * sh), sh, ch
 
 
 def amplitudes(params: NetworkParams, t) -> Amplitudes:
-    """Evaluate (u_s, u_d) at time ``t`` (any sign; periodic)."""
-    t = _check_time(t)
+    """Evaluate (u_s, u_d) at time ``t`` (any sign; periodic).
+
+    An ndarray ``t`` gives complex arrays, equal to the scalar calls within
+    round-off (numpy divides by N through its reciprocal).
+    """
+    try:
+        return _amplitudes(params, _check_time(t, "t", True))
+    except ParameterError:
+        _replay(amplitudes, params, t)
+        raise
+
+
+def _amplitudes(params: NetworkParams, t) -> Amplitudes:
+    # amplitudes() of a validated float or array t.
     n = params.n_qubits
-    z = complex(np.exp(1j * n * params.coupling * t))
+    z = np.exp(1j * _phase(n, params.coupling, t))
+    if type(t) is float:
+        z = complex(z)
     return Amplitudes(same_site=(1.0 + (n - 1) * z) / n, cross_site=(1.0 - z) / n)
+
+
+def _cross_abs2(params: NetworkParams, t):
+    # x = |u_d(t)|^2 of the amplitude route for a validated float or array t,
+    # bit for bit as a scalar amplitudes() call's cross_abs2 reads it; an
+    # array is read one element at a time (see the module docstring).
+    if type(t) is float:
+        return _amplitudes(params, t).cross_abs2
+    x = [_amplitudes(params, s).cross_abs2 for s in t.ravel().tolist()]
+    return np.array(x).reshape(t.shape)
 
 
 def unitarity_residuals(amps: Amplitudes, n_qubits: int) -> tuple[float, float]:
@@ -133,8 +234,11 @@ def q1_unitary_oracle(params: NetworkParams, t) -> np.ndarray:
     is an N x N unitary whose diagonal entries all equal u_s(t) and whose
     off-diagonal entries all equal u_d(t).
     """
+    import scipy.linalg  # only the oracles need scipy; it is most of the import time
+
     t = _check_time(t)
     n = params.n_qubits
+    _phase(n, params.coupling, t)
     if n > ORACLE_MAX_QUBITS:
         raise SizeLimitError(
             f"dense exponentiation guarded at N <= {ORACLE_MAX_QUBITS}, got N={n}"

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _check_time, amplitudes
-from .errors import ParameterError, SingularIntervalError
+from .amplitudes import NetworkParams, _amplitudes, _any, _check_time, _replay
+from .errors import OpenQNetError, ParameterError, SingularIntervalError
 from .states import DynClass, _check_class, _mixing
 
 _TINY = 1e-12
@@ -37,29 +37,33 @@ class BlochAffineMap:
 
 
 def affine_map(params: NetworkParams, dyn_class: DynClass, t1, t2) -> BlochAffineMap:
-    """Bloch-space form of the single-qubit propagator over [t1, t2]."""
-    _check_class(dyn_class)  # K = 1 fits every network
-    t1 = _check_time(t1, "t1")
-    t2 = _check_time(t2, "t2")
-    contains = dyn_class is DynClass.CONTAINS_EXCITED
-    p1 = _mixing(params, 1, contains, t1)[0]
-    if p1 < _TINY:
-        # Only N=2 at odd half-periods, where u_s vanishes as well.
-        raise SingularIntervalError(
-            f"mixing probability vanishes at anchor t1={t1!r}", t1=t1
-        )
-    z_scale = _mixing(params, 1, contains, t2)[0] / p1
-    ratio = amplitudes(params, t2).same_site / amplitudes(params, t1).same_site
+    """Bloch-space form of the single-qubit propagator over [t1, t2].
+
+    An ndarray ``t1`` or ``t2`` gives a map with array fields.
+    """
+    try:
+        _check_class(dyn_class)  # K = 1 fits every network
+        t1 = _check_time(t1, "t1", True)
+        t2 = _check_time(t2, "t2", True)
+        contains = dyn_class is DynClass.CONTAINS_EXCITED
+        p1 = _mixing(params, 1, contains, t1)[0]
+        if _any(p1 < _TINY):
+            # Only N=2 at odd half-periods, where u_s vanishes as well.
+            raise SingularIntervalError(
+                f"mixing probability vanishes at anchor t1={t1!r}", t1=t1
+            )
+        z_scale = _mixing(params, 1, contains, t2)[0] / p1
+    except OpenQNetError:
+        _replay(affine_map, params, dyn_class, t1, t2)
+        raise
+    ratio = _amplitudes(params, t2).same_site / _amplitudes(params, t1).same_site
+    phase = cmath.phase(ratio) if isinstance(ratio, complex) else np.angle(ratio)
     if contains:
         # Coherence rotates against the unit ground phase.
-        return BlochAffineMap(
-            abs(ratio), cmath.phase(ratio), z_scale, 1.0 - z_scale, dyn_class, t1, t2
-        )
+        return BlochAffineMap(abs(ratio), phase, z_scale, 1.0 - z_scale, dyn_class, t1, t2)
     # Coherence rotates against the unit local single-excitation phase,
     # opposite in sense to the containing class.
-    return BlochAffineMap(
-        abs(ratio), -cmath.phase(ratio), z_scale, z_scale - 1.0, dyn_class, t1, t2
-    )
+    return BlochAffineMap(abs(ratio), -phase, z_scale, z_scale - 1.0, dyn_class, t1, t2)
 
 
 def evolve_bloch(bmap: BlochAffineMap, b) -> np.ndarray:
@@ -82,18 +86,19 @@ def axial_positivity_band(bmap: BlochAffineMap) -> tuple[float, float] | None:
 
     Solves |z_shift + z_scale * b_z| <= 1 intersected with [-1, 1]. Returns
     the closed interval (lo, hi), or None if empty (cannot happen for maps
-    of this family, which always keep their fixed point in the band).
+    of this family, which always keep their fixed point in the band). For a
+    map with array fields, (lo, hi) are arrays, NaN where the band is empty.
     """
-    if abs(bmap.z_scale) <= _TINY:
-        return (-1.0, 1.0) if abs(bmap.z_shift) <= 1.0 else None
-    lo = (-1.0 - bmap.z_shift) / bmap.z_scale
-    hi = (1.0 - bmap.z_shift) / bmap.z_scale
-    if lo > hi:
-        lo, hi = hi, lo
-    lo, hi = max(lo, -1.0), min(hi, 1.0)
-    if lo > hi:
-        return None
-    return (lo, hi)
+    scale, shift = np.asarray(bmap.z_scale), np.asarray(bmap.z_shift)
+    flat = np.abs(scale) <= _TINY
+    safe = np.where(flat, 1.0, scale)
+    ends = np.stack([(-1.0 - shift) / safe, (1.0 - shift) / safe])
+    lo = np.where(flat, -1.0, np.maximum(ends.min(axis=0), -1.0))
+    hi = np.where(flat, 1.0, np.minimum(ends.max(axis=0), 1.0))
+    empty = np.where(flat, np.abs(shift) > 1.0, lo > hi)
+    if scale.ndim:
+        return np.where(empty, np.nan, lo), np.where(empty, np.nan, hi)
+    return None if empty else (float(lo), float(hi))
 
 
 def ball_membership(bmap: BlochAffineMap, b) -> bool:
@@ -108,10 +113,14 @@ def ball_membership(bmap: BlochAffineMap, b) -> bool:
 
 
 def physical_bloch_z(params: NetworkParams, dyn_class: DynClass, t) -> float:
-    """z-component of the physical single-qubit orbit at time ``t``."""
+    """z-component of the physical single-qubit orbit at time ``t`` (an array for an ndarray)."""
     _check_class(dyn_class)
     contains = dyn_class is DynClass.CONTAINS_EXCITED
-    p = _mixing(params, 1, contains, _check_time(t))[0]
+    try:
+        p = _mixing(params, 1, contains, _check_time(t, "t", True))[0]
+    except ParameterError:
+        _replay(physical_bloch_z, params, dyn_class, t)
+        raise
     if contains:
         return 1.0 - 2.0 * p  # p is the excitation probability
     return 2.0 * p - 1.0  # p is the ground probability

@@ -4,20 +4,25 @@ All times on the command line are in units of the recurrence period
 2*pi/(N*J). Every dataset subcommand writes CSV with a header row, a
 leading ``t_over_period`` column, and 17 significant digits per value so
 doubles round-trip losslessly; output is byte-identical across runs (the
-verification suites use a fixed seed). Exit codes: 0 success, 1 usage
-error, 2 numerical-verification failure, 3 singular-point request (a
-singular propagator anchor or a degenerate state; the message names the time).
+verification suites use a fixed seed). Each column, or each K's block of
+columns, is one array call of a closed form over the whole time grid, and a
+column refuses what its first refusing grid point would; only ``infer``
+still works row by row, for its period bisection and its per-row size
+estimate. Exit codes: 0 success, 1 usage error, 2 numerical-verification
+failure, 3 singular-point request (a singular propagator anchor or a
+degenerate state; the message names the time).
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Iterable, Sequence
 
 import click
 import numpy as np
 
-from . import bloch, fisher, inference, propagator, states, verification
+from . import bloch, fisher, inference, propagator, states
 from .amplitudes import NetworkParams, amplitudes
 from .errors import (
     DegenerateStateError,
@@ -34,14 +39,15 @@ class _VerificationFailed(OpenQNetError):
     """Raised by the verify subcommand when any residual exceeds tolerance."""
 
 
-def _fmt(value: float | str) -> str:
-    return value if isinstance(value, str) else f"{value:.17g}"
-
-
 def _write_csv(out_path: str, header: Sequence[str], rows: Iterable[Sequence[float | str]]) -> None:
+    # One %-format per row, built from the first row: "%.17g" for numbers,
+    # "%s" for text (verify's check names and statuses).
     lines = [",".join(header)]
+    row_format = None
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        if row_format is None:
+            row_format = ",".join("%s" if isinstance(v, str) else "%.17g" for v in row)
+        lines.append(row_format % tuple(row))
     text = "\n".join(lines) + "\n"
     if out_path == "-":
         click.echo(text, nl=False)
@@ -51,6 +57,11 @@ def _write_csv(out_path: str, header: Sequence[str], rows: Iterable[Sequence[flo
                 handle.write(text)
         except OSError as exc:
             raise click.UsageError(f"cannot write {out_path!r}: {exc}") from exc
+
+
+def _rows(*columns) -> list[list[float]]:
+    # Rows of Python floats from columns over the grid; a float is a constant column.
+    return np.column_stack(np.broadcast_arrays(*columns)).tolist()
 
 
 def _parse_k_values(text: str | None, n: int, dyn_classes: Sequence[DynClass]) -> list[int]:
@@ -90,7 +101,22 @@ def _network(n_qubits: int, coupling: float) -> NetworkParams:
 def _grid(steps: int, start: float = 0.0, stop: float = 1.0) -> np.ndarray:
     if steps < 2:
         raise click.UsageError(f"--steps must be >= 2, got {steps}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise click.UsageError(f"the time range must be finite, got {start} to {stop}")
     return np.linspace(start, stop, steps)
+
+
+def _absolute(params: NetworkParams, taus: np.ndarray) -> np.ndarray:
+    # Grid times in absolute units. A product that overflows stays inf, for
+    # the library's time check to refuse, without numpy's warning.
+    with np.errstate(over="ignore"):
+        return taus * params.period
+
+
+def _window_length(dt: float) -> float:
+    if not (math.isfinite(dt) and dt > 0):
+        raise click.UsageError(f"--dt must be finite and positive, got {dt}")
+    return dt
 
 
 @click.group(name="openqnet")
@@ -106,19 +132,10 @@ def cli() -> None:
 def amplitudes_cmd(n_qubits: int, coupling: float, steps: int, out_path: str) -> None:
     """Global transition amplitudes u_s(t), u_d(t) over one period."""
     params = _network(n_qubits, coupling)
-    rows = []
-    for tau in _grid(steps):
-        amps = amplitudes(params, tau * params.period)
-        rows.append(
-            (
-                tau,
-                amps.same_site.real,
-                amps.same_site.imag,
-                amps.cross_site.real,
-                amps.cross_site.imag,
-                amps.cross_abs2,
-            )
-        )
+    taus = _grid(steps)
+    amps = amplitudes(params, _absolute(params, taus))
+    us, ud = amps.same_site, amps.cross_site
+    rows = _rows(taus, us.real, us.imag, ud.real, ud.imag, amps.cross_abs2)
     _write_csv(out_path, ["t_over_period", "u_s_re", "u_s_im", "u_d_re", "u_d_im", "u_d_abs2"], rows)
 
 
@@ -132,19 +149,16 @@ def amplitudes_cmd(n_qubits: int, coupling: float, steps: int, out_path: str) ->
 def flow_cmd(n_qubits: int, coupling: float, dt: float, k_text: str | None, steps: int, out_path: str) -> None:
     """Excitation-flow weight of the windowed propagator, both classes."""
     params = _network(n_qubits, coupling)
-    if dt <= 0:
-        raise click.UsageError(f"--dt must be positive, got {dt}")
+    dt = _window_length(dt)
     ks = _parse_k_values(k_text, n_qubits, (DynClass.CONTAINS_EXCITED,))
     header = ["t_over_period"]
     header += [f"phi_tau_c1_k{k}" for k in ks]
     header += [f"phi_tau_c0_k{k}" for k in ks if k <= n_qubits - 1]
     sels = [SubsystemSelector(k, DynClass.CONTAINS_EXCITED) for k in ks]
     sels += [SubsystemSelector(k, DynClass.EXCLUDES_EXCITED) for k in ks if k <= n_qubits - 1]
-    rows = []
-    for tau in _grid(steps):
-        t1, t2 = tau * params.period, (tau + dt) * params.period
-        rows.append([tau] + [propagator.flow_amplitude(params, sel, t1, t2) for sel in sels])
-    _write_csv(out_path, header, rows)
+    taus = _grid(steps)
+    flows = propagator._flows(params, sels, _absolute(params, taus), _absolute(params, taus + dt))
+    _write_csv(out_path, header, _rows(taus, *flows))
 
 
 _TRAJECTORY_STARTS = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
@@ -161,16 +175,11 @@ def bloch_traj_cmd(n_qubits: int, coupling: float, dyn_class: str, steps: int, o
     params = _network(n_qubits, coupling)
     cls = _dyn_class(dyn_class)
     header = ["t_over_period"] + [f"bz0_{z0:+.4f}" for z0 in _TRAJECTORY_STARTS] + ["orbit_bz"]
-    rows = []
-    for tau in _grid(steps):
-        t = tau * params.period
-        bmap = bloch.affine_map(params, cls, 0.0, t)
-        row = [tau]
-        for z0 in _TRAJECTORY_STARTS:
-            row.append(bmap.z_shift + bmap.z_scale * z0)
-        row.append(bloch.physical_bloch_z(params, cls, t))
-        rows.append(row)
-    _write_csv(out_path, header, rows)
+    taus = _grid(steps)
+    t = _absolute(params, taus)
+    bmap = bloch.affine_map(params, cls, 0.0, t)
+    starts = [bmap.z_shift + bmap.z_scale * z0 for z0 in _TRAJECTORY_STARTS]
+    _write_csv(out_path, header, _rows(taus, *starts, bloch.physical_bloch_z(params, cls, t)))
 
 
 @cli.command("bloch-domain")
@@ -184,14 +193,11 @@ def bloch_domain_cmd(n_qubits: int, coupling: float, dyn_class: str, dt: float, 
     """Axial positivity band of the windowed single-qubit propagator."""
     params = _network(n_qubits, coupling)
     cls = _dyn_class(dyn_class)
-    if dt <= 0:
-        raise click.UsageError(f"--dt must be positive, got {dt}")
-    rows = []
-    for tau in _grid(steps):
-        t1, t2 = tau * params.period, (tau + dt) * params.period
-        band = bloch.axial_positivity_band(bloch.affine_map(params, cls, t1, t2))
-        lo, hi = band if band is not None else (float("nan"), float("nan"))
-        rows.append((tau, lo, hi, bloch.physical_bloch_z(params, cls, t1)))
+    dt = _window_length(dt)
+    taus = _grid(steps)
+    t1, t2 = _absolute(params, taus), _absolute(params, taus + dt)
+    lo, hi = bloch.axial_positivity_band(bloch.affine_map(params, cls, t1, t2))
+    rows = _rows(taus, lo, hi, bloch.physical_bloch_z(params, cls, t1))
     _write_csv(out_path, ["t_over_period", "band_lo", "band_hi", "orbit_bz"], rows)
 
 
@@ -208,12 +214,10 @@ def entropy_cmd(n_qubits: int, coupling: float, dyn_class: str, k_text: str | No
     cls = _dyn_class(dyn_class)
     ks = _parse_k_values(k_text, n_qubits, (cls,))
     header = ["t_over_period"] + [f"entropy_k{k}" for k in ks]
-    sels = [SubsystemSelector(k, cls) for k in ks]
-    rows = []
-    for tau in _grid(steps):
-        t = tau * params.period
-        rows.append([tau] + [states.entanglement_entropy(params, sel, t) for sel in sels])
-    _write_csv(out_path, header, rows)
+    taus = _grid(steps)
+    t = _absolute(params, taus)
+    columns = [states.entanglement_entropy(params, SubsystemSelector(k, cls), t) for k in ks]
+    _write_csv(out_path, header, _rows(taus, *columns))
 
 
 @cli.command("fisher")
@@ -237,19 +241,17 @@ def fisher_cmd(n_qubits: int, coupling: float, dyn_class: str, k_text: str | Non
         header += [f"fj_classical_k{k}", f"fj_quantum_k{k}", f"fj_total_k{k}"]
         if not (cls is DynClass.CONTAINS_EXCITED and k == n_qubits):
             header += [f"fn_classical_k{k}", f"fn_quantum_k{k}", f"fn_total_k{k}"]
-    sels = [SubsystemSelector(k, cls) for k in ks]
-    rows = []
-    for tau in _grid(steps):
-        t = tau * params.period
-        row = [tau]
-        for k, sel in zip(ks, sels):
-            fj = fisher.qfi_closed_form(params, sel, GlobalParameter.COUPLING_J, t)
-            row += [fj.classical, fj.quantum, fj.total]
-            if not (cls is DynClass.CONTAINS_EXCITED and k == n_qubits):
-                fn = fisher.qfi_closed_form(params, sel, GlobalParameter.SIZE_N, t)
-                row += [fn.classical, fn.quantum, fn.total]
-        rows.append(row)
-    _write_csv(out_path, header, rows)
+    taus = _grid(steps)
+    t = _absolute(params, taus)
+    columns = []
+    for k in ks:
+        sel = SubsystemSelector(k, cls)
+        fj = fisher.qfi_closed_form(params, sel, GlobalParameter.COUPLING_J, t)
+        columns += [fj.classical, fj.quantum, fj.total]
+        if not (cls is DynClass.CONTAINS_EXCITED and k == n_qubits):
+            fn = fisher.qfi_closed_form(params, sel, GlobalParameter.SIZE_N, t)
+            columns += [fn.classical, fn.quantum, fn.total]
+    _write_csv(out_path, header, _rows(taus, *columns))
 
 
 @cli.command("fisher-decomp")
@@ -271,12 +273,11 @@ def fisher_decomp_cmd(n_qubits: int, coupling: float, dyn_class: str, t1: float,
     end = t1 + 2.0 if t2 is None else t2
     if end <= t1:
         raise click.UsageError(f"--t2 must exceed --t1, got t1={t1} t2={end}")
-    rows = []
-    for tau in _grid(steps, t1, end):
-        split = fisher.process_state_split(
-            params, cls, t1 * params.period, tau * params.period, rescaled=True
-        )
-        rows.append((tau, split.process, split.state, split.cross, split.total))
+    taus = _grid(steps, t1, end)
+    split = fisher.process_state_split(
+        params, cls, t1 * params.period, _absolute(params, taus), rescaled=True
+    )
+    rows = _rows(taus, split.process, split.state, split.cross, split.total)
     _write_csv(out_path, ["t_over_period", "process", "state", "cross", "total"], rows)
 
 
@@ -294,8 +295,7 @@ def infer_cmd(n_qubits: int, coupling: float, dt: float, steps: int, out_path: s
     bisected flow sign change and is constant across rows.
     """
     params = _network(n_qubits, coupling)
-    if dt <= 0:
-        raise click.UsageError(f"--dt must be positive, got {dt}")
+    dt = _window_length(dt)
     sel1 = SubsystemSelector(1, DynClass.CONTAINS_EXCITED)
     sel0 = SubsystemSelector(1, DynClass.EXCLUDES_EXCITED)
     window = dt * params.period
@@ -305,20 +305,17 @@ def infer_cmd(n_qubits: int, coupling: float, dt: float, steps: int, out_path: s
 
     period_est = inference.estimate_period(observed_flow, window, 2.5 * params.period)
     j_est = inference.infer_coupling(period_est, n_qubits)
-    rows = []
-    for tau in _grid(steps):
-        t1, t2 = tau * params.period, (tau + dt) * params.period
-        flow1 = propagator.flow_amplitude(params, sel1, t1, t2)
-        flow0 = propagator.flow_amplitude(params, sel0, t1, t2)
-        ground = states.excitation_probability(params, sel0, t1)
+    taus = _grid(steps)
+    t1 = _absolute(params, taus)
+    flow1, flow0 = propagator._flows(params, (sel1, sel0), t1, _absolute(params, taus + dt))
+    ground = states.excitation_probability(params, sel0, t1)
+    estimates = []
+    for obs in zip(flow1.tolist(), flow0.tolist(), ground.tolist()):
         try:
-            estimate = inference.infer_network_size(
-                inference.FlowObservation(flow1, flow0, ground)
-            )
-            n_est, n_nearest, n_resid = estimate
+            estimates.append(inference.infer_network_size(inference.FlowObservation(*obs)))
         except (IndeterminateFlowError, InconsistentObservationError):
-            n_est = n_nearest = n_resid = float("nan")
-        rows.append((tau, flow1, flow0, ground, n_est, n_nearest, n_resid, j_est))
+            estimates.append((float("nan"),) * 3)
+    rows = _rows(taus, flow1, flow0, ground, *np.array(estimates).T, j_est)
     header = [
         "t_over_period",
         "phi_tau_c1",
@@ -338,13 +335,19 @@ def infer_cmd(n_qubits: int, coupling: float, dt: float, steps: int, out_path: s
 @_out_option
 def verify_cmd(n_qubits: int, coupling: float, out_path: str) -> None:
     """Run every cross-route verification suite; exit 2 on any failure."""
+    from . import verification  # loads scipy, which only the oracles need
+
     params = _network(n_qubits, coupling)
     results = verification.run_all_checks(params)
     rows = []
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        click.echo(f"{status}  {r.name:<{width}}  max={r.value:.3e}  tol={r.tolerance:.1e}", err=True)
+        click.echo(
+            f"{status}  {r.name:<{width}}  max={r.value:.3e}  tol={r.tolerance:.1e}"
+            f"  time={r.seconds * 1e3:.1f}ms",
+            err=True,
+        )
         rows.append((r.name, r.value, r.tolerance, status))
     _write_csv(out_path, ["check", "value", "tolerance", "status"], rows)
     failed = [r.name for r in results if not r.passed]

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _check_time
+from .amplitudes import NetworkParams, _any, _check_time, _phase, _replay
 from .errors import (
     DegenerateStateError,
     DivergenceError,
+    OpenQNetError,
     OracleFailureError,
     ParameterError,
     PoleError,
@@ -72,12 +73,11 @@ def _check_theta(theta) -> None:
         raise ParameterError(f"theta must be a GlobalParameter, got {theta!r}")
 
 
-def _mixing_slope(
-    params: NetworkParams, k: int, contains: bool, by_coupling: bool, t: float, sh: float, ch: float
-) -> float:
+def _mixing_slope(params: NetworkParams, k: int, contains: bool, by_coupling: bool, t, sh, ch):
     # d_theta p / sin(NJt/2) for p = 1 - w x, x = 4/N^2 sin^2(NJt/2), on
-    # already-validated inputs. The common sine factor is left out so that
-    # (d_theta p)^2 / (p (1 - p)) can cancel it against 1 - p = w x.
+    # already-validated float or array inputs. The common sine factor is
+    # left out so that (d_theta p)^2 / (p (1 - p)) can cancel it against
+    # 1 - p = w x.
     n = params.n_qubits
     w = _class_weight(n, k, contains)
     if by_coupling:
@@ -98,33 +98,38 @@ def qfi_closed_form(
     subsystem equal to the whole network it diverges (the state is pure but
     its eigenvalue formula still moves with N): DivergenceError. Where p
     vanishes (N=2, K=1 at odd half-periods) it raises DegenerateStateError.
+    An ndarray ``t`` gives array fields.
     """
     sel.validate(params)
-    t = _check_time(t)
-    _check_theta(theta)
     n, k = params.n_qubits, sel.k_qubits
     contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
-    by_coupling = theta is GlobalParameter.COUPLING_J
     w = _class_weight(n, k, contains)
-    if w == 0 and not by_coupling:
-        raise DivergenceError(
-            "size-parameter information diverges when the subsystem is the whole network"
-        )
-    p, sh, ch = _mixing(params, k, contains, t)
-    if p <= _ZERO_WEIGHT:
-        raise DegenerateStateError(f"mixing probability vanishes at t={t!r}")
+    try:
+        t = _check_time(t, "t", True)
+        _check_theta(theta)
+        by_coupling = theta is GlobalParameter.COUPLING_J
+        if w == 0 and not by_coupling:
+            raise DivergenceError(
+                "size-parameter information diverges when the subsystem is the whole network"
+            )
+        p, sh, ch = _mixing(params, k, contains, t)
+        if _any(p <= _ZERO_WEIGHT):
+            raise DegenerateStateError(f"mixing probability vanishes at t={t!r}")
+    except OpenQNetError:
+        _replay(qfi_closed_form, params, sel, theta, t)
+        raise
     slope = _mixing_slope(params, k, contains, by_coupling, t, sh, ch)
     # With w = 0 the eigenvalue p = 1 does not move: no classical part.
-    classical = n * n * slope * slope / (4.0 * w * p) if w else 0.0
+    classical = n * n * slope * slope / (4.0 * w * p) if w else 0.0 * p
     if not contains:
-        quantum = 0.0
+        quantum = 0.0 * p
     elif by_coupling:
         quantum = 4.0 * t * t * (k - 1) / p
     else:
         alpha = n * params.coupling * t
         quantum = 4.0 * (k - 1) * (alpha * alpha - 4.0 * alpha * sh * ch + 4.0 * sh * sh)
         quantum /= n**4 * p
-    return FisherBreakdown(float(classical), float(quantum), float(classical + quantum), theta)
+    return FisherBreakdown(classical, quantum, classical + quantum, theta)
 
 
 def _reduced_density(n_real: float, j: float, k: int, contains: bool, t: float) -> np.ndarray:
@@ -163,6 +168,7 @@ def qfi_numeric_oracle(
     """
     sel.validate(params)
     t = _check_time(t)
+    _phase(params.n_qubits, params.coupling, t)
     if not (isinstance(step, (int, float)) and 0.0 < step < 1e-1):
         raise ParameterError(f"step must be a small positive real, got {step!r}")
     n, k, j = params.n_qubits, sel.k_qubits, params.coupling
@@ -195,9 +201,7 @@ def qfi_numeric_oracle(
     return float(total)
 
 
-def _p_dp_single_qubit(
-    params: NetworkParams, dyn_class: DynClass, theta: GlobalParameter, t: float
-) -> tuple[float, float]:
+def _p_dp_single_qubit(params: NetworkParams, dyn_class: DynClass, theta: GlobalParameter, t):
     # Mixing probability p^i(t; K=1) and its theta-derivative.
     contains = dyn_class is DynClass.CONTAINS_EXCITED
     p, sh, ch = _mixing(params, 1, contains, t)
@@ -220,19 +224,29 @@ def process_state_split(
     state term from the incoming sensitivity, and their signed cross term.
     Rescaled, the three sum to (d_theta p(t2))^2 independently of t1;
     unrescaled they are divided by p(t2)(1 - p(t2)), which has poles at the
-    period points (use the rescaled form there).
+    period points (use the rescaled form there). An ndarray ``t1`` or
+    ``t2`` gives array fields.
     """
-    _check_class(dyn_class)  # K = 1 fits every network
-    _check_theta(theta)
-    t1 = _check_time(t1, "t1")
-    t2 = _check_time(t2, "t2")
-    p1, dp1 = _p_dp_single_qubit(params, dyn_class, theta, t1)
-    p2, dp2 = _p_dp_single_qubit(params, dyn_class, theta, t2)
-    if p1 <= 1e-12:
-        # N=2 anchored at an odd half-period: the multiplicative form breaks.
-        raise SingularIntervalError(
-            f"mixing probability vanishes at anchor t1={t1!r}", t1=t1
-        )
+    try:
+        _check_class(dyn_class)  # K = 1 fits every network
+        _check_theta(theta)
+        t1 = _check_time(t1, "t1", True)
+        t2 = _check_time(t2, "t2", True)
+        p1, dp1 = _p_dp_single_qubit(params, dyn_class, theta, t1)
+        p2, dp2 = _p_dp_single_qubit(params, dyn_class, theta, t2)
+        if _any(p1 <= 1e-12):
+            # N=2 anchored at an odd half-period: the multiplicative form breaks.
+            raise SingularIntervalError(
+                f"mixing probability vanishes at anchor t1={t1!r}", t1=t1
+            )
+        denom = p2 * (1.0 - p2)
+        if not rescaled and _any(denom < 1e-14):
+            raise PoleError(
+                "p(t2)(1-p(t2)) vanishes at this t2; request the rescaled split instead"
+            )
+    except OpenQNetError:
+        _replay(process_state_split, params, dyn_class, t1, t2, theta, rescaled)
+        raise
     survival = p2 / p1  # 1 - flow weight
     dflow = (p2 * dp1 - dp2 * p1) / (p1 * p1)  # theta-derivative of the flow weight
     process = (dflow * p1) ** 2
@@ -240,11 +254,6 @@ def process_state_split(
     state = (survival * dp1) ** 2
     total = process + cross + state
     if not rescaled:
-        denom = p2 * (1.0 - p2)
-        if denom < 1e-14:
-            raise PoleError(
-                "p(t2)(1-p(t2)) vanishes at this t2; request the rescaled split instead"
-            )
         process, cross, state, total = (
             process / denom,
             cross / denom,
@@ -252,10 +261,5 @@ def process_state_split(
             total / denom,
         )
     return ProcessStateSplit(
-        process=float(process),
-        state=float(state),
-        cross=float(cross),
-        total=float(total),
-        t1=t1,
-        t2=t2,
+        process=process, state=state, cross=cross, total=total, t1=t1, t2=t2
     )

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .amplitudes import NetworkParams, _check_time, amplitudes
+from .amplitudes import NetworkParams, _check_time, _cross_abs2
 from .errors import (
     IndeterminateFlowError,
     InconsistentObservationError,
@@ -129,7 +129,7 @@ def conservation_residual(params: NetworkParams, k_qubits: int, t1, t2) -> float
     # The excluding selector is the stricter one: K <= N-1.
     t1, t2 = _window(params, SubsystemSelector(k_qubits, DynClass.EXCLUDES_EXCITED), t1, t2)
     n = params.n_qubits
-    x1, x2 = amplitudes(params, t1).cross_abs2, amplitudes(params, t2).cross_abs2
+    x1, x2 = _cross_abs2(params, t1), _cross_abs2(params, t2)
     flow1 = _flow_weight(n, k_qubits, True, x1, x2, t1)
     flow0 = _flow_weight(n, k_qubits, False, x1, x2, t1)
     if min(abs(flow0), abs(flow1)) < FLOW_FLOOR:

@@ -34,8 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _check_time, amplitudes
-from .errors import ParameterError, SingularIntervalError
+from .amplitudes import (
+    NetworkParams,
+    _amplitudes,
+    _any,
+    _check_time,
+    _cross_abs2,
+    _replay,
+)
+from .errors import OpenQNetError, ParameterError, SingularIntervalError
 from .linalg import unvec, vec
 from .states import DynClass, SubsystemSelector
 
@@ -80,11 +87,15 @@ def is_singular(params: NetworkParams, k_qubits: int, t1) -> bool:
     within 1e-9 periods of an odd half-period, where the one-time map loses
     rank (the excitation is maximally delocalized across two equal halves).
     """
-    t1 = _check_time(t1, "t1")
+    return _singular(params, k_qubits, _check_time(t1, "t1"))
+
+
+def _singular(params: NetworkParams, k_qubits: int, t1) -> bool:
+    # is_singular on a validated float t1, or on any element of an array.
     if 2 * k_qubits != params.n_qubits:
         return False
     tau = (t1 / params.period) % 1.0
-    return abs(tau - 0.5) <= SINGULAR_WINDOW
+    return _any(abs(tau - 0.5) <= SINGULAR_WINDOW)
 
 
 def _singular_error(t1: float, detail: str) -> SingularIntervalError:
@@ -93,26 +104,27 @@ def _singular_error(t1: float, detail: str) -> SingularIntervalError:
     )
 
 
-def _window(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> tuple[float, float]:
+def _window(params: NetworkParams, sel: SubsystemSelector, t1, t2, arrays: bool = False):
     # Validated (t1, t2) of a propagator window; refuses singular anchors.
+    # ``arrays`` where the caller broadcasts (see _check_time).
     sel.validate(params)
-    t1 = _check_time(t1, "t1")
-    t2 = _check_time(t2, "t2")
-    if is_singular(params, sel.k_qubits, t1):
+    t1 = _check_time(t1, "t1", arrays)
+    t2 = _check_time(t2, "t2", arrays)
+    if _singular(params, sel.k_qubits, t1):
         raise _singular_error(t1, f"K=N/2={sel.k_qubits} with t1 at an odd half-period")
     return t1, t2
 
 
-def _flow_weight(n: int, k: int, contains: bool, x1: float, x2: float, t1: float) -> float:
+def _flow_weight(n: int, k: int, contains: bool, x1, x2, t1):
     # (x2 - x1) / (c - K x1) with c = 1/(N-K) for the containing class and
     # c = 1 for the excluding class; refuses a vanishing denominator.
     if contains:
         if k == n:
-            return 0.0  # full network: unitary evolution, no flow channel
+            return 0.0 * (x1 + x2)  # full network: unitary evolution, no flow channel
         denom = 1.0 / (n - k) - k * x1
     else:
         denom = 1.0 - k * x1
-    if abs(denom) < DENOMINATOR_FLOOR:
+    if _any(abs(denom) < DENOMINATOR_FLOOR):
         raise _singular_error(t1, "flow denominator vanishes")
     return (x2 - x1) / denom
 
@@ -124,7 +136,7 @@ def build_propagator(
     t1, t2 = _window(params, sel, t1, t2)
     n, k = params.n_qubits, sel.k_qubits
     contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
-    a1, a2 = amplitudes(params, t1), amplitudes(params, t2)
+    a1, a2 = _amplitudes(params, t1), _amplitudes(params, t2)
     flow = _flow_weight(n, k, contains, a1.cross_abs2, a2.cross_abs2, t1)
     us1, ud1 = a1.same_site, a1.cross_site
     us2, ud2 = a2.same_site, a2.cross_site
@@ -166,12 +178,29 @@ def flow_amplitude(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> flo
     Positive means excitation dispersing away from the excited qubit,
     negative means backflow toward it, for either class. Equal, bit for
     bit, to ``build_propagator(params, sel, t1, t2).flow_weight``, and
-    refuses the same anchors.
+    refuses the same anchors. An ndarray ``t1`` or ``t2`` gives an array,
+    equal bit for bit to the scalar calls.
     """
-    t1, t2 = _window(params, sel, t1, t2)
-    x1, x2 = amplitudes(params, t1).cross_abs2, amplitudes(params, t2).cross_abs2
-    contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
-    return _flow_weight(params.n_qubits, sel.k_qubits, contains, x1, x2, t1)
+    return _flows(params, (sel,), t1, t2)[0]
+
+
+def _flows(params: NetworkParams, sels, t1, t2) -> list:
+    # flow_amplitude for each selector over the same windows, reading x once
+    # per window end rather than once per selector. An array is refused as
+    # a loop over its elements, each over the selectors in order, would be.
+    x = None
+    flows = []
+    try:
+        for sel in sels:
+            t1, t2 = _window(params, sel, t1, t2, True)
+            if x is None:
+                x = _cross_abs2(params, t1), _cross_abs2(params, t2)
+            contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
+            flows.append(_flow_weight(params.n_qubits, sel.k_qubits, contains, *x, t1))
+    except OpenQNetError:
+        _replay(_flows, params, sels, t1, t2)
+        raise
+    return flows
 
 
 def apply(ops: PropagatorOps, density: np.ndarray) -> np.ndarray:

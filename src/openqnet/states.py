@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _check_time, _hop, amplitudes
+from .amplitudes import NetworkParams, _amplitudes, _check_time, _hop, _replay
 from .errors import DegenerateStateError, ParameterError
 
 #: Mixing probabilities at or below this leave the rank-two state degenerate.
@@ -89,8 +89,8 @@ def _class_weight(n: int, k: int, contains: bool) -> int:
     return n - k if contains else k
 
 
-def _mixing(params: NetworkParams, k: int, contains: bool, t: float) -> tuple[float, float, float]:
-    # Already-validated inputs: (p, sin(NJt/2), cos(NJt/2)) with p = 1 - w x.
+def _mixing(params: NetworkParams, k: int, contains: bool, t):
+    # Validated float or array t: (p, sin(NJt/2), cos(NJt/2)) with p = 1 - w x.
     x, sh, ch = _hop(params.n_qubits, params.coupling, t)
     return 1.0 - _class_weight(params.n_qubits, k, contains) * x, sh, ch
 
@@ -100,11 +100,16 @@ def excitation_probability(params: NetworkParams, sel: SubsystemSelector, t) -> 
 
     For a subsystem containing the excited qubit this is the excitation
     probability p1 = 1 - 4(N-K)/N^2 sin^2(NJt/2); for one excluding it this
-    is the ground-state probability p0 = 1 - 4K/N^2 sin^2(NJt/2).
+    is the ground-state probability p0 = 1 - 4K/N^2 sin^2(NJt/2). An
+    ndarray ``t`` gives an array.
     """
     sel.validate(params)
     contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
-    return _mixing(params, sel.k_qubits, contains, _check_time(t))[0]
+    try:
+        return _mixing(params, sel.k_qubits, contains, _check_time(t, "t", True))[0]
+    except ParameterError:
+        _replay(excitation_probability, params, sel, t)
+        raise
 
 
 def reduced_state(params: NetworkParams, sel: SubsystemSelector, t) -> ReducedState:
@@ -124,7 +129,7 @@ def reduced_state(params: NetworkParams, sel: SubsystemSelector, t) -> ReducedSt
                 f"excitation probability vanishes at t={t!r}; internal vector undefined",
                 limit_direction=limit,
             )
-        amps = amplitudes(params, t)
+        amps = _amplitudes(params, t)
         vec = np.full(k, amps.cross_site, dtype=complex)
         vec[0] = amps.same_site
         vec /= math.sqrt(p)
@@ -144,8 +149,12 @@ def materialize_density(state: ReducedState) -> np.ndarray:
     return rho
 
 
-def _binary_entropy(x: float) -> float:
-    # Natural log; 0 ln 0 := 0.
+def _binary_entropy(x):
+    # Natural log; 0 ln 0 := 0. Elementwise for an array.
+    if type(x) is not float:
+        inside = (x > 0.0) & (x < 1.0)
+        y = np.where(inside, x, 0.5)
+        return np.where(inside, -y * np.log(y) - (1.0 - y) * np.log(1.0 - y), 0.0)
     if x <= 0.0 or x >= 1.0:
         return 0.0
     return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
@@ -157,11 +166,16 @@ def entanglement_entropy(params: NetworkParams, sel: SubsystemSelector, t) -> fl
     Because the global state is pure and the reduced state has rank two,
     this is the binary entropy of x = (N-K)|u_d|^2 for a subsystem
     containing the excited qubit and x = K|u_d|^2 for one excluding it.
-    It also equals the quantum discord across the same cut.
+    It also equals the quantum discord across the same cut. An ndarray
+    ``t`` gives an array.
     """
     sel.validate(params)
     n = params.n_qubits
-    x = _hop(n, params.coupling, _check_time(t))[0]
+    try:
+        x = _hop(n, params.coupling, _check_time(t, "t", True))[0]
+    except ParameterError:
+        _replay(entanglement_entropy, params, sel, t)
+        raise
     contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
     return _binary_entropy(_class_weight(n, sel.k_qubits, contains) * x)
 

@@ -8,9 +8,15 @@ sampling uses a fixed seed so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import time
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+# The oracles import scipy lazily, so the closed forms and the CLI never load
+# it. The verification suites run the oracles, so they load it up front: at
+# set-up rather than inside the first check's time.
+import scipy.linalg  # noqa: F401
 
 from . import bloch, fisher, inference, oracle, positivity, propagator, states
 from .amplitudes import NetworkParams, amplitudes, q1_unitary_oracle, unitarity_residuals
@@ -26,6 +32,7 @@ class CheckResult(NamedTuple):
     value: float
     tolerance: float
     passed: bool
+    seconds: float = 0.0  # wall time of the check, set by run_all_checks
 
 
 def _result(name: str, value: float, tolerance: float) -> CheckResult:
@@ -315,5 +322,10 @@ ALL_CHECKS: tuple[Callable[[NetworkParams], CheckResult], ...] = (
 
 
 def run_all_checks(params: NetworkParams) -> list[CheckResult]:
-    """Run every verification suite for the given network."""
-    return [check(params) for check in ALL_CHECKS]
+    """Run every verification suite for the given network, timing each."""
+    results = []
+    for check in ALL_CHECKS:
+        start = time.perf_counter()
+        result = check(params)
+        results.append(result._replace(seconds=time.perf_counter() - start))
+    return results

@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from openqnet import (
+    DynClass,
+    GlobalParameter,
     NetworkParams,
     ParameterError,
     SizeLimitError,
+    SubsystemSelector,
     amplitudes,
+    excitation_probability,
+    flow_amplitude,
     global_state,
     q1_unitary_oracle,
+    qfi_closed_form,
+    reduced_state,
     unitarity_residuals,
 )
 
@@ -117,6 +124,31 @@ def test_parameter_validation():
         NetworkParams(5.5, 1.0)
     with pytest.raises(ParameterError):
         amplitudes(NetworkParams(5, 1.0), float("inf"))
+    # N*J overflows (period 0) or underflows (period inf).
+    with pytest.raises(ParameterError, match="period"):
+        NetworkParams(5, 1e308)
+    with pytest.raises(ParameterError, match="period"):
+        NetworkParams(5, 5e-324)
+
+
+def test_phase_overflow_is_refused():
+    # t = 1e308 is finite, but N*J*t overflows; math.sin used to raise a bare
+    # ValueError there and numpy's exp to return NaN.
+    params = NetworkParams(5, 1.0)
+    sel = SubsystemSelector(2, DynClass.CONTAINS_EXCITED)
+    calls = (
+        lambda t: amplitudes(params, t),
+        lambda t: excitation_probability(params, sel, t),
+        lambda t: reduced_state(params, sel, t),
+        lambda t: qfi_closed_form(params, sel, GlobalParameter.COUPLING_J, t),
+        lambda t: flow_amplitude(params, sel, 0.1, t),
+        lambda t: q1_unitary_oracle(params, t),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError, match=r"overflows at t=1e\+308"):
+            call(1e308)
+    with pytest.raises(ParameterError, match=r"overflows at t=1e\+308"):
+        amplitudes(params, np.array([0.1, 1e308, 0.2]))
 
 
 def test_period_property():

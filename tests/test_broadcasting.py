@@ -1,0 +1,143 @@
+"""Closed forms called on an ndarray of times against their scalar calls.
+
+For random N in 2..64, K and class, every broadcasting function must equal
+its scalar calls elementwise (the flow weight bit for bit, the rest within
+a relative 1e-13, with an absolute floor of 1e-15 for values that are
+round-off zeros, such as the rotation angle of a window with t1 = t2), and
+must refuse an array exactly when some scalar call
+refuses an element, with the first refusing element's error and message.
+The time generators deliberately put odd half-periods (singular anchors at
+K = N/2, degenerate states at N = 2), anchors just outside the singular
+window, and period points on the grid.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from openqnet import (
+    DynClass,
+    GlobalParameter,
+    NetworkParams,
+    OpenQNetError,
+    SubsystemSelector,
+    affine_map,
+    amplitudes,
+    axial_positivity_band,
+    entanglement_entropy,
+    excitation_probability,
+    flow_amplitude,
+    physical_bloch_z,
+    process_state_split,
+    qfi_closed_form,
+)
+
+RTOL = 1e-13
+ATOL = 1e-15
+
+# In periods: odd half-periods, anchors around the singular window
+# (1e-9 periods) and the flow-denominator guard, period points.
+SPECIAL_TAUS = (
+    0.0, 0.5, 1.0, 1.5, -0.5, 2.5,
+    0.5 + 1e-9, 0.5 - 1e-9, 0.5 + 1e-7, 0.5 - 1e-7, 0.5 + 1e-6, 1.5 - 1e-8,
+)
+
+taus = st.one_of(st.sampled_from(SPECIAL_TAUS), st.floats(-2.0, 3.0))
+tau_arrays = st.lists(taus, min_size=1, max_size=12).map(np.array)
+
+
+@st.composite
+def networks(draw):
+    """(params, selector): N = 2 and K = N/2 drawn on purpose."""
+    n = draw(st.one_of(st.just(2), st.integers(2, 64)))
+    params = NetworkParams(n, draw(st.sampled_from([1.0, 0.7, 2.3])))
+    cls = draw(st.sampled_from(DynClass))
+    k_max = n if cls is DynClass.CONTAINS_EXCITED else n - 1
+    k = draw(st.one_of(st.just(max(1, n // 2)), st.integers(1, k_max)))
+    return params, SubsystemSelector(k, cls)
+
+
+def fields(result) -> dict:
+    """The numeric outputs of one call, by name; a scalar call must give floats."""
+    if isinstance(result, tuple) and not hasattr(result, "_fields"):  # axial band
+        return {"lo": result[0], "hi": result[1]}
+    if result is None:  # empty band
+        return {"lo": math.nan, "hi": math.nan}
+    names = {
+        "Amplitudes": ("same_site", "cross_site", "cross_abs2"),
+        "FisherBreakdown": ("classical", "quantum", "total"),
+        "BlochAffineMap": ("transverse_scale", "rotation_angle", "z_scale", "z_shift"),
+        "ProcessStateSplit": ("process", "state", "cross", "total"),
+    }.get(type(result).__name__)
+    if names is None:
+        return {"value": result}
+    return {name: getattr(result, name) for name in names}
+
+
+def check_broadcast(call, *times, exact=False):
+    """Compare ``call(*times)`` with the loop of scalar calls over the elements."""
+    grids = np.broadcast_arrays(*times)
+    want, refusal = [], None
+    for args in zip(*(g.ravel().tolist() for g in grids)):
+        try:
+            want.append(fields(call(*args)))
+        except OpenQNetError as exc:
+            refusal = exc
+            break
+    if refusal is not None:
+        with pytest.raises(type(refusal)) as info:
+            call(*times)
+        assert str(info.value) == str(refusal)
+        return
+    got = fields(call(*times))
+    for name, value in got.items():
+        assert np.shape(value) == grids[0].shape, name
+        for row in want:
+            assert type(row[name]) in (float, complex), (name, type(row[name]))
+        expected = np.array([row[name] for row in want])
+        if exact:
+            np.testing.assert_array_equal(value.ravel(), expected, err_msg=name)
+        else:
+            np.testing.assert_allclose(value.ravel(), expected, rtol=RTOL, atol=ATOL, err_msg=name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(networks(), tau_arrays)
+def test_one_time_closed_forms(network, tau):
+    params, sel = network
+    t = tau * params.period
+    check_broadcast(lambda s: amplitudes(params, s), t)
+    check_broadcast(lambda s: excitation_probability(params, sel, s), t)
+    check_broadcast(lambda s: entanglement_entropy(params, sel, s), t)
+    check_broadcast(lambda s: physical_bloch_z(params, sel.dyn_class, s), t)
+    for theta in GlobalParameter:
+        check_broadcast(lambda s: qfi_closed_form(params, sel, theta, s), t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(networks(), tau_arrays, st.one_of(tau_arrays, taus), st.booleans())
+def test_two_time_closed_forms(network, tau2, tau1, rescaled):
+    params, sel = network
+    if isinstance(tau1, np.ndarray):
+        tau1 = np.resize(tau1, tau2.shape)
+    t1, t2 = tau1 * params.period, tau2 * params.period
+    cls = sel.dyn_class
+    check_broadcast(lambda a, b: flow_amplitude(params, sel, a, b), t1, t2, exact=True)
+    check_broadcast(lambda a, b: affine_map(params, cls, a, b), t1, t2)
+    check_broadcast(lambda a, b: axial_positivity_band(affine_map(params, cls, a, b)), t1, t2)
+    check_broadcast(
+        lambda a, b: process_state_split(params, cls, a, b, rescaled=rescaled), t1, t2
+    )
+
+
+def test_float_time_gives_float():
+    params = NetworkParams(5, 1.0)
+    sel = SubsystemSelector(2, DynClass.CONTAINS_EXCITED)
+    assert type(excitation_probability(params, sel, 0.3)) is float
+    assert type(entanglement_entropy(params, sel, 0.3)) is float
+    assert type(flow_amplitude(params, sel, 0.3, 0.9)) is float
+    assert type(qfi_closed_form(params, sel, GlobalParameter.SIZE_N, 0.3).total) is float
+    assert type(amplitudes(params, 0.3).same_site) is complex

@@ -1,4 +1,8 @@
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -199,6 +203,29 @@ def test_verify_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert out.read_text().splitlines()[1].endswith("FAIL")
 
 
+def test_verify_reports_check_times(tmp_path, capsys):
+    assert main(["verify", "--n", "3", "--out", str(tmp_path / "verify.csv")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 16
+    assert all(re.search(r"  time=\d+\.\dms$", line) for line in lines)
+
+
+def test_scipy_loads_only_with_the_oracles():
+    probe = (
+        "import sys, {module}; "
+        "print('scipy' in sys.modules, 'scipy.linalg' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+    def loaded(module):
+        cmd = [sys.executable, "-c", probe.format(module=module)]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout.split()
+
+    assert loaded("openqnet") == ["False", "False"]
+    assert loaded("openqnet.cli") == ["False", "False"]
+    assert loaded("openqnet.verification") == ["True", "True"]
+
+
 def test_stdout_output(capsys):
     assert main(["amplitudes", "--n", "3", "--steps", "3", "--out", "-"]) == 0
     captured = capsys.readouterr()
@@ -219,6 +246,11 @@ CONTRACT_COMMANDS = (
     ("fisher-decomp", "--class", "1", "--t1", "0.25"),
     ("fisher-decomp", "--class", "0", "--t1", "0.25"),
     ("infer",),
+    # Finite, but N*J*t overflows; and non-finite window ends.
+    ("flow", "--dt", "1e308"),
+    ("bloch-domain", "--class", "0", "--dt", "1e308"),
+    ("flow", "--dt", "nan"),
+    ("fisher-decomp", "--t1", "0.1", "--t2", "inf"),
 )
 
 
@@ -231,7 +263,31 @@ def test_exit_code_contract(command, n, steps, tmp_path, capsys):
     out = tmp_path / "out.csv"
     code = main([command[0], "--n", n, *command[1:], "--steps", steps, "--out", str(out)])
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "--n", "5", "--dt", "1e308"],
+        ["bloch-domain", "--n", "5", "--dt", "1e308"],
+        ["infer", "--n", "5", "--dt", "1e308"],
+        ["flow", "--n", "5", "--dt", "nan"],
+        ["bloch-domain", "--n", "5", "--dt", "inf"],
+        ["fisher-decomp", "--n", "5", "--t1", "0.1", "--t2", "inf"],
+        ["fisher-decomp", "--n", "5", "--t1", "nan"],
+        ["amplitudes", "--n", "5", "--j", "1e308"],  # N*J overflows: no period
+    ],
+    ids=" ".join,
+)
+def test_refused_input_writes_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
 
 
 def test_degenerate_point_exits_3(capsys):
