@@ -175,14 +175,14 @@ def qfi_numeric_oracle(
     contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
     if theta is GlobalParameter.COUPLING_J:
         h = step * j
-        rho0 = _reduced_density(float(n), j, k, contains, t)
-        plus = _reduced_density(float(n), j + h, k, contains, t)
-        minus = _reduced_density(float(n), j - h, k, contains, t)
+        shifted = [(float(n), j + h), (float(n), j - h)]
     else:
         h = step * n
-        rho0 = _reduced_density(float(n), j, k, contains, t)
-        plus = _reduced_density(n + h, j, k, contains, t)
-        minus = _reduced_density(n - h, j, k, contains, t)
+        shifted = [(n + h, j), (n - h, j)]
+    for n_real, j_real in shifted:
+        _phase(n_real, j_real, t)  # N*J*t can be finite where a shifted phase is not
+    rho0 = _reduced_density(float(n), j, k, contains, t)
+    plus, minus = (_reduced_density(n_real, j_real, k, contains, t) for n_real, j_real in shifted)
     drho = (plus - minus) / (2.0 * h)
     evals, evecs = np.linalg.eigh(rho0)
     m = evecs.conj().T @ drho @ evecs

@@ -7,6 +7,12 @@ genuine two-route check. Global states and operator columns live in the
 reachable sectors only: one complex amplitude for the global ground state
 plus N single-excitation amplitudes.
 
+Partial traces read those amplitudes only, never a closed form. With at
+most one excitation, Tr_env |psi><chi| is the outer product of the local
+amplitudes (psi_0, psi_s1, ..., psi_sK) with chi's conjugated, plus the
+environment inner product sum_e psi_e conj(chi_e) on the ground entry
+[0, 0]; one helper does this for all ket/bra pairs of two stacks at once.
+
 Map tomography is supported for subsystems containing the excited qubit:
 with the environment in its ground state, every local q <= 1 input keeps
 the global state inside q <= 1. For the excluding class, local excited
@@ -39,6 +45,11 @@ class GlobalVector:
     q1_amps: np.ndarray
     n_qubits: int
 
+    def __post_init__(self):
+        shape = np.shape(self.q1_amps)
+        if shape != (self.n_qubits,):
+            raise ParameterError(f"q1_amps must have shape ({self.n_qubits},), got {shape}")
+
     @property
     def norm_sq(self) -> float:
         return abs(self.q0_amp) ** 2 + float(np.sum(np.abs(self.q1_amps) ** 2))
@@ -55,34 +66,30 @@ def subsystem_sites(params: NetworkParams, sel: SubsystemSelector) -> tuple[int,
     return tuple(range(1, sel.k_qubits + 1))
 
 
+def _partial_traces(kets: np.ndarray, bras: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
+    # Tr_env |ket_m><bra_n| for all rows m, n, shape (M, B, K+1, K+1). A row is
+    # one global vector: column 0 its q0 amplitude, column 1 + i site i's.
+    local = [0, *(i + 1 for i in sites)]
+    env = np.ones(kets.shape[1], dtype=bool)
+    env[local] = False
+    bras = bras.conj()
+    out = kets[:, None, local, None] * bras[None, :, None, local]
+    out[:, :, 0, 0] += kets[:, env] @ bras[:, env].T
+    return out
+
+
 def bilinear_partial_trace(
     psi: GlobalVector, chi: GlobalVector, sites: tuple[int, ...]
 ) -> np.ndarray:
-    """Tr_env |psi><chi| onto the chosen sites, as a (K+1)x(K+1) matrix.
-
-    Exploits the q <= 1 structure: the environment is either in its ground
-    state (subsystem holds the excitation) or holds the excitation itself
-    (subsystem in its ground state), so the trace closes in the local
-    ground + single-excitation space.
-    """
+    """Tr_env |psi><chi| onto the chosen sites, as a (K+1)x(K+1) matrix."""
     if psi.n_qubits != chi.n_qubits:
         raise ParameterError("bra and ket describe different network sizes")
     n = psi.n_qubits
     site_set = set(sites)
     if not site_set or len(site_set) != len(sites) or not site_set <= set(range(n)):
         raise ParameterError(f"sites must be distinct indices in 0..{n - 1}, got {sites!r}")
-    k = len(sites)
-    env = [i for i in range(n) if i not in site_set]
-    out = np.zeros((k + 1, k + 1), dtype=complex)
-    out[0, 0] = psi.q0_amp * np.conj(chi.q0_amp) + sum(
-        psi.q1_amps[i] * np.conj(chi.q1_amps[i]) for i in env
-    )
-    for a, site_a in enumerate(sites):
-        out[a + 1, 0] = psi.q1_amps[site_a] * np.conj(chi.q0_amp)
-        out[0, a + 1] = psi.q0_amp * np.conj(chi.q1_amps[site_a])
-        for b, site_b in enumerate(sites):
-            out[a + 1, b + 1] = psi.q1_amps[site_a] * np.conj(chi.q1_amps[site_b])
-    return out
+    ket, bra = (np.concatenate(([v.q0_amp], v.q1_amps), dtype=complex) for v in (psi, chi))
+    return _partial_traces(ket[None], bra[None], sites)[0, 0]
 
 
 def reduced_density_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> np.ndarray:
@@ -94,8 +101,8 @@ def reduced_density_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> 
     """
     t = _check_time(t)
     unitary = q1_unitary_oracle(params, t)  # also enforces the size guard
-    evolved = GlobalVector(0.0, unitary[:, 0].copy(), params.n_qubits)
-    return bilinear_partial_trace(evolved, evolved, subsystem_sites(params, sel))
+    evolved = np.concatenate(([0.0], unitary[:, 0]))[None]
+    return _partial_traces(evolved, evolved, subsystem_sites(params, sel))[0, 0]
 
 
 def dynamical_map_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> np.ndarray:
@@ -117,22 +124,14 @@ def dynamical_map_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> np
         raise ParameterError(
             f"tomography guarded at N <= {TOMOGRAPHY_MAX_QUBITS}, got N={params.n_qubits}"
         )
-    n, k = params.n_qubits, sel.k_qubits
-    d = k + 1
+    n, d = params.n_qubits, sel.k_qubits + 1
     unitary = q1_unitary_oracle(params, t)
-    sites = subsystem_sites(params, sel)
-    evolved: list[GlobalVector] = []
-    for mu in range(d):
-        if mu == 0:
-            evolved.append(GlobalVector(1.0, np.zeros(n, dtype=complex), n))
-        else:
-            evolved.append(GlobalVector(0.0, unitary[:, mu - 1].copy(), n))
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for nu in range(d):
-        for mu in range(d):
-            block = bilinear_partial_trace(evolved[mu], evolved[nu], sites)
-            out[:, nu * d + mu] = block.reshape(-1, order="F")
-    return out
+    # Row mu: the evolved |mu> (x) env ground; |0> stays put, |mu> is column mu-1.
+    evolved = np.eye(d, n + 1, dtype=complex)
+    evolved[1:, 1:] = unitary[:, : d - 1].T
+    # blocks[mu, nu] = Tr_env of the image of |mu><nu|
+    blocks = _partial_traces(evolved, evolved, subsystem_sites(params, sel))
+    return blocks.transpose(3, 2, 1, 0).reshape(d * d, d * d)
 
 
 def propagator_oracle(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> np.ndarray:

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +212,15 @@ def test_theta_must_be_a_global_parameter(theta):
     with pytest.raises(ParameterError) as qfi_err:
         qfi_closed_form(N5, SubsystemSelector(1, C1), theta, 0.9)
     assert str(split_err.value) == str(qfi_err.value) == message
+
+
+@pytest.mark.parametrize("theta", [J, SIZE])
+def test_oracle_refuses_overflowing_shifted_phase(theta):
+    # N*J*t is finite here, but the phase at N + h or J + h overflows.
+    t = sys.float_info.max / 5 * (1 - 4e-6)
+    assert math.isfinite(5 * 1.0 * t)
+    with pytest.raises(ParameterError, match=r"overflows at t=" + re.escape(repr(t))):
+        qfi_numeric_oracle(N5, SubsystemSelector(2, C1), theta, t)
 
 
 def test_dips_align_with_backflow_windows():

@@ -18,6 +18,7 @@ from openqnet import (
     is_singular,
     propagator_matrix,
     propagator_oracle,
+    q1_unitary_oracle,
     reduced_density_oracle,
     subsystem_sites,
 )
@@ -51,6 +52,93 @@ def test_partial_trace_validation():
         bilinear_partial_trace(psi, psi, (0, 0))
     with pytest.raises(ParameterError):
         bilinear_partial_trace(psi, psi, (7,))
+
+
+def test_global_vector_rejects_wrong_length():
+    for length in (6, 4):
+        with pytest.raises(ParameterError, match=r"q1_amps must have shape \(5,\)"):
+            GlobalVector(0.0, np.full(length, 1 / math.sqrt(length), dtype=complex), 5)
+
+
+def _partial_trace_loop(psi, chi, sites):
+    # Reference: the trace filled one entry at a time.
+    n = psi.n_qubits
+    env = [i for i in range(n) if i not in set(sites)]
+    k = len(sites)
+    out = np.zeros((k + 1, k + 1), dtype=complex)
+    out[0, 0] = psi.q0_amp * np.conj(chi.q0_amp) + sum(
+        psi.q1_amps[i] * np.conj(chi.q1_amps[i]) for i in env
+    )
+    for a, site_a in enumerate(sites):
+        out[a + 1, 0] = psi.q1_amps[site_a] * np.conj(chi.q0_amp)
+        out[0, a + 1] = psi.q0_amp * np.conj(chi.q1_amps[site_a])
+        for b, site_b in enumerate(sites):
+            out[a + 1, b + 1] = psi.q1_amps[site_a] * np.conj(chi.q1_amps[site_b])
+    return out
+
+
+def _dynamical_map_loop(params, sel, t):
+    # Reference: one looped trace per column of the map.
+    n, d = params.n_qubits, sel.k_qubits + 1
+    unitary = q1_unitary_oracle(params, t)
+    sites = subsystem_sites(params, sel)
+    evolved = [GlobalVector(1.0, np.zeros(n, dtype=complex), n)]
+    evolved += [GlobalVector(0.0, unitary[:, mu - 1].copy(), n) for mu in range(1, d)]
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for nu in range(d):
+        for mu in range(d):
+            block = _partial_trace_loop(evolved[mu], evolved[nu], sites)
+            out[:, nu * d + mu] = block.reshape(-1, order="F")
+    return out
+
+
+def _random_vector(rng, n):
+    # Normalised; the q0 amplitude is drawn well away from zero.
+    amps = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    amps[0] = (0.3 + rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
+    amps /= np.linalg.norm(amps)
+    return GlobalVector(complex(amps[0]), amps[1:], n)
+
+
+TAUS = (-1.93, -1.0, -0.61, 0.0, 0.37, 0.5, 1.28, 2.0)  # periods
+
+
+def test_partial_trace_matches_loop():
+    rng = np.random.default_rng(97)
+    for n in range(2, 13):
+        for k in range(1, n + 1):
+            psi, chi = _random_vector(rng, n), _random_vector(rng, n)
+            sites = tuple(int(i) for i in rng.permutation(n)[:k])
+            ref = _partial_trace_loop(psi, chi, sites)
+            assert np.abs(bilinear_partial_trace(psi, chi, sites) - ref).max() <= 1e-14
+    psi, chi = _random_vector(rng, 5), _random_vector(rng, 5)
+    rho = bilinear_partial_trace(psi, chi, (3, 1))
+    assert np.abs(rho - _partial_trace_loop(psi, chi, (3, 1))).max() <= 1e-14
+    assert rho[1, 2] == psi.q1_amps[3] * np.conj(chi.q1_amps[1])
+
+
+def test_reduced_density_matches_loop():
+    for n in range(2, 13):
+        params = NetworkParams(n, 1.0)
+        sels = [SubsystemSelector(k, C1) for k in range(1, n + 1)]
+        sels += [SubsystemSelector(k, C0) for k in range(1, n)]
+        for tau in TAUS:
+            t = tau * params.period
+            evolved = GlobalVector(0.0, q1_unitary_oracle(params, t)[:, 0].copy(), n)
+            for sel in sels:
+                ref = _partial_trace_loop(evolved, evolved, subsystem_sites(params, sel))
+                assert np.abs(reduced_density_oracle(params, sel, t) - ref).max() <= 1e-14
+
+
+def test_dynamical_map_matches_loop():
+    for n in range(2, 13):
+        params = NetworkParams(n, 1.0)
+        for k in range(1, n + 1):
+            sel = SubsystemSelector(k, C1)
+            for tau in TAUS[(n + k) % 2 :: 2]:  # every other time, alternating with k
+                t = tau * params.period
+                ref = _dynamical_map_loop(params, sel, t)
+                assert np.abs(dynamical_map_oracle(params, sel, t) - ref).max() <= 1e-14
 
 
 def test_reduced_density_examples():
