@@ -343,9 +343,10 @@ def verify_cmd(n_qubits: int, coupling: float, out_path: str) -> None:
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
+        where = f"  at {verification.describe_case(r.worst_at)}" if r.worst_at else ""
         click.echo(
             f"{status}  {r.name:<{width}}  max={r.value:.3e}  tol={r.tolerance:.1e}"
-            f"  time={r.seconds * 1e3:.1f}ms",
+            f"{where}  time={r.seconds * 1e3:.1f}ms",
             err=True,
         )
         rows.append((r.name, r.value, r.tolerance, status))

@@ -86,7 +86,8 @@ def bilinear_partial_trace(
         raise ParameterError("bra and ket describe different network sizes")
     n = psi.n_qubits
     site_set = set(sites)
-    if not site_set or len(site_set) != len(sites) or not site_set <= set(range(n)):
+    integers = all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in sites)
+    if not (integers and site_set and len(site_set) == len(sites) and site_set <= set(range(n))):
         raise ParameterError(f"sites must be distinct indices in 0..{n - 1}, got {sites!r}")
     ket, bra = (np.concatenate(([v.q0_amp], v.q1_amps), dtype=complex) for v in (psi, chi))
     return _partial_traces(ket[None], bra[None], sites)[0, 0]

@@ -3,6 +3,11 @@
 Every test prints one ``[criterion NN] PASS/FAIL`` line (visible with
 ``pytest -s`` or in captured output on failure).
 
+Criteria 01-05a, the symmetry part of 09, 10 and 13 share ``verify``'s
+check engine: they call the per-case residuals and the worst-case fold of
+``openqnet.verification`` (so a NaN residual fails here too), over their
+own seeded cases, network sizes and sample counts.
+
 Criterion 5 is split: 5a is the three-route positive/CP agreement over ten
 thousand random cases (the Choi route in closed form, checked against the
 dense Choi matrix as a fourth route) and passes. 5b additionally asserts
@@ -22,43 +27,49 @@ import pytest
 
 from openqnet import (
     DynClass,
-    FlowObservation,
     GlobalParameter,
     NetworkParams,
     SingularIntervalError,
     SubsystemSelector,
     Verdict,
     affine_map,
-    amplitudes,
     axial_positivity_band,
     build_propagator,
     choi_matrix,
     classify,
     entanglement_entropy,
     estimate_period,
-    evolve_bloch,
     flow_amplitude,
     infer_coupling,
-    infer_network_size,
     is_singular,
-    materialize_density,
     physical_bloch_z,
     positivity_transition_time,
     process_state_split,
-    propagator_matrix,
-    propagator_oracle,
-    q1_unitary_oracle,
     qfi_closed_form,
-    qfi_numeric_oracle,
-    reduced_density_oracle,
-    reduced_state,
-    excitation_probability,
     conservation_residual,
 )
-from openqnet.propagator import apply
+from openqnet.verification import (
+    amplitude_oracle_residual,
+    bloch_fixed_point_residual,
+    complement_pairs,
+    entropy_symmetry_residual,
+    fisher_cases,
+    fisher_routes,
+    orbit_oracle_residual,
+    pcp_disagrees,
+    random_interval,
+    reduced_state_residual,
+    roundtrip_residual,
+    roundtrip_windows,
+    selectors,
+    tomography_residual,
+    unitarity_residual,
+    worst_case,
+)
 
 C1 = DynClass.CONTAINS_EXCITED
 C0 = DynClass.EXCLUDES_EXCITED
+NETWORKS = [NetworkParams(n, 1.0) for n in range(2, 9)]
 
 
 def report(number, name, ok, detail=""):
@@ -67,92 +78,48 @@ def report(number, name, ok, detail=""):
     return ok
 
 
-def selectors(n):
-    sels = [SubsystemSelector(k, C1) for k in range(1, n + 1)]
-    sels += [SubsystemSelector(k, C0) for k in range(1, n)]
-    return sels
-
-
 def test_criterion_01_unitarity():
-    worst = 0.0
-    for n in range(2, 9):
-        params = NetworkParams(n, 1.0)
-        for tau in np.linspace(0.0, 1.0, 400):
-            amps = amplitudes(params, tau * params.period)
-            us, ud = amps.same_site, amps.cross_site
-            worst = max(worst, abs(abs(us) ** 2 + (n - 1) * abs(ud) ** 2 - 1.0))
-            worst = max(
-                worst, abs(2 * (us.conjugate() * ud).real + (n - 2) * abs(ud) ** 2)
-            )
-    assert report(1, "unitarity constraints", worst <= 1e-12, f"max={worst:.2e} tol=1e-12")
+    cases = [(p, t) for p in NETWORKS for t in np.linspace(0.0, 1.0, 400) * p.period]
+    r = worst_case("unitarity", 1e-12, unitarity_residual, cases)
+    assert report(1, "unitarity constraints", r.passed, f"max={r.value:.2e} tol=1e-12")
 
 
 def test_criterion_02_amplitude_oracle():
-    worst = 0.0
-    for n in range(2, 9):
-        params = NetworkParams(n, 1.0)
-        for tau in np.linspace(0.0, 1.0, 400):
-            t = tau * params.period
-            amps = amplitudes(params, t)
-            closed = np.full((n, n), amps.cross_site, dtype=complex)
-            np.fill_diagonal(closed, amps.same_site)
-            worst = max(worst, float(np.abs(closed - q1_unitary_oracle(params, t)).max()))
-    assert report(2, "amplitude matrix-exponential oracle", worst <= 1e-9, f"max={worst:.2e} tol=1e-9")
+    cases = [(p, t) for p in NETWORKS for t in np.linspace(0.0, 1.0, 400) * p.period]
+    r = worst_case("amplitude_oracle", 1e-9, amplitude_oracle_residual, cases)
+    assert report(2, "amplitude matrix-exponential oracle", r.passed, f"max={r.value:.2e} tol=1e-9")
 
 
 def test_criterion_03_reduced_state_oracle():
-    worst = 0.0
-    for n in range(2, 9):
-        params = NetworkParams(n, 1.0)
-        for sel in selectors(n):
-            for tau in np.linspace(0.0, 1.0, 80):
-                t = tau * params.period
-                dense = materialize_density(reduced_state(params, sel, t))
-                worst = max(
-                    worst, float(np.abs(dense - reduced_density_oracle(params, sel, t)).max())
-                )
-    assert report(3, "reduced-state partial-trace oracle", worst <= 1e-9, f"max={worst:.2e} tol=1e-9")
+    cases = [
+        (p, sel, t)
+        for p in NETWORKS
+        for sel in selectors(p)
+        for t in np.linspace(0.0, 1.0, 80) * p.period
+    ]
+    r = worst_case("reduced_state", 1e-9, reduced_state_residual, cases)
+    assert report(3, "reduced-state partial-trace oracle", r.passed, f"max={r.value:.2e} tol=1e-9")
+
+
+def _draws(rng, count, dyn_class):
+    for _ in range(count):
+        params = NetworkParams(int(rng.integers(3, 8)), 1.0)
+        k = int(rng.integers(1, params.n_qubits))
+        yield (params, SubsystemSelector(k, dyn_class), *random_interval(rng, params, k))
 
 
 def test_criterion_04_propagator_tomography():
     rng = np.random.default_rng(2024)
-    worst_c1 = 0.0
-    non_cp = 0
-    for _ in range(500):
-        n = int(rng.integers(3, 8))
-        params = NetworkParams(n, 1.0)
-        k = int(rng.integers(1, n))
-        sel = SubsystemSelector(k, C1)
-        while True:
-            t1, t2 = rng.uniform(0, params.period, size=2)
-            if not is_singular(params, k, t1):
-                break
-        if flow_amplitude(params, sel, t1, t2) < -1e-9:
-            non_cp += 1
-        brute = propagator_oracle(params, sel, t1, t2)
-        closed = propagator_matrix(build_propagator(params, sel, t1, t2))
-        worst_c1 = max(worst_c1, float(np.abs(brute - closed).max()))
-    worst_c0 = 0.0
-    for _ in range(200):
-        n = int(rng.integers(3, 8))
-        params = NetworkParams(n, 1.0)
-        k = int(rng.integers(1, n))
-        sel = SubsystemSelector(k, C0)
-        while True:
-            t1, t2 = rng.uniform(0, params.period, size=2)
-            if not is_singular(params, k, t1):
-                break
-        ops = build_propagator(params, sel, t1, t2)
-        moved = apply(ops, reduced_density_oracle(params, sel, t1))
-        worst_c0 = max(
-            worst_c0, float(np.abs(moved - reduced_density_oracle(params, sel, t2)).max())
-        )
-    ok = worst_c1 <= 1e-8 and worst_c0 <= 1e-9 and non_cp >= 100
+    c1_cases = list(_draws(rng, 500, C1))
+    non_cp = sum(flow_amplitude(*case) < -1e-9 for case in c1_cases)
+    c1 = worst_case("tomography", 1e-8, tomography_residual, c1_cases)
+    c0 = worst_case("c0_orbit", 1e-9, orbit_oracle_residual, _draws(rng, 200, C0))
+    ok = c1.passed and c0.passed and non_cp >= 100
     assert report(
         4,
         "propagator tomography",
         ok,
-        f"c1_max={worst_c1:.2e} (tol 1e-8), c0_orbit_max={worst_c0:.2e} (tol 1e-9), non_cp={non_cp}",
+        f"c1_max={c1.value:.2e} (tol 1e-8), c0_orbit_max={c0.value:.2e} (tol 1e-9), non_cp={non_cp}",
     )
 
 
@@ -165,25 +132,11 @@ def _random_cases(count, seed):
             sel = SubsystemSelector(int(rng.integers(1, n + 1)), C1)
         else:
             sel = SubsystemSelector(int(rng.integers(1, n)), C0)
-        while True:
-            t1, t2 = rng.uniform(0, params.period, size=2)
-            if not is_singular(params, sel.k_qubits, t1):
-                break
-        yield params, sel, t1, t2
+        yield (params, sel, *random_interval(rng, params, sel.k_qubits))
 
 
 def test_criterion_05a_three_route_agreement():
-    tol = 1e-9
-    disagreements = 0
-    for params, sel, t1, t2 in _random_cases(10_000, 555):
-        verdict = classify(params, sel, t1, t2)
-        flow_cp = verdict.flow_sign >= -tol
-        choi_cp = verdict.choi_min_eig >= -tol
-        trace_cp = verdict.trace_dist_delta <= tol
-        dense = choi_matrix(build_propagator(params, sel, t1, t2))
-        dense_cp = np.linalg.eigvalsh(dense).min() >= -tol
-        if not (flow_cp == choi_cp == trace_cp == dense_cp):
-            disagreements += 1
+    disagreements = sum(pcp_disagrees(*case) for case in _random_cases(10_000, 555))
     assert report(
         "5a", "P<->CP three-route agreement, dense Choi oracle too (10^4 cases)",
         disagreements == 0,
@@ -231,13 +184,8 @@ def test_criterion_06_transition_time():
 def test_criterion_07_bloch_geometry():
     params = NetworkParams(5, 1.0)
     rng = np.random.default_rng(77)
-    worst_fixed = 0.0
-    for _ in range(200):
-        t1, t2 = rng.uniform(0, params.period, size=2)
-        north = evolve_bloch(affine_map(params, C1, t1, t2), np.array([0.0, 0.0, 1.0]))
-        south = evolve_bloch(affine_map(params, C0, t1, t2), np.array([0.0, 0.0, -1.0]))
-        worst_fixed = max(worst_fixed, float(np.abs(north - [0, 0, 1]).max()))
-        worst_fixed = max(worst_fixed, float(np.abs(south - [0, 0, -1]).max()))
+    cases = [(params, *rng.uniform(0, params.period, size=2)) for _ in range(200)]
+    fixed = worst_case("fixed", 1e-12, bloch_fixed_point_residual, cases)
     lo, hi = axial_positivity_band(
         affine_map(params, C1, math.pi / 5, 2 * math.pi / 5)
     )
@@ -249,10 +197,10 @@ def test_criterion_07_bloch_geometry():
                 affine_map(params, cls, tau1 * params.period, tau2 * params.period)
             )
             worst_contracting = max(worst_contracting, abs(blo + 1.0), abs(bhi - 1.0))
-    ok = worst_fixed <= 1e-12 and band_dev <= 1e-12 and worst_contracting <= 1e-12
+    ok = fixed.passed and band_dev <= 1e-12 and worst_contracting <= 1e-12
     assert report(
         7, "Bloch fixed points and axial bands", ok,
-        f"fixed={worst_fixed:.2e}, band=[{lo:.17g},{hi:.17g}], contracting={worst_contracting:.2e}",
+        f"fixed={fixed.value:.2e}, band=[{lo:.17g},{hi:.17g}], contracting={worst_contracting:.2e}",
     )
 
 
@@ -280,17 +228,12 @@ def test_criterion_08_never_visited_band():
 
 def test_criterion_09_entropy():
     params = NetworkParams(5, 1.0)
-    worst_sym = 0.0
-    for k in range(1, 5):
-        for tau in np.linspace(0.0, 1.0, 400):
-            t = tau * params.period
-            worst_sym = max(
-                worst_sym,
-                abs(
-                    entanglement_entropy(params, SubsystemSelector(k, C0), t)
-                    - entanglement_entropy(params, SubsystemSelector(5 - k, C1), t)
-                ),
-            )
+    cases = [
+        (params, *pair, t)
+        for pair in complement_pairs(params)
+        for t in np.linspace(0.0, 1.0, 400) * params.period
+    ]
+    sym = worst_case("symmetry", 1e-12, entropy_symmetry_residual, cases)
     zero_at_start = entanglement_entropy(params, SubsystemSelector(2, C1), 0.0)
     # K=1 containing class reaches x = 1/2 (x_max = 0.64): the entropy peak
     # hits ln 2 exactly there; for K >= 2 (x_max <= 0.48) it stays short.
@@ -308,14 +251,14 @@ def test_criterion_09_entropy():
             ),
         )
     ok = (
-        worst_sym <= 1e-12
+        sym.passed
         and zero_at_start == 0.0
         and peak_dev <= 1e-12
         and short <= math.log(2) - 1e-4
     )
     assert report(
         9, "entropy symmetry and peak", ok,
-        f"sym={worst_sym:.2e}, S(0)={zero_at_start}, peak_dev={peak_dev:.2e}, max_S(K>=2)={short:.6f}",
+        f"sym={sym.value:.2e}, S(0)={zero_at_start}, peak_dev={peak_dev:.2e}, max_S(K>=2)={short:.6f}",
     )
 
 
@@ -325,17 +268,11 @@ def test_criterion_10_fisher_oracle():
     quantum_dev = 0.0
     for n in range(3, 7):
         params = NetworkParams(n, 1.0)
-        for sel in selectors(n):
-            for theta in GlobalParameter:
-                if theta is GlobalParameter.SIZE_N and sel.dyn_class is C1 and sel.k_qubits == n:
-                    continue
-                for tau in np.linspace(0.06, 0.94, 12):
-                    t = tau * params.period
-                    closed = qfi_closed_form(params, sel, theta, t).total
-                    numeric = qfi_numeric_oracle(params, sel, theta, t)
-                    gap = abs(closed - numeric)
-                    if gap > 1e-8:
-                        worst = max(worst, gap / max(abs(closed), 1e-300))
+        for case in fisher_cases(params, np.linspace(0.06, 0.94, 12)):
+            closed, numeric = fisher_routes(*case)
+            gap = abs(closed - numeric)
+            if gap > 1e-8:
+                worst = max(worst, gap / max(abs(closed), 1e-300))
         for t in (0.2, 0.9, 2.7):
             full = qfi_closed_form(params, SubsystemSelector(n, C1), GlobalParameter.COUPLING_J, t)
             exact_dev = max(exact_dev, abs(full.total - 4 * t * t * (n - 1)))
@@ -418,28 +355,16 @@ def test_criterion_12_fisher_dips_and_backflow():
 
 def test_criterion_13_inference_roundtrip():
     rng = np.random.default_rng(999)
-    worst_n = 0.0
-    for n in range(3, 13):
-        for j in (0.5, 1.0, 2.0):
-            params = NetworkParams(n, j)
-            sel1 = SubsystemSelector(1, C1)
-            sel0 = SubsystemSelector(1, C0)
-            done = 0
-            while done < 20:
-                t1, t2 = rng.uniform(0, params.period, size=2)
-                if is_singular(params, 1, t1):
-                    continue
-                flow1 = flow_amplitude(params, sel1, t1, t2)
-                flow0 = flow_amplitude(params, sel0, t1, t2)
-                if min(abs(flow0), abs(flow1)) < 1e-6:
-                    continue
-                obs = FlowObservation(flow1, flow0, excitation_probability(params, sel0, t1))
-                worst_n = max(worst_n, abs(infer_network_size(obs).estimate - n))
-                done += 1
-    worst_cons = 0.0
+    cases = [
+        case
+        for n in range(3, 13)
+        for j in (0.5, 1.0, 2.0)
+        for case in roundtrip_windows(rng, NetworkParams(n, j), 20)
+    ]
+    roundtrip = worst_case("n_dev", 1e-8, roundtrip_residual, cases)
     rng2 = np.random.default_rng(1001)
-    done = 0
-    while done < 100:
+    cons_cases = []
+    while len(cons_cases) < 100:
         n = int(rng2.integers(3, 9))
         params = NetworkParams(n, 1.0)
         k = int(rng2.integers(1, n))
@@ -450,8 +375,8 @@ def test_criterion_13_inference_roundtrip():
         x2 = math.sin(n * t2 / 2) ** 2
         if abs(x2 - x1) < 1e-6:
             continue
-        worst_cons = max(worst_cons, conservation_residual(params, k, t1, t2))
-        done += 1
+        cons_cases.append((params, k, t1, t2))
+    cons = worst_case("conservation", 1e-10, conservation_residual, cons_cases)
     worst_j = 0.0
     for n in (4, 6, 9):
         for j in (0.5, 0.7, 2.0):
@@ -464,10 +389,10 @@ def test_criterion_13_inference_roundtrip():
 
             period_est = estimate_period(observed, dt, 1.4 * params.period)
             worst_j = max(worst_j, abs(infer_coupling(period_est, n) - j))
-    ok = worst_n <= 1e-8 and worst_cons <= 1e-10 and worst_j <= 1e-6
+    ok = roundtrip.passed and cons.passed and worst_j <= 1e-6
     assert report(
         13, "inference round trip", ok,
-        f"n_dev={worst_n:.2e} (tol 1e-8), conservation={worst_cons:.2e} (tol 1e-10), j_dev={worst_j:.2e} (tol 1e-6)",
+        f"n_dev={roundtrip.value:.2e} (tol 1e-8), conservation={cons.value:.2e} (tol 1e-10), j_dev={worst_j:.2e} (tol 1e-6)",
     )
 
 
@@ -486,7 +411,7 @@ def test_criterion_14_singularity_handling():
     built_ok = True
     for n in range(2, 9):
         params = NetworkParams(n, 1.0)
-        for sel in selectors(n):
+        for sel in selectors(params):
             for tau in np.linspace(0.0, 0.96, 17):
                 t1 = tau * params.period
                 if is_singular(params, sel.k_qubits, t1):

@@ -203,6 +203,26 @@ def test_verify_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert out.read_text().splitlines()[1].endswith("FAIL")
 
 
+def test_verify_nan_residual_exits_2(tmp_path, capsys, monkeypatch):
+    from openqnet import propagator, verification
+
+    monkeypatch.setattr(propagator, "completeness_residual", lambda ops: math.nan)
+    monkeypatch.setattr(verification, "ALL_CHECKS", (verification.check_propagator_completeness,))
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--n", "3", "--out", str(out)]) == 2
+    assert "FAIL  propagator_completeness  max=nan" in capsys.readouterr().err
+    assert out.read_text().splitlines()[1] == "propagator_completeness,nan,1e-10,FAIL"
+
+
+def test_verify_names_the_worst_case(tmp_path, capsys, monkeypatch):
+    from openqnet import verification
+
+    monkeypatch.setattr(verification, "ALL_CHECKS", (verification.check_tomography_containing,))
+    assert main(["verify", "--n", "3", "--out", str(tmp_path / "verify.csv")]) == 0
+    line = capsys.readouterr().err.strip()
+    assert re.search(r"  at K=\d class=1 t1=\S+ t2=\S+ periods  time=\d+\.\dms$", line), line
+
+
 def test_verify_reports_check_times(tmp_path, capsys):
     assert main(["verify", "--n", "3", "--out", str(tmp_path / "verify.csv")]) == 0
     lines = capsys.readouterr().err.splitlines()

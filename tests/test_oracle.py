@@ -52,6 +52,12 @@ def test_partial_trace_validation():
         bilinear_partial_trace(psi, psi, (0, 0))
     with pytest.raises(ParameterError):
         bilinear_partial_trace(psi, psi, (7,))
+    for sites in [(1.0,), (True,), (2, True)]:  # equal to an index, but not an integer
+        with pytest.raises(ParameterError, match="sites must be distinct indices"):
+            bilinear_partial_trace(psi, psi, sites)
+    assert np.array_equal(
+        bilinear_partial_trace(psi, psi, (np.int64(1),)), bilinear_partial_trace(psi, psi, (1,))
+    )
 
 
 def test_global_vector_rejects_wrong_length():
