@@ -37,7 +37,7 @@ import numpy as np
 
 from .amplitudes import NetworkParams, _check_time, _hop
 from .errors import ParameterError, SizeLimitError
-from .propagator import FlowKind, PropagatorOps, apply, build_propagator
+from .propagator import FlowKind, PropagatorOps, _build, _window, apply
 from .states import DynClass, SubsystemSelector, _mixing
 
 #: Guard on the Choi matrix dimension (K+1)^2.
@@ -77,34 +77,43 @@ def choi_matrix(ops: PropagatorOps) -> np.ndarray:
     Hermitian with trace K+1 (trace preservation of the map); positive
     semidefinite exactly when the propagator is completely positive. The
     dense oracle for :func:`choi_spectrum`; built from one :func:`apply`
-    on the stack of all (K+1)^2 basis operators.
+    on the stack of all (K+1)^2 basis operators. Stacked ops of shape S
+    give a ``(*S, (K+1)^2, (K+1)^2)`` stack, each matrix equal bit for bit
+    to the one of its own ops; the guard on (K+1)^2 holds for each matrix.
     """
     d = ops.k_qubits + 1
     if d * d > CHOI_MAX_DIM:
         raise SizeLimitError(f"Choi dimension {(d * d)}^2 exceeds guard {CHOI_MAX_DIM}^2")
-    # images[mu, nu] = Phi[|mu><nu|]
-    images = apply(ops, np.eye(d * d, dtype=complex).reshape(d, d, d, d))
-    # C[a*d + mu, b*d + nu] = images[mu, nu, a, b]
-    return images.transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    stack = ops.block_diag.shape[:-2]
+    m = len(stack)
+    # images[mu, nu, *S] = Phi[|mu><nu|]
+    images = apply(ops, np.eye(d * d, dtype=complex).reshape((d, d) + (1,) * m + (d, d)))
+    # C[*S, a*d + mu, b*d + nu] = images[mu, nu, *S, a, b]
+    axes = (*range(2, m + 2), m + 2, 0, m + 3, 1)
+    return images.transpose(axes).reshape(stack + (d * d, d * d))
 
 
-def choi_spectrum(ops: PropagatorOps) -> tuple[float, ...]:
+def choi_spectrum(ops: PropagatorOps) -> tuple:
     """The Choi eigenvalues that can be nonzero, in closed form.
 
     ``(||B||_F^2, K*flow)`` for the containing class and ``(K*flow,
     lambda_+, lambda_-)`` for the excluding class (see the module
     docstring); all other (K+1)^2 - 2 or - 3 eigenvalues are exactly zero.
+    Stacked ops of shape S give arrays of shape S, equal to the calls on
+    each element's ops within round-off.
     """
-    k, flow = ops.k_qubits, ops.flow_weight
+    k, flow, block = ops.k_qubits, ops.flow_weight, ops.block_diag
+    one = block.ndim == 2
     if ops.flow_kind is FlowKind.OUT_OF_SUBSYSTEM:
-        block = ops.block_diag
-        return float(np.vdot(block, block).real), k * flow
-    phi0_abs2 = abs(ops.block_diag[0, 0]) ** 2
+        if one:
+            return float(np.vdot(block, block).real), k * flow
+        return np.einsum("...ij,...ij->...", block.conj(), block).real, k * flow
+    phi0_abs2 = abs(block[0, 0] if one else block[..., 0, 0]) ** 2
     g = ops.ground_extra
     top = phi0_abs2 + g  # ground weight p(t2)/p(t1) >= 0, so trace > 0
     trace = top + k
     # tr^2 - 4 det written as a sum of squares: never negative by round-off.
-    root = math.sqrt((top - k) ** 2 + 4.0 * k * phi0_abs2)
+    root = (math.sqrt if one else np.sqrt)((top - k) ** 2 + 4.0 * k * phi0_abs2)
     # The smaller root from det / larger root, free of cancellation.
     return k * flow, 0.5 * (trace + root), 2.0 * k * g / (trace + root)
 
@@ -112,8 +121,13 @@ def choi_spectrum(ops: PropagatorOps) -> tuple[float, ...]:
 def classify(
     params: NetworkParams, sel: SubsystemSelector, t1, t2, tol: float = VERDICT_TOL
 ) -> PositivityVerdict:
-    """Run all three positivity routes over [t1, t2] and classify the map."""
-    ops = build_propagator(params, sel, t1, t2)
+    """Run all three positivity routes over [t1, t2] and classify the map.
+
+    Takes float times. ``tol`` must be finite and non-negative.
+    """
+    if not (isinstance(tol, (int, float, np.floating, np.integer)) and 0.0 <= tol < math.inf):
+        raise ParameterError(f"tol must be a finite number >= 0, got {tol!r}")
+    ops = _build(params, sel, *_window(params, sel, t1, t2))
     t1, t2 = ops.t1, ops.t2  # validated
     flow = ops.flow_weight
     choi_min = float(min(0.0, *choi_spectrum(ops)))  # a zero eigenvalue is always present

@@ -62,22 +62,24 @@ class FlowKind(enum.Enum):
 
 @dataclass(frozen=True)
 class PropagatorOps:
-    """Operator-sum data of one propagator, restricted to q <= 1.
+    """Operator-sum data of one propagator, restricted to q <= 1, or of a stack.
 
     ``block_diag`` is the (K+1)x(K+1) excitation-conserving operator B;
     ``flow_weight`` is the real squared weight of the flow operator (may be
     negative); ``ground_extra`` is the squared weight of the extra
-    ground-to-ground operator (excluding class only, else None).
+    ground-to-ground operator (excluding class only, else None). A stack of
+    shape S, built from arrays of times, has a ``(*S, K+1, K+1)`` block,
+    weights of shape S and the validated ``t1``, ``t2`` arrays.
     """
 
     block_diag: np.ndarray
-    flow_weight: float
+    flow_weight: float | np.ndarray
     flow_kind: FlowKind
-    ground_extra: float | None
+    ground_extra: float | np.ndarray | None
     k_qubits: int
     dyn_class: DynClass
-    t1: float
-    t2: float
+    t1: float | np.ndarray
+    t2: float | np.ndarray
 
 
 def is_singular(params: NetworkParams, k_qubits: int, t1) -> bool:
@@ -132,44 +134,77 @@ def _flow_weight(n: int, k: int, contains: bool, x1, x2, t1):
 def build_propagator(
     params: NetworkParams, sel: SubsystemSelector, t1, t2
 ) -> PropagatorOps:
-    """Construct the closed-form propagator over [t1, t2] for the subsystem."""
-    t1, t2 = _window(params, sel, t1, t2)
+    """Construct the closed-form propagator over [t1, t2] for the subsystem.
+
+    An ndarray ``t1`` or ``t2`` gives a stack of propagators over the
+    broadcast shape S of the two: ``block_diag`` is ``(*S, K+1, K+1)`` and
+    ``flow_weight`` and ``ground_extra`` are arrays of shape S, each element
+    equal bit for bit to the scalar call on that window. An array is
+    refused exactly as its first refusing element would be.
+    """
+    try:
+        return _build(params, sel, *_window(params, sel, t1, t2, True))
+    except OpenQNetError:
+        _replay(build_propagator, params, sel, t1, t2)
+        raise
+
+
+def _build(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> PropagatorOps:
+    # build_propagator on validated times. An array's window scalars come
+    # from _scalars one element at a time, so that every element is the
+    # scalar call: Python's complex arithmetic rounds unlike numpy's.
     n, k = params.n_qubits, sel.k_qubits
     contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
-    a1, a2 = _amplitudes(params, t1), _amplitudes(params, t2)
-    flow = _flow_weight(n, k, contains, a1.cross_abs2, a2.cross_abs2, t1)
-    us1, ud1 = a1.same_site, a1.cross_site
-    us2, ud2 = a2.same_site, a2.cross_site
-
-    block = np.zeros((k + 1, k + 1), dtype=complex)
+    if type(t1) is float and type(t2) is float:
+        shape = ()
+        x1, x2, phase, extra = _scalars(params, k, contains, t1, t2)
+    else:
+        ends = np.broadcast_arrays(t1, t2)
+        shape = ends[0].shape
+        windows = zip(*(end.ravel().tolist() for end in ends))
+        rows = [_scalars(params, k, contains, *window) for window in windows]
+        x1, x2, phase, extra = (np.array(c).reshape(shape) for c in list(zip(*rows)) or [()] * 4)
+    flow = _flow_weight(n, k, contains, x1, x2, t1)
+    block = np.zeros(shape + (k + 1, k + 1), dtype=complex)
     if contains:
-        denom = (ud1 - us1) * ((k - 1) * ud1 + us1)
-        phi_s = (ud1 * ud2 - us1 * us2 + (k - 2) * ud1 * (ud2 - us2)) / denom
-        phi_d = (ud1 * us2 - us1 * ud2) / denom
-        block[0, 0] = 1.0  # ground-sector phase is unity by gauge
-        q1 = np.full((k, k), phi_d, dtype=complex)
-        np.fill_diagonal(q1, phi_s)
-        block[1:, 1:] = q1
+        if shape:  # line a stack's phases up with the block's last axes
+            phase, extra = phase[..., None], extra[..., None, None]
+        block[..., 0, 0] = 1.0  # ground-sector phase is unity by gauge
+        block[..., 1:, 1:] = extra  # phi_d off the diagonal
+        block.reshape(shape + (-1,))[..., k + 2 :: k + 2] = phase  # phi_s on it
         return PropagatorOps(
             block, flow, FlowKind.OUT_OF_SUBSYSTEM, None, k, sel.dyn_class, t1, t2
         )
-
-    phi_s0 = us2 / us1
-    block[0, 0] = phi_s0
+    block[..., 0, 0] = phase
     # Local single-excitation phases are unity by gauge; there is no
     # internal mixing in this class (all K qubits are equivalent).
-    block[1:, 1:] = np.eye(k)
+    block[..., 1:, 1:] = np.eye(k)
     # Ground weight p(t2)/p(t1) = 1 - K flow (excitation balance).
     return PropagatorOps(
         block,
         flow,
         FlowKind.INTO_SUBSYSTEM,
-        float(1.0 - k * flow - abs(phi_s0) ** 2),
+        1.0 - k * flow - extra,
         k,
         sel.dyn_class,
         t1,
         t2,
     )
+
+
+def _scalars(params: NetworkParams, k: int, contains: bool, t1: float, t2: float) -> tuple:
+    # (x1, x2, phi_s, phi_d) for the containing class and (x1, x2, phi_s0,
+    # |phi_s0|^2) for the excluding class, over one validated float window.
+    a1, a2 = _amplitudes(params, t1), _amplitudes(params, t2)
+    us1, ud1 = a1.same_site, a1.cross_site
+    us2, ud2 = a2.same_site, a2.cross_site
+    if contains:
+        denom = (ud1 - us1) * ((k - 1) * ud1 + us1)
+        phi_s = (ud1 * ud2 - us1 * us2 + (k - 2) * ud1 * (ud2 - us2)) / denom
+        phi_d = (ud1 * us2 - us1 * ud2) / denom
+        return a1.cross_abs2, a2.cross_abs2, phi_s, phi_d
+    phi_s0 = us2 / us1
+    return a1.cross_abs2, a2.cross_abs2, phi_s0, abs(phi_s0) ** 2
 
 
 def flow_amplitude(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
@@ -206,30 +241,43 @@ def _flows(params: NetworkParams, sels, t1, t2) -> list:
 def apply(ops: PropagatorOps, density: np.ndarray) -> np.ndarray:
     """Act with the propagator on a (K+1)x(K+1) operator, or on a stack of them.
 
-    ``density`` has shape ``(..., K+1, K+1)``; the map acts on the last two
-    axes. The input need not be positive; probing the map with arbitrary
-    Hermitian (or even non-Hermitian) operators is legitimate. Hermitian
-    unit-trace input yields Hermitian unit-trace output.
+    ``density`` has shape ``(*R, K+1, K+1)``; the map acts on the last two
+    axes. Stacked ops of shape S act elementwise, with S and R broadcast
+    together, so the result is ``(*broadcast(S, R), K+1, K+1)``. The input
+    need not be positive; probing the map with arbitrary Hermitian (or even
+    non-Hermitian) operators is legitimate. Hermitian unit-trace input
+    yields Hermitian unit-trace output.
     """
     d = ops.k_qubits + 1
     rho = np.asarray(density, dtype=complex)
     if rho.shape[-2:] != (d, d):
         raise ParameterError(f"operator must be {d}x{d}, got shape {rho.shape}")
-    out = ops.block_diag @ rho @ ops.block_diag.conj().T
+    block = ops.block_diag
+    out = block @ rho @ block.conj().swapaxes(-1, -2)
     if ops.flow_kind is FlowKind.OUT_OF_SUBSYSTEM:
         out[..., 0, 0] += ops.flow_weight * rho[..., 1:, 1:].sum(axis=(-2, -1))
     else:
         ground = rho[..., 0, 0]
-        out[..., 1:, 1:] += ops.flow_weight * ground[..., None, None]
+        out[..., 1:, 1:] += (ops.flow_weight * ground)[..., None, None]
         out[..., 0, 0] += ops.ground_extra * ground
     return out
+
+
+def _single(ops: PropagatorOps) -> None:
+    # Refuses a stack where a function takes one propagator.
+    if ops.block_diag.ndim != 2:
+        raise ParameterError(
+            f"expected one propagator, got a stack of shape {ops.block_diag.shape[:-2]}"
+        )
 
 
 def propagator_matrix(ops: PropagatorOps) -> np.ndarray:
     """Matrix of the propagator on column-stacked (K+1)x(K+1) operators.
 
     Column ``nu*d + mu`` is vec(Phi[|mu><nu|]), with vec stacking columns.
+    Takes one propagator; a stack is refused.
     """
+    _single(ops)
     d = ops.k_qubits + 1
     # images[mu, nu] = Phi[|mu><nu|]
     images = apply(ops, np.eye(d * d, dtype=complex).reshape(d, d, d, d))
@@ -239,8 +287,10 @@ def propagator_matrix(ops: PropagatorOps) -> np.ndarray:
 def completeness_residual(ops: PropagatorOps) -> float:
     """Max-entry residual of B^dag B + sum_i F_i^T F_i - identity.
 
-    Zero residual is exactly trace preservation of the operator sum.
+    Zero residual is exactly trace preservation of the operator sum. Takes
+    one propagator; a stack is refused.
     """
+    _single(ops)
     d = ops.k_qubits + 1
     acc = ops.block_diag.conj().T @ ops.block_diag
     if ops.flow_kind is FlowKind.OUT_OF_SUBSYSTEM:

@@ -6,8 +6,11 @@ or an exact algebraic identity) and reports the worst residual seen. The
 checks share one engine: a public per-case residual for each comparison,
 one seeded stream of windows, and one worst-case fold (``worst_case``) that
 keeps the case where the worst residual sits and fails on a NaN residual.
-The acceptance suite calls the same residuals and fold over its own seeded
-cases. All sampling uses a fixed seed so repeated runs are byte-identical.
+The four-route positivity comparison is one grouped routine,
+``pcp_disagreements``, which evaluates the windows in stacks per selector.
+The acceptance suite calls the same residuals, fold and routine over its
+own seeded cases. All sampling uses a fixed seed so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 # The oracles import scipy lazily, so the closed forms and the CLI never load
-# it. The verification suites run the oracles, so they load it up front: at
-# set-up rather than inside the first check's time.
-import scipy.linalg  # noqa: F401
+# it. The verification suites run the oracles and LAPACK's Cholesky, so they
+# load it up front: at set-up rather than inside the first check's time.
+import scipy.linalg
 
 from . import bloch, fisher, inference, oracle, positivity, propagator, states
 from .amplitudes import NetworkParams, amplitudes, q1_unitary_oracle, unitarity_residuals
@@ -31,6 +34,10 @@ from .fisher import GlobalParameter, _p_dp_single_qubit
 from .states import DynClass, SubsystemSelector
 
 RNG_SEED = 0
+# Bytes of Choi stack that pcp_disagreements builds at once. With it the
+# peak RSS of check_pcp_agreement at N=8 rises 2.5 MB over the per-case
+# loop; 4 MiB adds 10 MB, whole unchunked groups 32 MB, at the same speed.
+_CHOI_STACK_BYTES = 1 << 20
 C1, C0 = DynClass.CONTAINS_EXCITED, DynClass.EXCLUDES_EXCITED
 
 
@@ -168,18 +175,61 @@ def composition_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) 
     return propagator.compose_residual(params, sel, t1, t2, _closed_density(params, sel, t1))
 
 
-def pcp_disagrees(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> bool:
-    """Whether the four positivity routes disagree over [t1, t2].
+def pcp_disagreements(cases: Iterable[tuple]) -> list[tuple]:
+    """The (params, selector, t1, t2) cases on which the four positivity
+    routes disagree, in the order the cases come.
 
     The routes are the flow sign, the closed-form Choi spectrum, the trace
     distance and the dense Choi matrix, each decided at ``VERDICT_TOL``.
+    The cases are grouped by network and selector and evaluated in stacks:
+    one stacked propagator, one stacked dense Choi matrix and one Cholesky
+    PSD test per matrix (:func:`choi_psd`). A stack holds at most
+    ``_CHOI_STACK_BYTES`` (1 MiB) of Choi matrices, and at least one.
     """
+    cases = list(cases)
+    groups: dict[tuple, list[int]] = {}
+    for i, (params, sel, _, _) in enumerate(cases):
+        groups.setdefault((params, sel), []).append(i)
+    bad = []
+    for (params, sel), members in groups.items():
+        size = max(1, _CHOI_STACK_BYTES // (16 * (sel.k_qubits + 1) ** 4))
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            t1, t2 = (np.array([cases[i][j] for i in chunk]) for j in (2, 3))
+            agree = _pcp_agree(params, sel, t1, t2)
+            bad += [i for i, ok in zip(chunk, agree) if not ok]
+    return [cases[i] for i in sorted(bad)]
+
+
+def _pcp_agree(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> np.ndarray:
+    # Whether the four routes agree, for each window of the t1, t2 arrays.
     tol = positivity.VERDICT_TOL
-    verdict = positivity.classify(params, sel, t1, t2)
-    dense = positivity.choi_matrix(propagator.build_propagator(params, sel, t1, t2))
-    dense_cp = np.linalg.eigvalsh(dense).min() >= -tol
-    flow_cp, choi_cp = verdict.flow_sign >= -tol, verdict.choi_min_eig >= -tol
-    return not (flow_cp == choi_cp == (verdict.trace_dist_delta <= tol) == dense_cp)
+    ops = propagator.build_propagator(params, sel, t1, t2)
+    flow_cp = ops.flow_weight >= -tol
+    choi_cp = np.minimum.reduce(positivity.choi_spectrum(ops)) >= -tol
+    p1, p2 = (states.excitation_probability(params, sel, t) for t in (t1, t2))
+    dense_cp = choi_psd(positivity.choi_matrix(ops), tol)
+    return (flow_cp == choi_cp) & (choi_cp == (p2 - p1 <= tol)) & (choi_cp == dense_cp)
+
+
+def choi_psd(choi: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each Hermitian matrix of a ``(..., D, D)`` stack has its
+    smallest eigenvalue at or above ``-tol``.
+
+    Decided by a Cholesky factorisation of C + tol*I per matrix, read from
+    LAPACK's ``info``; it reads the lower triangle, as ``eigvalsh`` does. A
+    matrix with a non-finite entry counts as not PSD.
+    """
+    dim = choi.shape[-1]
+    flat = choi.reshape(-1, dim, dim)
+    psd = np.isfinite(flat).all(axis=(-2, -1))  # OpenBLAS's zpotrf passes a NaN matrix
+    shifted = flat + tol * np.eye(dim)
+    for i in np.flatnonzero(psd):
+        # zpotrf factorises the Fortran-ordered transpose in place. Its upper
+        # triangle is the matrix's lower one: the same Hermitian matrix up to
+        # conjugation, so the same eigenvalues.
+        psd[i] = scipy.linalg.lapack.zpotrf(shifted[i].T, lower=0, overwrite_a=1)[1] == 0
+    return psd.reshape(choi.shape[:-2])
 
 
 def trace_distance_residual(params: NetworkParams, sel: SubsystemSelector, t) -> float:
@@ -332,8 +382,7 @@ def check_composition(params: NetworkParams, samples: int = 40) -> CheckResult:
 
 def check_pcp_agreement(params: NetworkParams, samples: int = 2000) -> CheckResult:
     # A count, not a fold: the case reported is the first disagreement.
-    cases = _windows(params, selectors(params), samples)
-    bad = [case for case in cases if pcp_disagrees(*case)]
+    bad = pcp_disagreements(_windows(params, selectors(params), samples))
     return _result("pcp_agreement_disagreements", len(bad), 0.0, bad[0] if bad else None)
 
 

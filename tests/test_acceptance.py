@@ -48,15 +48,17 @@ from openqnet import (
     qfi_closed_form,
     conservation_residual,
 )
+from openqnet.positivity import VERDICT_TOL
 from openqnet.verification import (
     amplitude_oracle_residual,
     bloch_fixed_point_residual,
+    choi_psd,
     complement_pairs,
     entropy_symmetry_residual,
     fisher_cases,
     fisher_routes,
     orbit_oracle_residual,
-    pcp_disagrees,
+    pcp_disagreements,
     random_interval,
     reduced_state_residual,
     roundtrip_residual,
@@ -136,12 +138,28 @@ def _random_cases(count, seed):
 
 
 def test_criterion_05a_three_route_agreement():
-    disagreements = sum(pcp_disagrees(*case) for case in _random_cases(10_000, 555))
+    disagreements = len(pcp_disagreements(_random_cases(10_000, 555)))
     assert report(
         "5a", "P<->CP three-route agreement, dense Choi oracle too (10^4 cases)",
         disagreements == 0,
         f"disagreements={disagreements}",
     )
+
+
+def test_05a_cholesky_verdict_matches_eigvalsh():
+    # The dense route's Cholesky PSD test against the minimum eigenvalue,
+    # kept here as the reference, on every case of criterion 5a.
+    groups = {}
+    for params, sel, t1, t2 in _random_cases(10_000, 555):
+        groups.setdefault((params, sel), []).append((t1, t2))
+    cases = 0
+    for (params, sel), windows in groups.items():
+        t1, t2 = np.array(windows).T
+        choi = choi_matrix(build_propagator(params, sel, t1, t2))
+        reference = np.linalg.eigvalsh(choi).min(axis=-1) >= -VERDICT_TOL
+        assert np.array_equal(choi_psd(choi, VERDICT_TOL), reference), (params, sel)
+        cases += len(windows)
+    assert cases == 10_000
 
 
 @pytest.mark.xfail(

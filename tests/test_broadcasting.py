@@ -9,6 +9,10 @@ refuses an element, with the first refusing element's error and message.
 The time generators deliberately put odd half-periods (singular anchors at
 K = N/2, degenerate states at N = 2), anchors just outside the singular
 window, and period points on the grid.
+
+A stack of propagators built from arrays of times must equal the scalar
+builds bit for bit, and so must its Choi matrices and its action on a
+density; functions that take one propagator must refuse a stack.
 """
 
 import math
@@ -25,13 +29,22 @@ from openqnet import (
     OpenQNetError,
     SubsystemSelector,
     affine_map,
+    ParameterError,
     amplitudes,
+    apply,
     axial_positivity_band,
+    build_propagator,
+    choi_matrix,
+    choi_spectrum,
+    classify,
+    completeness_residual,
+    compose_residual,
     entanglement_entropy,
     excitation_probability,
     flow_amplitude,
     physical_bloch_z,
     process_state_split,
+    propagator_matrix,
     qfi_closed_form,
 )
 
@@ -141,3 +154,78 @@ def test_float_time_gives_float():
     assert type(flow_amplitude(params, sel, 0.3, 0.9)) is float
     assert type(qfi_closed_form(params, sel, GlobalParameter.SIZE_N, 0.3).total) is float
     assert type(amplitudes(params, 0.3).same_site) is complex
+
+
+@st.composite
+def small_networks(draw):
+    """(params, selector) for N = 2..12, any K and class, K = N/2 drawn on purpose."""
+    n = draw(st.integers(2, 12))
+    cls = draw(st.sampled_from(DynClass))
+    k_max = n if cls is DynClass.CONTAINS_EXCITED else n - 1
+    k = draw(st.one_of(st.just(max(1, n // 2)), st.integers(1, k_max)))
+    return NetworkParams(n, draw(st.sampled_from([1.0, 0.7]))), SubsystemSelector(k, cls)
+
+
+def same_bits(got, want) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_networks(), tau_arrays, st.one_of(tau_arrays, taus))
+def test_stacked_propagator_equals_scalar_builds(network, tau2, tau1):
+    params, sel = network
+    if isinstance(tau1, np.ndarray):
+        tau1 = np.resize(tau1, tau2.shape)
+    t1, t2 = tau1 * params.period, tau2 * params.period
+    grids = np.broadcast_arrays(t1, t2)
+    singles = []
+    for a, b in zip(*(g.ravel().tolist() for g in grids)):
+        try:
+            singles.append(build_propagator(params, sel, a, b))
+        except OpenQNetError as refusal:
+            with pytest.raises(type(refusal)) as info:
+                build_propagator(params, sel, t1, t2)
+            assert str(info.value) == str(refusal)
+            return
+    ops = build_propagator(params, sel, t1, t2)
+    shape, d = grids[0].shape, sel.k_qubits + 1
+    assert ops.block_diag.shape == shape + (d, d)
+    for name in ("block_diag", "flow_weight", "ground_extra"):
+        if getattr(singles[0], name) is None:
+            assert getattr(ops, name) is None
+            continue
+        want = np.array([getattr(one, name) for one in singles])
+        assert same_bits(getattr(ops, name).reshape(want.shape), want), name
+    choi = choi_matrix(ops).reshape(-1, d * d, d * d)
+    assert same_bits(choi, np.array([choi_matrix(one) for one in singles]))
+    rho = np.arange(d * d).reshape(d, d) / d**2 + 0.5j * np.eye(d)
+    moved = apply(ops, rho).reshape(-1, d, d)
+    assert same_bits(moved, np.array([apply(one, rho) for one in singles]))
+    spectrum = choi_spectrum(ops)
+    flow_at = 1 if sel.dyn_class is DynClass.CONTAINS_EXCITED else 0  # K*flow, bit for bit
+    for i, one in enumerate(singles):
+        want = choi_spectrum(one)
+        got = [np.ravel(part)[i] for part in spectrum]
+        np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+        assert got[flow_at] == want[flow_at]
+
+
+def test_single_propagator_functions_refuse_stacks():
+    params = NetworkParams(5, 1.0)
+    t1 = np.array([0.1, 0.2])
+    for sel in (SubsystemSelector(2, cls) for cls in DynClass):
+        ops = build_propagator(params, sel, t1, 0.7)
+        for single in (completeness_residual, propagator_matrix):
+            with pytest.raises(ParameterError, match="stack of shape"):
+                single(ops)
+        with pytest.raises(ParameterError, match="t1 must be a real number"):
+            classify(params, sel, t1, 0.7)
+        with pytest.raises(ParameterError, match="t1 must be a real number"):
+            compose_residual(params, sel, t1, 0.7, np.eye(3) / 3)
+
+
+def test_empty_time_array_gives_empty_stack():
+    params, sel = NetworkParams(5, 1.0), SubsystemSelector(2, DynClass.EXCLUDES_EXCITED)
+    ops = build_propagator(params, sel, np.array([]), 0.7)
+    assert ops.block_diag.shape == (0, 3, 3) and ops.ground_extra.shape == (0,)
+    assert choi_matrix(ops).shape == (0, 9, 9)

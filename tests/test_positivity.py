@@ -201,6 +201,15 @@ def test_full_network_always_cp():
         assert verdict.choi_min_eig >= -1e-10
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf, "1e-9", None])
+def test_classify_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    # Unchecked, nan and -1.0 would call this CP window (flow +0.086) not CP
+    # and inf would call every window CP.
+    with pytest.raises(ParameterError, match="tol must be"):
+        classify(N5, SubsystemSelector(2, C1), 0.1, 0.2, tol=tol)
+    assert classify(N5, SubsystemSelector(2, C1), 0.1, 0.2, tol=0).verdict is Verdict.POSITIVE_AND_CP
+
+
 def test_classify_propagates_singularity():
     params = NetworkParams(6, 1.0)
     with pytest.raises(SingularIntervalError):

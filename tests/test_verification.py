@@ -1,12 +1,20 @@
-"""The check engine of ``openqnet verify``: the worst-case fold and its case."""
+"""The check engine of ``openqnet verify``: the worst-case fold and its case,
+the grouped positivity comparison and its dense Cholesky verdict."""
 
+import dataclasses
 import math
+import pathlib
+import time
 
 import numpy as np
 import pytest
 
-from openqnet import NetworkParams, oracle, propagator
+from openqnet import NetworkParams, SubsystemSelector, oracle, positivity, propagator
 from openqnet import verification as v
+from openqnet.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
+TOL = positivity.VERDICT_TOL
 
 N5 = NetworkParams(5, 1.0)
 
@@ -69,3 +77,104 @@ def test_describe_case():
     assert v.describe_case((N5, sel, 0.25 * N5.period, N5.period)) == "K=3 class=1 t1=0.25 t2=1 periods"
     case = (N5, sel, v.GlobalParameter.SIZE_N, 0.5 * N5.period)
     assert v.describe_case(case) == "K=3 class=1 theta=N t=0.5 periods"
+
+
+@pytest.mark.parametrize("dyn_class", [v.C1, v.C0])
+@pytest.mark.parametrize("margin", [1e-3, -1e-3])
+def test_dense_verdict_at_the_tolerance_edge(dyn_class, margin):
+    # Ops whose smallest Choi eigenvalue is -VERDICT_TOL * (1 + margin): not
+    # PSD for margin > 0, PSD for margin < 0, by Cholesky and by eigvalsh.
+    target = -TOL * (1.0 + margin)
+    for n, k in ((3, 1), (5, 2), (8, 4), (8, 7)):
+        params, sel = NetworkParams(n, 1.0), SubsystemSelector(k, dyn_class)
+        ops = propagator.build_propagator(params, sel, 0.1 * params.period, 0.3 * params.period)
+        if dyn_class is v.C1:
+            ops = dataclasses.replace(ops, flow_weight=target / k)
+        else:  # the 2x2 block's lower eigenvalue is target at this ground weight
+            assert ops.flow_weight > 0.0  # so K*flow is not the smallest
+            a = abs(ops.block_diag[0, 0]) ** 2
+            ops = dataclasses.replace(ops, ground_extra=target * (1.0 + a / (k - target)))
+        assert min(positivity.choi_spectrum(ops)) == pytest.approx(target, rel=1e-9)
+        choi = positivity.choi_matrix(ops)
+        reference = np.linalg.eigvalsh(choi).min() >= -TOL
+        assert bool(v.choi_psd(choi, TOL)) == reference == (margin < 0), (n, k)
+
+
+def test_non_finite_choi_matrix_is_not_psd():
+    t1 = np.array([0.1, 0.2, 0.3])
+    ops = propagator.build_propagator(N5, SubsystemSelector(2, v.C1), t1, 0.3)
+    choi = positivity.choi_matrix(ops)
+    assert v.choi_psd(choi, TOL).tolist() == [True, True, True]
+    choi[1, 0, -1] = np.nan  # upper triangle, which LAPACK does not read
+    choi[2, -1, 0] = np.inf
+    assert v.choi_psd(choi, TOL).tolist() == [True, False, False]
+
+
+def test_nan_choi_matrix_makes_the_routes_disagree(monkeypatch):
+    real = positivity.choi_matrix
+
+    def with_nan(ops):
+        choi = real(ops)
+        choi[..., 0, -1] = np.nan
+        return choi
+
+    monkeypatch.setattr(positivity, "choi_matrix", with_nan)
+    cases = list(v._windows(N5, v.selectors(N5), 200))
+    cp = [c for c in cases if propagator.flow_amplitude(*c) >= -TOL]
+    assert cp and v.pcp_disagreements(cases) == cp
+
+
+def _inject(monkeypatch, targets):
+    # The dense route calls the windows anchored at the target t1 not CP.
+    real = positivity.choi_matrix
+
+    def patched(ops):
+        choi = real(ops)
+        choi[np.isin(ops.t1, targets)] = np.nan
+        return choi
+
+    monkeypatch.setattr(positivity, "choi_matrix", patched)
+
+
+def test_pcp_reports_the_first_disagreement_in_stream_order(monkeypatch):
+    cases = list(v._windows(N5, v.selectors(N5), 2000))
+    cp = [c for c in cases if propagator.flow_amplitude(*c) >= -TOL]
+    # The last CP case of the first group, and an earlier CP case of
+    # another group: grouped evaluation meets them in the other order.
+    late = [c for c in cp if c[1] == cases[0][1]][-1]
+    early = next(c for c in cp if c[1] != late[1])
+    assert cases.index(early) < cases.index(late)
+
+    _inject(monkeypatch, [late[2]])
+    result = v.check_pcp_agreement(N5)
+    assert (result.value, result.worst_at) == (1.0, late)
+
+    _inject(monkeypatch, [late[2], early[2]])
+    result = v.check_pcp_agreement(N5)
+    assert (result.value, result.passed, result.worst_at) == (2.0, False, early)
+
+
+def test_run_all_checks_reads_the_rebound_checks(monkeypatch):
+    # Benchmarks time each check by rebinding ALL_CHECKS before the call.
+    seen = []
+
+    def slow_check(params):
+        seen.append(params)
+        time.sleep(0.01)
+        return v.CheckResult("slow", 0.0, 1.0, True)
+
+    monkeypatch.setattr(v, "ALL_CHECKS", (slow_check, slow_check))
+    results = v.run_all_checks(N5)
+    assert seen == [N5, N5] and [r.name for r in results] == ["slow", "slow"]
+    assert all(r.seconds >= 0.01 for r in results)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_verify_csv_is_unchanged(n, tmp_path):
+    # Recorded before the grouped positivity check replaced the per-case
+    # one. Every value is pinned to the last digit printed, so the files
+    # hold for the build they were recorded with: numpy 2.4.6 with
+    # scipy-openblas 0.3.31, one or two BLAS threads.
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--n", str(n), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"verify_n{n}.csv").read_bytes()
