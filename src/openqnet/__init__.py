@@ -6,8 +6,8 @@ excitation: transition amplitudes, reduced states and their entanglement
 entropy, two-time propagators with their positivity structure, single-qubit
 Bloch geometry, quantum Fisher information for the global coupling and
 size, and observer-side inference of those globals. A brute-force oracle
-(dense matrix exponentials, partial traces, map tomography) cross-checks
-every closed form.
+(dense exponentials by eigendecomposition, partial traces, map tomography)
+cross-checks every closed form. numpy is the only numerical dependency.
 """
 
 from .amplitudes import (

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import ParameterError, SizeLimitError
 
-#: Largest N accepted by the dense matrix-exponential oracle.
+#: Largest N accepted by the dense exponential oracle.
 ORACLE_MAX_QUBITS = 2048
 
 
@@ -229,13 +229,14 @@ def q1_unitary_oracle(params: NetworkParams, t) -> np.ndarray:
     """Single-excitation block of the global unitary by dense exponentiation.
 
     Independent check on the closed forms: exponentiates the hopping
-    generator with every off-diagonal entry equal to J and diagonal
-    -(N-1)*J, the gauge in which the uniform mode is stationary. The result
-    is an N x N unitary whose diagonal entries all equal u_s(t) and whose
-    off-diagonal entries all equal u_d(t).
+    generator H with every off-diagonal entry equal to J and diagonal
+    -(N-1)*J, the gauge in which the uniform mode is stationary. H is real
+    symmetric, so exp(-i t H) = V diag(exp(-i t lambda)) V^T from the
+    numerical eigendecomposition H = V diag(lambda) V^T (``eigh``); no
+    closed-form eigenvalue or eigenvector enters. The result is an N x N
+    unitary whose diagonal entries all equal u_s(t) and whose off-diagonal
+    entries all equal u_d(t).
     """
-    import scipy.linalg  # only the oracles need scipy; it is most of the import time
-
     t = _check_time(t)
     n = params.n_qubits
     _phase(n, params.coupling, t)
@@ -244,7 +245,8 @@ def q1_unitary_oracle(params: NetworkParams, t) -> np.ndarray:
             f"dense exponentiation guarded at N <= {ORACLE_MAX_QUBITS}, got N={n}"
         )
     generator = params.coupling * (np.ones((n, n)) - n * np.eye(n))
-    return scipy.linalg.expm(-1j * t * generator)
+    eigenvalues, vectors = np.linalg.eigh(generator)
+    return (vectors * np.exp(-1j * t * eigenvalues)) @ vectors.T
 
 
 def global_state(params: NetworkParams, t) -> np.ndarray:

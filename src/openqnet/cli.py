@@ -335,7 +335,7 @@ def infer_cmd(n_qubits: int, coupling: float, dt: float, steps: int, out_path: s
 @_out_option
 def verify_cmd(n_qubits: int, coupling: float, out_path: str) -> None:
     """Run every cross-route verification suite; exit 2 on any failure."""
-    from . import verification  # loads scipy, which only the oracles need
+    from . import verification  # loads numpy.random, which no dataset command needs
 
     params = _network(n_qubits, coupling)
     results = verification.run_all_checks(params)

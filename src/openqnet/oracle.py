@@ -1,11 +1,11 @@
 """Brute-force reconstructions from the global single-excitation sector.
 
-Everything here goes through the dense matrix exponential of the hopping
-generator and explicit partial traces, never through the closed-form
-propagator or state elements, so agreement with the closed forms is a
-genuine two-route check. Global states and operator columns live in the
-reachable sectors only: one complex amplitude for the global ground state
-plus N single-excitation amplitudes.
+Everything here goes through the dense exponential of the hopping generator
+(from its numerical eigendecomposition, ``q1_unitary_oracle``) and explicit
+partial traces, never through the closed-form propagator or state elements,
+so agreement with the closed forms is a genuine two-route check. Global
+states and operator columns live in the reachable sectors only: one complex
+amplitude for the global ground state plus N single-excitation amplitudes.
 
 Partial traces read those amplitudes only, never a closed form. With at
 most one excitation, Tr_env |psi><chi| is the outer product of the local
@@ -96,8 +96,8 @@ def bilinear_partial_trace(
 def reduced_density_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> np.ndarray:
     """Reduced density by evolving the generating state and tracing.
 
-    The single-excitation amplitudes are propagated with the dense
-    matrix-exponential unitary, then |psi(t)><psi(t)| is partial-traced
+    The single-excitation amplitudes are propagated with the dense unitary
+    of ``q1_unitary_oracle``, then |psi(t)><psi(t)| is partial-traced
     onto the subsystem's sites.
     """
     t = _check_time(t)

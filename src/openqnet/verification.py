@@ -1,7 +1,7 @@
 """Cross-route verification suites aggregating the module invariants.
 
 Every check compares an analytic closed form against an independent route
-(matrix exponential, partial trace, map tomography, finite-difference SLD,
+(dense exponential, partial trace, map tomography, finite-difference SLD,
 or an exact algebraic identity) and reports the worst residual seen. The
 checks share one engine: a public per-case residual for each comparison,
 one seeded stream of windows, and one worst-case fold (``worst_case``) that
@@ -22,10 +22,8 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-# The oracles import scipy lazily, so the closed forms and the CLI never load
-# it. The verification suites run the oracles and LAPACK's Cholesky, so they
-# load it up front: at set-up rather than inside the first check's time.
-import scipy.linalg
+# Loaded here, at set-up, rather than lazily inside the first sampled check.
+import numpy.random
 
 from . import bloch, fisher, inference, oracle, positivity, propagator, states
 from .amplitudes import NetworkParams, amplitudes, q1_unitary_oracle, unitarity_residuals
@@ -127,7 +125,7 @@ def unitarity_residual(params: NetworkParams, t) -> float:
 
 
 def amplitude_oracle_residual(params: NetworkParams, t) -> float:
-    """Closed-form single-excitation block against the dense expm at t."""
+    """Closed-form single-excitation block against the dense exponential at t."""
     n = params.n_qubits
     amps = amplitudes(params, t)
     closed = np.full((n, n), amps.cross_site, dtype=complex)
@@ -216,19 +214,25 @@ def choi_psd(choi: np.ndarray, tol: float) -> np.ndarray:
     """Whether each Hermitian matrix of a ``(..., D, D)`` stack has its
     smallest eigenvalue at or above ``-tol``.
 
-    Decided by a Cholesky factorisation of C + tol*I per matrix, read from
-    LAPACK's ``info``; it reads the lower triangle, as ``eigvalsh`` does. A
+    Decided by a Cholesky factorisation of C + tol*I per matrix
+    (``np.linalg.cholesky``, LAPACK's ``potrf``), which reads the lower
+    triangle, as ``eigvalsh`` does; a failed factorisation means not PSD. A
     matrix with a non-finite entry counts as not PSD.
     """
     dim = choi.shape[-1]
     flat = choi.reshape(-1, dim, dim)
-    psd = np.isfinite(flat).all(axis=(-2, -1))  # OpenBLAS's zpotrf passes a NaN matrix
-    shifted = flat + tol * np.eye(dim)
+    shift = tol * np.eye(dim)
+    # Each pivot is its diagonal entry less a sum of squares, so a shifted
+    # diagonal entry <= 0 fails the factorisation at or before its own pivot.
+    psd = (np.diagonal(flat, axis1=-2, axis2=-1).real + tol > 0.0).all(axis=-1)
     for i in np.flatnonzero(psd):
-        # zpotrf factorises the Fortran-ordered transpose in place. Its upper
-        # triangle is the matrix's lower one: the same Hermitian matrix up to
-        # conjugation, so the same eigenvalues.
-        psd[i] = scipy.linalg.lapack.zpotrf(shifted[i].T, lower=0, overwrite_a=1)[1] == 0
+        if not np.isfinite(flat[i]).all():  # OpenBLAS factorises a NaN matrix
+            psd[i] = False
+            continue
+        try:
+            np.linalg.cholesky(flat[i] + shift)
+        except np.linalg.LinAlgError:
+            psd[i] = False
     return psd.reshape(choi.shape[:-2])
 
 
@@ -295,7 +299,8 @@ def fisher_split_residual(params: NetworkParams, dyn_class: DynClass, t2) -> flo
     """Process/state/cross split at t2 from anchors 0.25 and 0.4 periods.
 
     Each split's total must be (d_J p)^2 at t2 and the sum of its parts, and
-    the two anchors must give the same total.
+    the two anchors must give the same total. (d_J p)^2 scales as 1/J^2, so
+    the residual is taken in the dimensionless J^2 (d_J p)^2.
     """
     _, dp2 = _p_dp_single_qubit(params, dyn_class, GlobalParameter.COUPLING_J, t2)
     worst, totals = 0.0, []
@@ -305,7 +310,7 @@ def fisher_split_residual(params: NetworkParams, dyn_class: DynClass, t2) -> flo
         parts = split.process + split.cross + split.state
         worst = max(worst, abs(split.total - dp2 * dp2), abs(parts - split.total))
         totals.append(split.total)
-    return max(worst, abs(totals[0] - totals[1]))
+    return params.coupling**2 * max(worst, abs(totals[0] - totals[1]))
 
 
 def roundtrip_residual(params: NetworkParams, t1, t2) -> float | None:

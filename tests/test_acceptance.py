@@ -89,7 +89,7 @@ def test_criterion_01_unitarity():
 def test_criterion_02_amplitude_oracle():
     cases = [(p, t) for p in NETWORKS for t in np.linspace(0.0, 1.0, 400) * p.period]
     r = worst_case("amplitude_oracle", 1e-9, amplitude_oracle_residual, cases)
-    assert report(2, "amplitude matrix-exponential oracle", r.passed, f"max={r.value:.2e} tol=1e-9")
+    assert report(2, "amplitude eigendecomposition oracle", r.passed, f"max={r.value:.2e} tol=1e-9")
 
 
 def test_criterion_03_reduced_state_oracle():

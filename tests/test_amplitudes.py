@@ -81,6 +81,24 @@ def test_oracle_matches_closed_form(n):
         assert dev <= 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 512])
+def test_oracle_eigendecomposition_route(n):
+    # exp(-i t H) from eigh of the dense generator: round-off over three
+    # periods either side of t = 0, and a phase error of ~t eps far out.
+    params = NetworkParams(n, 1.0)
+    for tau in (-3.0, -1.37, -0.5, 0.0, 0.21, 0.5, 1.7, 3.0):
+        t = tau * params.period
+        assert np.abs(closed_form_matrix(params, t) - q1_unitary_oracle(params, t)).max() <= 1e-12
+    for tau in (1e3, 1e3 + 0.37, -1e3 - 0.21):
+        t = tau * params.period
+        assert np.abs(closed_form_matrix(params, t) - q1_unitary_oracle(params, t)).max() <= 1e-10
+
+
+def test_oracle_is_unitary_at_n_512():
+    unitary = q1_unitary_oracle(NetworkParams(512, 1.0), 0.7315)
+    assert np.abs(unitary.conj().T @ unitary - np.eye(512)).max() <= 1e-12
+
+
 def test_oracle_structure_at_half_period():
     params = NetworkParams(5, 1.0)
     unitary = q1_unitary_oracle(params, math.pi / 5)

@@ -110,6 +110,17 @@ def test_non_finite_choi_matrix_is_not_psd():
     assert v.choi_psd(choi, TOL).tolist() == [True, False, False]
 
 
+def test_non_positive_diagonal_is_not_psd_whatever_lies_above_it():
+    # A shifted diagonal entry <= 0 fails Cholesky at or before its pivot; a
+    # NaN above the diagonal, which eigvalsh does not read, changes nothing.
+    ops = propagator.build_propagator(N5, SubsystemSelector(2, v.C1), 0.1, 0.3)
+    choi = positivity.choi_matrix(dataclasses.replace(ops, flow_weight=-0.1))
+    assert (np.diagonal(choi).real + TOL <= 0.0).any()
+    choi[0, -1] = np.nan
+    assert np.linalg.eigvalsh(choi).min() < -TOL
+    assert not v.choi_psd(choi, TOL)
+
+
 def test_nan_choi_matrix_makes_the_routes_disagree(monkeypatch):
     real = positivity.choi_matrix
 
@@ -169,12 +180,21 @@ def test_run_all_checks_reads_the_rebound_checks(monkeypatch):
     assert all(r.seconds >= 0.01 for r in results)
 
 
+# The rows that read exp(-itH) from the dense oracle (numpy's eigh), pinned
+# since it replaced scipy's expm; the other rows are pinned since before the
+# grouped positivity check replaced the per-case one.
+ORACLE_ROWS = ("amplitude_oracle", "reduced_state_oracle", "tomography_containing", "orbit_oracle_excluding")
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_verify_csv_is_unchanged(n, tmp_path):
-    # Recorded before the grouped positivity check replaced the per-case
-    # one. Every value is pinned to the last digit printed, so the files
-    # hold for the build they were recorded with: numpy 2.4.6 with
-    # scipy-openblas 0.3.31, one or two BLAS threads.
+    # Every value is pinned to the last digit printed, so the files hold for
+    # the build they were recorded with: numpy 2.4.6 and its OpenBLAS 0.3.31,
+    # one or two BLAS threads.
     out = tmp_path / "verify.csv"
     assert main(["verify", "--n", str(n), "--out", str(out)]) == 0
+    pinned = (DATA / f"verify_n{n}.csv").read_text().splitlines()
+    closed = [line for line in pinned if line.split(",")[0] not in ORACLE_ROWS]
+    assert len(pinned) - len(closed) == len(ORACLE_ROWS)
+    assert [line for line in out.read_text().splitlines() if line in closed] == closed
     assert out.read_bytes() == (DATA / f"verify_n{n}.csv").read_bytes()
