@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _amplitudes, _any, _check_time, _replay
-from .errors import OpenQNetError, ParameterError, SingularIntervalError
+from .amplitudes import NetworkParams, _amplitudes, _check_time, _replay
+from .errors import OpenQNetError, ParameterError
+from .propagator import _check_anchor
 from .states import DynClass, _check_class, _mixing
 
 _TINY = 1e-12
@@ -46,13 +47,8 @@ def affine_map(params: NetworkParams, dyn_class: DynClass, t1, t2) -> BlochAffin
         t1 = _check_time(t1, "t1", True)
         t2 = _check_time(t2, "t2", True)
         contains = dyn_class is DynClass.CONTAINS_EXCITED
-        p1 = _mixing(params, 1, contains, t1)[0]
-        if _any(p1 < _TINY):
-            # Only N=2 at odd half-periods, where u_s vanishes as well.
-            raise SingularIntervalError(
-                f"mixing probability vanishes at anchor t1={t1!r}", t1=t1
-            )
-        z_scale = _mixing(params, 1, contains, t2)[0] / p1
+        _check_anchor(params, 1, contains, t1)  # only N=2 at odd half-periods
+        z_scale = _mixing(params, 1, contains, t2)[0] / _mixing(params, 1, contains, t1)[0]
     except OpenQNetError:
         _replay(affine_map, params, dyn_class, t1, t2)
         raise

@@ -26,8 +26,8 @@ from .errors import (
     OracleFailureError,
     ParameterError,
     PoleError,
-    SingularIntervalError,
 )
+from .propagator import _check_anchor
 from .states import _ZERO_WEIGHT, DynClass, SubsystemSelector, _check_class, _class_weight, _mixing
 
 #: Eigenvalue-pair cutoff in the SLD solve.
@@ -234,11 +234,8 @@ def process_state_split(
         t2 = _check_time(t2, "t2", True)
         p1, dp1 = _p_dp_single_qubit(params, dyn_class, theta, t1)
         p2, dp2 = _p_dp_single_qubit(params, dyn_class, theta, t2)
-        if _any(p1 <= 1e-12):
-            # N=2 anchored at an odd half-period: the multiplicative form breaks.
-            raise SingularIntervalError(
-                f"mixing probability vanishes at anchor t1={t1!r}", t1=t1
-            )
+        # N=2 anchored at an odd half-period: the multiplicative form breaks.
+        _check_anchor(params, 1, dyn_class is DynClass.CONTAINS_EXCITED, t1)
         denom = p2 * (1.0 - p2)
         if not rescaled and _any(denom < 1e-14):
             raise PoleError(

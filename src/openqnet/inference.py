@@ -19,7 +19,7 @@ from .errors import (
     InconsistentObservationError,
     ParameterError,
 )
-from .propagator import _flow_weight, _window
+from .propagator import _check_anchor, _flow_weight, _window
 from .states import DynClass, SubsystemSelector
 
 #: Flows smaller than this carry no usable information.
@@ -126,12 +126,13 @@ def conservation_residual(params: NetworkParams, k_qubits: int, t1, t2) -> float
     (|u_d(t2)|^2 - |u_d(t1)|^2) * (1/flow_class0 - 1/flow_class1), and
     returns its absolute deviation from 1 - 1/(N-K).
     """
-    # The excluding selector is the stricter one: K <= N-1.
+    # K <= N-1 from the excluding selector, the stricter anchor test from the containing class.
     t1, t2 = _window(params, SubsystemSelector(k_qubits, DynClass.EXCLUDES_EXCITED), t1, t2)
+    _check_anchor(params, k_qubits, True, t1)
     n = params.n_qubits
     x1, x2 = _cross_abs2(params, t1), _cross_abs2(params, t2)
-    flow1 = _flow_weight(n, k_qubits, True, x1, x2, t1)
-    flow0 = _flow_weight(n, k_qubits, False, x1, x2, t1)
+    flow1 = _flow_weight(n, k_qubits, True, x1, x2)
+    flow0 = _flow_weight(n, k_qubits, False, x1, x2)
     if min(abs(flow0), abs(flow1)) < FLOW_FLOOR:
         raise IndeterminateFlowError(
             "window carries no net flow (t2 mirrors t1); relation is indeterminate"

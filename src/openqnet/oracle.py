@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import NetworkParams, _check_time, q1_unitary_oracle
-from .errors import ParameterError, SingularIntervalError, UnsupportedOracleError
-from .propagator import is_singular
+from .errors import ParameterError, UnsupportedOracleError
+from .propagator import _check_anchor
 from .states import DynClass, SubsystemSelector
 
 #: Largest N accepted for map tomography (N columns of partial traces).
@@ -143,10 +143,7 @@ def propagator_oracle(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> 
     """
     t1 = _check_time(t1, "t1")
     t2 = _check_time(t2, "t2")
-    if is_singular(params, sel.k_qubits, t1):
-        raise SingularIntervalError(
-            f"one-time map not invertible at t1={t1!r}", t1=t1
-        )
+    _check_anchor(params, sel.k_qubits, sel.dyn_class is DynClass.CONTAINS_EXCITED, t1)
     m1 = dynamical_map_oracle(params, sel, t1)
     m2 = dynamical_map_oracle(params, sel, t2)
     return m2 @ np.linalg.pinv(m1, rcond=1e-10)

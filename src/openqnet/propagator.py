@@ -22,9 +22,12 @@ real scalars instead of forming operators with imaginary entries, so the
 action is exact and sign-transparent in both flow directions.
 
 Construction fails only at anchor times t1 where the one-time map cannot be
-inverted: K = N/2 with t1 at an odd half-period. The flow weight is closed
-form in x1 = |u_d(t1)|^2 and x2 = |u_d(t2)|^2, and its denominator vanishes
-wherever a denominator of B does, so one guard on it refuses those anchors.
+inverted. The flow weight is closed form in x1 = |u_d(t1)|^2 and
+x2 = |u_d(t2)|^2, and its denominator vanishes wherever one of B does, so
+one test decides every anchor: t1 raises :class:`SingularIntervalError`
+exactly when the relative flow denominator d(t1) = 1 - K(N-K) x1 (containing
+class; 1 - K x1 excluding) is at most ANCHOR_RTOL. d vanishes only at odd
+half-periods, for K = N/2 or N = 2; at K = 1 it is the mixing probability.
 """
 
 from __future__ import annotations
@@ -34,23 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import (
-    NetworkParams,
-    _amplitudes,
-    _any,
-    _check_time,
-    _cross_abs2,
-    _replay,
-)
+from .amplitudes import NetworkParams, _amplitudes, _any, _check_time, _cross_abs2, _hop, _replay
 from .errors import OpenQNetError, ParameterError, SingularIntervalError
 from .linalg import unvec, vec
 from .states import DynClass, SubsystemSelector
 
-#: Absolute guard on construction denominators.
-DENOMINATOR_FLOOR = 1e-12
-
-#: Half-period window (in periods) flagged as singular for K = N/2.
-SINGULAR_WINDOW = 1e-9
+#: Relative flow denominator d(t1) at or below which t1 is refused as an
+#: anchor; for K = N/2, within about 3.2e-5 periods of an odd half-period.
+ANCHOR_RTOL = 1e-8
 
 
 class FlowKind(enum.Enum):
@@ -83,26 +77,36 @@ class PropagatorOps:
 
 
 def is_singular(params: NetworkParams, k_qubits: int, t1) -> bool:
-    """True iff no propagator can be anchored at ``t1`` for this K.
+    """True iff the containing class's K-qubit propagator cannot be anchored at ``t1``.
 
-    Happens only when the subsystem is exactly half the network and t1 sits
-    within 1e-9 periods of an odd half-period, where the one-time map loses
-    rank (the excitation is maximally delocalized across two equal halves).
+    That is, d(t1) = 1 - K(N-K)|u_d(t1)|^2 <= ``ANCHOR_RTOL``: for K = N/2,
+    within about 3.2e-5 periods of an odd half-period, where the one-time
+    map loses rank (the excitation is maximally delocalized across two equal
+    halves). Other K keep d >= (N-2K)^2/N^2. This d vanishes at every
+    singular anchor of either class.
     """
-    return _singular(params, k_qubits, _check_time(t1, "t1"))
+    return _anchor_denominator(params, k_qubits, True, _check_time(t1, "t1")) <= ANCHOR_RTOL
 
 
-def _singular(params: NetworkParams, k_qubits: int, t1) -> bool:
-    # is_singular on a validated float t1, or on any element of an array.
-    if 2 * k_qubits != params.n_qubits:
-        return False
-    tau = (t1 / params.period) % 1.0
-    return _any(abs(tau - 0.5) <= SINGULAR_WINDOW)
+def _anchor_denominator(params: NetworkParams, k: int, contains: bool, t1):
+    # d(t1) of the module docstring, for a validated float or array t1.
+    n = params.n_qubits
+    return 1.0 - (k * (n - k) if contains else k) * _hop(n, params.coupling, t1)[0]
 
 
-def _singular_error(t1: float, detail: str) -> SingularIntervalError:
-    return SingularIntervalError(
-        f"propagator is singular at anchor t1={t1!r}: {detail}", t1=t1
+def _check_anchor(params: NetworkParams, k: int, contains: bool, t1) -> None:
+    # Raises every anchor SingularIntervalError: where d(t1) <= ANCHOR_RTOL,
+    # naming t1, or an array's first such element.
+    d = _anchor_denominator(params, k, contains, t1)
+    refused = d <= ANCHOR_RTOL
+    if not _any(refused):
+        return
+    if type(t1) is not float:
+        t1, d = float(t1[refused][0]), float(d[refused][0])
+    raise SingularIntervalError(
+        f"propagator anchor t1={t1!r} ({t1 / params.period:.12g} periods) refused: "
+        f"relative flow denominator d={d:.3g} <= ANCHOR_RTOL={ANCHOR_RTOL:g}",
+        t1=t1,
     )
 
 
@@ -112,23 +116,18 @@ def _window(params: NetworkParams, sel: SubsystemSelector, t1, t2, arrays: bool 
     sel.validate(params)
     t1 = _check_time(t1, "t1", arrays)
     t2 = _check_time(t2, "t2", arrays)
-    if _singular(params, sel.k_qubits, t1):
-        raise _singular_error(t1, f"K=N/2={sel.k_qubits} with t1 at an odd half-period")
+    _check_anchor(params, sel.k_qubits, sel.dyn_class is DynClass.CONTAINS_EXCITED, t1)
     return t1, t2
 
 
-def _flow_weight(n: int, k: int, contains: bool, x1, x2, t1):
+def _flow_weight(n: int, k: int, contains: bool, x1, x2):
     # (x2 - x1) / (c - K x1) with c = 1/(N-K) for the containing class and
-    # c = 1 for the excluding class; refuses a vanishing denominator.
+    # c = 1 for the excluding class; the anchor test keeps c - K x1 off zero.
     if contains:
         if k == n:
             return 0.0 * (x1 + x2)  # full network: unitary evolution, no flow channel
-        denom = 1.0 / (n - k) - k * x1
-    else:
-        denom = 1.0 - k * x1
-    if _any(abs(denom) < DENOMINATOR_FLOOR):
-        raise _singular_error(t1, "flow denominator vanishes")
-    return (x2 - x1) / denom
+        return (x2 - x1) / (1.0 / (n - k) - k * x1)
+    return (x2 - x1) / (1.0 - k * x1)
 
 
 def build_propagator(
@@ -164,7 +163,7 @@ def _build(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> PropagatorO
         windows = zip(*(end.ravel().tolist() for end in ends))
         rows = [_scalars(params, k, contains, *window) for window in windows]
         x1, x2, phase, extra = (np.array(c).reshape(shape) for c in list(zip(*rows)) or [()] * 4)
-    flow = _flow_weight(n, k, contains, x1, x2, t1)
+    flow = _flow_weight(n, k, contains, x1, x2)
     block = np.zeros(shape + (k + 1, k + 1), dtype=complex)
     if contains:
         if shape:  # line a stack's phases up with the block's last axes
@@ -231,7 +230,7 @@ def _flows(params: NetworkParams, sels, t1, t2) -> list:
             if x is None:
                 x = _cross_abs2(params, t1), _cross_abs2(params, t2)
             contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
-            flows.append(_flow_weight(params.n_qubits, sel.k_qubits, contains, *x, t1))
+            flows.append(_flow_weight(params.n_qubits, sel.k_qubits, contains, *x))
     except OpenQNetError:
         _replay(_flows, params, sels, t1, t2)
         raise

@@ -54,10 +54,13 @@ from openqnet.verification import (
     bloch_fixed_point_residual,
     choi_psd,
     complement_pairs,
+    completeness_residual,
+    composition_residual,
     entropy_symmetry_residual,
     fisher_cases,
     fisher_routes,
     orbit_oracle_residual,
+    orbit_residual,
     pcp_disagreements,
     random_interval,
     reduced_state_residual,
@@ -415,17 +418,22 @@ def test_criterion_13_inference_roundtrip():
 
 
 def test_criterion_14_singularity_handling():
+    # K = N/2 at odd half-periods: the containing class is refused, naming
+    # t1; the excluding class's one-time map stays invertible, so it builds.
     flagged_ok = True
+    excluding = 0.0
     params6 = NetworkParams(6, 1.0)
     for m in range(3):
         t_half = (m + 0.5) * params6.period
         flagged_ok &= is_singular(params6, 3, t_half)
-        for cls in (C0, C1):
-            try:
-                build_propagator(params6, SubsystemSelector(3, cls), t_half, 0.9)
-                flagged_ok = False
-            except SingularIntervalError:
-                pass
+        try:
+            build_propagator(params6, SubsystemSelector(3, C1), t_half, 0.9)
+            flagged_ok = False
+        except SingularIntervalError as exc:
+            flagged_ok &= exc.t1 == t_half and f"t1={t_half!r}" in str(exc)
+        case = (params6, SubsystemSelector(3, C0), t_half, 0.9)
+        for residual in (orbit_residual, completeness_residual, composition_residual):
+            excluding = max(excluding, residual(*case))
     built_ok = True
     for n in range(2, 9):
         params = NetworkParams(n, 1.0)
@@ -438,8 +446,8 @@ def test_criterion_14_singularity_handling():
                     build_propagator(params, sel, t1, 0.3 * params.period)
                 except SingularIntervalError:
                     built_ok = False
-    ok = flagged_ok and built_ok
+    ok = flagged_ok and built_ok and excluding <= 1e-14
     assert report(
         14, "singularity handling", ok,
-        f"flagged={flagged_ok}, others_build={built_ok}",
+        f"flagged={flagged_ok}, others_build={built_ok}, excluding_max={excluding:.1e} (tol 1e-14)",
     )

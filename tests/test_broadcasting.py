@@ -7,8 +7,9 @@ round-off zeros, such as the rotation angle of a window with t1 = t2), and
 must refuse an array exactly when some scalar call
 refuses an element, with the first refusing element's error and message.
 The time generators deliberately put odd half-periods (singular anchors at
-K = N/2, degenerate states at N = 2), anchors just outside the singular
-window, and period points on the grid.
+K = N/2, degenerate states at N = 2), anchors 1e-3..1e-8 periods to either
+side of them (across ``ANCHOR_RTOL``, which refuses within about 3.2e-5
+periods), and period points on the grid.
 
 A stack of propagators built from arrays of times must equal the scalar
 builds bit for bit, and so must its Choi matrices and its action on a
@@ -51,14 +52,20 @@ from openqnet import (
 RTOL = 1e-13
 ATOL = 1e-15
 
-# In periods: odd half-periods, anchors around the singular window
-# (1e-9 periods) and the flow-denominator guard, period points.
-SPECIAL_TAUS = (
-    0.0, 0.5, 1.0, 1.5, -0.5, 2.5,
-    0.5 + 1e-9, 0.5 - 1e-9, 0.5 + 1e-7, 0.5 - 1e-7, 0.5 + 1e-6, 1.5 - 1e-8,
+# In periods: odd half-periods, period points, and anchors 10^-3..10^-8
+# periods to either side of an odd half-period.
+ODD_HALVES = (0.5, 1.5, -0.5, 2.5)
+SPECIAL_TAUS = (0.0, 1.0) + ODD_HALVES + tuple(
+    half + sign * 10.0**-e for half in (0.5, 1.5) for sign in (1, -1) for e in range(3, 9)
+)
+near_anchors = st.builds(
+    lambda half, sign, e: half + sign * 10.0**e,
+    st.sampled_from(ODD_HALVES),
+    st.sampled_from((1, -1)),
+    st.floats(-8.0, -3.0),
 )
 
-taus = st.one_of(st.sampled_from(SPECIAL_TAUS), st.floats(-2.0, 3.0))
+taus = st.one_of(st.sampled_from(SPECIAL_TAUS), near_anchors, st.floats(-2.0, 3.0))
 tau_arrays = st.lists(taus, min_size=1, max_size=12).map(np.array)
 
 

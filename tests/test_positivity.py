@@ -93,7 +93,8 @@ def test_choi_size_guard():
 
 def _spectrum_cases():
     # Every (N, K, class) for N = 2..12 at two random windows and at t1 = t2,
-    # plus K = N/2 anchors just off the singular half-period.
+    # plus K = N/2 anchors just outside the refused band around the
+    # half-period (about 3.2e-5 periods, where d <= ANCHOR_RTOL).
     rng = np.random.default_rng(7)
     for n in range(2, 13):
         params = NetworkParams(n, 1.0)
@@ -106,7 +107,7 @@ def _spectrum_cases():
             yield params, sel, t1, t2
             yield params, sel, t1, t1
             if 2 * sel.k_qubits == n:
-                for offset in (-1e-6, 1e-6, -1e-4, 1e-4):
+                for offset in (-4e-5, 4e-5, -1e-4, 1e-4):
                     t1 = (0.5 + offset) * params.period
                     yield params, sel, t1, rng.uniform(0, params.period)
 

@@ -10,16 +10,22 @@ from openqnet import (
     ParameterError,
     SingularIntervalError,
     SubsystemSelector,
+    affine_map,
+    amplitudes,
     apply,
     build_propagator,
+    classify,
     completeness_residual,
     compose_residual,
     conservation_residual,
     flow_amplitude,
     is_singular,
     materialize_density,
+    process_state_split,
     reduced_state,
 )
+from openqnet.propagator import ANCHOR_RTOL
+from openqnet.verification import composition_residual, orbit_residual
 
 N5 = NetworkParams(5, 1.0)
 C1 = DynClass.CONTAINS_EXCITED
@@ -197,18 +203,26 @@ def test_singularity_detection():
     assert not is_singular(params, 3, 0.0)
     assert not is_singular(params, 2, math.pi / 6)
     assert not is_singular(N5, 2, 0.7 * N5.period)  # odd N never has K = N/2
-    # Tolerance window is 1e-9 periods around the half-period point.
+    # d = (pi eps)^2 at eps periods from the half-period: refused within
+    # about 3.2e-5 periods, where d <= ANCHOR_RTOL.
     half = 0.5 * params.period
     assert is_singular(params, 3, half + 0.5e-9 * params.period)
-    assert not is_singular(params, 3, half + 1e-6 * params.period)
+    assert is_singular(params, 3, half + 1e-5 * params.period)
+    assert not is_singular(params, 3, half + 1e-4 * params.period)
 
 
-def test_singular_build_raises_for_both_classes():
+def test_half_period_anchor_refuses_the_containing_class_only():
+    # K = N/2 at the half-period: the containing class's one-time map loses
+    # rank there, the excluding class's stays invertible (ground weight 1 - 2/N).
     params = NetworkParams(6, 1.0)
-    for sel in [SubsystemSelector(3, C1), SubsystemSelector(3, C0)]:
-        with pytest.raises(SingularIntervalError) as info:
-            build_propagator(params, sel, math.pi / 6, 0.9)
-        assert info.value.t1 == pytest.approx(math.pi / 6)
+    with pytest.raises(SingularIntervalError) as info:
+        build_propagator(params, SubsystemSelector(3, C1), math.pi / 6, 0.9)
+    assert info.value.t1 == pytest.approx(math.pi / 6)
+    assert "t1=" in str(info.value)
+    sel = SubsystemSelector(3, C0)
+    assert orbit_residual(params, sel, math.pi / 6, 0.9) <= 1e-14
+    assert completeness_residual(build_propagator(params, sel, math.pi / 6, 0.9)) <= 1e-14
+    assert composition_residual(params, sel, math.pi / 6, 0.9) <= 1e-14
 
 
 def test_n2_half_period_is_singular():
@@ -242,7 +256,7 @@ def test_flow_amplitude_refuses_the_block_anchors():
     for n in (4, 6):
         params = NetworkParams(n, 1.0)
         half = 0.5 * params.period
-        for offset in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6):
+        for offset in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6, 1e-4, -1e-4):
             cases.append((params, n // 2, half + offset * params.period))
     params2 = NetworkParams(2, 1.0)
     cases.append((params2, 1, 0.5 * params2.period))
@@ -295,3 +309,53 @@ def test_compose_residual_singular_anchor():
     rho = np.eye(4, dtype=complex) / 4
     with pytest.raises(SingularIntervalError):
         compose_residual(params, SubsystemSelector(3, C1), math.pi / 6, 1.0, rho)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 50, 128])
+def test_every_route_refuses_the_same_anchors(n):
+    # K = N/2 anchors eps periods to either side of odd half-periods: every
+    # route refuses, or every route accepts, and they refuse exactly where
+    # d = 1 - K(N-K)|u_d(t1)|^2 <= ANCHOR_RTOL. The excluding class builds.
+    params = NetworkParams(n, 1.0)
+    k = n // 2
+    sel = SubsystemSelector(k, C1)
+    if n <= 6:
+        rho = np.eye(k + 1, dtype=complex) / (k + 1)
+    else:
+        # Too large a map to invert here: past the anchor test, this 1x1
+        # density is refused with ParameterError, which counts as accepted.
+        rho = np.eye(1, dtype=complex)
+    routes = [
+        lambda t1, t2: build_propagator(params, sel, t1, t2),
+        lambda t1, t2: flow_amplitude(params, sel, t1, t2),
+        lambda t1, t2: classify(params, sel, t1, t2),
+        lambda t1, t2: compose_residual(params, sel, t1, t2, rho),
+        lambda t1, t2: conservation_residual(params, k, t1, t2),
+    ]
+    if n == 2:
+        for cls in (C1, C0):
+            routes.append(lambda t1, t2, cls=cls: affine_map(params, cls, t1, t2))
+            routes.append(lambda t1, t2, cls=cls: process_state_split(params, cls, t1, t2))
+    verdicts = []
+    for half in (0.5, 1.5):
+        for eps in (10.0**-e for e in range(2, 10)):
+            for t1 in ((half - eps) * params.period, (half + eps) * params.period):
+                t2 = t1 + 0.3 * params.period
+                d = 1.0 - k * (n - k) * abs(amplitudes(params, t1).cross_site) ** 2
+                want = bool(d <= ANCHOR_RTOL)
+                assert is_singular(params, k, t1) == want, (eps, d)
+                for route in routes:
+                    try:
+                        route(t1, t2)
+                        refused = False
+                    except SingularIntervalError as exc:
+                        assert exc.t1 == t1 and f"t1={t1!r}" in str(exc)
+                        refused = True
+                    except ParameterError:
+                        assert rho.shape == (1, 1)
+                        refused = False
+                    assert refused == want, (eps, d, route)
+                if n > 2:
+                    build_propagator(params, SubsystemSelector(k, C0), t1, t2)
+                verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)

@@ -186,7 +186,7 @@ def test_run_all_checks_reads_the_rebound_checks(monkeypatch):
 ORACLE_ROWS = ("amplitude_oracle", "reduced_state_oracle", "tomography_containing", "orbit_oracle_excluding")
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_verify_csv_is_unchanged(n, tmp_path):
     # Every value is pinned to the last digit printed, so the files hold for
     # the build they were recorded with: numpy 2.4.6 and its OpenBLAS 0.3.31,
