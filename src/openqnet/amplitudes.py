@@ -43,6 +43,7 @@ calls bit for bit; numpy's ``abs`` and ``hypot`` round differently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -233,9 +234,10 @@ def q1_unitary_oracle(params: NetworkParams, t) -> np.ndarray:
     -(N-1)*J, the gauge in which the uniform mode is stationary. H is real
     symmetric, so exp(-i t H) = V diag(exp(-i t lambda)) V^T from the
     numerical eigendecomposition H = V diag(lambda) V^T (``eigh``); no
-    closed-form eigenvalue or eigenvector enters. The result is an N x N
-    unitary whose diagonal entries all equal u_s(t) and whose off-diagonal
-    entries all equal u_d(t).
+    closed-form eigenvalue or eigenvector enters. The decomposition is
+    computed once per network (N, J) and reused while the calls stay on
+    it. The result is an N x N unitary whose diagonal entries all equal
+    u_s(t) and whose off-diagonal entries all equal u_d(t).
     """
     t = _check_time(t)
     n = params.n_qubits
@@ -244,9 +246,18 @@ def q1_unitary_oracle(params: NetworkParams, t) -> np.ndarray:
         raise SizeLimitError(
             f"dense exponentiation guarded at N <= {ORACLE_MAX_QUBITS}, got N={n}"
         )
-    generator = params.coupling * (np.ones((n, n)) - n * np.eye(n))
-    eigenvalues, vectors = np.linalg.eigh(generator)
+    eigenvalues, vectors = _generator_eigh(n, params.coupling)
     return (vectors * np.exp(-1j * t * eigenvalues)) @ vectors.T
+
+
+@functools.lru_cache(maxsize=1)
+def _generator_eigh(n: int, j: float) -> tuple[np.ndarray, np.ndarray]:
+    # (lambda, V) of q1_unitary_oracle's generator, read-only. One network
+    # is kept: a check calls the oracle at many t on the same network.
+    generator = j * (np.ones((n, n)) - n * np.eye(n))
+    eigenvalues, vectors = np.linalg.eigh(generator)
+    eigenvalues.flags.writeable = vectors.flags.writeable = False
+    return eigenvalues, vectors
 
 
 def global_state(params: NetworkParams, t) -> np.ndarray:

@@ -121,8 +121,8 @@ def qfi_closed_form(
     slope = _mixing_slope(params, k, contains, by_coupling, t, sh, ch)
     # With w = 0 the eigenvalue p = 1 does not move: no classical part.
     classical = n * n * slope * slope / (4.0 * w * p) if w else 0.0 * p
-    if not contains:
-        quantum = 0.0 * p
+    if not contains or k == 1:
+        quantum = 0.0 * p  # the eigenvectors do not move
     elif by_coupling:
         quantum = 4.0 * t * t * (k - 1) / p
     else:
@@ -188,12 +188,13 @@ def qfi_numeric_oracle(
     m = evecs.conj().T @ drho @ evecs
     total = 0.0
     used = 0
-    for i in range(len(evals)):
-        for l in range(len(evals)):
-            pair = evals[i] + evals[l]
-            if pair > SLD_PAIR_CUTOFF:
-                total += 2.0 * abs(m[i, l]) ** 2 / pair
-                used += 1
+    with np.errstate(over="ignore"):  # an information past the float range reads inf
+        for i in range(len(evals)):
+            for l in range(len(evals)):
+                pair = evals[i] + evals[l]
+                if pair > SLD_PAIR_CUTOFF:
+                    total += 2.0 * abs(m[i, l]) ** 2 / pair
+                    used += 1
     if used == 0:
         raise OracleFailureError(
             "every eigenvalue pair fell below the SLD cutoff; state too degenerate"
@@ -246,9 +247,12 @@ def process_state_split(
         raise
     survival = p2 / p1  # 1 - flow weight
     dflow = (p2 * dp1 - dp2 * p1) / (p1 * p1)  # theta-derivative of the flow weight
-    process = (dflow * p1) ** 2
-    cross = -2.0 * dflow * p1 * survival * dp1
-    state = (survival * dp1) ** 2
+    # Squares as products: a float's ** raises OverflowError where numpy's
+    # gives inf, and x * x is the one numpy's ** 2 takes.
+    moved, kept = dflow * p1, survival * dp1
+    process = moved * moved
+    cross = -2.0 * moved * survival * dp1
+    state = kept * kept
     total = process + cross + state
     if not rescaled:
         process, cross, state, total = (

@@ -37,7 +37,7 @@ import numpy as np
 
 from .amplitudes import NetworkParams, _check_time, _hop
 from .errors import ParameterError, SizeLimitError
-from .propagator import FlowKind, PropagatorOps, _build, _window, apply
+from .propagator import FlowKind, PropagatorOps, _basis_images, _build, _window
 from .states import DynClass, SubsystemSelector, _mixing
 
 #: Guard on the Choi matrix dimension (K+1)^2.
@@ -76,21 +76,20 @@ def choi_matrix(ops: PropagatorOps) -> np.ndarray:
 
     Hermitian with trace K+1 (trace preservation of the map); positive
     semidefinite exactly when the propagator is completely positive. The
-    dense oracle for :func:`choi_spectrum`; built from one :func:`apply`
-    on the stack of all (K+1)^2 basis operators. Stacked ops of shape S
-    give a ``(*S, (K+1)^2, (K+1)^2)`` stack, each matrix equal bit for bit
-    to the one of its own ops; the guard on (K+1)^2 holds for each matrix.
+    dense oracle for :func:`choi_spectrum`; its blocks are the images of
+    the (K+1)^2 basis operators, equal in value to :func:`apply` on each,
+    from two matrix products per map. Stacked ops of shape S give a
+    ``(*S, (K+1)^2, (K+1)^2)`` stack, each matrix equal bit for bit to the
+    one of its own ops; the guard on (K+1)^2 holds for each matrix.
     """
     d = ops.k_qubits + 1
     if d * d > CHOI_MAX_DIM:
         raise SizeLimitError(f"Choi dimension {(d * d)}^2 exceeds guard {CHOI_MAX_DIM}^2")
     stack = ops.block_diag.shape[:-2]
     m = len(stack)
-    # images[mu, nu, *S] = Phi[|mu><nu|]
-    images = apply(ops, np.eye(d * d, dtype=complex).reshape((d, d) + (1,) * m + (d, d)))
     # C[*S, a*d + mu, b*d + nu] = images[mu, nu, *S, a, b]
     axes = (*range(2, m + 2), m + 2, 0, m + 3, 1)
-    return images.transpose(axes).reshape(stack + (d * d, d * d))
+    return _basis_images(ops).transpose(axes).reshape(stack + (d * d, d * d))
 
 
 def choi_spectrum(ops: PropagatorOps) -> tuple:

@@ -253,13 +253,42 @@ def apply(ops: PropagatorOps, density: np.ndarray) -> np.ndarray:
         raise ParameterError(f"operator must be {d}x{d}, got shape {rho.shape}")
     block = ops.block_diag
     out = block @ rho @ block.conj().swapaxes(-1, -2)
+    _add_flow(ops, rho, out)
+    return out
+
+
+def _add_flow(ops: PropagatorOps, rho: np.ndarray, out: np.ndarray) -> None:
+    # Adds the flow terms of the map on rho to out, its block term, in place.
     if ops.flow_kind is FlowKind.OUT_OF_SUBSYSTEM:
         out[..., 0, 0] += ops.flow_weight * rho[..., 1:, 1:].sum(axis=(-2, -1))
     else:
         ground = rho[..., 0, 0]
         out[..., 1:, 1:] += (ops.flow_weight * ground)[..., None, None]
         out[..., 0, 0] += ops.ground_extra * ground
-    return out
+
+
+def _basis_images(ops: PropagatorOps) -> np.ndarray:
+    # images[mu, nu, *S] = Phi[|mu><nu|] for the ops of a stack of shape S
+    # (S = () for one propagator). The block term B E B^dag of all d^2 basis
+    # operators E takes two matrix products per map: B @ (the E side by
+    # side, d x d^3), whose d^3 rows of length d then go @ B^dag at once.
+    # Each entry is a sum with one nonzero term, so the values are those of
+    # apply on each E; only the signs of zeros can differ.
+    d = ops.k_qubits + 1
+    block = ops.block_diag
+    stack = block.shape[:-2]
+    m = len(stack)
+    # side[row, mu, nu, col] = |mu><nu|[row, col]
+    side = np.zeros((d, d, d, d), dtype=complex)
+    i = np.arange(d)
+    side[i[:, None], i[:, None], i, i] = 1.0
+    # rows[*S, (a, mu, nu)] = (B |mu><nu|)[a, :]
+    rows = (block @ side.reshape(d, d**3)).reshape(stack + (d**3, d))
+    out = (rows @ block.conj().swapaxes(-1, -2)).reshape(stack + (d, d, d, d))
+    images = np.moveaxis(out, (m + 1, m + 2), (0, 1))
+    basis = side.transpose(1, 2, 0, 3)  # basis[mu, nu] = |mu><nu|
+    _add_flow(ops, basis.reshape((d, d) + (1,) * m + (d, d)), images)
+    return images
 
 
 def _single(ops: PropagatorOps) -> None:
@@ -278,9 +307,7 @@ def propagator_matrix(ops: PropagatorOps) -> np.ndarray:
     """
     _single(ops)
     d = ops.k_qubits + 1
-    # images[mu, nu] = Phi[|mu><nu|]
-    images = apply(ops, np.eye(d * d, dtype=complex).reshape(d, d, d, d))
-    return images.transpose(3, 2, 1, 0).reshape(d * d, d * d)
+    return _basis_images(ops).transpose(3, 2, 1, 0).reshape(d * d, d * d)
 
 
 def completeness_residual(ops: PropagatorOps) -> float:

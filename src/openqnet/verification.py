@@ -300,7 +300,8 @@ def fisher_split_residual(params: NetworkParams, dyn_class: DynClass, t2) -> flo
 
     Each split's total must be (d_J p)^2 at t2 and the sum of its parts, and
     the two anchors must give the same total. (d_J p)^2 scales as 1/J^2, so
-    the residual is taken in the dimensionless J^2 (d_J p)^2.
+    the residual is taken in the dimensionless J^2 (d_J p)^2, multiplied by
+    J twice: J^2 alone overflows from J ~ 1.3e154.
     """
     _, dp2 = _p_dp_single_qubit(params, dyn_class, GlobalParameter.COUPLING_J, t2)
     worst, totals = 0.0, []
@@ -310,7 +311,7 @@ def fisher_split_residual(params: NetworkParams, dyn_class: DynClass, t2) -> flo
         parts = split.process + split.cross + split.state
         worst = max(worst, abs(split.total - dp2 * dp2), abs(parts - split.total))
         totals.append(split.total)
-    return params.coupling**2 * max(worst, abs(totals[0] - totals[1]))
+    return max(worst, abs(totals[0] - totals[1])) * params.coupling * params.coupling
 
 
 def roundtrip_residual(params: NetworkParams, t1, t2) -> float | None:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from openqnet import (
     reduced_state,
     unitarity_residuals,
 )
+from openqnet.amplitudes import ORACLE_MAX_QUBITS, _generator_eigh
 
 
 def closed_form_matrix(params, t):
@@ -118,6 +120,50 @@ def test_oracle_identity_and_unitarity():
 def test_oracle_size_guard():
     with pytest.raises(SizeLimitError):
         q1_unitary_oracle(NetworkParams(4096, 1.0), 0.1)
+
+
+def fresh_eigh_unitary(params, t):
+    # q1_unitary_oracle's route with the generator decomposed anew.
+    n, j = params.n_qubits, params.coupling
+    eigenvalues, vectors = np.linalg.eigh(j * (np.ones((n, n)) - n * np.eye(n)))
+    return (vectors * np.exp(-1j * t * eigenvalues)) @ vectors.T
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_oracle_cache_is_bit_identical_to_a_fresh_eigh(n):
+    params = NetworkParams(n, 0.7)
+    for tau in (0.0, 0.13, 0.5, 1.9, -3.3):
+        t = tau * params.period
+        want = fresh_eigh_unitary(params, t)
+        for _ in range(2):  # the second call reads the cache
+            assert q1_unitary_oracle(params, t).tobytes() == want.tobytes()
+
+
+def test_oracle_cache_follows_the_network():
+    # Alternating N and J: each call answers for its own network.
+    networks = [NetworkParams(3, 1.0), NetworkParams(4, 1.0), NetworkParams(3, 2.0)] * 2
+    for params in networks:
+        t = 0.37 * params.period
+        unitary = q1_unitary_oracle(params, t)
+        assert unitary.tobytes() == fresh_eigh_unitary(params, t).tobytes()
+        assert np.abs(unitary - closed_form_matrix(params, t)).max() <= 1e-12
+
+
+def test_oracle_refusals_come_before_the_eigendecomposition():
+    before = _generator_eigh.cache_info()
+    with pytest.raises(SizeLimitError):
+        q1_unitary_oracle(NetworkParams(ORACLE_MAX_QUBITS + 1, 1.0), 0.1)
+    with pytest.raises(ParameterError, match="overflows"):
+        q1_unitary_oracle(NetworkParams(5, 1.0), sys.float_info.max)
+    assert _generator_eigh.cache_info() == before
+
+
+def test_oracle_cached_arrays_are_read_only():
+    q1_unitary_oracle(NetworkParams(4, 1.0), 0.2)
+    for array in _generator_eigh(4, 1.0):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_global_state():

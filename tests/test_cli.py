@@ -337,6 +337,20 @@ def test_verify_passes_at_any_coupling(n, coupling, tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coupling", ["1e-300", "1e-160", "1e160", "1e300"])
+@pytest.mark.parametrize("n", ["3", "5", "8"])
+def test_verify_finishes_at_extreme_coupling(n, coupling, tmp_path, capsys):
+    # The Fisher information scales as 1/J^2 and leaves the float range:
+    # a Fisher check may fail (exit 2), but every row is written.
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--n", n, "--j", coupling, "--out", str(out)]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    header, rows = read_csv(out)
+    assert len(rows) == 16
+    failed = {row[0] for row in rows if row[header.index("status")] == "FAIL"}
+    assert failed <= {"fisher_oracle_relative", "fisher_split_identity"}
+
+
 @pytest.mark.parametrize("n", ["2", "3", "6"])
 def test_verify_passes_at_small_sizes(n, tmp_path, capsys):
     # N = 2 samples its degenerate half-period point in the reduced-state check.

@@ -204,6 +204,28 @@ def test_split_supports_size_parameter():
     assert abs(split.process + split.cross + split.state - split.total) <= 1e-12
 
 
+def test_split_squares_overflow_to_inf():
+    # At J = 1e-160, t ~ 1e160: the squared pieces leave the float range
+    # and read inf, as numpy's squares do, instead of raising.
+    params = NetworkParams(3, 1e-160)
+    period = params.period
+    split = process_state_split(params, C1, 0.25 * period, 0.6 * period, rescaled=True)
+    assert split.process == split.state == math.inf
+
+
+@pytest.mark.parametrize("theta", [J, SIZE])
+def test_single_qubit_quantum_part_is_zero_past_overflow(theta):
+    # K = 1 containing the excited qubit: the eigenvectors do not move, so
+    # the quantum part is 0 even where t^2 overflows (J = 1e-300).
+    params = NetworkParams(5, 1e-300)
+    t = 0.1 * params.period
+    one = qfi_closed_form(params, SubsystemSelector(1, C1), theta, t)
+    assert one.quantum == 0.0 and one.total == one.classical
+    assert not math.isnan(one.total)
+    if theta is J:
+        assert qfi_closed_form(params, SubsystemSelector(2, C1), J, t).quantum == math.inf
+
+
 @pytest.mark.parametrize("theta", ["J", "N", None])
 def test_theta_must_be_a_global_parameter(theta):
     message = f"theta must be a GlobalParameter, got {theta!r}"

@@ -18,8 +18,8 @@ from openqnet import (
     is_singular,
     positivity_transition_time,
 )
-from openqnet.linalg import basis_matrix
-from openqnet.propagator import apply
+from openqnet.linalg import basis_matrix, vec
+from openqnet.propagator import apply, propagator_matrix
 
 N5 = NetworkParams(5, 1.0)
 C1 = DynClass.CONTAINS_EXCITED
@@ -123,16 +123,45 @@ def test_choi_spectrum_matches_dense_eigenvalues():
         assert np.abs(np.sort(closed) - dense).max() <= 1e-12 * scale, (params, sel, t1, t2)
 
 
-def test_choi_matrix_equals_kron_loop():
+def _stacked_cases():
+    # The _spectrum_cases windows of each (network, selector) as one stack:
+    # (params, sel, stacked ops, the ops of each window).
+    groups = {}
     for params, sel, t1, t2 in _spectrum_cases():
-        ops = build_propagator(params, sel, t1, t2)
+        groups.setdefault((params, sel), []).append((float(t1), float(t2)))
+    for (params, sel), windows in groups.items():
+        t1, t2 = np.array(windows).T
+        singles = [build_propagator(params, sel, *window) for window in windows]
+        yield params, sel, build_propagator(params, sel, t1, t2), singles
+
+
+def test_choi_matrix_equals_kron_loop():
+    # Per window and per basis operator, apply; equal in value to the
+    # stacked and the single choi_matrix (signs of zeros aside).
+    for params, sel, stacked, singles in _stacked_cases():
         d = sel.k_qubits + 1
-        reference = np.zeros((d * d, d * d), dtype=complex)
-        for mu in range(d):
-            for nu in range(d):
-                e = basis_matrix(d, mu, nu)
-                reference += np.kron(apply(ops, e), e)
-        assert np.array_equal(choi_matrix(ops), reference)
+        choi = choi_matrix(stacked)
+        assert choi.shape == (len(singles), d * d, d * d)
+        for i, ops in enumerate(singles):
+            reference = np.zeros((d * d, d * d), dtype=complex)
+            for mu in range(d):
+                for nu in range(d):
+                    e = basis_matrix(d, mu, nu)
+                    reference += np.kron(apply(ops, e), e)
+            assert np.array_equal(choi_matrix(ops), reference), (params, sel, i)
+            assert np.array_equal(choi[i], reference), (params, sel, i)
+
+
+def test_propagator_matrix_equals_per_basis_apply():
+    # Column nu*d + mu is vec(apply(ops, |mu><nu|)), equal in value.
+    for params, sel, _, singles in _stacked_cases():
+        d = sel.k_qubits + 1
+        for ops in singles:
+            reference = np.zeros((d * d, d * d), dtype=complex)
+            for mu in range(d):
+                for nu in range(d):
+                    reference[:, nu * d + mu] = vec(apply(ops, basis_matrix(d, mu, nu)))
+            assert np.array_equal(propagator_matrix(ops), reference), (params, sel)
 
 
 def test_stacked_apply_equals_per_operator_apply():
