@@ -73,7 +73,6 @@ from .positivity import (
     positivity_transition_time,
 )
 from .propagator import (
-    FlowKind,
     PropagatorOps,
     apply,
     build_propagator,
@@ -103,7 +102,6 @@ __all__ = [
     "DivergenceError",
     "DynClass",
     "FisherBreakdown",
-    "FlowKind",
     "FlowObservation",
     "GlobalParameter",
     "GlobalVector",

@@ -94,10 +94,6 @@ _out_option = click.option("--out", "out_path", default="-", show_default=True, 
 _class_option = click.option("--class", "dyn_class", type=click.Choice(["0", "1"]), default="1", show_default=True, help="Dynamical class: 1 contains the excited qubit, 0 excludes it.")
 
 
-def _network(n_qubits: int, coupling: float) -> NetworkParams:
-    return NetworkParams(n_qubits, coupling)
-
-
 def _grid(steps: int, start: float = 0.0, stop: float = 1.0) -> np.ndarray:
     if steps < 2:
         raise click.UsageError(f"--steps must be >= 2, got {steps}")
@@ -131,7 +127,7 @@ def cli() -> None:
 @_out_option
 def amplitudes_cmd(n_qubits: int, coupling: float, steps: int, out_path: str) -> None:
     """Global transition amplitudes u_s(t), u_d(t) over one period."""
-    params = _network(n_qubits, coupling)
+    params = NetworkParams(n_qubits, coupling)
     taus = _grid(steps)
     amps = amplitudes(params, _absolute(params, taus))
     us, ud = amps.same_site, amps.cross_site
@@ -148,7 +144,7 @@ def amplitudes_cmd(n_qubits: int, coupling: float, steps: int, out_path: str) ->
 @_out_option
 def flow_cmd(n_qubits: int, coupling: float, dt: float, k_text: str | None, steps: int, out_path: str) -> None:
     """Excitation-flow weight of the windowed propagator, both classes."""
-    params = _network(n_qubits, coupling)
+    params = NetworkParams(n_qubits, coupling)
     dt = _window_length(dt)
     ks = _parse_k_values(k_text, n_qubits, (DynClass.CONTAINS_EXCITED,))
     header = ["t_over_period"]
@@ -172,7 +168,7 @@ _TRAJECTORY_STARTS = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1
 @_out_option
 def bloch_traj_cmd(n_qubits: int, coupling: float, dyn_class: str, steps: int, out_path: str) -> None:
     """z-trajectories of a fan of initial axial states under the one-time map."""
-    params = _network(n_qubits, coupling)
+    params = NetworkParams(n_qubits, coupling)
     cls = _dyn_class(dyn_class)
     header = ["t_over_period"] + [f"bz0_{z0:+.4f}" for z0 in _TRAJECTORY_STARTS] + ["orbit_bz"]
     taus = _grid(steps)
@@ -191,7 +187,7 @@ def bloch_traj_cmd(n_qubits: int, coupling: float, dyn_class: str, steps: int, o
 @_out_option
 def bloch_domain_cmd(n_qubits: int, coupling: float, dyn_class: str, dt: float, steps: int, out_path: str) -> None:
     """Axial positivity band of the windowed single-qubit propagator."""
-    params = _network(n_qubits, coupling)
+    params = NetworkParams(n_qubits, coupling)
     cls = _dyn_class(dyn_class)
     dt = _window_length(dt)
     taus = _grid(steps)
@@ -210,7 +206,7 @@ def bloch_domain_cmd(n_qubits: int, coupling: float, dyn_class: str, dt: float, 
 @_out_option
 def entropy_cmd(n_qubits: int, coupling: float, dyn_class: str, k_text: str | None, steps: int, out_path: str) -> None:
     """Entanglement entropy of the chosen subsystems over one period."""
-    params = _network(n_qubits, coupling)
+    params = NetworkParams(n_qubits, coupling)
     cls = _dyn_class(dyn_class)
     ks = _parse_k_values(k_text, n_qubits, (cls,))
     header = ["t_over_period"] + [f"entropy_k{k}" for k in ks]
@@ -233,7 +229,7 @@ def fisher_cmd(n_qubits: int, coupling: float, dyn_class: str, k_text: str | Non
     Size-parameter columns are omitted for K = N in class 1, where that
     quantity diverges.
     """
-    params = _network(n_qubits, coupling)
+    params = NetworkParams(n_qubits, coupling)
     cls = _dyn_class(dyn_class)
     ks = _parse_k_values(k_text, n_qubits, (cls,))
     header = ["t_over_period"]
@@ -268,7 +264,7 @@ def fisher_decomp_cmd(n_qubits: int, coupling: float, dyn_class: str, t1: float,
     t2 sweeps forward from t1 (two periods by default); the first column is
     absolute t2 in period units.
     """
-    params = _network(n_qubits, coupling)
+    params = NetworkParams(n_qubits, coupling)
     cls = _dyn_class(dyn_class)
     end = t1 + 2.0 if t2 is None else t2
     if end <= t1:
@@ -294,7 +290,7 @@ def infer_cmd(n_qubits: int, coupling: float, dt: float, steps: int, out_path: s
     flow yield NaN size estimates. The coupling estimate comes from a
     bisected flow sign change and is constant across rows.
     """
-    params = _network(n_qubits, coupling)
+    params = NetworkParams(n_qubits, coupling)
     dt = _window_length(dt)
     sel1 = SubsystemSelector(1, DynClass.CONTAINS_EXCITED)
     sel0 = SubsystemSelector(1, DynClass.EXCLUDES_EXCITED)
@@ -337,7 +333,7 @@ def verify_cmd(n_qubits: int, coupling: float, out_path: str) -> None:
     """Run every cross-route verification suite; exit 2 on any failure."""
     from . import verification  # loads numpy.random, which no dataset command needs
 
-    params = _network(n_qubits, coupling)
+    params = NetworkParams(n_qubits, coupling)
     results = verification.run_all_checks(params)
     rows = []
     width = max(len(r.name) for r in results)

@@ -33,6 +33,9 @@ from .states import _ZERO_WEIGHT, DynClass, SubsystemSelector, _check_class, _cl
 #: Eigenvalue-pair cutoff in the SLD solve.
 SLD_PAIR_CUTOFF = 1e-12
 
+#: Relative central-difference step of the SLD oracle.
+SLD_STEP = 1e-5
+
 
 class GlobalParameter(enum.Enum):
     """Which global parameter the information is taken with respect to."""
@@ -118,18 +121,22 @@ def qfi_closed_form(
     except OpenQNetError:
         _replay(qfi_closed_form, params, sel, theta, t)
         raise
-    slope = _mixing_slope(params, k, contains, by_coupling, t, sh, ch)
-    # With w = 0 the eigenvalue p = 1 does not move: no classical part.
-    classical = n * n * slope * slope / (4.0 * w * p) if w else 0.0 * p
-    if not contains or k == 1:
-        quantum = 0.0 * p  # the eigenvectors do not move
-    elif by_coupling:
-        quantum = 4.0 * t * t * (k - 1) / p
-    else:
-        alpha = n * params.coupling * t
-        quantum = 4.0 * (k - 1) * (alpha * alpha - 4.0 * alpha * sh * ch + 4.0 * sh * sh)
-        quantum /= n**4 * p
-    return FisherBreakdown(classical, quantum, classical + quantum, theta)
+    # An information past the float range reads inf (or nan), as in the
+    # float path, without numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = _mixing_slope(params, k, contains, by_coupling, t, sh, ch)
+        # With w = 0 the eigenvalue p = 1 does not move: no classical part.
+        classical = n * n * slope * slope / (4.0 * w * p) if w else 0.0 * p
+        if not contains or k == 1:
+            quantum = 0.0 * p  # the eigenvectors do not move
+        elif by_coupling:
+            quantum = 4.0 * t * t * (k - 1) / p
+        else:
+            alpha = n * params.coupling * t
+            quantum = 4.0 * (k - 1) * (alpha * alpha - 4.0 * alpha * sh * ch + 4.0 * sh * sh)
+            quantum /= n**4 * p
+        total = classical + quantum
+    return FisherBreakdown(classical, quantum, total, theta)
 
 
 def _reduced_density(n_real: float, j: float, k: int, contains: bool, t: float) -> np.ndarray:
@@ -157,27 +164,24 @@ def qfi_numeric_oracle(
     sel: SubsystemSelector,
     theta: GlobalParameter,
     t,
-    step: float = 1e-5,
 ) -> float:
     """Finite-difference SLD estimate of the Fisher information.
 
     Central-differences the reduced density in the parameter (relative step
-    ``step``; the network size is treated as a continuous real), solves the
-    SLD equation in the eigenbasis of the unperturbed state with the
+    ``SLD_STEP``; the network size is treated as a continuous real), solves
+    the SLD equation in the eigenbasis of the unperturbed state with the
     eigenvalue-pair cutoff, and returns Tr[L^2 rho].
     """
     sel.validate(params)
     t = _check_time(t)
     _phase(params.n_qubits, params.coupling, t)
-    if not (isinstance(step, (int, float)) and 0.0 < step < 1e-1):
-        raise ParameterError(f"step must be a small positive real, got {step!r}")
     n, k, j = params.n_qubits, sel.k_qubits, params.coupling
     contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
     if theta is GlobalParameter.COUPLING_J:
-        h = step * j
+        h = SLD_STEP * j
         shifted = [(float(n), j + h), (float(n), j - h)]
     else:
-        h = step * n
+        h = SLD_STEP * n
         shifted = [(n + h, j), (n - h, j)]
     for n_real, j_real in shifted:
         _phase(n_real, j_real, t)  # N*J*t can be finite where a shifted phase is not
@@ -245,22 +249,25 @@ def process_state_split(
     except OpenQNetError:
         _replay(process_state_split, params, dyn_class, t1, t2, theta, rescaled)
         raise
-    survival = p2 / p1  # 1 - flow weight
-    dflow = (p2 * dp1 - dp2 * p1) / (p1 * p1)  # theta-derivative of the flow weight
     # Squares as products: a float's ** raises OverflowError where numpy's
-    # gives inf, and x * x is the one numpy's ** 2 takes.
-    moved, kept = dflow * p1, survival * dp1
-    process = moved * moved
-    cross = -2.0 * moved * survival * dp1
-    state = kept * kept
-    total = process + cross + state
-    if not rescaled:
-        process, cross, state, total = (
-            process / denom,
-            cross / denom,
-            state / denom,
-            total / denom,
-        )
+    # gives inf, and x * x is the one numpy's ** 2 takes. Past the float
+    # range an array reads inf (or nan), as the float path does, without
+    # numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        survival = p2 / p1  # 1 - flow weight
+        dflow = (p2 * dp1 - dp2 * p1) / (p1 * p1)  # theta-derivative of the flow weight
+        moved, kept = dflow * p1, survival * dp1
+        process = moved * moved
+        cross = -2.0 * moved * survival * dp1
+        state = kept * kept
+        total = process + cross + state
+        if not rescaled:
+            process, cross, state, total = (
+                process / denom,
+                cross / denom,
+                state / denom,
+                total / denom,
+            )
     return ProcessStateSplit(
         process=process, state=state, cross=cross, total=total, t1=t1, t2=t2
     )

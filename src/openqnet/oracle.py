@@ -111,8 +111,8 @@ def dynamical_map_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> np
 
     Each local basis operator |mu><nu| is tensored with the environment
     ground state, evolved inside the global q <= 1 sector (ground phase is
-    unity), and traced back; columns follow the column-stacking convention
-    of :mod:`openqnet.linalg`.
+    unity), and traced back. Column ``nu*d + mu`` is the column-stacked
+    image of |mu><nu|, as in :func:`openqnet.propagator_matrix`.
     """
     sel.validate(params)
     t = _check_time(t)

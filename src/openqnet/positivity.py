@@ -37,7 +37,7 @@ import numpy as np
 
 from .amplitudes import NetworkParams, _check_time, _hop
 from .errors import ParameterError, SizeLimitError
-from .propagator import FlowKind, PropagatorOps, _basis_images, _build, _window
+from .propagator import PropagatorOps, _basis_images, _build, _window
 from .states import DynClass, SubsystemSelector, _mixing
 
 #: Guard on the Choi matrix dimension (K+1)^2.
@@ -78,7 +78,7 @@ def choi_matrix(ops: PropagatorOps) -> np.ndarray:
     semidefinite exactly when the propagator is completely positive. The
     dense oracle for :func:`choi_spectrum`; its blocks are the images of
     the (K+1)^2 basis operators, equal in value to :func:`apply` on each,
-    from two matrix products per map. Stacked ops of shape S give a
+    from one matrix product per map. Stacked ops of shape S give a
     ``(*S, (K+1)^2, (K+1)^2)`` stack, each matrix equal bit for bit to the
     one of its own ops; the guard on (K+1)^2 holds for each matrix.
     """
@@ -103,7 +103,7 @@ def choi_spectrum(ops: PropagatorOps) -> tuple:
     """
     k, flow, block = ops.k_qubits, ops.flow_weight, ops.block_diag
     one = block.ndim == 2
-    if ops.flow_kind is FlowKind.OUT_OF_SUBSYSTEM:
+    if ops.dyn_class is DynClass.CONTAINS_EXCITED:
         if one:
             return float(np.vdot(block, block).real), k * flow
         return np.einsum("...ij,...ij->...", block.conj(), block).real, k * flow

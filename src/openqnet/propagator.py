@@ -32,26 +32,17 @@ half-periods, for K = N/2 or N = 2; at K = 1 it is the mixing probability.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .amplitudes import NetworkParams, _amplitudes, _any, _check_time, _cross_abs2, _hop, _replay
 from .errors import OpenQNetError, ParameterError, SingularIntervalError
-from .linalg import unvec, vec
 from .states import DynClass, SubsystemSelector
 
 #: Relative flow denominator d(t1) at or below which t1 is refused as an
 #: anchor; for K = N/2, within about 3.2e-5 periods of an odd half-period.
 ANCHOR_RTOL = 1e-8
-
-
-class FlowKind(enum.Enum):
-    """Direction of the excitation-flow operator's matrix pattern."""
-
-    OUT_OF_SUBSYSTEM = "out_of_subsystem"  # ground row over q=1 columns
-    INTO_SUBSYSTEM = "into_subsystem"  # ground column over q=1 rows
 
 
 @dataclass(frozen=True)
@@ -61,14 +52,16 @@ class PropagatorOps:
     ``block_diag`` is the (K+1)x(K+1) excitation-conserving operator B;
     ``flow_weight`` is the real squared weight of the flow operator (may be
     negative); ``ground_extra`` is the squared weight of the extra
-    ground-to-ground operator (excluding class only, else None). A stack of
-    shape S, built from arrays of times, has a ``(*S, K+1, K+1)`` block,
-    weights of shape S and the validated ``t1``, ``t2`` arrays.
+    ground-to-ground operator (excluding class only, else None).
+    ``dyn_class`` fixes the flow operator's pattern: the ground row over the
+    q=1 columns for the containing class, the mirrored column for the
+    excluding class. A stack of shape S, built from arrays of times, has a
+    ``(*S, K+1, K+1)`` block, weights of shape S and the validated ``t1``,
+    ``t2`` arrays.
     """
 
     block_diag: np.ndarray
     flow_weight: float | np.ndarray
-    flow_kind: FlowKind
     ground_extra: float | np.ndarray | None
     k_qubits: int
     dyn_class: DynClass
@@ -171,24 +164,13 @@ def _build(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> PropagatorO
         block[..., 0, 0] = 1.0  # ground-sector phase is unity by gauge
         block[..., 1:, 1:] = extra  # phi_d off the diagonal
         block.reshape(shape + (-1,))[..., k + 2 :: k + 2] = phase  # phi_s on it
-        return PropagatorOps(
-            block, flow, FlowKind.OUT_OF_SUBSYSTEM, None, k, sel.dyn_class, t1, t2
-        )
+        return PropagatorOps(block, flow, None, k, sel.dyn_class, t1, t2)
     block[..., 0, 0] = phase
     # Local single-excitation phases are unity by gauge; there is no
     # internal mixing in this class (all K qubits are equivalent).
     block[..., 1:, 1:] = np.eye(k)
     # Ground weight p(t2)/p(t1) = 1 - K flow (excitation balance).
-    return PropagatorOps(
-        block,
-        flow,
-        FlowKind.INTO_SUBSYSTEM,
-        1.0 - k * flow - extra,
-        k,
-        sel.dyn_class,
-        t1,
-        t2,
-    )
+    return PropagatorOps(block, flow, 1.0 - k * flow - extra, k, sel.dyn_class, t1, t2)
 
 
 def _scalars(params: NetworkParams, k: int, contains: bool, t1: float, t2: float) -> tuple:
@@ -259,7 +241,7 @@ def apply(ops: PropagatorOps, density: np.ndarray) -> np.ndarray:
 
 def _add_flow(ops: PropagatorOps, rho: np.ndarray, out: np.ndarray) -> None:
     # Adds the flow terms of the map on rho to out, its block term, in place.
-    if ops.flow_kind is FlowKind.OUT_OF_SUBSYSTEM:
+    if ops.dyn_class is DynClass.CONTAINS_EXCITED:
         out[..., 0, 0] += ops.flow_weight * rho[..., 1:, 1:].sum(axis=(-2, -1))
     else:
         ground = rho[..., 0, 0]
@@ -269,24 +251,20 @@ def _add_flow(ops: PropagatorOps, rho: np.ndarray, out: np.ndarray) -> None:
 
 def _basis_images(ops: PropagatorOps) -> np.ndarray:
     # images[mu, nu, *S] = Phi[|mu><nu|] for the ops of a stack of shape S
-    # (S = () for one propagator). The block term B E B^dag of all d^2 basis
-    # operators E takes two matrix products per map: B @ (the E side by
-    # side, d x d^3), whose d^3 rows of length d then go @ B^dag at once.
-    # Each entry is a sum with one nonzero term, so the values are those of
-    # apply on each E; only the signs of zeros can differ.
+    # (S = () for one propagator). B |mu><nu| is B's column mu placed in
+    # column nu, so the d^3 rows of all d^2 products B E are copied, not
+    # multiplied, and the block term B E B^dag takes one matrix product per
+    # map. Each of its entries is a sum with one nonzero term, so the values
+    # are those of apply on each E; only the signs of zeros can differ.
     d = ops.k_qubits + 1
     block = ops.block_diag
     stack = block.shape[:-2]
     m = len(stack)
-    # side[row, mu, nu, col] = |mu><nu|[row, col]
-    side = np.zeros((d, d, d, d), dtype=complex)
-    i = np.arange(d)
-    side[i[:, None], i[:, None], i, i] = 1.0
-    # rows[*S, (a, mu, nu)] = (B |mu><nu|)[a, :]
-    rows = (block @ side.reshape(d, d**3)).reshape(stack + (d**3, d))
+    # rows[*S, (a, mu, nu), col] = (B |mu><nu|)[a, col] = B[a, mu] [nu == col]
+    rows = (block[..., None, None] * np.eye(d)).reshape(stack + (d**3, d))
     out = (rows @ block.conj().swapaxes(-1, -2)).reshape(stack + (d, d, d, d))
     images = np.moveaxis(out, (m + 1, m + 2), (0, 1))
-    basis = side.transpose(1, 2, 0, 3)  # basis[mu, nu] = |mu><nu|
+    basis = np.eye(d * d, dtype=complex)  # row mu*d + nu is |mu><nu|
     _add_flow(ops, basis.reshape((d, d) + (1,) * m + (d, d)), images)
     return images
 
@@ -319,7 +297,7 @@ def completeness_residual(ops: PropagatorOps) -> float:
     _single(ops)
     d = ops.k_qubits + 1
     acc = ops.block_diag.conj().T @ ops.block_diag
-    if ops.flow_kind is FlowKind.OUT_OF_SUBSYSTEM:
+    if ops.dyn_class is DynClass.CONTAINS_EXCITED:
         acc[1:, 1:] += ops.flow_weight  # F^T F is flow * (all-ones q=1 block)
     else:
         acc[0, 0] += ops.k_qubits * ops.flow_weight + ops.ground_extra
@@ -344,6 +322,7 @@ def compose_residual(
     direct = apply(build_propagator(params, sel, t1, t2), rho)
     m1 = propagator_matrix(build_propagator(params, sel, 0.0, t1))
     m2 = propagator_matrix(build_propagator(params, sel, 0.0, t2))
-    rewound = np.linalg.pinv(m1, rcond=1e-10) @ vec(rho)
-    composed = unvec(m2 @ rewound, d)
+    # Column-stacked operators, as in propagator_matrix's column layout.
+    rewound = np.linalg.pinv(m1, rcond=1e-10) @ rho.reshape(-1, order="F")
+    composed = (m2 @ rewound).reshape(d, d, order="F")
     return float(np.abs(direct - composed).max())

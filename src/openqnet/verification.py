@@ -346,86 +346,86 @@ def bloch_fixed_point_residual(params: NetworkParams, t1, t2) -> float:
     return worst
 
 
-def check_amplitude_unitarity(params: NetworkParams, points: int = 400) -> CheckResult:
-    cases = product([params], _grid(params, points))
+def check_amplitude_unitarity(params: NetworkParams) -> CheckResult:
+    cases = product([params], _grid(params, 400))
     return worst_case("amplitude_unitarity", 1e-12, unitarity_residual, cases)
 
 
-def check_amplitude_oracle(params: NetworkParams, points: int = 100) -> CheckResult:
-    cases = product([params], _grid(params, points))
+def check_amplitude_oracle(params: NetworkParams) -> CheckResult:
+    cases = product([params], _grid(params, 100))
     return worst_case("amplitude_oracle", 1e-9, amplitude_oracle_residual, cases)
 
 
-def check_reduced_state_oracle(params: NetworkParams, points: int = 25) -> CheckResult:
-    cases = product([params], selectors(params), _grid(params, points))
+def check_reduced_state_oracle(params: NetworkParams) -> CheckResult:
+    cases = product([params], selectors(params), _grid(params, 25))
     return worst_case("reduced_state_oracle", 1e-9, reduced_state_residual, cases)
 
 
-def check_propagator_completeness(params: NetworkParams, samples: int = 100) -> CheckResult:
-    cases = _windows(params, selectors(params), samples)
+def check_propagator_completeness(params: NetworkParams) -> CheckResult:
+    cases = _windows(params, selectors(params), 100)
     return worst_case("propagator_completeness", 1e-10, completeness_residual, cases)
 
 
-def check_propagator_orbit(params: NetworkParams, samples: int = 100) -> CheckResult:
-    cases = _windows(params, selectors(params), samples)
+def check_propagator_orbit(params: NetworkParams) -> CheckResult:
+    cases = _windows(params, selectors(params), 100)
     return worst_case("propagator_orbit", 1e-9, orbit_residual, cases)
 
 
-def check_tomography_containing(params: NetworkParams, samples: int = 100) -> CheckResult:
-    cases = _windows(params, selectors(params, (C1,)), samples)
+def check_tomography_containing(params: NetworkParams) -> CheckResult:
+    cases = _windows(params, selectors(params, (C1,)), 100)
     return worst_case("tomography_containing", 1e-8, tomography_residual, cases)
 
 
-def check_orbit_oracle_excluding(params: NetworkParams, samples: int = 60) -> CheckResult:
-    cases = _windows(params, selectors(params, (C0,)), samples)
+def check_orbit_oracle_excluding(params: NetworkParams) -> CheckResult:
+    cases = _windows(params, selectors(params, (C0,)), 60)
     return worst_case("orbit_oracle_excluding", 1e-9, orbit_oracle_residual, cases)
 
 
-def check_composition(params: NetworkParams, samples: int = 40) -> CheckResult:
-    cases = _windows(params, selectors(params), samples)
+def check_composition(params: NetworkParams) -> CheckResult:
+    cases = _windows(params, selectors(params), 40)
     return worst_case("composition_residual", 1e-8, composition_residual, cases)
 
 
-def check_pcp_agreement(params: NetworkParams, samples: int = 2000) -> CheckResult:
+def check_pcp_agreement(params: NetworkParams) -> CheckResult:
     # A count, not a fold: the case reported is the first disagreement.
-    bad = pcp_disagreements(_windows(params, selectors(params), samples))
+    bad = pcp_disagreements(_windows(params, selectors(params), 2000))
     return _result("pcp_agreement_disagreements", len(bad), 0.0, bad[0] if bad else None)
 
 
-def check_trace_distance(params: NetworkParams, points: int = 40) -> CheckResult:
-    cases = product([params], selectors(params), _grid(params, points))
+def check_trace_distance(params: NetworkParams) -> CheckResult:
+    cases = product([params], selectors(params), _grid(params, 40))
     return worst_case("trace_distance_eigenroute", 1e-12, trace_distance_residual, cases)
 
 
-def check_entropy_symmetry(params: NetworkParams, points: int = 200) -> CheckResult:
-    grid = _grid(params, points)
+def check_entropy_symmetry(params: NetworkParams) -> CheckResult:
+    grid = _grid(params, 200)
     cases = ((params, *pair, t) for pair in complement_pairs(params) for t in grid)
     return worst_case("entropy_symmetry", 1e-12, entropy_symmetry_residual, cases)
 
 
-def check_conservation_relation(params: NetworkParams, samples: int = 60) -> CheckResult:
-    cases = _windows(params, selectors(params, (C0,)), samples)
+def check_conservation_relation(params: NetworkParams) -> CheckResult:
+    cases = _windows(params, selectors(params, (C0,)), 60)
     return worst_case("conservation_relation", 1e-10, conservation_relation_residual, cases)
 
 
-def check_fisher_oracle(params: NetworkParams, points: int = 8) -> CheckResult:
-    cases = fisher_cases(params, np.linspace(0.07, 0.93, points))
+def check_fisher_oracle(params: NetworkParams) -> CheckResult:
+    cases = fisher_cases(params, np.linspace(0.07, 0.93, 8))
     return worst_case("fisher_oracle_relative", 1e-4, fisher_oracle_residual, cases)
 
 
-def check_fisher_split(params: NetworkParams, points: int = 60) -> CheckResult:
-    cases = product([params], DynClass, (np.linspace(0.05, 1.95, points) * params.period).tolist())
+def check_fisher_split(params: NetworkParams) -> CheckResult:
+    cases = product([params], DynClass, (np.linspace(0.05, 1.95, 60) * params.period).tolist())
     return worst_case("fisher_split_identity", 1e-10, fisher_split_residual, cases)
 
 
-def check_inference_roundtrip(params: NetworkParams, samples: int = 20) -> CheckResult:
-    cases = roundtrip_windows(np.random.default_rng(RNG_SEED), params, samples)
+def check_inference_roundtrip(params: NetworkParams) -> CheckResult:
+    cases = roundtrip_windows(np.random.default_rng(RNG_SEED), params, 20)
     return worst_case("inference_roundtrip", 1e-8, roundtrip_residual, cases)
 
 
-def check_bloch_fixed_points(params: NetworkParams, samples: int = 60) -> CheckResult:
+def check_bloch_fixed_points(params: NetworkParams) -> CheckResult:
     rng = np.random.default_rng(RNG_SEED)
-    cases = ((params, *random_interval(rng, params, 1)) for _ in range(samples))
+    cases = ((params, *random_interval(rng, params, 1)) for _ in range(60))
     return worst_case("bloch_fixed_points", 1e-12, bloch_fixed_point_residual, cases)
 
 

@@ -236,3 +236,20 @@ def test_empty_time_array_gives_empty_stack():
     ops = build_propagator(params, sel, np.array([]), 0.7)
     assert ops.block_diag.shape == (0, 3, 3) and ops.ground_extra.shape == (0,)
     assert choi_matrix(ops).shape == (0, 9, 9)
+
+
+
+def test_fisher_past_float_range_equals_scalar_calls():
+    # At J = 1e-300, (d_J p)^2 ~ 1/J^2 leaves the float range: inf and nan
+    # cells, equal to the scalar calls, without a numpy warning (an error
+    # under this suite's warning filter).
+    params = NetworkParams(5, 1e-300)
+    t = np.linspace(0.0, 2.0, 41) * params.period
+    for cls in DynClass:
+        for sel in (SubsystemSelector(k, cls) for k in (1, 2, 4)):
+            for theta in GlobalParameter:
+                qfi = lambda s: qfi_closed_form(params, sel, theta, s)
+                check_broadcast(qfi, t[1:-1], exact=True)
+        split = lambda b: process_state_split(params, cls, 0.25 * params.period, b, rescaled=True)
+        assert np.isinf(split(t).total).any() and np.isnan(split(t).total).any()
+        check_broadcast(split, t, exact=True)

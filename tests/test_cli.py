@@ -279,6 +279,9 @@ CONTRACT_COMMANDS = (
     ("fisher-decomp", "--class", "1", "--t1", "0.25"),
     ("fisher-decomp", "--class", "0", "--t1", "0.25"),
     ("infer",),
+    # The information leaves the float range: inf and nan cells, no warning.
+    ("fisher", "--j", "1e-300"),
+    ("fisher-decomp", "--j", "1e-300", "--t1", "0.25"),
     # Finite, but N*J*t overflows; and non-finite window ends.
     ("flow", "--dt", "1e308"),
     ("bloch-domain", "--class", "0", "--dt", "1e308"),

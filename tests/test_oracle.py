@@ -22,13 +22,28 @@ from openqnet import (
     reduced_density_oracle,
     subsystem_sites,
 )
-from openqnet.linalg import basis_matrix, unvec, vec
 
 N5 = NetworkParams(5, 1.0)
 C1 = DynClass.CONTAINS_EXCITED
 C0 = DynClass.EXCLUDES_EXCITED
 HALF = math.pi / 5
 FULL = 2 * math.pi / 5
+
+
+def basis_matrix(dim, mu, nu):
+    # The operator-basis element |mu><nu|.
+    e = np.zeros((dim, dim), dtype=complex)
+    e[mu, nu] = 1.0
+    return e
+
+
+def vec(matrix):
+    # Column-stacking, the column layout of propagator_matrix.
+    return matrix.reshape(-1, order="F")
+
+
+def unvec(vector, dim):
+    return vector.reshape(dim, dim, order="F")
 
 
 def test_sites_choice():

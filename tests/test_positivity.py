@@ -18,7 +18,6 @@ from openqnet import (
     is_singular,
     positivity_transition_time,
 )
-from openqnet.linalg import basis_matrix, vec
 from openqnet.propagator import apply, propagator_matrix
 
 N5 = NetworkParams(5, 1.0)
@@ -26,6 +25,18 @@ C1 = DynClass.CONTAINS_EXCITED
 C0 = DynClass.EXCLUDES_EXCITED
 HALF = math.pi / 5
 FULL = 2 * math.pi / 5
+
+
+def basis_matrix(dim, mu, nu):
+    # The operator-basis element |mu><nu|.
+    e = np.zeros((dim, dim), dtype=complex)
+    e[mu, nu] = 1.0
+    return e
+
+
+def vec(matrix):
+    # Column-stacking, the column layout of propagator_matrix.
+    return matrix.reshape(-1, order="F")
 
 
 def test_choi_of_identity_map():
@@ -153,15 +164,21 @@ def test_choi_matrix_equals_kron_loop():
 
 
 def test_propagator_matrix_equals_per_basis_apply():
-    # Column nu*d + mu is vec(apply(ops, |mu><nu|)), equal in value.
-    for params, sel, _, singles in _stacked_cases():
+    # Column nu*d + mu is vec(apply(ops, |mu><nu|)), equal in value. At
+    # N = 17 (d = K+1 >= 17) a 1 MiB Choi chunk holds a single map.
+    cases = [(p, sel, ops) for p, sel, _, singles in _stacked_cases() for ops in singles]
+    n17 = NetworkParams(17, 1.0)
+    for sel in (SubsystemSelector(16, C1), SubsystemSelector(17, C1), SubsystemSelector(16, C0)):
+        for tau1, tau2 in ((0.2, 0.7), (0.6, 0.9)):  # dispersing, then backflow
+            ops = build_propagator(n17, sel, tau1 * n17.period, tau2 * n17.period)
+            cases.append((n17, sel, ops))
+    for params, sel, ops in cases:
         d = sel.k_qubits + 1
-        for ops in singles:
-            reference = np.zeros((d * d, d * d), dtype=complex)
-            for mu in range(d):
-                for nu in range(d):
-                    reference[:, nu * d + mu] = vec(apply(ops, basis_matrix(d, mu, nu)))
-            assert np.array_equal(propagator_matrix(ops), reference), (params, sel)
+        reference = np.zeros((d * d, d * d), dtype=complex)
+        for mu in range(d):
+            for nu in range(d):
+                reference[:, nu * d + mu] = vec(apply(ops, basis_matrix(d, mu, nu)))
+        assert np.array_equal(propagator_matrix(ops), reference), (params, sel, ops.t1, ops.t2)
 
 
 def test_stacked_apply_equals_per_operator_apply():

@@ -5,7 +5,6 @@ import pytest
 
 from openqnet import (
     DynClass,
-    FlowKind,
     NetworkParams,
     ParameterError,
     SingularIntervalError,
@@ -58,7 +57,6 @@ def test_single_qubit_elements():
     ops = build_propagator(N5, SubsystemSelector(1, C1), 0.0, HALF)
     assert ops.block_diag[1, 1] == pytest.approx(-0.6, abs=1e-13)
     assert ops.flow_weight == pytest.approx(0.64, abs=1e-13)
-    assert ops.flow_kind is FlowKind.OUT_OF_SUBSYSTEM
 
     ops = build_propagator(N5, SubsystemSelector(1, C1), HALF, FULL)
     assert ops.block_diag[1, 1] == pytest.approx(-5 / 3, abs=1e-13)
