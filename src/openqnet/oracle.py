@@ -136,14 +136,14 @@ def dynamical_map_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> np
 
 
 def propagator_oracle(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> np.ndarray:
-    """Tomographic two-time propagator: map(t2) composed with pinv(map(t1)).
+    """Tomographic two-time propagator: map(t2) composed with map(t1)^-1.
 
-    The pseudo-inverse uses the same singular-value cutoff (1e-10) as the
-    closed-form composition check.
+    The inverse is an LU solve on the one-time map, X map(t1) = map(t2). The
+    anchor test guarantees it exists: it refuses t1 before any map is built.
     """
     t1 = _check_time(t1, "t1")
     t2 = _check_time(t2, "t2")
     _check_anchor(params, sel.k_qubits, sel.dyn_class is DynClass.CONTAINS_EXCITED, t1)
     m1 = dynamical_map_oracle(params, sel, t1)
     m2 = dynamical_map_oracle(params, sel, t2)
-    return m2 @ np.linalg.pinv(m1, rcond=1e-10)
+    return np.linalg.solve(m1.T, m2.T).T  # plain transpose: X m1 = m2

@@ -13,6 +13,7 @@ from openqnet import (
     UnsupportedOracleError,
     bilinear_partial_trace,
     build_propagator,
+    compose_residual,
     dynamical_map_oracle,
     global_state,
     is_singular,
@@ -248,6 +249,32 @@ def test_propagator_oracle_singular_anchor():
     params = NetworkParams(6, 1.0)
     with pytest.raises(SingularIntervalError):
         propagator_oracle(params, SubsystemSelector(3, C1), math.pi / 6, 0.8)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_anchor_test_guarantees_the_inverse(n):
+    # Anchors 1e-2 down to 4e-5 periods to either side of odd half-periods,
+    # every containing-class K (the K = N/2 maps are the near-singular ones):
+    # whatever the anchor test accepts, the LU solves of the tomography oracle
+    # and of compose_residual succeed, and the oracle stays within round-off
+    # of the SVD pseudo-inverse route, relative to cond(map(t1)).
+    params = NetworkParams(n, 1.0)
+    rng = np.random.default_rng(97 + n)
+    for k in range(1, n):
+        sel = SubsystemSelector(k, C1)
+        rho = np.eye(k + 1, dtype=complex) / (k + 1)
+        for half in (0.5, 1.5):
+            for eps in (1e-2, 1e-3, 1e-4, 4e-5):
+                for t1 in ((half - eps) * params.period, (half + eps) * params.period):
+                    assert not is_singular(params, k, t1)
+                    t2 = float(rng.uniform(0, 2 * params.period))
+                    got = propagator_oracle(params, sel, t1, t2)
+                    m1 = dynamical_map_oracle(params, sel, t1)
+                    ref = dynamical_map_oracle(params, sel, t2) @ np.linalg.pinv(m1, rcond=1e-10)
+                    scale = np.linalg.cond(m1) * np.finfo(float).eps * np.abs(ref).max()
+                    assert np.isfinite(got).all()
+                    assert np.abs(got - ref).max() <= 100 * scale, (k, t1, t2)
+                    assert math.isfinite(compose_residual(params, sel, t1, t2, rho))
 
 
 def test_excluding_class_orbit_agreement():
