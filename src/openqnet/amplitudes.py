@@ -238,16 +238,25 @@ def q1_unitary_oracle(params: NetworkParams, t) -> np.ndarray:
     computed once per network (N, J) and reused while the calls stay on
     it. The result is an N x N unitary whose diagonal entries all equal
     u_s(t) and whose off-diagonal entries all equal u_d(t).
+
+    An ndarray ``t`` of shape S gives a ``(*S, N, N)`` stack: one matrix
+    product per time, each equal bit for bit to the scalar call. An array
+    is refused exactly as its first refusing element would be.
     """
-    t = _check_time(t)
+    try:
+        times = _check_time(t, "t", True)
+        _phase(params.n_qubits, params.coupling, times)
+    except ParameterError:
+        _replay(q1_unitary_oracle, params, t)
+        raise
     n = params.n_qubits
-    _phase(n, params.coupling, t)
     if n > ORACLE_MAX_QUBITS:
         raise SizeLimitError(
             f"dense exponentiation guarded at N <= {ORACLE_MAX_QUBITS}, got N={n}"
         )
     eigenvalues, vectors = _generator_eigh(n, params.coupling)
-    return (vectors * np.exp(-1j * t * eigenvalues)) @ vectors.T
+    phases = np.exp(-1j * np.asarray(times)[..., None] * eigenvalues)
+    return (vectors * phases[..., None, :]) @ vectors.T
 
 
 @functools.lru_cache(maxsize=1)

@@ -13,6 +13,12 @@ amplitudes (psi_0, psi_s1, ..., psi_sK) with chi's conjugated, plus the
 environment inner product sum_e psi_e conj(chi_e) on the ground entry
 [0, 0]; one helper does this for all ket/bra pairs of two stacks at once.
 
+The unitary, the reduced density, the one-time map and the two-time
+propagator also take an ndarray of times and give a stack of matrices
+along leading axes, each equal bit for bit to the scalar call: the stack
+runs one matrix product or LU solve per element, just as the scalar call
+runs one. ``verify`` evaluates its oracle rows that way, per selector.
+
 Map tomography is supported for subsystems containing the excited qubit:
 with the environment in its ground state, every local q <= 1 input keeps
 the global state inside q <= 1. For the excluding class, local excited
@@ -28,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _check_time, q1_unitary_oracle
-from .errors import ParameterError, UnsupportedOracleError
+from .amplitudes import NetworkParams, _check_time, _replay, q1_unitary_oracle
+from .errors import OpenQNetError, ParameterError, SizeLimitError, UnsupportedOracleError
 from .propagator import _check_anchor
 from .states import DynClass, SubsystemSelector
 
@@ -67,14 +73,19 @@ def subsystem_sites(params: NetworkParams, sel: SubsystemSelector) -> tuple[int,
 
 
 def _partial_traces(kets: np.ndarray, bras: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
-    # Tr_env |ket_m><bra_n| for all rows m, n, shape (M, B, K+1, K+1). A row is
-    # one global vector: column 0 its q0 amplitude, column 1 + i site i's.
+    # Tr_env |ket_m><bra_n| for all rows m, n of a (*S, M, N+1) and a
+    # (*S, B, N+1) stack, shape (*S, M, B, K+1, K+1). A row is one global
+    # vector: column 0 its q0 amplitude, column 1 + i site i's. The
+    # environment sums are one matrix product per stack element.
     local = [0, *(i + 1 for i in sites)]
-    env = np.ones(kets.shape[1], dtype=bool)
+    env = np.ones(kets.shape[-1], dtype=bool)
     env[local] = False
+    env = np.flatnonzero(env)
     bras = bras.conj()
-    out = kets[:, None, local, None] * bras[None, :, None, local]
-    out[:, :, 0, 0] += kets[:, env] @ bras[:, env].T
+    out = kets[..., :, None, local, None] * bras[..., None, :, None, local]
+    # take() keeps each row contiguous, so every stack element's product
+    # reads its operands as a lone call does and rounds alike.
+    out[..., 0, 0] += kets.take(env, axis=-1) @ bras.take(env, axis=-1).swapaxes(-1, -2)
     return out
 
 
@@ -98,12 +109,19 @@ def reduced_density_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> 
 
     The single-excitation amplitudes are propagated with the dense unitary
     of ``q1_unitary_oracle``, then |psi(t)><psi(t)| is partial-traced
-    onto the subsystem's sites.
+    onto the subsystem's sites. An ndarray ``t`` of shape S gives a
+    ``(*S, K+1, K+1)`` stack, each matrix equal bit for bit to the scalar
+    call; an array is refused exactly as its first refusing element would be.
     """
-    t = _check_time(t)
-    unitary = q1_unitary_oracle(params, t)  # also enforces the size guard
-    evolved = np.concatenate(([0.0], unitary[:, 0]))[None]
-    return _partial_traces(evolved, evolved, subsystem_sites(params, sel))[0, 0]
+    try:
+        unitary = q1_unitary_oracle(params, t)  # also enforces the size guard
+        sites = subsystem_sites(params, sel)
+    except OpenQNetError:
+        _replay(reduced_density_oracle, params, sel, t)
+        raise
+    evolved = np.zeros(unitary.shape[:-2] + (1, params.n_qubits + 1), dtype=complex)
+    evolved[..., 0, 1:] = unitary[..., :, 0]
+    return _partial_traces(evolved, evolved, sites)[..., 0, 0, :, :]
 
 
 def dynamical_map_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> np.ndarray:
@@ -112,27 +130,39 @@ def dynamical_map_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> np
     Each local basis operator |mu><nu| is tensored with the environment
     ground state, evolved inside the global q <= 1 sector (ground phase is
     unity), and traced back. Column ``nu*d + mu`` is the column-stacked
-    image of |mu><nu|, as in :func:`openqnet.propagator_matrix`.
+    image of |mu><nu|, as in :func:`openqnet.propagator_matrix`. An ndarray
+    ``t`` of shape S gives a ``(*S, d*d, d*d)`` stack, each matrix equal bit
+    for bit to the scalar call; an array is refused exactly as its first
+    refusing element would be. Above ``TOMOGRAPHY_MAX_QUBITS`` it raises
+    :class:`SizeLimitError`.
     """
-    sel.validate(params)
-    t = _check_time(t)
-    if sel.dyn_class is not DynClass.CONTAINS_EXCITED:
-        raise UnsupportedOracleError(
-            "map tomography needs the environment in its ground state; "
-            "excluding-class inputs would enter the two-excitation sector"
-        )
-    if params.n_qubits > TOMOGRAPHY_MAX_QUBITS:
-        raise ParameterError(
-            f"tomography guarded at N <= {TOMOGRAPHY_MAX_QUBITS}, got N={params.n_qubits}"
-        )
+    try:
+        sel.validate(params)
+        times = _check_time(t, "t", True)
+        if sel.dyn_class is not DynClass.CONTAINS_EXCITED:
+            raise UnsupportedOracleError(
+                "map tomography needs the environment in its ground state; "
+                "excluding-class inputs would enter the two-excitation sector"
+            )
+        if params.n_qubits > TOMOGRAPHY_MAX_QUBITS:
+            raise SizeLimitError(
+                f"tomography guarded at N <= {TOMOGRAPHY_MAX_QUBITS}, got N={params.n_qubits}"
+            )
+        unitary = q1_unitary_oracle(params, times)
+    except OpenQNetError:
+        _replay(dynamical_map_oracle, params, sel, t)
+        raise
     n, d = params.n_qubits, sel.k_qubits + 1
-    unitary = q1_unitary_oracle(params, t)
+    stack = unitary.shape[:-2]
     # Row mu: the evolved |mu> (x) env ground; |0> stays put, |mu> is column mu-1.
-    evolved = np.eye(d, n + 1, dtype=complex)
-    evolved[1:, 1:] = unitary[:, : d - 1].T
-    # blocks[mu, nu] = Tr_env of the image of |mu><nu|
+    evolved = np.zeros(stack + (d, n + 1), dtype=complex)
+    evolved[..., 0, 0] = 1.0
+    evolved[..., 1:, 1:] = unitary[..., :, : d - 1].swapaxes(-1, -2)
+    # blocks[*S, mu, nu] = Tr_env of the image of |mu><nu|
     blocks = _partial_traces(evolved, evolved, subsystem_sites(params, sel))
-    return blocks.transpose(3, 2, 1, 0).reshape(d * d, d * d)
+    m = len(stack)
+    blocks = blocks.transpose(*range(m), m + 3, m + 2, m + 1, m)
+    return blocks.reshape(stack + (d * d, d * d))
 
 
 def propagator_oracle(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> np.ndarray:
@@ -140,10 +170,18 @@ def propagator_oracle(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> 
 
     The inverse is an LU solve on the one-time map, X map(t1) = map(t2). The
     anchor test guarantees it exists: it refuses t1 before any map is built.
+    An ndarray ``t1`` or ``t2`` gives a stack over their broadcast shape,
+    with one batched ``np.linalg.solve``, each matrix equal bit for bit to
+    the scalar call; an array is refused exactly as its first refusing
+    element would be.
     """
-    t1 = _check_time(t1, "t1")
-    t2 = _check_time(t2, "t2")
-    _check_anchor(params, sel.k_qubits, sel.dyn_class is DynClass.CONTAINS_EXCITED, t1)
-    m1 = dynamical_map_oracle(params, sel, t1)
-    m2 = dynamical_map_oracle(params, sel, t2)
-    return np.linalg.solve(m1.T, m2.T).T  # plain transpose: X m1 = m2
+    try:
+        s1, s2 = _check_time(t1, "t1", True), _check_time(t2, "t2", True)
+        _check_anchor(params, sel.k_qubits, sel.dyn_class is DynClass.CONTAINS_EXCITED, s1)
+        m1 = dynamical_map_oracle(params, sel, s1)
+        m2 = dynamical_map_oracle(params, sel, s2)
+    except OpenQNetError:
+        _replay(propagator_oracle, params, sel, t1, t2)
+        raise
+    # Plain transposes: X m1 = m2.
+    return np.linalg.solve(m1.swapaxes(-1, -2), m2.swapaxes(-1, -2)).swapaxes(-1, -2)

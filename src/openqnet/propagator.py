@@ -277,15 +277,25 @@ def _single(ops: PropagatorOps) -> None:
         )
 
 
+def _max_entry(diff: np.ndarray):
+    # Largest |entry| of each matrix of a (*S, D, D) stack: an array of
+    # shape S, or a float for one matrix.
+    worst = np.abs(diff).max(axis=(-2, -1))
+    return worst if worst.ndim else float(worst)
+
+
 def propagator_matrix(ops: PropagatorOps) -> np.ndarray:
     """Matrix of the propagator on column-stacked (K+1)x(K+1) operators.
 
     Column ``nu*d + mu`` is vec(Phi[|mu><nu|]), with vec stacking columns.
-    Takes one propagator; a stack is refused.
+    Stacked ops of shape S give a ``(*S, d*d, d*d)`` stack, each matrix
+    equal bit for bit to the one of its propagator alone.
     """
-    _single(ops)
     d = ops.k_qubits + 1
-    return _basis_images(ops).transpose(3, 2, 1, 0).reshape(d * d, d * d)
+    images = _basis_images(ops)  # (mu, nu, *S, a, b)
+    m = images.ndim - 4
+    matrices = images.transpose(*range(2, m + 2), m + 3, m + 2, 1, 0)
+    return matrices.reshape(images.shape[2:-2] + (d * d, d * d))
 
 
 def completeness_residual(ops: PropagatorOps) -> float:
@@ -313,16 +323,27 @@ def compose_residual(
     where the inverse is an LU solve with the one-time map's matrix on the
     operator space; the anchor test guarantees it exists. Returns the
     max-entry absolute deviation.
+
+    An ndarray ``t1`` or ``t2`` gives an array over the windows, with one
+    batched ``np.linalg.solve``; ``test_density`` may then be a
+    ``(*R, K+1, K+1)`` stack, broadcast with the windows. Each value equals
+    its scalar call bit for bit, and an array is refused exactly as its
+    first refusing element would be.
     """
-    t1, t2 = _window(params, sel, t1, t2)  # the one-time map must invert at t1
+    try:
+        t1, t2 = _window(params, sel, t1, t2, True)  # the one-time map must invert at t1
+    except OpenQNetError:
+        _replay(_window, params, sel, t1, t2)
+        raise
     d = sel.k_qubits + 1
     rho = np.asarray(test_density, dtype=complex)
-    if rho.shape != (d, d):
+    if rho.shape[-2:] != (d, d):
         raise ParameterError(f"test density must be {d}x{d}, got shape {rho.shape}")
-    direct = apply(build_propagator(params, sel, t1, t2), rho)
-    m1 = propagator_matrix(build_propagator(params, sel, 0.0, t1))
-    m2 = propagator_matrix(build_propagator(params, sel, 0.0, t2))
+    direct = apply(_build(params, sel, t1, t2), rho)
+    # Both one-time maps from one stack (0 is never an anchor).
+    m1, m2 = propagator_matrix(_build(params, sel, 0.0, np.stack(np.broadcast_arrays(t1, t2))))
     # Column-stacked operators, as in propagator_matrix's column layout.
-    rewound = np.linalg.solve(m1, rho.reshape(-1, order="F"))
-    composed = (m2 @ rewound).reshape(d, d, order="F")
-    return float(np.abs(direct - composed).max())
+    stacked = rho.swapaxes(-1, -2).reshape(rho.shape[:-2] + (d * d, 1))
+    rewound = np.linalg.solve(m1, stacked)
+    composed = (m2 @ rewound).reshape(rewound.shape[:-2] + (d, d)).swapaxes(-1, -2)
+    return _max_entry(direct - composed)

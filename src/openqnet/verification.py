@@ -4,13 +4,19 @@ Every check compares an analytic closed form against an independent route
 (dense exponential, partial trace, map tomography, finite-difference SLD,
 or an exact algebraic identity) and reports the worst residual seen. The
 checks share one engine: a public per-case residual for each comparison,
-one seeded stream of windows, and one worst-case fold (``worst_case``) that
-keeps the case where the worst residual sits and fails on a NaN residual.
-The four-route positivity comparison is one grouped routine,
-``pcp_disagreements``, which evaluates the windows in stacks per selector.
-The acceptance suite calls the same residuals, fold and routine over its
-own seeded cases. All sampling uses a fixed seed so repeated runs are
-byte-identical.
+one seeded stream of windows, and one worst-case fold that keeps the case
+where the worst residual sits and fails on a NaN residual.
+
+The residuals that read a dense oracle, and the trace-distance one, also
+take arrays of times for one selector and return an array, each value
+equal bit for bit to its scalar call. Their checks, and the four-route
+positivity comparison ``pcp_disagreements``, run through one grouped
+routine, ``grouped_values``: it groups the cases by network and selector,
+evaluates each group in stacks of bounded size and returns the values in
+the order the cases came. ``grouped_worst_case`` folds them as
+``worst_case`` folds the per-case calls. The acceptance suite calls the
+same residuals, folds and routine over its own seeded cases. All sampling
+uses a fixed seed so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,13 +35,17 @@ from . import bloch, fisher, inference, oracle, positivity, propagator, states
 from .amplitudes import NetworkParams, amplitudes, q1_unitary_oracle, unitarity_residuals
 from .errors import DegenerateStateError, IndeterminateFlowError
 from .fisher import GlobalParameter, _p_dp_single_qubit
+from .propagator import _max_entry
 from .states import DynClass, SubsystemSelector
 
 RNG_SEED = 0
-# Bytes of Choi stack that pcp_disagreements builds at once. With it the
-# peak RSS of check_pcp_agreement at N=8 rises 2.5 MB over the per-case
-# loop; 4 MiB adds 10 MB, whole unchunked groups 32 MB, at the same speed.
-_CHOI_STACK_BYTES = 1 << 20
+# Bytes of arrays that one stack of grouped_values holds at once, as each
+# row counts them per window. Set for pcp_agreement's Choi stacks: 4 MiB
+# adds 10 MB of peak RSS at N=8, whole unchunked groups 32 MB, at the same
+# speed. Traced peaks at N=8 under this cap: check_pcp_agreement 2.94 MB,
+# check_composition 1.19 MB, check_tomography_containing 0.88 MB, the
+# other grouped rows at most 0.23 MB.
+_STACK_BYTES = 1 << 20
 C1, C0 = DynClass.CONTAINS_EXCITED, DynClass.EXCLUDES_EXCITED
 
 
@@ -61,14 +71,60 @@ def worst_case(
     comparison has nothing to say at that case and is skipped. A NaN
     residual ends the fold and is reported, so the check fails.
     """
+    return _fold(name, tolerance, ((case, residual(*case)) for case in cases))
+
+
+def grouped_worst_case(
+    name: str, tolerance: float, residual: Callable, cases: Iterable[tuple], entries: Callable
+) -> CheckResult:
+    """``worst_case`` of a residual that broadcasts over arrays of times.
+
+    The (params, selector, *times) cases are evaluated in stacks by
+    :func:`grouped_values`, with ``entries`` its per-window size, and
+    folded in the order they came, so the result equals ``worst_case``'s.
+    """
+    cases = list(cases)
+    return _fold(name, tolerance, zip(cases, grouped_values(cases, residual, entries)))
+
+
+def _fold(name: str, tolerance: float, values: Iterable[tuple]) -> CheckResult:
+    # The (case, value) pairs' fold: the first largest value wins, and a NaN
+    # value wins and ends it.
     worst, at = 0.0, None
-    for case in cases:
-        value = residual(*case)
+    for case, value in values:
         if value is not None and (at is None or not value <= worst):  # larger, or NaN
             worst, at = value, case
             if math.isnan(value):
                 break
     return _result(name, worst, tolerance, at)
+
+
+def grouped_values(cases: list[tuple], evaluate: Callable, entries: Callable) -> list:
+    """The values of ``evaluate`` on the (params, selector, *times) cases,
+    in the order the cases come.
+
+    The cases are grouped by network and selector, and each group is cut
+    into chunks that ``evaluate(params, sel, *time_arrays)`` takes as one
+    stack, returning one value per window. ``entries(N, K+1)`` counts the
+    complex entries that the row holds per window; a chunk holds at most
+    ``_STACK_BYTES`` (1 MiB) of them, and at least one window. A chunk of
+    one window is passed as floats: the scalar call, which equals a stack
+    of one bit for bit without paying for the stack's validation.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, (params, sel, *_) in enumerate(cases):
+        groups.setdefault((params, sel), []).append(i)
+    values: list = [None] * len(cases)
+    for (params, sel), members in groups.items():
+        per_window = 16 * entries(params.n_qubits, sel.k_qubits + 1)
+        size = max(1, _STACK_BYTES // per_window)
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            times = [cases[i][2:] for i in chunk]
+            args = times[0] if len(chunk) == 1 else map(np.array, zip(*times))
+            for i, value in zip(chunk, np.atleast_1d(evaluate(params, sel, *args))):
+                values[i] = value
+    return values
 
 
 def selectors(params: NetworkParams, dyn_classes=(C1, C0)) -> list[SubsystemSelector]:
@@ -115,8 +171,24 @@ def describe_case(case: tuple) -> str:
     return " ".join(parts) + " periods"
 
 
-def _closed_density(params: NetworkParams, sel: SubsystemSelector, t) -> np.ndarray:
-    return states.materialize_density(states.reduced_state(params, sel, t))
+def _closed_density(
+    params: NetworkParams, sel: SubsystemSelector, t, state: Callable = states.reduced_state
+) -> np.ndarray:
+    # The closed-form density at t, or a (*S, K+1, K+1) stack over an array
+    # t from one scalar ``state`` call per element, as build_propagator
+    # builds a stack, so that each matrix is its scalar call's.
+    d = sel.k_qubits + 1
+    rows = [states.materialize_density(state(params, sel, s)) for s in np.ravel(t).tolist()]
+    return np.array(rows, dtype=complex).reshape(np.shape(t) + (d, d))
+
+
+def _limit_state(params: NetworkParams, sel: SubsystemSelector, t) -> states.ReducedState:
+    # The closed-form state, or at N=2 the documented limit state where the
+    # excitation probability vanishes.
+    try:
+        return states.reduced_state(params, sel, t)
+    except DegenerateStateError as exc:
+        return states.ReducedState(0.0, exc.limit_direction, sel.k_qubits, sel.dyn_class)
 
 
 def unitarity_residual(params: NetworkParams, t) -> float:
@@ -134,13 +206,11 @@ def amplitude_oracle_residual(params: NetworkParams, t) -> float:
 
 
 def reduced_state_residual(params: NetworkParams, sel: SubsystemSelector, t) -> float:
-    """Closed-form reduced density against the partial-trace oracle at t."""
-    try:
-        state = states.reduced_state(params, sel, t)
-    except DegenerateStateError as exc:  # N=2: compare the documented limit state
-        state = states.ReducedState(0.0, exc.limit_direction, sel.k_qubits, sel.dyn_class)
-    dense = states.materialize_density(state)
-    return float(np.abs(dense - oracle.reduced_density_oracle(params, sel, t)).max())
+    """Closed-form reduced density against the partial-trace oracle at t,
+    or an array of them over an array t. At N=2 the limit state stands in
+    where the excitation probability vanishes."""
+    dense = _closed_density(params, sel, t, _limit_state)
+    return _max_entry(dense - oracle.reduced_density_oracle(params, sel, t))
 
 
 def completeness_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
@@ -156,20 +226,23 @@ def orbit_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> flo
 
 
 def tomography_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
-    """Closed-form propagator matrix against map tomography over [t1, t2]."""
+    """Closed-form propagator matrix against map tomography over [t1, t2],
+    or an array of them over arrays of times."""
     closed = propagator.propagator_matrix(propagator.build_propagator(params, sel, t1, t2))
-    return float(np.abs(closed - oracle.propagator_oracle(params, sel, t1, t2)).max())
+    return _max_entry(closed - oracle.propagator_oracle(params, sel, t1, t2))
 
 
 def orbit_oracle_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
-    """The propagator moves the oracle's state at t1 onto the oracle's state at t2."""
+    """The propagator moves the oracle's state at t1 onto the oracle's state
+    at t2; an array of residuals over arrays of times."""
     ops = propagator.build_propagator(params, sel, t1, t2)
     moved = propagator.apply(ops, oracle.reduced_density_oracle(params, sel, t1))
-    return float(np.abs(moved - oracle.reduced_density_oracle(params, sel, t2)).max())
+    return _max_entry(moved - oracle.reduced_density_oracle(params, sel, t2))
 
 
 def composition_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
-    """Propagator composition residual, acting on the closed-form state at t1."""
+    """Propagator composition residual, acting on the closed-form state at
+    t1; an array of residuals over an array t1 (and t2 of its shape)."""
     return propagator.compose_residual(params, sel, t1, t2, _closed_density(params, sel, t1))
 
 
@@ -179,24 +252,13 @@ def pcp_disagreements(cases: Iterable[tuple]) -> list[tuple]:
 
     The routes are the flow sign, the closed-form Choi spectrum, the trace
     distance and the dense Choi matrix, each decided at ``VERDICT_TOL``.
-    The cases are grouped by network and selector and evaluated in stacks:
-    one stacked propagator, one stacked dense Choi matrix and one Cholesky
-    PSD test per matrix (:func:`choi_psd`). A stack holds at most
-    ``_CHOI_STACK_BYTES`` (1 MiB) of Choi matrices, and at least one.
+    The cases are evaluated by :func:`grouped_values` in stacks of at most
+    1 MiB of Choi matrices: one stacked propagator, one stacked dense Choi
+    matrix and one Cholesky PSD test per matrix (:func:`choi_psd`).
     """
     cases = list(cases)
-    groups: dict[tuple, list[int]] = {}
-    for i, (params, sel, _, _) in enumerate(cases):
-        groups.setdefault((params, sel), []).append(i)
-    bad = []
-    for (params, sel), members in groups.items():
-        size = max(1, _CHOI_STACK_BYTES // (16 * (sel.k_qubits + 1) ** 4))
-        for start in range(0, len(members), size):
-            chunk = members[start : start + size]
-            t1, t2 = (np.array([cases[i][j] for i in chunk]) for j in (2, 3))
-            agree = _pcp_agree(params, sel, t1, t2)
-            bad += [i for i, ok in zip(chunk, agree) if not ok]
-    return [cases[i] for i in sorted(bad)]
+    agree = grouped_values(cases, _pcp_agree, lambda n, d: d**4)
+    return [case for case, ok in zip(cases, agree) if not ok]
 
 
 def _pcp_agree(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> np.ndarray:
@@ -237,13 +299,17 @@ def choi_psd(choi: np.ndarray, tol: float) -> np.ndarray:
 
 
 def trace_distance_residual(params: NetworkParams, sel: SubsystemSelector, t) -> float:
-    """Closed-form trace distance to |0><0| against the eigenvalue route at t."""
-    state = states.reduced_state(params, sel, t)
-    rho = states.materialize_density(state)
-    fixed = np.zeros_like(rho)
+    """Closed-form trace distance to |0><0| against the eigenvalue route at
+    t, or an array of them over an array t (one batched ``eigvalsh``)."""
+    closed = [states.reduced_state(params, sel, s) for s in np.ravel(t).tolist()]
+    d = sel.k_qubits + 1
+    rho = np.array([states.materialize_density(state) for state in closed])
+    fixed = np.zeros((d, d), dtype=complex)
     fixed[0, 0] = 1.0
-    eig_route = 0.5 * float(np.abs(np.linalg.eigvalsh(rho - fixed)).sum())
-    return abs(states.trace_distance_to_fixed(state) - eig_route)
+    eig_route = 0.5 * np.abs(np.linalg.eigvalsh(rho - fixed)).sum(axis=-1)
+    distance = np.array([states.trace_distance_to_fixed(state) for state in closed])
+    residual = np.abs(distance - eig_route).reshape(np.shape(t))
+    return residual if residual.ndim else float(residual)
 
 
 def entropy_symmetry_residual(
@@ -358,7 +424,8 @@ def check_amplitude_oracle(params: NetworkParams) -> CheckResult:
 
 def check_reduced_state_oracle(params: NetworkParams) -> CheckResult:
     cases = product([params], selectors(params), _grid(params, 25))
-    return worst_case("reduced_state_oracle", 1e-9, reduced_state_residual, cases)
+    entries = lambda n, d: 2 * n * n + 3 * d * d  # two N x N products, three densities
+    return grouped_worst_case("reduced_state_oracle", 1e-9, reduced_state_residual, cases, entries)
 
 
 def check_propagator_completeness(params: NetworkParams) -> CheckResult:
@@ -373,17 +440,22 @@ def check_propagator_orbit(params: NetworkParams) -> CheckResult:
 
 def check_tomography_containing(params: NetworkParams) -> CheckResult:
     cases = _windows(params, selectors(params, (C1,)), 100)
-    return worst_case("tomography_containing", 1e-8, tomography_residual, cases)
+    # Closed form, two maps, the solve and the gap; the N x N unitary and its
+    # operand, and the evolved rows with their conjugate and environment parts.
+    entries = lambda n, d: 5 * d**4 + 2 * n * n + 4 * d * (n + 1)
+    return grouped_worst_case("tomography_containing", 1e-8, tomography_residual, cases, entries)
 
 
 def check_orbit_oracle_excluding(params: NetworkParams) -> CheckResult:
     cases = _windows(params, selectors(params, (C0,)), 60)
-    return worst_case("orbit_oracle_excluding", 1e-9, orbit_oracle_residual, cases)
+    entries = lambda n, d: 2 * n * n + 5 * d * d  # two N x N products, five densities
+    return grouped_worst_case("orbit_oracle_excluding", 1e-9, orbit_oracle_residual, cases, entries)
 
 
 def check_composition(params: NetworkParams) -> CheckResult:
     cases = _windows(params, selectors(params), 40)
-    return worst_case("composition_residual", 1e-8, composition_residual, cases)
+    entries = lambda n, d: 4 * d**4  # both one-time maps, built as one stack
+    return grouped_worst_case("composition_residual", 1e-8, composition_residual, cases, entries)
 
 
 def check_pcp_agreement(params: NetworkParams) -> CheckResult:
@@ -394,7 +466,10 @@ def check_pcp_agreement(params: NetworkParams) -> CheckResult:
 
 def check_trace_distance(params: NetworkParams) -> CheckResult:
     cases = product([params], selectors(params), _grid(params, 40))
-    return worst_case("trace_distance_eigenroute", 1e-12, trace_distance_residual, cases)
+    entries = lambda n, d: 2 * d * d  # the densities and eigvalsh's copy
+    return grouped_worst_case(
+        "trace_distance_eigenroute", 1e-12, trace_distance_residual, cases, entries
+    )
 
 
 def check_entropy_symmetry(params: NetworkParams) -> CheckResult:

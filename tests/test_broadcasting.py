@@ -12,8 +12,12 @@ side of them (across ``ANCHOR_RTOL``, which refuses within about 3.2e-5
 periods), and period points on the grid.
 
 A stack of propagators built from arrays of times must equal the scalar
-builds bit for bit, and so must its Choi matrices and its action on a
-density; functions that take one propagator must refuse a stack.
+builds bit for bit, and so must its Choi matrices, its matrices on the
+operator space and its action on a density; functions that take one
+propagator must refuse a stack. The dense oracles, the composition residual
+and the residuals of ``verify``'s grouped rows must equal their scalar
+calls bit for bit over an array of times, and refuse an array as its first
+refusing element does.
 """
 
 import math
@@ -29,6 +33,7 @@ from openqnet import (
     NetworkParams,
     OpenQNetError,
     SubsystemSelector,
+    UnsupportedOracleError,
     affine_map,
     ParameterError,
     amplitudes,
@@ -40,14 +45,19 @@ from openqnet import (
     classify,
     completeness_residual,
     compose_residual,
+    dynamical_map_oracle,
     entanglement_entropy,
     excitation_probability,
     flow_amplitude,
     physical_bloch_z,
     process_state_split,
     propagator_matrix,
+    propagator_oracle,
+    q1_unitary_oracle,
     qfi_closed_form,
+    reduced_density_oracle,
 )
+from openqnet import verification as v
 
 RTOL = 1e-13
 ATOL = 1e-15
@@ -218,17 +228,109 @@ def test_stacked_propagator_equals_scalar_builds(network, tau2, tau1):
 
 
 def test_single_propagator_functions_refuse_stacks():
+    # propagator_matrix and compose_residual take stacks (see below).
     params = NetworkParams(5, 1.0)
     t1 = np.array([0.1, 0.2])
     for sel in (SubsystemSelector(2, cls) for cls in DynClass):
         ops = build_propagator(params, sel, t1, 0.7)
-        for single in (completeness_residual, propagator_matrix):
-            with pytest.raises(ParameterError, match="stack of shape"):
-                single(ops)
+        with pytest.raises(ParameterError, match="stack of shape"):
+            completeness_residual(ops)
         with pytest.raises(ParameterError, match="t1 must be a real number"):
             classify(params, sel, t1, 0.7)
-        with pytest.raises(ParameterError, match="t1 must be a real number"):
-            compose_residual(params, sel, t1, 0.7, np.eye(3) / 3)
+
+
+def same_as_scalar_calls(call, *times, density=None):
+    """``call(*times)`` over arrays against the array of its scalar calls.
+
+    The times are broadcast together to a shape S; ``density``, if given,
+    is a ``(*S, d, d)`` stack passed last, one matrix per window. Either
+    the stacked call equals the scalar calls bit for bit and None is
+    returned, or it raises the first refusing element's error, message
+    included, and that error is returned.
+    """
+    shape = np.broadcast_shapes(*(np.shape(a) for a in times))
+    grids = [np.broadcast_to(a, shape) for a in times]
+    extra = () if density is None else (density,)
+    singles = []
+    for i in np.ndindex(shape):
+        element = [grid[i].item() for grid in grids] + [x[i] for x in extra]
+        try:
+            singles.append(call(*element))
+        except OpenQNetError as refusal:
+            with pytest.raises(type(refusal)) as info:
+                call(*times, *extra)
+            assert str(info.value) == str(refusal)
+            return refusal
+    got = call(*times, *extra)
+    want = np.array(singles)
+    assert got.shape == shape + want.shape[1:]
+    assert same_bits(got.reshape(want.shape), want)
+    return None
+
+
+def oracle_selectors(n):
+    """Containing K = 1, N/2 and N, excluding K = 1 and N-1."""
+    c1, c0 = DynClass.CONTAINS_EXCITED, DynClass.EXCLUDES_EXCITED
+    ks = sorted({1, max(1, n // 2), n})
+    return [SubsystemSelector(k, c1) for k in ks] + [
+        SubsystemSelector(k, c0) for k in sorted({1, n - 1})
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 17])
+def test_stacked_oracles_equal_scalar_calls(n):
+    # N = 17: every tomography and composition chunk of verify holds one window.
+    params = NetworkParams(n, 1.0)
+    rng = np.random.default_rng(n)
+    t = rng.uniform(-1.0, 2.0, (2, 3)) * params.period
+    t1 = rng.uniform(0.0, 0.45, (2, 3)) * params.period  # off the K = N/2 anchors
+    assert same_as_scalar_calls(lambda s: q1_unitary_oracle(params, s), t) is None
+    for sel in oracle_selectors(n):
+        d = sel.k_qubits + 1
+        rho = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+        compose = lambda a, b, r: compose_residual(params, sel, a, b, r)
+        assert same_as_scalar_calls(compose, t1, t, density=rho) is None
+        calls = [
+            (lambda s: reduced_density_oracle(params, sel, s), t),
+            (lambda a, b: propagator_matrix(build_propagator(params, sel, a, b)), t1, t),
+            (lambda a, b: compose_residual(params, sel, a, b, rho[0, 0]), t1[0], t[0]),
+            (lambda s: v.reduced_state_residual(params, sel, s), t),
+            (lambda s: v.trace_distance_residual(params, sel, s), t),
+            (lambda a, b: v.composition_residual(params, sel, a, b), t1, t),
+        ]
+        if sel.dyn_class is DynClass.CONTAINS_EXCITED:
+            calls += [
+                (lambda s: dynamical_map_oracle(params, sel, s), t),
+                (lambda a, b: propagator_oracle(params, sel, a, b), t1, t),
+                (lambda a, b: propagator_oracle(params, sel, a, b), t1[0, 0], t),
+                (lambda a, b: v.tomography_residual(params, sel, a, b), t1, t),
+            ]
+        else:
+            calls.append((lambda a, b: v.orbit_oracle_residual(params, sel, a, b), t1, t))
+        for call, *args in calls:
+            assert same_as_scalar_calls(call, *args) is None
+
+
+def test_stacked_oracles_refuse_as_their_first_refusing_element():
+    params = NetworkParams(6, 1.0)
+    half = 0.5 * params.period  # a singular anchor of K = 3
+    sel = SubsystemSelector(3, DynClass.CONTAINS_EXCITED)
+    rho = np.eye(4) / 4
+    bad = [np.array([0.1, half, np.nan]), np.array([0.1, np.inf, half]), np.array([0.1, 1e308])]
+    calls = [
+        lambda a: q1_unitary_oracle(params, a),
+        lambda a: reduced_density_oracle(params, sel, a),
+        lambda a: dynamical_map_oracle(params, sel, a),
+        lambda a: propagator_oracle(params, sel, a, 0.7),
+        lambda a: compose_residual(params, sel, a, 0.7, rho),
+    ]
+    for t1 in bad:
+        for call in calls:
+            assert same_as_scalar_calls(call, t1) is not None
+    # The class is refused at the first element, before the later NaN.
+    excluding = SubsystemSelector(3, DynClass.EXCLUDES_EXCITED)
+    refusal = same_as_scalar_calls(lambda a: dynamical_map_oracle(params, excluding, a), bad[0])
+    assert isinstance(refusal, UnsupportedOracleError)
 
 
 def test_empty_time_array_gives_empty_stack():

@@ -9,6 +9,7 @@ from openqnet import (
     NetworkParams,
     ParameterError,
     SingularIntervalError,
+    SizeLimitError,
     SubsystemSelector,
     UnsupportedOracleError,
     bilinear_partial_trace,
@@ -23,6 +24,7 @@ from openqnet import (
     reduced_density_oracle,
     subsystem_sites,
 )
+from openqnet.oracle import TOMOGRAPHY_MAX_QUBITS
 
 N5 = NetworkParams(5, 1.0)
 C1 = DynClass.CONTAINS_EXCITED
@@ -208,6 +210,15 @@ def test_dynamical_map_matches_closed_form():
                 brute = dynamical_map_oracle(params, sel, t)
                 closed = propagator_matrix(build_propagator(params, sel, 0.0, t))
                 assert np.abs(brute - closed).max() <= 1e-9
+
+
+def test_dynamical_map_size_guard():
+    # SizeLimitError, as every dense-size guard raises, before any unitary.
+    params = NetworkParams(TOMOGRAPHY_MAX_QUBITS + 1, 1.0)
+    with pytest.raises(SizeLimitError, match="tomography guarded at N <= 512, got N=513"):
+        dynamical_map_oracle(params, SubsystemSelector(1, C1), 0.1)
+    with pytest.raises(SizeLimitError):
+        propagator_oracle(params, SubsystemSelector(2, C1), np.array([0.1, 0.2]), 0.3)
 
 
 def test_dynamical_map_rejects_excluding_class():

@@ -1,10 +1,15 @@
 """The check engine of ``openqnet verify``: the worst-case fold and its case,
-the grouped positivity comparison and its dense Cholesky verdict."""
+the grouped rows and their memory, the grouped positivity comparison and
+its dense Cholesky verdict."""
 
 import dataclasses
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from openqnet import verification as v
 from openqnet.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 TOL = positivity.VERDICT_TOL
 
 N5 = NetworkParams(5, 1.0)
@@ -65,8 +71,10 @@ def test_nan_tomography_oracle_fails(monkeypatch):
 
 
 @pytest.mark.parametrize("check, residual", FOLDS, ids=[c.__name__ for c, _ in FOLDS])
-@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("n", [2, 5, 8, 12])
 def test_reported_case_reproduces_the_value(check, residual, n):
+    # At N = 12 the stack cap cuts the tomography and composition groups
+    # into chunks; the grouped fold must still report the per-case value.
     result = check(NetworkParams(n, 1.0))
     assert result.worst_at[0] == NetworkParams(n, 1.0)
     assert residual(*result.worst_at) == result.value  # bit for bit
@@ -194,15 +202,71 @@ ORACLE_ROWS = (
 )
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+# From N = 12 on, the composition row rounds differently when OpenBLAS uses
+# two threads than with one (composition_residual reads
+# 6.2279991702836333e-16 at N = 12, not 4.4408920985006262e-16), so those
+# pins are recorded and checked with one BLAS thread, in a child process
+# where the setting takes effect. Smaller pins hold for one or two threads
+# and are checked in this process with the default count, as verify runs
+# from the shell.
+ONE_BLAS_THREAD_FROM = 12
+
+
+def _verify(n: int, out: pathlib.Path) -> int:
+    argv = ["verify", "--n", str(n), "--out", str(out)]
+    if n < ONE_BLAS_THREAD_FROM:
+        return main(argv)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "openqnet.cli", *argv]
+    return subprocess.run(command, env=env, capture_output=True).returncode
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12])
 def test_verify_csv_is_unchanged(n, tmp_path):
     # Every value is pinned to the last digit printed, so the files hold for
-    # the build they were recorded with: numpy 2.4.6 and its OpenBLAS 0.3.31,
-    # one or two BLAS threads.
+    # the build they were recorded with: numpy 2.4.6 and its OpenBLAS 0.3.31.
     out = tmp_path / "verify.csv"
-    assert main(["verify", "--n", str(n), "--out", str(out)]) == 0
+    assert _verify(n, out) == 0
     pinned = (DATA / f"verify_n{n}.csv").read_text().splitlines()
     closed = [line for line in pinned if line.split(",")[0] not in ORACLE_ROWS]
     assert len(pinned) - len(closed) == len(ORACLE_ROWS)
     assert [line for line in out.read_text().splitlines() if line in closed] == closed
     assert out.read_bytes() == (DATA / f"verify_n{n}.csv").read_bytes()
+
+
+def test_grouped_rows_hold_no_more_than_the_positivity_stacks():
+    # At N = 8, no check's traced peak exceeds check_pcp_agreement's, whose
+    # Choi stacks the byte cap was set for; so grouping the oracle rows
+    # leaves verify's peak memory where it was.
+    params = NetworkParams(8, 1.0)
+    v.check_amplitude_oracle(params)  # the generator's eigh, cached once
+    peaks = {}
+    for check in v.ALL_CHECKS:
+        tracemalloc.start()
+        try:
+            check(params)
+            peaks[check.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    pcp = peaks.pop("check_pcp_agreement")
+    assert max(peaks.values()) <= pcp, (peaks, pcp)
+
+
+def test_grouped_values_come_in_stream_order_and_chunks():
+    # Chunks of at most _STACK_BYTES, at least one window each, values
+    # returned where their cases stand; a one-window chunk comes as floats.
+    sels = v.selectors(N5)
+    cases = list(v._windows(N5, sels, 50))
+    expected = [t1 + 2.0 * t2 for _, _, t1, t2 in cases]
+    calls = []
+
+    def evaluate(params, sel, t1, t2):
+        calls.append(t1)
+        return t1 + 2.0 * t2
+
+    assert v.grouped_values(cases, evaluate, lambda n, d: v._STACK_BYTES // 16 // 3) == expected
+    assert max(np.size(t1) for t1 in calls) == 3
+    del calls[:]
+    assert v.grouped_values(cases, evaluate, lambda n, d: v._STACK_BYTES) == expected
+    assert len(calls) == len(cases) and all(type(t1) is float for t1 in calls)
