@@ -23,22 +23,23 @@ The two amplitudes are tied together by unitarity of the block:
 so a single function of time, |u_d(t)|^2, drives all reduced dynamics.
 
 Two routes read it. The probability route (mixing probabilities, entropy,
-Fisher information, Bloch z-scale, positivity transition) calls one private
-kernel, ``_hop``, for x = |u_d|^2 = 4/N^2 sin^2(NJt/2) and the half-angle
-sine and cosine; a mixing probability is p = 1 - w x with the class weight
-w = N - K for a K-qubit subsystem containing the excited qubit, K for one
-excluding it. The amplitude route (propagators, flow weights) reads x from
-the :func:`amplitudes` call that also supplies its phases. The two forms of
-x agree to round-off only.
+Fisher information, positivity transition) calls one private kernel,
+``_hop``, for x = |u_d|^2 = 4/N^2 sin^2(NJt/2) and the half-angle sine and
+cosine; a mixing probability is p = 1 - w x with the class weight w = N - K
+for a K-qubit subsystem containing the excited qubit, K for one excluding
+it. The amplitude route (propagators, flow weights, Bloch maps) reads x
+from the :func:`amplitudes` call that also supplies its phases. The two
+forms of x agree to round-off only.
 
 The kernel and the closed forms built on it take a float time or an ndarray
 of times; an array gives arrays, elementwise, and a float still gives a
 float. An array is refused exactly as a loop of scalar calls over its
 elements would refuse it: same first element, same error, same message. A
 time whose phase N*J*t overflows is refused like a non-finite one. On the
-amplitude route an array keeps Python's complex ``abs`` (libm ``hypot``)
-one element at a time, so a flow weight over an array equals its scalar
-calls bit for bit; numpy's ``abs`` and ``hypot`` round differently.
+amplitude route an array takes one ``np.exp`` call, then Python's complex
+arithmetic and ``abs`` (libm ``hypot``) per element, so it equals its
+scalar calls bit for bit; numpy divides by N through a reciprocal, and its
+``abs`` and ``hypot`` round differently.
 """
 
 from __future__ import annotations
@@ -120,6 +121,20 @@ def _replay(fn, *args) -> None:
         fn(*scalar)
 
 
+def _bisect(above, lo: float, hi: float) -> float:
+    # Where ``above``, true at lo and false at hi, turns false: 200 halvings,
+    # stopped once the midpoint equals an end, as every later one then does.
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Global system: qubit count N >= 2 and exchange coupling J > 0.
@@ -185,8 +200,8 @@ def _hop(n: int, j: float, t):
 def amplitudes(params: NetworkParams, t) -> Amplitudes:
     """Evaluate (u_s, u_d) at time ``t`` (any sign; periodic).
 
-    An ndarray ``t`` gives complex arrays, equal to the scalar calls within
-    round-off (numpy divides by N through its reciprocal).
+    An ndarray ``t`` gives complex arrays, each element equal bit for bit
+    to the scalar call.
     """
     try:
         return _amplitudes(params, _check_time(t, "t", True))
@@ -196,22 +211,25 @@ def amplitudes(params: NetworkParams, t) -> Amplitudes:
 
 
 def _amplitudes(params: NetworkParams, t) -> Amplitudes:
-    # amplitudes() of a validated float or array t.
+    # amplitudes() of a validated float or array t. An array takes one np.exp
+    # call, then Python's complex arithmetic per element, as a float does.
     n = params.n_qubits
     z = np.exp(1j * _phase(n, params.coupling, t))
     if type(t) is float:
         z = complex(z)
-    return Amplitudes(same_site=(1.0 + (n - 1) * z) / n, cross_site=(1.0 - z) / n)
+        return Amplitudes(same_site=(1.0 + (n - 1) * z) / n, cross_site=(1.0 - z) / n)
+    zs = z.ravel().tolist()
+    same, cross = [(1.0 + (n - 1) * w) / n for w in zs], [(1.0 - w) / n for w in zs]
+    return Amplitudes(*(np.array(u, dtype=complex).reshape(t.shape) for u in (same, cross)))
 
 
 def _cross_abs2(params: NetworkParams, t):
-    # x = |u_d(t)|^2 of the amplitude route for a validated float or array t,
-    # bit for bit as a scalar amplitudes() call's cross_abs2 reads it; an
-    # array is read one element at a time (see the module docstring).
+    # x = |u_d(t)|^2 of the amplitude route for a validated float or array t:
+    # Python's abs per element, bit for bit a scalar call's cross_abs2.
+    ud = _amplitudes(params, t).cross_site
     if type(t) is float:
-        return _amplitudes(params, t).cross_abs2
-    x = [_amplitudes(params, s).cross_abs2 for s in t.ravel().tolist()]
-    return np.array(x).reshape(t.shape)
+        return abs(ud) ** 2
+    return np.array([abs(u) ** 2 for u in ud.ravel().tolist()]).reshape(t.shape)
 
 
 def unitarity_residuals(amps: Amplitudes, n_qubits: int) -> tuple[float, float]:

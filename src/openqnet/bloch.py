@@ -6,6 +6,9 @@ components are scaled by a common factor and rotated; the z component is
 scaled and shifted. Maps for the class containing the excited qubit fix the
 north pole, maps for the class excluding it fix the south pole, for every
 time interval.
+
+A map is the K = 1 case of :func:`build_propagator` in Bloch coordinates;
+its z-scale 1 - flow is the ratio p(t2)/p(t1) of the mixing probability.
 """
 
 from __future__ import annotations
@@ -16,12 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _amplitudes, _check_time, _replay
-from .errors import OpenQNetError, ParameterError
-from .propagator import _check_anchor
-from .states import DynClass, _check_class, _mixing
+from .amplitudes import NetworkParams
+from .errors import ParameterError
+from .propagator import build_propagator
+from .states import DynClass, SubsystemSelector, _check_class, excitation_probability
 
 _TINY = 1e-12
+
+#: The K = 1 selector of each class.
+_QUBIT = {cls: SubsystemSelector(1, cls) for cls in DynClass}
 
 
 @dataclass(frozen=True)
@@ -40,26 +46,23 @@ class BlochAffineMap:
 def affine_map(params: NetworkParams, dyn_class: DynClass, t1, t2) -> BlochAffineMap:
     """Bloch-space form of the single-qubit propagator over [t1, t2].
 
-    An ndarray ``t1`` or ``t2`` gives a map with array fields.
+    The K = 1 reading of ``build_propagator``, with its checks and anchor
+    test. An ndarray ``t1`` or ``t2`` gives a map with array fields.
     """
-    try:
-        _check_class(dyn_class)  # K = 1 fits every network
-        t1 = _check_time(t1, "t1", True)
-        t2 = _check_time(t2, "t2", True)
-        contains = dyn_class is DynClass.CONTAINS_EXCITED
-        _check_anchor(params, 1, contains, t1)  # only N=2 at odd half-periods
-        z_scale = _mixing(params, 1, contains, t2)[0] / _mixing(params, 1, contains, t1)[0]
-    except OpenQNetError:
-        _replay(affine_map, params, dyn_class, t1, t2)
-        raise
-    ratio = _amplitudes(params, t2).same_site / _amplitudes(params, t1).same_site
+    _check_class(dyn_class)
+    ops = build_propagator(params, _QUBIT[dyn_class], t1, t2)
+    contains = dyn_class is DynClass.CONTAINS_EXCITED
+    # B's non-unit diagonal entry, u_s(t2)/u_s(t1) in both classes.
+    ratio = ops.block_diag[..., 1, 1] if contains else ops.block_diag[..., 0, 0]
+    ratio = ratio if ratio.ndim else complex(ratio)
     phase = cmath.phase(ratio) if isinstance(ratio, complex) else np.angle(ratio)
+    z_scale = 1.0 - ops.flow_weight
     if contains:
         # Coherence rotates against the unit ground phase.
-        return BlochAffineMap(abs(ratio), phase, z_scale, 1.0 - z_scale, dyn_class, t1, t2)
+        return BlochAffineMap(abs(ratio), phase, z_scale, 1.0 - z_scale, dyn_class, ops.t1, ops.t2)
     # Coherence rotates against the unit local single-excitation phase,
     # opposite in sense to the containing class.
-    return BlochAffineMap(abs(ratio), -phase, z_scale, z_scale - 1.0, dyn_class, t1, t2)
+    return BlochAffineMap(abs(ratio), -phase, z_scale, z_scale - 1.0, dyn_class, ops.t1, ops.t2)
 
 
 def evolve_bloch(bmap: BlochAffineMap, b) -> np.ndarray:
@@ -111,12 +114,7 @@ def ball_membership(bmap: BlochAffineMap, b) -> bool:
 def physical_bloch_z(params: NetworkParams, dyn_class: DynClass, t) -> float:
     """z-component of the physical single-qubit orbit at time ``t`` (an array for an ndarray)."""
     _check_class(dyn_class)
-    contains = dyn_class is DynClass.CONTAINS_EXCITED
-    try:
-        p = _mixing(params, 1, contains, _check_time(t, "t", True))[0]
-    except ParameterError:
-        _replay(physical_bloch_z, params, dyn_class, t)
-        raise
-    if contains:
+    p = excitation_probability(params, _QUBIT[dyn_class], t)
+    if dyn_class is DynClass.CONTAINS_EXCITED:
         return 1.0 - 2.0 * p  # p is the excitation probability
     return 2.0 * p - 1.0  # p is the ground probability

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .amplitudes import NetworkParams, _check_time, _cross_abs2
+from .amplitudes import NetworkParams, _bisect, _check_time, _cross_abs2
 from .errors import (
     IndeterminateFlowError,
     InconsistentObservationError,
@@ -161,14 +161,7 @@ def estimate_period(
     while t <= t_max:
         value = flow_window(t)
         if prev_v > 0.0 and value <= 0.0:
-            lo, hi = prev_t, t
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if flow_window(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            crossing = 0.5 * (lo + hi)
+            crossing = _bisect(lambda mid: flow_window(mid) > 0.0, prev_t, t)
             return 2.0 * crossing + dt
         prev_t, prev_v = t, value
         t += step

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _check_time, _hop
+from .amplitudes import NetworkParams, _bisect, _check_time, _hop
 from .errors import ParameterError, SizeLimitError
 from .propagator import PropagatorOps, _basis_images, _build, _window
 from .states import DynClass, SubsystemSelector, _mixing
@@ -152,11 +152,6 @@ def positivity_transition_time(params: NetworkParams, sel: SubsystemSelector, dt
         raise ParameterError(f"dt must lie strictly between 0 and one period, got {dt!r}")
     n, j = params.n_qubits, params.coupling
     # |u_d|^2 grows over the window [t, t + dt] at t = 0 and shrinks at t = period/2.
-    lo, hi = 0.0, 0.5 * params.period
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _hop(n, j, mid + dt)[0] > _hop(n, j, mid)[0]:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(
+        lambda t: _hop(n, j, t + dt)[0] > _hop(n, j, t)[0], 0.0, 0.5 * params.period
+    )

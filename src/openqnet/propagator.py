@@ -147,14 +147,16 @@ def _build(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> PropagatorO
     # scalar call: Python's complex arithmetic rounds unlike numpy's.
     n, k = params.n_qubits, sel.k_qubits
     contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
+    a1, a2 = _amplitudes(params, t1), _amplitudes(params, t2)
+    amps = a1.same_site, a1.cross_site, a2.same_site, a2.cross_site
     if type(t1) is float and type(t2) is float:
         shape = ()
-        x1, x2, phase, extra = _scalars(params, k, contains, t1, t2)
+        x1, x2, phase, extra = _scalars(k, contains, *amps)
     else:
-        ends = np.broadcast_arrays(t1, t2)
+        ends = np.broadcast_arrays(*amps)
         shape = ends[0].shape
         windows = zip(*(end.ravel().tolist() for end in ends))
-        rows = [_scalars(params, k, contains, *window) for window in windows]
+        rows = [_scalars(k, contains, *window) for window in windows]
         x1, x2, phase, extra = (np.array(c).reshape(shape) for c in list(zip(*rows)) or [()] * 4)
     flow = _flow_weight(n, k, contains, x1, x2)
     block = np.zeros(shape + (k + 1, k + 1), dtype=complex)
@@ -173,19 +175,18 @@ def _build(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> PropagatorO
     return PropagatorOps(block, flow, 1.0 - k * flow - extra, k, sel.dyn_class, t1, t2)
 
 
-def _scalars(params: NetworkParams, k: int, contains: bool, t1: float, t2: float) -> tuple:
+def _scalars(k: int, contains: bool, us1, ud1, us2, ud2) -> tuple:
     # (x1, x2, phi_s, phi_d) for the containing class and (x1, x2, phi_s0,
-    # |phi_s0|^2) for the excluding class, over one validated float window.
-    a1, a2 = _amplitudes(params, t1), _amplitudes(params, t2)
-    us1, ud1 = a1.same_site, a1.cross_site
-    us2, ud2 = a2.same_site, a2.cross_site
+    # |phi_s0|^2) for the excluding class, from the Python complex (u_s, u_d)
+    # at both ends of one window. At K = 1 both phases reduce to u_s(t2)/u_s(t1).
+    x1, x2 = abs(ud1) ** 2, abs(ud2) ** 2
     if contains:
         denom = (ud1 - us1) * ((k - 1) * ud1 + us1)
         phi_s = (ud1 * ud2 - us1 * us2 + (k - 2) * ud1 * (ud2 - us2)) / denom
         phi_d = (ud1 * us2 - us1 * ud2) / denom
-        return a1.cross_abs2, a2.cross_abs2, phi_s, phi_d
+        return x1, x2, phi_s, phi_d
     phi_s0 = us2 / us1
-    return a1.cross_abs2, a2.cross_abs2, phi_s0, abs(phi_s0) ** 2
+    return x1, x2, phi_s0, abs(phi_s0) ** 2
 
 
 def flow_amplitude(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:

@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openqnet import (
     DynClass,
@@ -11,10 +14,13 @@ from openqnet import (
     SubsystemSelector,
     Verdict,
     affine_map,
+    amplitudes,
     axial_positivity_band,
     ball_membership,
     classify,
     evolve_bloch,
+    excitation_probability,
+    is_singular,
     materialize_density,
     physical_bloch_z,
     reduced_state,
@@ -164,3 +170,44 @@ def test_two_qubit_anchor_singularity():
     # Away from odd half-periods the N=2 map is fine.
     bmap = affine_map(params, C1, 0.3, 1.1)
     assert math.isfinite(bmap.z_scale)
+
+
+# In periods: 10^-8..10^-3 periods to either side of an odd half-period,
+# where the N = 2 maps are ill-conditioned or refused.
+near_anchors = st.builds(
+    lambda half, sign, e: half + sign * 10.0**e,
+    st.sampled_from((0.5, 1.5, -0.5)),
+    st.sampled_from((1, -1)),
+    st.floats(-8.0, -3.0),
+)
+taus = st.one_of(near_anchors, st.floats(-2.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.just(2), st.integers(2, 64)),
+    st.sampled_from([1.0, 0.7, 2.3]),
+    st.sampled_from(DynClass),
+    taus,
+    taus,
+)
+def test_map_equals_the_ratio_formulas(n, j, cls, tau1, tau2):
+    # The reference: B's phase is u_s(t2)/u_s(t1) and the z-scale the ratio
+    # p(t2)/p(t1) of the mixing probability. Both lose about u/p(t1) near an
+    # anchor, where p(t1) = |u_s(t1)|^2 at N = 2, so the gaps are scaled by it.
+    params = NetworkParams(n, j)
+    t1, t2 = tau1 * params.period, tau2 * params.period
+    try:
+        bmap = affine_map(params, cls, t1, t2)
+    except SingularIntervalError:
+        assert is_singular(params, 1, t1)  # at K = 1 only N = 2 has anchors, alike in both classes
+        return
+    us1 = amplitudes(params, t1).same_site
+    ratio = amplitudes(params, t2).same_site / us1
+    sense = 1.0 if cls is C1 else -1.0
+    rebuilt = bmap.transverse_scale * cmath.exp(1j * sense * bmap.rotation_angle)
+    assert abs(rebuilt - ratio) * abs(us1) <= 1e-14 * (1.0 + abs(ratio))
+    sel = SubsystemSelector(1, cls)
+    p1 = excitation_probability(params, sel, t1)
+    z_scale = excitation_probability(params, sel, t2) / p1
+    assert abs(bmap.z_scale - z_scale) * p1 <= 1e-14 * max(1.0, abs(z_scale))

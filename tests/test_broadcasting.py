@@ -1,8 +1,8 @@
 """Closed forms called on an ndarray of times against their scalar calls.
 
 For random N in 2..64, K and class, every broadcasting function must equal
-its scalar calls elementwise (the flow weight bit for bit, the rest within
-a relative 1e-13, with an absolute floor of 1e-15 for values that are
+its scalar calls elementwise (the flow weight and u_s, u_d bit for bit, the
+rest within a relative 1e-13, with an absolute floor of 1e-15 for values that are
 round-off zeros, such as the rotation angle of a window with t1 = t2), and
 must refuse an array exactly when some scalar call
 refuses an element, with the first refusing element's error and message.
@@ -185,6 +185,17 @@ def small_networks(draw):
 
 def same_bits(got, want) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(networks(), tau_arrays)
+def test_amplitude_arrays_equal_scalar_calls_bit_for_bit(network, tau):
+    params, _ = network
+    t = tau * params.period
+    amps = amplitudes(params, t)
+    singles = [amplitudes(params, s) for s in t.tolist()]
+    for name in ("same_site", "cross_site"):
+        assert same_bits(getattr(amps, name), np.array([getattr(a, name) for a in singles])), name
 
 
 @settings(max_examples=200, deadline=None)

@@ -163,6 +163,36 @@ def test_period_estimate_recovers_coupling():
     assert abs(infer_coupling(period, 6.0) - 0.7) <= 1e-6
 
 
+def full_bisection(above, lo, hi):
+    """All 200 halvings, with no early stop: the reference for the shared helper."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n", [3, 6, 30])
+@pytest.mark.parametrize("j", [1e-3, 0.7, 1e3])
+@pytest.mark.parametrize("tau", [2e-3, 0.05, 0.3])
+def test_period_estimate_equals_a_full_bisection(n, j, tau):
+    params = NetworkParams(n, j)
+    sel1 = SubsystemSelector(1, C1)
+    dt = tau * params.period
+
+    def observed(t):
+        return flow_amplitude(params, sel1, t, t + dt)
+
+    # estimate_period's scan, to the first step where the flow turns backward.
+    prev_t, t = 0.0, 0.5 * dt
+    while not (observed(prev_t) > 0.0 and observed(t) <= 0.0):
+        prev_t, t = t, t + 0.5 * dt
+    want = 2.0 * full_bisection(lambda s: observed(s) > 0.0, prev_t, t) + dt
+    assert estimate_period(observed, dt, 2.0 * params.period) == want
+
+
 def test_period_estimate_errors():
     with pytest.raises(ParameterError):
         estimate_period(lambda t: 1.0, 0.0, 1.0)

@@ -18,6 +18,7 @@ from openqnet import (
     is_singular,
     positivity_transition_time,
 )
+from openqnet.amplitudes import _hop
 from openqnet.propagator import apply, propagator_matrix
 
 N5 = NetworkParams(5, 1.0)
@@ -285,6 +286,29 @@ def test_transition_verdict_flip():
     after = classify(N5, sel, t_star + 1e-6 * period, t_star + 1e-6 * period + dt)
     assert before.verdict is Verdict.POSITIVE_AND_CP
     assert after.verdict is Verdict.NON_POSITIVE_NON_CP
+
+
+def full_bisection(above, lo, hi):
+    """All 200 halvings, with no early stop: the reference for the shared helper."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n", [2, 5, 64])
+@pytest.mark.parametrize("j", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("tau", [1e-9, 1e-3, 0.05, 0.5, 0.9, 1 - 1e-9])
+def test_transition_time_equals_a_full_bisection(n, j, tau):
+    params = NetworkParams(n, j)
+    dt = tau * params.period
+    want = full_bisection(
+        lambda t: _hop(n, j, t + dt)[0] > _hop(n, j, t)[0], 0.0, 0.5 * params.period
+    )
+    assert positivity_transition_time(params, SubsystemSelector(1, C1), dt) == want
 
 
 def test_transition_time_validation():
