@@ -66,18 +66,25 @@ def affine_map(params: NetworkParams, dyn_class: DynClass, t1, t2) -> BlochAffin
 
 
 def evolve_bloch(bmap: BlochAffineMap, b) -> np.ndarray:
-    """Image of a Bloch vector; inputs outside the ball are allowed."""
+    """Image of a Bloch vector; inputs outside the ball are allowed. A map with
+    array fields of shape S gives a ``(*S, 3)`` stack, bit for bit its scalar maps'."""
     b = np.asarray(b, dtype=float)
     if b.shape != (3,):
         raise ParameterError(f"Bloch vector must have shape (3,), got {b.shape}")
-    c, s = math.cos(bmap.rotation_angle), math.sin(bmap.rotation_angle)
-    return np.array(
+    angle = bmap.rotation_angle
+    if type(angle) is float:
+        c, s = math.cos(angle), math.sin(angle)
+    else:
+        angles = np.ravel(angle).tolist()
+        c, s = (np.reshape([f(a) for a in angles], np.shape(angle)) for f in (math.cos, math.sin))
+    image = np.array(
         [
             bmap.transverse_scale * (c * b[0] - s * b[1]),
             bmap.transverse_scale * (s * b[0] + c * b[1]),
             bmap.z_shift + bmap.z_scale * b[2],
         ]
     )
+    return image if image.ndim == 1 else np.moveaxis(image, 0, -1)
 
 
 def axial_positivity_band(bmap: BlochAffineMap) -> tuple[float, float] | None:

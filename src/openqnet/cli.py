@@ -267,6 +267,8 @@ def fisher_decomp_cmd(n_qubits: int, coupling: float, dyn_class: str, t1: float,
     params = NetworkParams(n_qubits, coupling)
     cls = _dyn_class(dyn_class)
     end = t1 + 2.0 if t2 is None else t2
+    if end <= t1 and t2 is None:
+        raise click.UsageError(f"the default two-period sweep is not representable past t1={t1}")
     if end <= t1:
         raise click.UsageError(f"--t2 must exceed --t1, got t1={t1} t2={end}")
     taus = _grid(steps, t1, end)

@@ -7,16 +7,18 @@ checks share one engine: a public per-case residual for each comparison,
 one seeded stream of windows, and one worst-case fold that keeps the case
 where the worst residual sits and fails on a NaN residual.
 
-The residuals that read a dense oracle, and the trace-distance one, also
-take arrays of times for one selector and return an array, each value
-equal bit for bit to its scalar call. Their checks, and the four-route
-positivity comparison ``pcp_disagreements``, run through one grouped
-routine, ``grouped_values``: it groups the cases by network and selector,
+Eleven residuals also take arrays of times and return an array, each
+value equal bit for bit to its scalar call. Their checks, and the
+four-route positivity comparison ``pcp_disagreements``, run through one
+grouped routine, ``grouped_values``: it groups the cases by the arguments
+before their times (the network, and a selector or a pair of them),
 evaluates each group in stacks of bounded size and returns the values in
 the order the cases came. ``grouped_worst_case`` folds them as
-``worst_case`` folds the per-case calls. The acceptance suite calls the
-same residuals, folds and routine over its own seeded cases. All sampling
-uses a fixed seed so repeated runs are byte-identical.
+``worst_case`` folds the per-case calls. The other four residuals, which
+return None or sum in a pinned Python order, are called per case. The
+acceptance suite calls the same residuals, folds and routine over its own
+seeded cases. All sampling uses a fixed seed so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import numpy as np
 import numpy.random
 
 from . import bloch, fisher, inference, oracle, positivity, propagator, states
-from .amplitudes import NetworkParams, amplitudes, q1_unitary_oracle, unitarity_residuals
+from .amplitudes import Amplitudes, NetworkParams, amplitudes, q1_unitary_oracle
+from .amplitudes import unitarity_residuals
 from .errors import DegenerateStateError, IndeterminateFlowError
 from .fisher import GlobalParameter, _p_dp_single_qubit
 from .propagator import _max_entry
@@ -100,29 +103,32 @@ def _fold(name: str, tolerance: float, values: Iterable[tuple]) -> CheckResult:
 
 
 def grouped_values(cases: list[tuple], evaluate: Callable, entries: Callable) -> list:
-    """The values of ``evaluate`` on the (params, selector, *times) cases,
-    in the order the cases come.
+    """The values of ``evaluate`` on the cases, in the order the cases come.
 
-    The cases are grouped by network and selector, and each group is cut
-    into chunks that ``evaluate(params, sel, *time_arrays)`` takes as one
-    stack, returning one value per window. ``entries(N, K+1)`` counts the
-    complex entries that the row holds per window; a chunk holds at most
+    A case is a key, the arguments before its first float, then its times:
+    (params, t), (params, t1, t2), (params, sel, t1, t2) or (params, sel,
+    complement, t), every case laid out as the first. Each key's group is
+    cut into chunks that ``evaluate(*key, *time_arrays)`` takes as one
+    stack, returning one value per window. ``entries(N, d)`` counts the
+    complex entries that the row holds per window, d = K+1 of the key's
+    selector (1 for a key of the network alone); a chunk holds at most
     ``_STACK_BYTES`` (1 MiB) of them, and at least one window. A chunk of
     one window is passed as floats: the scalar call, which equals a stack
     of one bit for bit without paying for the stack's validation.
     """
+    lead = next(i for i, x in enumerate(cases[0]) if isinstance(x, float)) if cases else 0
     groups: dict[tuple, list[int]] = {}
-    for i, (params, sel, *_) in enumerate(cases):
-        groups.setdefault((params, sel), []).append(i)
+    for i, case in enumerate(cases):
+        groups.setdefault(case[:lead], []).append(i)
     values: list = [None] * len(cases)
-    for (params, sel), members in groups.items():
-        per_window = 16 * entries(params.n_qubits, sel.k_qubits + 1)
-        size = max(1, _STACK_BYTES // per_window)
+    for key, members in groups.items():
+        d = key[1].k_qubits + 1 if lead > 1 else 1
+        size = max(1, _STACK_BYTES // (16 * entries(key[0].n_qubits, d)))
         for start in range(0, len(members), size):
             chunk = members[start : start + size]
-            times = [cases[i][2:] for i in chunk]
+            times = [cases[i][lead:] for i in chunk]
             args = times[0] if len(chunk) == 1 else map(np.array, zip(*times))
-            for i, value in zip(chunk, np.atleast_1d(evaluate(params, sel, *args))):
+            for i, value in zip(chunk, np.atleast_1d(evaluate(*key, *args))):
                 values[i] = value
     return values
 
@@ -192,17 +198,21 @@ def _limit_state(params: NetworkParams, sel: SubsystemSelector, t) -> states.Red
 
 
 def unitarity_residual(params: NetworkParams, t) -> float:
-    """The larger of the two unitarity constraint residuals of u_s, u_d at t."""
-    return max(unitarity_residuals(amplitudes(params, t), params.n_qubits))
+    """The larger of the two unitarity constraint residuals of u_s, u_d at
+    t, or an array of them over an array t (Python's arithmetic per element)."""
+    amps = amplitudes(params, t)
+    pairs = zip(np.ravel(amps.same_site).tolist(), np.ravel(amps.cross_site).tolist())
+    worst = [max(unitarity_residuals(Amplitudes(*pair), params.n_qubits)) for pair in pairs]
+    return np.array(worst).reshape(np.shape(t)) if np.ndim(t) else worst[0]
 
 
 def amplitude_oracle_residual(params: NetworkParams, t) -> float:
-    """Closed-form single-excitation block against the dense exponential at t."""
-    n = params.n_qubits
+    """Closed-form single-excitation block against the dense exponential at
+    t, or an array of them over an array t (one stacked oracle call)."""
     amps = amplitudes(params, t)
-    closed = np.full((n, n), amps.cross_site, dtype=complex)
-    np.fill_diagonal(closed, amps.same_site)
-    return float(np.abs(closed - q1_unitary_oracle(params, t)).max())
+    same, cross = (np.asarray(u)[..., None, None] for u in (amps.same_site, amps.cross_site))
+    closed = np.where(np.eye(params.n_qubits, dtype=bool), same, cross)
+    return _max_entry(closed - q1_unitary_oracle(params, t))
 
 
 def reduced_state_residual(params: NetworkParams, sel: SubsystemSelector, t) -> float:
@@ -214,15 +224,17 @@ def reduced_state_residual(params: NetworkParams, sel: SubsystemSelector, t) -> 
 
 
 def completeness_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
-    """Trace-preservation residual of the propagator over [t1, t2]."""
+    """Trace-preservation residual of the propagator over [t1, t2], or an
+    array of them over arrays of times."""
     return propagator.completeness_residual(propagator.build_propagator(params, sel, t1, t2))
 
 
 def orbit_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
-    """The propagator moves the closed-form state at t1 onto the one at t2."""
+    """The propagator moves the closed-form state at t1 onto the one at t2;
+    an array of residuals over arrays of times."""
     ops = propagator.build_propagator(params, sel, t1, t2)
     moved = propagator.apply(ops, _closed_density(params, sel, t1))
-    return float(np.abs(moved - _closed_density(params, sel, t2)).max())
+    return _max_entry(moved - _closed_density(params, sel, t2))
 
 
 def tomography_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
@@ -315,7 +327,8 @@ def trace_distance_residual(params: NetworkParams, sel: SubsystemSelector, t) ->
 def entropy_symmetry_residual(
     params: NetworkParams, sel: SubsystemSelector, complement: SubsystemSelector, t
 ) -> float:
-    """Entropy of a subsystem against that of its complement at t."""
+    """Entropy of a subsystem against that of its complement at t, or an
+    array of them over an array t."""
     entropy = states.entanglement_entropy(params, sel, t)
     return abs(entropy - states.entanglement_entropy(params, complement, t))
 
@@ -403,23 +416,26 @@ def roundtrip_windows(rng, params: NetworkParams, samples: int):
 
 
 def bloch_fixed_point_residual(params: NetworkParams, t1, t2) -> float:
-    """How far the K = 1 Bloch maps over [t1, t2] move their fixed poles."""
+    """How far the K = 1 Bloch maps over [t1, t2] move their fixed poles;
+    an array of residuals over arrays of times."""
     worst = 0.0
     for dyn_class, pole in ((C1, 1.0), (C0, -1.0)):
         fixed = np.array([0.0, 0.0, pole])
         image = bloch.evolve_bloch(bloch.affine_map(params, dyn_class, t1, t2), fixed)
-        worst = max(worst, float(np.abs(image - fixed).max()))
-    return worst
+        worst = np.maximum(worst, np.abs(image - fixed).max(axis=-1))  # NaN wins
+    return worst if worst.ndim else float(worst)
 
 
 def check_amplitude_unitarity(params: NetworkParams) -> CheckResult:
     cases = product([params], _grid(params, 400))
-    return worst_case("amplitude_unitarity", 1e-12, unitarity_residual, cases)
+    entries = lambda n, d: 2  # u_s and u_d
+    return grouped_worst_case("amplitude_unitarity", 1e-12, unitarity_residual, cases, entries)
 
 
 def check_amplitude_oracle(params: NetworkParams) -> CheckResult:
     cases = product([params], _grid(params, 100))
-    return worst_case("amplitude_oracle", 1e-9, amplitude_oracle_residual, cases)
+    entries = lambda n, d: 5 * n * n  # the oracle's operand and product, the block, the gap
+    return grouped_worst_case("amplitude_oracle", 1e-9, amplitude_oracle_residual, cases, entries)
 
 
 def check_reduced_state_oracle(params: NetworkParams) -> CheckResult:
@@ -430,12 +446,16 @@ def check_reduced_state_oracle(params: NetworkParams) -> CheckResult:
 
 def check_propagator_completeness(params: NetworkParams) -> CheckResult:
     cases = _windows(params, selectors(params), 100)
-    return worst_case("propagator_completeness", 1e-10, completeness_residual, cases)
+    entries = lambda n, d: 5 * d * d  # B, its conjugate, B^dag B and the gap
+    return grouped_worst_case(
+        "propagator_completeness", 1e-10, completeness_residual, cases, entries
+    )
 
 
 def check_propagator_orbit(params: NetworkParams) -> CheckResult:
     cases = _windows(params, selectors(params), 100)
-    return worst_case("propagator_orbit", 1e-9, orbit_residual, cases)
+    entries = lambda n, d: 8 * d * d  # B, both densities, apply's products and the gap
+    return grouped_worst_case("propagator_orbit", 1e-9, orbit_residual, cases, entries)
 
 
 def check_tomography_containing(params: NetworkParams) -> CheckResult:
@@ -475,7 +495,8 @@ def check_trace_distance(params: NetworkParams) -> CheckResult:
 def check_entropy_symmetry(params: NetworkParams) -> CheckResult:
     grid = _grid(params, 200)
     cases = ((params, *pair, t) for pair in complement_pairs(params) for t in grid)
-    return worst_case("entropy_symmetry", 1e-12, entropy_symmetry_residual, cases)
+    entries = lambda n, d: 2  # both entropies
+    return grouped_worst_case("entropy_symmetry", 1e-12, entropy_symmetry_residual, cases, entries)
 
 
 def check_conservation_relation(params: NetworkParams) -> CheckResult:
@@ -501,7 +522,10 @@ def check_inference_roundtrip(params: NetworkParams) -> CheckResult:
 def check_bloch_fixed_points(params: NetworkParams) -> CheckResult:
     rng = np.random.default_rng(RNG_SEED)
     cases = ((params, *random_interval(rng, params, 1)) for _ in range(60))
-    return worst_case("bloch_fixed_points", 1e-12, bloch_fixed_point_residual, cases)
+    entries = lambda n, d: 8  # both maps' images and gaps
+    return grouped_worst_case(
+        "bloch_fixed_points", 1e-12, bloch_fixed_point_residual, cases, entries
+    )
 
 
 ALL_CHECKS: tuple[Callable[[NetworkParams], CheckResult], ...] = (

@@ -13,13 +13,15 @@ periods), and period points on the grid.
 
 A stack of propagators built from arrays of times must equal the scalar
 builds bit for bit, and so must its Choi matrices, its matrices on the
-operator space and its action on a density; functions that take one
-propagator must refuse a stack. The dense oracles, the composition residual
-and the residuals of ``verify``'s grouped rows must equal their scalar
-calls bit for bit over an array of times, and refuse an array as its first
-refusing element does.
+operator space and its action on a density; ``classify``, which takes one
+window, must refuse an array. The dense oracles, the composition and
+completeness residuals, the residuals of ``verify``'s grouped rows and the
+Bloch image of a map with array fields must equal their scalar calls bit
+for bit over an array of times, and refuse an array as its first refusing
+element does.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -47,6 +49,7 @@ from openqnet import (
     compose_residual,
     dynamical_map_oracle,
     entanglement_entropy,
+    evolve_bloch,
     excitation_probability,
     flow_amplitude,
     physical_bloch_z,
@@ -239,13 +242,11 @@ def test_stacked_propagator_equals_scalar_builds(network, tau2, tau1):
 
 
 def test_single_propagator_functions_refuse_stacks():
-    # propagator_matrix and compose_residual take stacks (see below).
+    # propagator_matrix, completeness_residual and compose_residual take
+    # stacks (see below); classify takes one window.
     params = NetworkParams(5, 1.0)
     t1 = np.array([0.1, 0.2])
     for sel in (SubsystemSelector(2, cls) for cls in DynClass):
-        ops = build_propagator(params, sel, t1, 0.7)
-        with pytest.raises(ParameterError, match="stack of shape"):
-            completeness_residual(ops)
         with pytest.raises(ParameterError, match="t1 must be a real number"):
             classify(params, sel, t1, 0.7)
 
@@ -296,6 +297,17 @@ def test_stacked_oracles_equal_scalar_calls(n):
     t = rng.uniform(-1.0, 2.0, (2, 3)) * params.period
     t1 = rng.uniform(0.0, 0.45, (2, 3)) * params.period  # off the K = N/2 anchors
     assert same_as_scalar_calls(lambda s: q1_unitary_oracle(params, s), t) is None
+    calls = [
+        (lambda s: v.unitarity_residual(params, s), t),
+        (lambda s: v.amplitude_oracle_residual(params, s), t),
+        (lambda a, b: v.bloch_fixed_point_residual(params, a, b), t1, t),
+    ]
+    calls += [
+        (lambda s, pair=pair: v.entropy_symmetry_residual(params, *pair, s), t)
+        for pair in v.complement_pairs(params)
+    ]
+    for call, *args in calls:
+        assert same_as_scalar_calls(call, *args) is None
     for sel in oracle_selectors(n):
         d = sel.k_qubits + 1
         rho = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
@@ -308,6 +320,9 @@ def test_stacked_oracles_equal_scalar_calls(n):
             (lambda s: v.reduced_state_residual(params, sel, s), t),
             (lambda s: v.trace_distance_residual(params, sel, s), t),
             (lambda a, b: v.composition_residual(params, sel, a, b), t1, t),
+            (lambda a, b: completeness_residual(build_propagator(params, sel, a, b)), t1, t),
+            (lambda a, b: v.completeness_residual(params, sel, a, b), t1, t),
+            (lambda a, b: v.orbit_residual(params, sel, a, b), t1, t),
         ]
         if sel.dyn_class is DynClass.CONTAINS_EXCITED:
             calls += [
@@ -322,6 +337,24 @@ def test_stacked_oracles_equal_scalar_calls(n):
             assert same_as_scalar_calls(call, *args) is None
 
 
+@pytest.mark.parametrize("n", [2, 5, 8, 17])
+def test_bloch_image_stack_equals_scalar_maps(n):
+    # A map with array fields against the scalar map of each element.
+    params = NetworkParams(n, 1.0)
+    rng = np.random.default_rng(n)
+    t1 = rng.uniform(0.0, 0.45, (2, 3)) * params.period
+    t2 = rng.uniform(-1.0, 2.0, (2, 3)) * params.period
+    names = ("transverse_scale", "rotation_angle", "z_scale", "z_shift")
+    for cls in DynClass:
+        bmap = affine_map(params, cls, t1, t2)
+        for b in (np.array([0.0, 0.0, 1.0]), rng.standard_normal(3)):
+            singles = []
+            for i in np.ndindex(t1.shape):
+                fields = {name: getattr(bmap, name)[i].item() for name in names}
+                singles.append(evolve_bloch(dataclasses.replace(bmap, **fields), b))
+            assert same_bits(evolve_bloch(bmap, b), np.array(singles).reshape(t1.shape + (3,)))
+
+
 def test_stacked_oracles_refuse_as_their_first_refusing_element():
     params = NetworkParams(6, 1.0)
     half = 0.5 * params.period  # a singular anchor of K = 3
@@ -334,6 +367,12 @@ def test_stacked_oracles_refuse_as_their_first_refusing_element():
         lambda a: dynamical_map_oracle(params, sel, a),
         lambda a: propagator_oracle(params, sel, a, 0.7),
         lambda a: compose_residual(params, sel, a, 0.7, rho),
+        lambda a: v.unitarity_residual(params, a),
+        lambda a: v.amplitude_oracle_residual(params, a),
+        lambda a: v.completeness_residual(params, sel, a, 0.7),
+        lambda a: v.orbit_residual(params, sel, a, 0.7),
+        lambda a: v.entropy_symmetry_residual(params, *v.complement_pairs(params)[2], a),
+        lambda a: v.bloch_fixed_point_residual(params, a, 0.7),
     ]
     for t1 in bad:
         for call in calls:

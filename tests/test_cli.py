@@ -166,6 +166,20 @@ def test_fisher_decomp_custom_sweep_end(tmp_path):
     assert main(["fisher-decomp", "--n", "5", "--t1", "0.5", "--t2", "0.25"]) == 1
 
 
+@pytest.mark.parametrize("t2", [None, "1e300"])
+def test_fisher_decomp_names_the_sweep_end_it_could_not_reach(t2, capsys):
+    # From t1 ~ 1e17 periods up, t1 + 2 rounds to t1: the default sweep is
+    # empty, and the message must not blame a --t2 that was never given.
+    argv = ["fisher-decomp", "--n", "3", "--t1", "1e300", "--out", "-"]
+    assert main(argv + ([] if t2 is None else ["--t2", t2])) == 1
+    err = capsys.readouterr().err
+    if t2 is None:
+        assert "default two-period sweep is not representable past t1=1e+300" in err
+        assert "--t2" not in err.splitlines()[-1]
+    else:
+        assert "--t2 must exceed --t1, got t1=1e+300 t2=1e+300" in err
+
+
 def test_infer_csv(tmp_path):
     out = tmp_path / "infer.csv"
     assert main(

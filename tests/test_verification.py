@@ -57,6 +57,14 @@ def test_worst_case_fails_on_nan():
     assert math.isnan(result.value) and not result.passed and result.worst_at == (N5, 2)
 
 
+def test_nan_bloch_image_fails(monkeypatch):
+    # The per-class maximum keeps a NaN, as the fold does.
+    real = v.bloch.evolve_bloch
+    monkeypatch.setattr(v.bloch, "evolve_bloch", lambda bmap, b: real(bmap, b) * np.nan)
+    result = v.check_bloch_fixed_points(N5)
+    assert math.isnan(result.value) and not result.passed
+
+
 def test_nan_completeness_residual_fails(monkeypatch):
     monkeypatch.setattr(propagator, "completeness_residual", lambda ops: math.nan)
     result = v.check_propagator_completeness(N5)
@@ -222,7 +230,7 @@ def _verify(n: int, out: pathlib.Path) -> int:
     return subprocess.run(command, env=env, capture_output=True).returncode
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12, 16])
 def test_verify_csv_is_unchanged(n, tmp_path):
     # Every value is pinned to the last digit printed, so the files hold for
     # the build they were recorded with: numpy 2.4.6 and its OpenBLAS 0.3.31.
@@ -270,3 +278,46 @@ def test_grouped_values_come_in_stream_order_and_chunks():
     del calls[:]
     assert v.grouped_values(cases, evaluate, lambda n, d: v._STACK_BYTES) == expected
     assert len(calls) == len(cases) and all(type(t1) is float for t1 in calls)
+
+    # The key is every argument before the times: (params, t) cases group
+    # per network and (params, sel, complement, t) cases per pair, with d = 1
+    # without a selector and K+1 of the first one.
+    grid = v._grid(N5, 10)
+    keys, ds = [], []
+
+    def keyed(*args):
+        keys.append(args[:-1])
+        return 3.0 * args[-1] + args[0].coupling
+
+    def entries(n, d):
+        ds.append(d)
+        return v._STACK_BYTES // 16 // 3
+
+    cases = [(params, t) for t in grid for params in (N5, NetworkParams(5, 2.0))]
+    assert v.grouped_values(cases, keyed, entries) == [3.0 * t + p.coupling for p, t in cases]
+    assert ds == [1, 1] and keys == [(N5,)] * 4 + [(NetworkParams(5, 2.0),)] * 4
+    pairs = [v.complement_pairs(N5)[i] for i in (3, 0, 2)]
+    cases = [(N5, *pair, t) for t in grid for pair in pairs]
+    keys, ds = [], []
+    assert v.grouped_values(cases, keyed, entries) == [3.0 * t + 1.0 for *_, t in cases]
+    assert ds == [pair[0].k_qubits + 1 for pair in pairs]
+    assert keys == [(N5, *pair) for pair in pairs for _ in range(4)]
+
+
+def test_nan_in_a_grouped_row_without_a_selector_reports_the_first(monkeypatch):
+    # NaN at two grid times of amplitude_oracle: the check fails at the
+    # first of them in stream order, as the per-case fold does.
+    grid = v._grid(N5, 100)
+    real = v.q1_unitary_oracle
+
+    def with_nan(params, t):
+        unitary = real(params, t)
+        unitary[np.isin(t, grid[[71, 38]])] = np.nan
+        return unitary
+
+    monkeypatch.setattr(v, "q1_unitary_oracle", with_nan)
+    result = v.check_amplitude_oracle(N5)
+    assert math.isnan(result.value) and not result.passed
+    assert result.worst_at == (N5, grid[38])
+    cases = [(N5, t) for t in grid]
+    assert v.worst_case("x", 1e-9, v.amplitude_oracle_residual, cases).worst_at == result.worst_at
