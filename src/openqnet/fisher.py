@@ -12,7 +12,6 @@ propagator, a state part carried in at t1, and a signed cross term.
 
 from __future__ import annotations
 
-import cmath
 import enum
 from dataclasses import dataclass
 
@@ -139,23 +138,26 @@ def qfi_closed_form(
     return FisherBreakdown(classical, quantum, total, theta)
 
 
-def _reduced_density(n_real: float, j: float, k: int, contains: bool, t: float) -> np.ndarray:
-    # Closed-form reduced density with the network size as a real number,
-    # so the size parameter can be finite-differenced.
-    z = cmath.exp(1j * n_real * j * t)
-    us = (1.0 + (n_real - 1.0) * z) / n_real
-    ud = (1.0 - z) / n_real
-    rho = np.zeros((k + 1, k + 1), dtype=complex)
+def _reduced_density(n_real, j, k: int, contains: bool, t) -> np.ndarray:
+    # Closed-form reduced densities with the network size as a real number,
+    # so the size parameter can be finite-differenced: a (*S, K+1, K+1) stack
+    # over the broadcast shape S of n_real, j and t. Python's complex
+    # arithmetic on one time is written out in floats, with hypot and pow for
+    # its abs and ** 2, so each matrix is bit for bit what it gives.
+    z = np.exp(1j * (n_real * j * t))
+    us = [(1.0 + (n_real - 1.0) * z.real) / n_real, (n_real - 1.0) * z.imag / n_real]
+    ud = [(1.0 - z.real) / n_real, -z.imag / n_real]
+    hop = np.float_power(np.hypot(*ud), 2.0)
+    rho = np.zeros(z.shape + (k + 1, k + 1), dtype=complex)
     if contains:
-        p = abs(us) ** 2 + (k - 1) * abs(ud) ** 2
-        psi = np.full(k, ud, dtype=complex)
-        psi[0] = us
-        rho[0, 0] = 1.0 - p
-        rho[1:, 1:] = np.outer(psi, psi.conj())  # p * |psi_hat><psi_hat| with psi unnormalized
+        psi = np.repeat((ud[0] + 1j * ud[1])[..., None], k, axis=-1)
+        psi[..., 0] = us[0] + 1j * us[1]
+        rho[..., 0, 0] = 1.0 - (np.float_power(np.hypot(*us), 2.0) + (k - 1) * hop)
+        rho[..., 1:, 1:] = psi[..., :, None] * psi.conj()[..., None, :]  # p |psi_hat><psi_hat|
     else:
-        p0 = 1.0 - k * abs(ud) ** 2
-        rho[0, 0] = p0
-        rho[1:, 1:] = (1.0 - p0) / k
+        p0 = 1.0 - k * hop
+        rho[..., 0, 0] = p0
+        rho[..., 1:, 1:] = ((1.0 - p0) / k)[..., None, None]
     return rho
 
 
@@ -170,11 +172,12 @@ def qfi_numeric_oracle(
     Central-differences the reduced density in the parameter (relative step
     ``SLD_STEP``; the network size is treated as a continuous real), solves
     the SLD equation in the eigenbasis of the unperturbed state with the
-    eigenvalue-pair cutoff, and returns Tr[L^2 rho].
+    eigenvalue-pair cutoff, and returns Tr[L^2 rho]: the pair terms summed
+    in row-major order. An ndarray ``t`` gives an array, each value equal
+    bit for bit to its scalar call, and is refused as its first refusing
+    element would be.
     """
     sel.validate(params)
-    t = _check_time(t)
-    _phase(params.n_qubits, params.coupling, t)
     n, k, j = params.n_qubits, sel.k_qubits, params.coupling
     contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
     if theta is GlobalParameter.COUPLING_J:
@@ -183,27 +186,35 @@ def qfi_numeric_oracle(
     else:
         h = SLD_STEP * n
         shifted = [(n + h, j), (n - h, j)]
-    for n_real, j_real in shifted:
-        _phase(n_real, j_real, t)  # N*J*t can be finite where a shifted phase is not
-    rho0 = _reduced_density(float(n), j, k, contains, t)
-    plus, minus = (_reduced_density(n_real, j_real, k, contains, t) for n_real, j_real in shifted)
+    try:
+        t = _check_time(t, "t", True)
+        _phase(n, j, t)
+        for n_real, j_real in shifted:
+            _phase(n_real, j_real, t)  # N*J*t can be finite where a shifted phase is not
+        ns, js = np.array([(float(n), j), *shifted]).T[..., None]  # (3, 1) each
+        rho0, plus, minus = _reduced_density(ns, js, k, contains, np.ravel(t))
+        evals, evecs = np.linalg.eigh(rho0)
+        pair = evals[..., :, None] + evals[..., None, :]
+        used = pair > SLD_PAIR_CUTOFF
+        if not used.any(axis=(-2, -1)).all():
+            raise OracleFailureError(
+                "every eigenvalue pair fell below the SLD cutoff; state too degenerate"
+            )
+    except OpenQNetError:
+        _replay(qfi_numeric_oracle, params, sel, theta, t)
+        raise
     drho = (plus - minus) / (2.0 * h)
-    evals, evecs = np.linalg.eigh(rho0)
-    m = evecs.conj().T @ drho @ evecs
-    total = 0.0
-    used = 0
-    with np.errstate(over="ignore"):  # an information past the float range reads inf
-        for i in range(len(evals)):
-            for l in range(len(evals)):
-                pair = evals[i] + evals[l]
-                if pair > SLD_PAIR_CUTOFF:
-                    total += 2.0 * abs(m[i, l]) ** 2 / pair
-                    used += 1
-    if used == 0:
-        raise OracleFailureError(
-            "every eigenvalue pair fell below the SLD cutoff; state too degenerate"
-        )
-    return float(total)
+    m = np.swapaxes(evecs.conj(), -1, -2) @ drho @ evecs
+    # hypot and float_power round as a scalar's abs and ** 2 do, where numpy's
+    # array abs does not; accumulate adds the pairs one at a time in row-major
+    # order, where sum adds pairwise. An information past the float range
+    # reads inf.
+    with np.errstate(over="ignore"):
+        terms = 2.0 * np.float_power(np.hypot(m.real, m.imag), 2.0)
+        terms = np.divide(terms, pair, out=np.zeros_like(pair), where=used)
+        total = np.add.accumulate(terms.reshape(-1, (k + 1) ** 2), axis=-1)[:, -1]
+    total = total.reshape(np.shape(t))
+    return total if np.ndim(t) else float(total)
 
 
 def _p_dp_single_qubit(params: NetworkParams, dyn_class: DynClass, theta: GlobalParameter, t):

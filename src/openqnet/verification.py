@@ -7,18 +7,19 @@ checks share one engine: a public per-case residual for each comparison,
 one seeded stream of windows, and one worst-case fold that keeps the case
 where the worst residual sits and fails on a NaN residual.
 
-Eleven residuals also take arrays of times and return an array, each
+Thirteen residuals also take arrays of times and return an array, each
 value equal bit for bit to its scalar call. Their checks, and the
 four-route positivity comparison ``pcp_disagreements``, run through one
 grouped routine, ``grouped_values``: it groups the cases by the arguments
-before their times (the network, and a selector or a pair of them),
-evaluates each group in stacks of bounded size and returns the values in
-the order the cases came. ``grouped_worst_case`` folds them as
-``worst_case`` folds the per-case calls. The other four residuals, which
-return None or sum in a pinned Python order, are called per case. The
-acceptance suite calls the same residuals, folds and routine over its own
-seeded cases. All sampling uses a fixed seed so repeated runs are
-byte-identical.
+before their times (the network, then a selector, a pair of them, a
+selector and a parameter, or a class), evaluates each group in stacks of
+bounded size and returns the values in the order the cases came.
+``grouped_worst_case`` folds them as ``worst_case`` folds the per-case
+calls. The conservation and round-trip residuals return None where they
+have nothing to say, and their rows take under 2 ms each at N = 8, so
+they are called per case. The acceptance suite calls the same residuals,
+folds and routine over its own seeded cases. All sampling uses a fixed
+seed so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -106,12 +107,13 @@ def grouped_values(cases: list[tuple], evaluate: Callable, entries: Callable) ->
     """The values of ``evaluate`` on the cases, in the order the cases come.
 
     A case is a key, the arguments before its first float, then its times:
-    (params, t), (params, t1, t2), (params, sel, t1, t2) or (params, sel,
-    complement, t), every case laid out as the first. Each key's group is
-    cut into chunks that ``evaluate(*key, *time_arrays)`` takes as one
-    stack, returning one value per window. ``entries(N, d)`` counts the
-    complex entries that the row holds per window, d = K+1 of the key's
-    selector (1 for a key of the network alone); a chunk holds at most
+    (params, t), (params, t1, t2), (params, sel, t1, t2), (params, sel,
+    complement, t), (params, sel, theta, t) or (params, dyn_class, t), every
+    case laid out as the first. Each key's group is cut into chunks that
+    ``evaluate(*key, *time_arrays)`` takes as one stack, returning one value
+    per window. ``entries(N, d)`` counts the complex entries that the row
+    holds per window, d = K+1 of the key's first selector (K = 1 for a key
+    without one); a chunk holds at most
     ``_STACK_BYTES`` (1 MiB) of them, and at least one window. A chunk of
     one window is passed as floats: the scalar call, which equals a stack
     of one bit for bit without paying for the stack's validation.
@@ -122,7 +124,7 @@ def grouped_values(cases: list[tuple], evaluate: Callable, entries: Callable) ->
         groups.setdefault(case[:lead], []).append(i)
     values: list = [None] * len(cases)
     for key, members in groups.items():
-        d = key[1].k_qubits + 1 if lead > 1 else 1
+        d = next((x.k_qubits for x in key if isinstance(x, SubsystemSelector)), 1) + 1
         size = max(1, _STACK_BYTES // (16 * entries(key[0].n_qubits, d)))
         for start in range(0, len(members), size):
             chunk = members[start : start + size]
@@ -299,10 +301,8 @@ def choi_psd(choi: np.ndarray, tol: float) -> np.ndarray:
     # Each pivot is its diagonal entry less a sum of squares, so a shifted
     # diagonal entry <= 0 fails the factorisation at or before its own pivot.
     psd = (np.diagonal(flat, axis1=-2, axis2=-1).real + tol > 0.0).all(axis=-1)
+    psd &= np.isfinite(flat).all(axis=(-2, -1))  # OpenBLAS factorises a NaN matrix
     for i in np.flatnonzero(psd):
-        if not np.isfinite(flat[i]).all():  # OpenBLAS factorises a NaN matrix
-            psd[i] = False
-            continue
         try:
             np.linalg.cholesky(flat[i] + shift)
         except np.linalg.LinAlgError:
@@ -363,34 +363,43 @@ def fisher_cases(params: NetworkParams, taus) -> Iterable[tuple]:
 
 
 def fisher_routes(params: NetworkParams, sel: SubsystemSelector, theta, t) -> tuple[float, float]:
-    """Total QFI at t by the closed form and by the SLD oracle."""
+    """Total QFI at t by the closed form and by the SLD oracle, or arrays of
+    them over an array t."""
     closed = fisher.qfi_closed_form(params, sel, theta, t).total
     return closed, fisher.qfi_numeric_oracle(params, sel, theta, t)
 
 
 def fisher_oracle_residual(params: NetworkParams, sel: SubsystemSelector, theta, t) -> float:
-    """Relative gap between the two QFI routes, with an absolute floor near zero."""
+    """Relative gap between the two QFI routes, with an absolute floor near
+    zero; an array of them over an array t."""
     closed, numeric = fisher_routes(params, sel, theta, t)
-    return abs(closed - numeric) / max(abs(closed), 1e-4)
+    with np.errstate(invalid="ignore"):  # inf - inf reads NaN, as for a float
+        return abs(closed - numeric) / np.maximum(abs(closed), 1e-4)
 
 
 def fisher_split_residual(params: NetworkParams, dyn_class: DynClass, t2) -> float:
-    """Process/state/cross split at t2 from anchors 0.25 and 0.4 periods.
+    """Process/state/cross split at t2 from anchors 0.25 and 0.4 periods, or
+    an array of them over an array t2.
 
     Each split's total must be (d_J p)^2 at t2 and the sum of its parts, and
     the two anchors must give the same total. (d_J p)^2 scales as 1/J^2, so
     the residual is taken in the dimensionless J^2 (d_J p)^2, multiplied by
-    J twice: J^2 alone overflows from J ~ 1.3e154.
+    J twice: J^2 alone overflows from J ~ 1.3e154. A NaN gap, such as
+    inf - inf where the split overflows, is the residual.
     """
-    _, dp2 = _p_dp_single_qubit(params, dyn_class, GlobalParameter.COUPLING_J, t2)
-    worst, totals = 0.0, []
-    for anchor in (0.25, 0.4):
-        t1 = anchor * params.period
-        split = fisher.process_state_split(params, dyn_class, t1, t2, rescaled=True)
-        parts = split.process + split.cross + split.state
-        worst = max(worst, abs(split.total - dp2 * dp2), abs(parts - split.total))
-        totals.append(split.total)
-    return max(worst, abs(totals[0] - totals[1])) * params.coupling * params.coupling
+    splits = [
+        fisher.process_state_split(params, dyn_class, anchor * params.period, t2, rescaled=True)
+        for anchor in (0.25, 0.4)
+    ]
+    _, dp2 = _p_dp_single_qubit(params, dyn_class, GlobalParameter.COUPLING_J, splits[0].t2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        worst = abs(splits[0].total - splits[1].total)
+        for split in splits:
+            parts = split.process + split.cross + split.state
+            gaps = np.maximum(abs(split.total - dp2 * dp2), abs(parts - split.total))
+            worst = np.maximum(worst, gaps)  # NaN wins
+        worst = worst * params.coupling * params.coupling
+    return worst if np.ndim(worst) else float(worst)
 
 
 def roundtrip_residual(params: NetworkParams, t1, t2) -> float | None:
@@ -506,12 +515,16 @@ def check_conservation_relation(params: NetworkParams) -> CheckResult:
 
 def check_fisher_oracle(params: NetworkParams) -> CheckResult:
     cases = fisher_cases(params, np.linspace(0.07, 0.93, 8))
-    return worst_case("fisher_oracle_relative", 1e-4, fisher_oracle_residual, cases)
+    entries = lambda n, d: 8 * d * d  # three densities, the difference, eigh's, m and products
+    return grouped_worst_case(
+        "fisher_oracle_relative", 1e-4, fisher_oracle_residual, cases, entries
+    )
 
 
 def check_fisher_split(params: NetworkParams) -> CheckResult:
     cases = product([params], DynClass, (np.linspace(0.05, 1.95, 60) * params.period).tolist())
-    return worst_case("fisher_split_identity", 1e-10, fisher_split_residual, cases)
+    entries = lambda n, d: 16  # both splits' fields and gaps
+    return grouped_worst_case("fisher_split_identity", 1e-10, fisher_split_residual, cases, entries)
 
 
 def check_inference_roundtrip(params: NetworkParams) -> CheckResult:

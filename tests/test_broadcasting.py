@@ -18,7 +18,7 @@ window, must refuse an array. The dense oracles, the composition and
 completeness residuals, the residuals of ``verify``'s grouped rows and the
 Bloch image of a map with array fields must equal their scalar calls bit
 for bit over an array of times, and refuse an array as its first refusing
-element does.
+element does. So must the SLD oracle and the two Fisher residuals.
 """
 
 import dataclasses
@@ -58,8 +58,10 @@ from openqnet import (
     propagator_oracle,
     q1_unitary_oracle,
     qfi_closed_form,
+    qfi_numeric_oracle,
     reduced_density_oracle,
 )
+from openqnet import fisher
 from openqnet import verification as v
 
 RTOL = 1e-13
@@ -338,6 +340,45 @@ def test_stacked_oracles_equal_scalar_calls(n):
 
 
 @pytest.mark.parametrize("n", [2, 5, 8, 17])
+def test_fisher_stacks_equal_scalar_calls(n):
+    # t = 0 is a pure state: its pairs of zero eigenvalues fall under the SLD
+    # cutoff and add nothing to the row-major sum. A np.float64 time is the
+    # float's call.
+    params = NetworkParams(n, 1.0)
+    rng = np.random.default_rng(n)
+    t = rng.uniform(0.0, 2.0, (2, 3)) * params.period
+    t[0, 0] = 0.0
+    whole = SubsystemSelector(n, DynClass.CONTAINS_EXCITED)
+    calls = []
+    for sel in oracle_selectors(n):
+        for theta in GlobalParameter:
+            calls.append(lambda s, sel=sel, theta=theta: qfi_numeric_oracle(params, sel, theta, s))
+            if not (theta is GlobalParameter.SIZE_N and sel == whole):  # diverges by design
+                calls.append(
+                    lambda s, sel=sel, theta=theta: v.fisher_oracle_residual(params, sel, theta, s)
+                )
+    calls += [lambda s, cls=cls: v.fisher_split_residual(params, cls, s) for cls in DynClass]
+    for call in calls:
+        assert same_as_scalar_calls(call, t) is None
+        for s in (0.0, t[1, 2]):
+            assert same_bits(np.asarray(call(np.float64(s))), np.asarray(call(float(s))))
+
+
+def test_sld_oracle_stack_refuses_as_its_first_refusing_element(monkeypatch):
+    # With the cutoff at 1.9 only a pure state keeps a pair (2 > 1.9): the
+    # mixed state at 0.3 periods fails the oracle before the overflowing
+    # phase after it, and after the NaN before it.
+    params, sel = NetworkParams(5, 1.0), SubsystemSelector(2, DynClass.CONTAINS_EXCITED)
+    oracle = lambda a: qfi_numeric_oracle(params, sel, GlobalParameter.COUPLING_J, a)
+    mixed = 0.3 * params.period
+    monkeypatch.setattr(fisher, "SLD_PAIR_CUTOFF", 1.9)
+    refusal = same_as_scalar_calls(oracle, np.array([0.0, mixed, 1e308]))
+    assert isinstance(refusal, fisher.OracleFailureError)
+    refusal = same_as_scalar_calls(oracle, np.array([0.0, np.nan, mixed]))
+    assert isinstance(refusal, ParameterError)
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 17])
 def test_bloch_image_stack_equals_scalar_maps(n):
     # A map with array fields against the scalar map of each element.
     params = NetworkParams(n, 1.0)
@@ -373,6 +414,9 @@ def test_stacked_oracles_refuse_as_their_first_refusing_element():
         lambda a: v.orbit_residual(params, sel, a, 0.7),
         lambda a: v.entropy_symmetry_residual(params, *v.complement_pairs(params)[2], a),
         lambda a: v.bloch_fixed_point_residual(params, a, 0.7),
+        lambda a: qfi_numeric_oracle(params, sel, GlobalParameter.SIZE_N, a),
+        lambda a: v.fisher_oracle_residual(params, sel, GlobalParameter.COUPLING_J, a),
+        lambda a: v.fisher_split_residual(params, DynClass.EXCLUDES_EXCITED, a),
     ]
     for t1 in bad:
         for call in calls:

@@ -368,6 +368,16 @@ def test_verify_finishes_at_extreme_coupling(n, coupling, tmp_path, capsys):
     assert failed <= {"fisher_oracle_relative", "fisher_split_identity"}
 
 
+def test_verify_fails_the_overflowing_fisher_split(tmp_path):
+    # At J = 1e-300 the split's gaps are inf - inf: NaN, which fails the row
+    # where a fold that dropped it read 0 and passed.
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--n", "5", "--j", "1e-300", "--out", str(out)]) == 2
+    header, rows = read_csv(out)
+    row = next(row for row in rows if row[0] == "fisher_split_identity")
+    assert row[header.index("value")] == "nan" and row[header.index("status")] == "FAIL"
+
+
 @pytest.mark.parametrize("n", ["2", "3", "6"])
 def test_verify_passes_at_small_sizes(n, tmp_path, capsys):
     # N = 2 samples its degenerate half-period point in the reduced-state check.

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import sys
@@ -20,6 +21,8 @@ from openqnet import (
     qfi_closed_form,
     qfi_numeric_oracle,
 )
+from openqnet.fisher import SLD_PAIR_CUTOFF, SLD_STEP
+from openqnet.verification import fisher_cases
 
 N5 = NetworkParams(5, 1.0)
 C1 = DynClass.CONTAINS_EXCITED
@@ -109,6 +112,48 @@ def test_oracle_agreement(n):
                 closed = qfi_closed_form(params, sel, theta, t).total
                 numeric = qfi_numeric_oracle(params, sel, theta, t)
                 assert abs(closed - numeric) <= max(1e-4 * abs(closed), 1e-8)
+
+
+def _sld_by_pairs(params, sel, theta, t):
+    # The SLD oracle as a float call writes it out: Python's complex
+    # arithmetic for each density, one eigh per matrix, and the pairs summed
+    # one at a time in row-major order with numpy's scalar abs and ** 2.
+    n, k, j = params.n_qubits, sel.k_qubits, params.coupling
+    h = SLD_STEP * (j if theta is J else n)
+    shifts = [(n, j + h), (n, j - h)] if theta is J else [(n + h, j), (n - h, j)]
+
+    def density(n_real, j_real):
+        z = cmath.exp(1j * float(n_real) * j_real * t)
+        us, ud = (1.0 + (n_real - 1.0) * z) / n_real, (1.0 - z) / n_real
+        rho = np.zeros((k + 1, k + 1), dtype=complex)
+        if sel.dyn_class is C1:
+            psi = np.full(k, ud)
+            psi[0] = us
+            rho[0, 0] = 1.0 - (abs(us) ** 2 + (k - 1) * abs(ud) ** 2)
+            rho[1:, 1:] = np.outer(psi, psi.conj())
+        else:
+            p0 = 1.0 - k * abs(ud) ** 2
+            rho[0, 0], rho[1:, 1:] = p0, (1.0 - p0) / k
+        return rho
+
+    plus, minus = (density(*shift) for shift in shifts)
+    evals, evecs = np.linalg.eigh(density(n, j))
+    m = evecs.conj().T @ ((plus - minus) / (2.0 * h)) @ evecs
+    total = 0.0
+    for i in range(k + 1):
+        for l in range(k + 1):
+            if evals[i] + evals[l] > SLD_PAIR_CUTOFF:
+                total += 2.0 * abs(m[i, l]) ** 2 / (evals[i] + evals[l])
+    return float(total)
+
+
+@pytest.mark.parametrize("coupling", [0.37, 3.1])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_oracle_keeps_the_rounding_of_a_pair_loop(n, coupling):
+    # Bit for bit, t = 0 and odd half-periods (pure states at N = 2) included.
+    for case in fisher_cases(NetworkParams(n, coupling), np.linspace(0.0, 1.5, 16)):
+        t = float(case[-1])
+        assert qfi_numeric_oracle(*case[:-1], t) == _sld_by_pairs(*case[:-1], t), case
 
 
 def test_oracle_at_time_zero():

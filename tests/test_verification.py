@@ -280,8 +280,8 @@ def test_grouped_values_come_in_stream_order_and_chunks():
     assert len(calls) == len(cases) and all(type(t1) is float for t1 in calls)
 
     # The key is every argument before the times: (params, t) cases group
-    # per network and (params, sel, complement, t) cases per pair, with d = 1
-    # without a selector and K+1 of the first one.
+    # per network and (params, sel, complement, t) cases per pair, with d = 2
+    # (K = 1) without a selector and K+1 of the first one.
     grid = v._grid(N5, 10)
     keys, ds = [], []
 
@@ -295,13 +295,52 @@ def test_grouped_values_come_in_stream_order_and_chunks():
 
     cases = [(params, t) for t in grid for params in (N5, NetworkParams(5, 2.0))]
     assert v.grouped_values(cases, keyed, entries) == [3.0 * t + p.coupling for p, t in cases]
-    assert ds == [1, 1] and keys == [(N5,)] * 4 + [(NetworkParams(5, 2.0),)] * 4
+    assert ds == [2, 2] and keys == [(N5,)] * 4 + [(NetworkParams(5, 2.0),)] * 4
     pairs = [v.complement_pairs(N5)[i] for i in (3, 0, 2)]
     cases = [(N5, *pair, t) for t in grid for pair in pairs]
     keys, ds = [], []
     assert v.grouped_values(cases, keyed, entries) == [3.0 * t + 1.0 for *_, t in cases]
     assert ds == [pair[0].k_qubits + 1 for pair in pairs]
     assert keys == [(N5, *pair) for pair in pairs for _ in range(4)]
+
+    # (params, sel, theta, t) cases group per selector and parameter, in
+    # chunks of three and two, and (params, class, t) cases per class with
+    # d = 2.
+    cases = list(v.fisher_cases(N5, [0.1, 0.3, 0.7, 0.2, 0.9]))[-20:]
+    keys, ds = [], []
+    assert v.grouped_values(cases, keyed, entries) == [3.0 * t + 1.0 for *_, t in cases]
+    sels = [SubsystemSelector(k, v.C0) for k in (3, 4)]
+    assert ds == [4, 4, 5, 5]
+    thetas = list(v.GlobalParameter)
+    assert keys == [(N5, sel, theta) for sel in sels for theta in thetas for _ in range(2)]
+    cases = [(N5, cls, t) for t in grid[:3] for cls in (v.C0, v.C1)]
+    keys, ds = [], []
+    assert v.grouped_values(cases, keyed, entries) == [3.0 * t + 1.0 for *_, t in cases]
+    assert ds == [2, 2] and keys == [(N5, v.C0), (N5, v.C1)]
+
+
+def test_only_the_rows_without_stacks_fold_per_case(monkeypatch):
+    # The two rows whose residuals return None, and which take under 2 ms
+    # at N = 8, fold per case; every other row evaluates its cases in stacks.
+    callers, real = [], v.worst_case
+
+    def recorded(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    monkeypatch.setattr(v, "worst_case", recorded)
+    v.run_all_checks(NetworkParams(3, 1.0))
+    assert sorted(callers) == ["check_conservation_relation", "check_inference_roundtrip"]
+
+
+def test_overflowing_fisher_split_fails():
+    # At J = 1e-300, (d_J p)^2 and the split total are both inf at t2 = 0.3
+    # periods: the NaN gap between them fails the row, stacked or not.
+    params = NetworkParams(5, 1e-300)
+    assert math.isnan(v.fisher_split_residual(params, v.C0, 0.3 * params.period))
+    result = v.check_fisher_split(params)
+    assert math.isnan(result.value) and not result.passed
+    assert math.isnan(v.fisher_split_residual(*result.worst_at))
 
 
 def test_nan_in_a_grouped_row_without_a_selector_reports_the_first(monkeypatch):
