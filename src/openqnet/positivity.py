@@ -78,9 +78,9 @@ def choi_matrix(ops: PropagatorOps) -> np.ndarray:
     semidefinite exactly when the propagator is completely positive. The
     dense oracle for :func:`choi_spectrum`; its blocks are the images of
     the (K+1)^2 basis operators, equal in value to :func:`apply` on each,
-    from one matrix product per map. Stacked ops of shape S give a
-    ``(*S, (K+1)^2, (K+1)^2)`` stack, each matrix equal bit for bit to the
-    one of its own ops; the guard on (K+1)^2 holds for each matrix.
+    from one matrix product per map and the flow terms where they act.
+    Stacked ops of shape S give a ``(*S, (K+1)^2, (K+1)^2)`` stack, each
+    matrix bit for bit that of its own ops; the guard holds for each.
     """
     d = ops.k_qubits + 1
     if d * d > CHOI_MAX_DIM:

@@ -236,37 +236,49 @@ def apply(ops: PropagatorOps, density: np.ndarray) -> np.ndarray:
         raise ParameterError(f"operator must be {d}x{d}, got shape {rho.shape}")
     block = ops.block_diag
     out = block @ rho @ block.conj().swapaxes(-1, -2)
-    _add_flow(ops, rho, out)
+    read, terms = _flow(ops)
+    lead = (...,) if out.ndim > 2 else ()  # plain indices add faster on one matrix
+    mass = rho[(*lead, read, read)]
+    if isinstance(read, slice):
+        mass = mass.sum(axis=(-2, -1))
+    for sector, weight in terms:
+        out[(*lead, sector, sector)] += _spread(weight * mass, sector)
     return out
 
 
-def _add_flow(ops: PropagatorOps, rho: np.ndarray, out: np.ndarray) -> None:
-    # Adds the flow terms of the map on rho to out, its block term, in place.
+def _flow(ops: PropagatorOps) -> tuple:
+    # The flow terms, stated once: (read, ((sector, weight), ...)) over the sectors 0
+    # (ground) and 1: (q = 1); each adds weight * (sum of rho over read) to its sector.
+    q1 = slice(1, None)
     if ops.dyn_class is DynClass.CONTAINS_EXCITED:
-        out[..., 0, 0] += ops.flow_weight * rho[..., 1:, 1:].sum(axis=(-2, -1))
-    else:
-        ground = rho[..., 0, 0]
-        out[..., 1:, 1:] += (ops.flow_weight * ground)[..., None, None]
-        out[..., 0, 0] += ops.ground_extra * ground
+        return q1, ((0, ops.flow_weight),)
+    return 0, ((q1, ops.flow_weight), (0, ops.ground_extra))
 
 
-def _basis_images(ops: PropagatorOps) -> np.ndarray:
+def _spread(value, sector):
+    # value, of a stack's shape, lined up with the stack of sector blocks.
+    return np.asarray(value)[..., None, None] if isinstance(sector, slice) else value
+
+
+def _basis_images(ops: PropagatorOps, diagonal: bool = False) -> np.ndarray:
     # images[mu, nu, *S] = Phi[|mu><nu|] for the ops of a stack of shape S
-    # (S = () for one propagator). B |mu><nu| is B's column mu placed in
-    # column nu, so the d^3 rows of all d^2 products B E are copied, not
-    # multiplied, and the block term B E B^dag takes one matrix product per
-    # map. Each of its entries is a sum with one nonzero term, so the values
-    # are those of apply on each E; only the signs of zeros can differ.
-    d = ops.k_qubits + 1
-    block = ops.block_diag
+    # (S = () for one propagator), or images[mu, *S] = Phi[|mu><mu|] for the
+    # ``diagonal``. B |mu><nu| is B's column mu placed in column nu, so the
+    # rows of the products B E are written, not multiplied, and the block
+    # term B E B^dag takes one matrix product per map: each entry is a sum
+    # with one nonzero term, so the values are those of apply on each E but
+    # for the signs of zeros. The flow goes only to the images it reads.
+    d, block = ops.k_qubits + 1, ops.block_diag
     stack = block.shape[:-2]
-    m = len(stack)
-    # rows[*S, (a, mu, nu), col] = (B |mu><nu|)[a, col] = B[a, mu] [nu == col]
-    rows = (block[..., None, None] * np.eye(d)).reshape(stack + (d**3, d))
-    out = (rows @ block.conj().swapaxes(-1, -2)).reshape(stack + (d, d, d, d))
-    images = np.moveaxis(out, (m + 1, m + 2), (0, 1))
-    basis = np.eye(d * d, dtype=complex)  # row mu*d + nu is |mu><nu|
-    _add_flow(ops, basis.reshape((d, d) + (1,) * m + (d, d)), images)
+    m, e = len(stack), 1 if diagonal else 2  # e basis indices: mu (and nu)
+    # rows[*S, a, mu, nu, c] = (B |mu><nu|)[a, c] = B[a, mu] [nu == c], nu = mu if diagonal
+    rows = np.zeros(stack + (d,) * e + (d * d,), dtype=complex)
+    rows[..., :: d + 1] = block if diagonal else block[..., None]
+    out = rows.reshape(stack + (d ** (e + 1), d)) @ block.conj().swapaxes(-1, -2)
+    images = np.moveaxis(out.reshape(stack + (d,) * (e + 2)), range(m + 1, m + 1 + e), range(e))
+    read, terms = _flow(ops)
+    for sector, weight in terms:
+        images[(read,) * e][..., sector, sector] += _spread(weight, sector)
     return images
 
 

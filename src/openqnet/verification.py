@@ -24,6 +24,7 @@ seed so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from itertools import product
@@ -45,10 +46,10 @@ from .states import DynClass, SubsystemSelector
 RNG_SEED = 0
 # Bytes of arrays that one stack of grouped_values holds at once, as each
 # row counts them per window. Set for pcp_agreement's Choi stacks: 4 MiB
-# adds 10 MB of peak RSS at N=8, whole unchunked groups 32 MB, at the same
-# speed. Traced peaks at N=8 under this cap: check_pcp_agreement 2.94 MB,
-# check_composition 1.19 MB, check_tomography_containing 0.88 MB, the
-# other grouped rows at most 0.23 MB.
+# adds 7.5 MB of peak RSS at N=8, whole unchunked groups 28 MB, at the same
+# speed. Traced peaks at N=8 under this cap: check_pcp_agreement 2.81 MB,
+# check_composition 1.10 MB, check_tomography_containing 0.87 MB, the
+# other rows at most 0.44 MB (check_amplitude_oracle, its eigh cached).
 _STACK_BYTES = 1 << 20
 C1, C0 = DynClass.CONTAINS_EXCITED, DynClass.EXCLUDES_EXCITED
 
@@ -267,8 +268,8 @@ def pcp_disagreements(cases: Iterable[tuple]) -> list[tuple]:
     The routes are the flow sign, the closed-form Choi spectrum, the trace
     distance and the dense Choi matrix, each decided at ``VERDICT_TOL``.
     The cases are evaluated by :func:`grouped_values` in stacks of at most
-    1 MiB of Choi matrices: one stacked propagator, one stacked dense Choi
-    matrix and one Cholesky PSD test per matrix (:func:`choi_psd`).
+    1 MiB of Choi matrices: one stacked propagator, its Choi diagonal, and
+    dense Choi matrices only where it passes :func:`choi_psd`'s pre-test.
     """
     cases = list(cases)
     agree = grouped_values(cases, _pcp_agree, lambda n, d: d**4)
@@ -282,31 +283,58 @@ def _pcp_agree(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> np.ndar
     flow_cp = ops.flow_weight >= -tol
     choi_cp = np.minimum.reduce(positivity.choi_spectrum(ops)) >= -tol
     p1, p2 = (states.excitation_probability(params, sel, t) for t in (t1, t2))
-    dense_cp = choi_psd(positivity.choi_matrix(ops), tol)
+    dense_cp = _dense_cp(ops, tol)
     return (flow_cp == choi_cp) & (choi_cp == (p2 - p1 <= tol)) & (choi_cp == dense_cp)
+
+
+def _dense_cp(ops: propagator.PropagatorOps, tol: float) -> np.ndarray:
+    # choi_psd of each window's dense Choi matrix, built only where its
+    # diagonal C[(a, mu), (a, mu)] = Phi[|mu><mu|][a, a] passes the pre-test.
+    diag = np.diagonal(propagator._basis_images(ops, diagonal=True), axis1=-2, axis2=-1)
+    cp = (diag.real + tol > 0.0).all(axis=(0, -1)).reshape(-1)  # diag[mu, *S, a]
+    passed = np.flatnonzero(cp)
+    cp[passed] = choi_psd(positivity.choi_matrix(_take(ops, passed)), tol)
+    return cp.reshape(diag.shape[1:-1])
+
+
+def _take(ops: propagator.PropagatorOps, index: np.ndarray) -> propagator.PropagatorOps:
+    # The windows of a stack of ops at flat indices, as a 1-d stack.
+    d, shape = ops.k_qubits + 1, ops.block_diag.shape[:-2]
+    take = lambda x: None if x is None else np.broadcast_to(x, shape).reshape(-1)[index]
+    fields = {x: take(getattr(ops, x)) for x in ("flow_weight", "ground_extra", "t1", "t2")}
+    return dataclasses.replace(ops, block_diag=ops.block_diag.reshape(-1, d, d)[index], **fields)
 
 
 def choi_psd(choi: np.ndarray, tol: float) -> np.ndarray:
     """Whether each Hermitian matrix of a ``(..., D, D)`` stack has its
     smallest eigenvalue at or above ``-tol``.
 
-    Decided by a Cholesky factorisation of C + tol*I per matrix
-    (``np.linalg.cholesky``, LAPACK's ``potrf``), which reads the lower
-    triangle, as ``eigvalsh`` does; a failed factorisation means not PSD. A
-    matrix with a non-finite entry counts as not PSD.
+    Decided by a Cholesky factorisation of C + tol*I (``np.linalg.cholesky``,
+    LAPACK's ``potrf``), which reads the lower triangle, as ``eigvalsh``
+    does; a failed factorisation or a non-finite entry means not PSD. What
+    the pre-test leaves is factorised as one stack, each matrix alone only
+    if that fails, on the rows and columns nonzero in some matrix: a matrix
+    zero outside those is PSD at -tol (tol > 0) iff its block on them is.
     """
     dim = choi.shape[-1]
     flat = choi.reshape(-1, dim, dim)
-    shift = tol * np.eye(dim)
     # Each pivot is its diagonal entry less a sum of squares, so a shifted
     # diagonal entry <= 0 fails the factorisation at or before its own pivot.
     psd = (np.diagonal(flat, axis1=-2, axis2=-1).real + tol > 0.0).all(axis=-1)
     psd &= np.isfinite(flat).all(axis=(-2, -1))  # OpenBLAS factorises a NaN matrix
-    for i in np.flatnonzero(psd):
-        try:
-            np.linalg.cholesky(flat[i] + shift)
-        except np.linalg.LinAlgError:
-            psd[i] = False
+    candidates = np.flatnonzero(psd)
+    nonzero = flat.any(axis=0)  # in some matrix of the stack
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))  # all, if tol = 0
+    shifted = flat[np.ix_(candidates, support, support)]
+    shifted[:, range(support.size), range(support.size)] += tol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        for i, matrix in zip(candidates, shifted):
+            try:
+                np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                psd[i] = False
     return psd.reshape(choi.shape[:-2])
 
 

@@ -137,6 +137,125 @@ def test_non_positive_diagonal_is_not_psd_whatever_lies_above_it():
     assert not v.choi_psd(choi, TOL)
 
 
+def _same_bits(got, want) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _selector_stacks(params, samples):
+    # (selector, its stream windows as one stack, its first window alone).
+    groups = {}
+    for _, sel, t1, t2 in v._windows(params, v.selectors(params), samples):
+        groups.setdefault(sel, []).append((t1, t2))
+    for sel, windows in groups.items():
+        stack = propagator.build_propagator(params, sel, *np.array(windows).T)
+        yield sel, stack, propagator.build_propagator(params, sel, *windows[0])
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 17])
+def test_pre_test_diagonal_is_the_dense_choi_diagonal_bit_for_bit(n):
+    # The diagonal images' diag[mu, *S, a] is C[(a, mu), (a, mu)], in both
+    # classes, on stacks and on single windows.
+    params = NetworkParams(n, 1.0)
+    for sel, *ops_pair in _selector_stacks(params, 200):
+        for ops in ops_pair:
+            images = propagator._basis_images(ops, diagonal=True)
+            got = np.moveaxis(np.diagonal(images, axis1=-2, axis2=-1), 0, -1)
+            want = np.diagonal(positivity.choi_matrix(ops), axis1=-2, axis2=-1)
+            assert _same_bits(got.reshape(want.shape), want), (n, sel)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_dense_verdict_is_the_eigenvalue_verdict_on_every_window(n):
+    params = NetworkParams(n, 1.0)
+    cases = list(v._windows(params, v.selectors(params), 2000))
+    verdicts = []
+
+    def dense_is_eigvalsh(params, sel, t1, t2):
+        ops = propagator.build_propagator(params, sel, t1, t2)
+        dense = v._dense_cp(ops, TOL)
+        verdicts.extend(np.atleast_1d(dense).tolist())
+        return dense == (np.linalg.eigvalsh(positivity.choi_matrix(ops)).min(axis=-1) >= -TOL)
+
+    assert all(v.grouped_values(cases, dense_is_eigvalsh, lambda n, d: d**4))
+    assert len(verdicts) == len(cases) and 0 < sum(verdicts) < len(cases)
+
+
+def test_dense_verdict_reads_neither_the_spectrum_nor_the_flow_sign(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the dense route read another route")
+
+    monkeypatch.setattr(positivity, "choi_spectrum", refuse)
+    monkeypatch.setattr(propagator, "flow_amplitude", refuse)
+    for sel, stack, one in _selector_stacks(N5, 300):
+        for ops in (stack, one):
+            want = np.linalg.eigvalsh(positivity.choi_matrix(ops)).min(axis=-1) >= -TOL
+            assert _same_bits(v._dense_cp(ops, TOL), want), sel
+
+
+def test_choi_psd_factorises_a_stack_once_and_each_matrix_only_if_it_fails(monkeypatch):
+    # PSD matrices with their zero rows in different places, and in the
+    # middle one at -VERDICT_TOL * (1 + 1e-3), built as at the tolerance edge.
+    params, sel = NetworkParams(5, 1.0), SubsystemSelector(2, v.C0)
+    ops = propagator.build_propagator(params, sel, 0.1 * params.period, 0.3 * params.period)
+    target, a = -TOL * (1.0 + 1e-3), abs(ops.block_diag[0, 0]) ** 2
+    edge = dataclasses.replace(ops, ground_extra=target * (1.0 + a / (2 - target)))
+    psd = positivity.choi_matrix(ops)
+    orders = np.random.default_rng(1).permutation(9), np.arange(9)[::-1]
+    one, two = (np.ix_(order, order) for order in orders)
+    stack = np.array([psd, psd[one], positivity.choi_matrix(edge)[two], psd[two], psd])
+    zero_rows = {tuple(np.flatnonzero(~(m != 0).any(axis=-1))) for m in stack[[0, 1, 3]]}
+    assert len(zero_rows) == 3 and () not in zero_rows
+    want = np.linalg.eigvalsh(stack).min(axis=-1) >= -TOL
+    assert want.tolist() == [True, True, False, True, True]
+    calls, real = [], np.linalg.cholesky
+
+    def counted(matrix):
+        calls.append(matrix.ndim)
+        return real(matrix)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    assert v.choi_psd(stack, TOL).tolist() == want.tolist()
+    assert calls == [3] + [2] * 5  # the stack, then the fallback per matrix
+    del calls[:]
+    assert v.choi_psd(stack[[0, 1, 3]], TOL).tolist() == [True] * 3 and calls == [3]
+    assert not v.choi_psd(psd, 0.0)  # a zero row: no positive pivot at tol = 0
+    # Matrices given by their lower triangle, as LAPACK reads them: row 0 is
+    # zero in both, column 0 is not in the second, whose [[0, 0.5], [0.5, 1]]
+    # is not PSD.
+    lower = np.array([[[0, 0, 0], [0, 1.0, 0], [0, 0, 1]], [[0, 0, 0], [0.5, 1, 0], [0, 0, 1]]])
+    assert v.choi_psd(lower, TOL).tolist() == [True, False]
+    empty = v.choi_psd(np.zeros((0, 9, 9), dtype=complex), TOL)
+    assert empty.shape == (0,) and empty.dtype == bool
+
+
+def test_pcp_builds_choi_matrices_past_the_diagonal_and_factorises_each_stack_once(
+    monkeypatch,
+):
+    # At N = 8: a dense Choi matrix for exactly the windows whose diagonal
+    # passes the pre-test, and one Cholesky call per stack, none failing.
+    params = NetworkParams(8, 1.0)
+    cases = list(v._windows(params, v.selectors(params), 2000))
+    passing = set()
+    for sel, stack, _ in _selector_stacks(params, 2000):
+        diag = np.diagonal(positivity.choi_matrix(stack), axis1=-2, axis2=-1).real
+        passed = (diag + TOL > 0.0).all(axis=-1)
+        passing |= {(sel, *w) for w in zip(stack.t1[passed].tolist(), stack.t2[passed].tolist())}
+    built, factorised, stacks = [], [], []
+    real_choi, real_cholesky, real_agree = positivity.choi_matrix, np.linalg.cholesky, v._pcp_agree
+
+    def choi(ops):
+        sel = SubsystemSelector(ops.k_qubits, ops.dyn_class)
+        built.extend((sel, *w) for w in zip(ops.t1.tolist(), ops.t2.tolist()))
+        return real_choi(ops)
+
+    monkeypatch.setattr(positivity, "choi_matrix", choi)
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: factorised.append(m) or real_cholesky(m))
+    monkeypatch.setattr(v, "_pcp_agree", lambda *case: stacks.append(case) or real_agree(*case))
+    assert v.pcp_disagreements(cases) == []
+    assert len(built) == len(set(built)) == 1062 and set(built) == passing
+    assert len(factorised) == len(stacks) == 58 and all(m.ndim == 3 for m in factorised)
+
+
 def test_nan_choi_matrix_makes_the_routes_disagree(monkeypatch):
     real = positivity.choi_matrix
 
