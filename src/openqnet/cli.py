@@ -1,10 +1,12 @@
 """Command-line front end emitting plot-ready CSV datasets.
 
 All times on the command line are in units of the recurrence period
-2*pi/(N*J). Every dataset subcommand writes CSV with a header row, a
-leading ``t_over_period`` column, and 17 significant digits per value so
-doubles round-trip losslessly; output is byte-identical across runs (the
-verification suites use a fixed seed). Each column, or each K's block of
+2*pi/(N*J). Every dataset subcommand writes CSV with a header row and a
+leading ``t_over_period`` column; each cell is exactly ``'%.17g' % cell``
+(``_csv`` writes it with numpy, and leaves to Python NaN, ±inf, magnitudes
+outside [1e-280, 1e300) and near-ties where 10**p is no double), so doubles
+round-trip, and output is byte-identical across runs (the verification
+suites use a fixed seed). Each column, or each K's block of
 columns, is one array call of a closed form over the whole time grid, and a
 column refuses what its first refusing grid point would; only ``infer``
 still works row by row, for its period bisection and its per-row size
@@ -22,7 +24,7 @@ from typing import Iterable, Sequence
 import click
 import numpy as np
 
-from . import bloch, fisher, inference, propagator, states
+from . import _csv, bloch, fisher, inference, propagator, states
 from .amplitudes import NetworkParams, amplitudes
 from .errors import (
     DegenerateStateError,
@@ -39,29 +41,23 @@ class _VerificationFailed(OpenQNetError):
     """Raised by the verify subcommand when any residual exceeds tolerance."""
 
 
-def _write_csv(out_path: str, header: Sequence[str], rows: Iterable[Sequence[float | str]]) -> None:
-    # One %-format per row, built from the first row: "%.17g" for numbers,
-    # "%s" for text (verify's check names and statuses).
-    lines = [",".join(header)]
-    row_format = None
-    for row in rows:
-        if row_format is None:
-            row_format = ",".join("%s" if isinstance(v, str) else "%.17g" for v in row)
-        lines.append(row_format % tuple(row))
-    text = "\n".join(lines) + "\n"
+def _write_csv(out_path: str, chunks: Iterable[str]) -> None:
+    # Each chunk is written as it comes, so no table's whole text is held.
     if out_path == "-":
-        click.echo(text, nl=False)
-    else:
-        try:
-            with open(out_path, "w", encoding="ascii") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise click.UsageError(f"cannot write {out_path!r}: {exc}") from exc
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
+        return
+    try:
+        with open(out_path, "w", encoding="ascii") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {out_path!r}: {exc}") from exc
 
 
-def _rows(*columns) -> list[list[float]]:
-    # Rows of Python floats from columns over the grid; a float is a constant column.
-    return np.column_stack(np.broadcast_arrays(*columns)).tolist()
+def _rows(*columns) -> np.ndarray:
+    # The table, one row per grid point, from columns over the grid; a float
+    # is a constant column.
+    return np.column_stack(np.broadcast_arrays(*columns))
 
 
 def _parse_k_values(text: str | None, n: int, dyn_classes: Sequence[DynClass]) -> list[int]:
@@ -132,7 +128,7 @@ def amplitudes_cmd(n_qubits: int, coupling: float, steps: int, out_path: str) ->
     amps = amplitudes(params, _absolute(params, taus))
     us, ud = amps.same_site, amps.cross_site
     rows = _rows(taus, us.real, us.imag, ud.real, ud.imag, amps.cross_abs2)
-    _write_csv(out_path, ["t_over_period", "u_s_re", "u_s_im", "u_d_re", "u_d_im", "u_d_abs2"], rows)
+    _write_csv(out_path, _csv.csv_chunks(["t_over_period", "u_s_re", "u_s_im", "u_d_re", "u_d_im", "u_d_abs2"], rows))
 
 
 @cli.command("flow")
@@ -154,7 +150,7 @@ def flow_cmd(n_qubits: int, coupling: float, dt: float, k_text: str | None, step
     sels += [SubsystemSelector(k, DynClass.EXCLUDES_EXCITED) for k in ks if k <= n_qubits - 1]
     taus = _grid(steps)
     flows = propagator._flows(params, sels, _absolute(params, taus), _absolute(params, taus + dt))
-    _write_csv(out_path, header, _rows(taus, *flows))
+    _write_csv(out_path, _csv.csv_chunks(header, _rows(taus, *flows)))
 
 
 _TRAJECTORY_STARTS = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
@@ -175,7 +171,7 @@ def bloch_traj_cmd(n_qubits: int, coupling: float, dyn_class: str, steps: int, o
     t = _absolute(params, taus)
     bmap = bloch.affine_map(params, cls, 0.0, t)
     starts = [bmap.z_shift + bmap.z_scale * z0 for z0 in _TRAJECTORY_STARTS]
-    _write_csv(out_path, header, _rows(taus, *starts, bloch.physical_bloch_z(params, cls, t)))
+    _write_csv(out_path, _csv.csv_chunks(header, _rows(taus, *starts, bloch.physical_bloch_z(params, cls, t))))
 
 
 @cli.command("bloch-domain")
@@ -194,7 +190,7 @@ def bloch_domain_cmd(n_qubits: int, coupling: float, dyn_class: str, dt: float, 
     t1, t2 = _absolute(params, taus), _absolute(params, taus + dt)
     lo, hi = bloch.axial_positivity_band(bloch.affine_map(params, cls, t1, t2))
     rows = _rows(taus, lo, hi, bloch.physical_bloch_z(params, cls, t1))
-    _write_csv(out_path, ["t_over_period", "band_lo", "band_hi", "orbit_bz"], rows)
+    _write_csv(out_path, _csv.csv_chunks(["t_over_period", "band_lo", "band_hi", "orbit_bz"], rows))
 
 
 @cli.command("entropy")
@@ -213,7 +209,7 @@ def entropy_cmd(n_qubits: int, coupling: float, dyn_class: str, k_text: str | No
     taus = _grid(steps)
     t = _absolute(params, taus)
     columns = [states.entanglement_entropy(params, SubsystemSelector(k, cls), t) for k in ks]
-    _write_csv(out_path, header, _rows(taus, *columns))
+    _write_csv(out_path, _csv.csv_chunks(header, _rows(taus, *columns)))
 
 
 @cli.command("fisher")
@@ -247,7 +243,7 @@ def fisher_cmd(n_qubits: int, coupling: float, dyn_class: str, k_text: str | Non
         if not (cls is DynClass.CONTAINS_EXCITED and k == n_qubits):
             fn = fisher.qfi_closed_form(params, sel, GlobalParameter.SIZE_N, t)
             columns += [fn.classical, fn.quantum, fn.total]
-    _write_csv(out_path, header, _rows(taus, *columns))
+    _write_csv(out_path, _csv.csv_chunks(header, _rows(taus, *columns)))
 
 
 @cli.command("fisher-decomp")
@@ -276,7 +272,7 @@ def fisher_decomp_cmd(n_qubits: int, coupling: float, dyn_class: str, t1: float,
         params, cls, t1 * params.period, _absolute(params, taus), rescaled=True
     )
     rows = _rows(taus, split.process, split.state, split.cross, split.total)
-    _write_csv(out_path, ["t_over_period", "process", "state", "cross", "total"], rows)
+    _write_csv(out_path, _csv.csv_chunks(["t_over_period", "process", "state", "cross", "total"], rows))
 
 
 @cli.command("infer")
@@ -324,7 +320,7 @@ def infer_cmd(n_qubits: int, coupling: float, dt: float, steps: int, out_path: s
         "n_residual",
         "j_estimate",
     ]
-    _write_csv(out_path, header, rows)
+    _write_csv(out_path, _csv.csv_chunks(header, rows))
 
 
 @cli.command("verify")
@@ -337,7 +333,7 @@ def verify_cmd(n_qubits: int, coupling: float, out_path: str) -> None:
 
     params = NetworkParams(n_qubits, coupling)
     results = verification.run_all_checks(params)
-    rows = []
+    lines = ["check,value,tolerance,status\n"]
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -347,8 +343,8 @@ def verify_cmd(n_qubits: int, coupling: float, out_path: str) -> None:
             f"{where}  time={r.seconds * 1e3:.1f}ms",
             err=True,
         )
-        rows.append((r.name, r.value, r.tolerance, status))
-    _write_csv(out_path, ["check", "value", "tolerance", "status"], rows)
+        lines.append("%s,%.17g,%.17g,%s\n" % (r.name, r.value, r.tolerance, status))
+    _write_csv(out_path, lines)
     failed = [r.name for r in results if not r.passed]
     if failed:
         raise _VerificationFailed(f"verification failed: {', '.join(failed)}")

@@ -3,11 +3,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from openqnet.cli import main
+from test_cli_columns import COMMANDS as COLUMN_COMMANDS
+from test_cli_columns import case as column_case
 
 
 def read_csv(path):
@@ -383,3 +386,53 @@ def test_verify_passes_at_small_sizes(n, tmp_path, capsys):
     # N = 2 samples its degenerate half-period point in the reduced-state check.
     assert main(["verify", "--n", n, "--out", str(tmp_path / "verify.csv")]) == 0
     assert "FAIL" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", [64, 65])
+@pytest.mark.parametrize("n", [2, 5, 6, 50])
+@pytest.mark.parametrize("command,cls", COLUMN_COMMANDS, ids=lambda v: getattr(v, "name", v))
+def test_every_cell_is_its_own_17g_text(command, cls, n, steps, tmp_path, capsys):
+    argv, _, _ = column_case(command, n, steps, cls)
+    out = tmp_path / "out.csv"
+    if main(argv + ["--out", str(out)]) != 0:
+        return  # a refused grid point, checked in test_cli_columns
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    assert len(lines) == steps + 1
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert cells == ["%.17g" % float(cell) for cell in cells]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["amplitudes", "--n", "5", "--steps", "64"],
+        ["fisher", "--n", "50", "--class", "0", "--steps", "64"],  # several chunks
+        ["fisher-decomp", "--n", "3", "--j", "1e-300", "--t1", "0.25", "--steps", "64"],  # nan and inf cells
+    ],
+    ids=" ".join,
+)
+def test_stdout_and_file_get_the_same_bytes(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr().out.encode("ascii") == out.read_bytes()
+
+
+# Peak traced memory of the command below, in bytes, one BLAS thread: the
+# writer that formatted a list of Python rows into one string held 15_617_370;
+# the chunked kernel holds 3_589_419 (its table is 1.2 MB of it).
+WHOLE_TEXT_PEAK = 15_617_370
+
+
+def test_writing_a_large_table_holds_no_whole_text(tmp_path):
+    argv = ["fisher", "--n", "50", "--class", "1", "--k", "1..50", "--steps", "500", "--out", str(tmp_path / "f.csv")]
+    assert main(argv) == 0  # lazy tables and imports first
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= WHOLE_TEXT_PEAK
