@@ -6,13 +6,14 @@ leading ``t_over_period`` column; each cell is exactly ``'%.17g' % cell``
 (``_csv`` writes it with numpy, and leaves to Python NaN, ±inf, magnitudes
 outside [1e-280, 1e300) and near-ties where 10**p is no double), so doubles
 round-trip, and output is byte-identical across runs (the verification
-suites use a fixed seed). Each column, or each K's block of
-columns, is one array call of a closed form over the whole time grid, and a
-column refuses what its first refusing grid point would; only ``infer``
-still works row by row, for its period bisection and its per-row size
-estimate. Exit codes: 0 success, 1 usage error, 2 numerical-verification
-failure, 3 singular-point request (a singular propagator anchor or a
-degenerate state; the message names the time).
+suites use a fixed seed). Each column is one array call of a closed form
+over the whole time grid, and ``fisher`` and ``entropy`` take every K in
+one (K, T) stack; a column refuses what its first refusing grid point
+would, and a stack what the loop over its K would. Only ``infer``'s period
+bisection still works point by point. Exit codes: 0 success, 1 usage
+error, 2 numerical-verification failure, 3 singular-point request (a
+singular propagator anchor or a degenerate state; the message names the
+time).
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ import numpy as np
 
 from . import _csv, bloch, fisher, inference, propagator, states
 from .amplitudes import NetworkParams, amplitudes
-from .errors import (
-    DegenerateStateError,
-    IndeterminateFlowError,
-    InconsistentObservationError,
-    OpenQNetError,
-    SingularIntervalError,
-)
+from .errors import DegenerateStateError, OpenQNetError, SingularIntervalError
 from .fisher import GlobalParameter
 from .states import DynClass, SubsystemSelector
 
@@ -207,9 +202,8 @@ def entropy_cmd(n_qubits: int, coupling: float, dyn_class: str, k_text: str | No
     ks = _parse_k_values(k_text, n_qubits, (cls,))
     header = ["t_over_period"] + [f"entropy_k{k}" for k in ks]
     taus = _grid(steps)
-    t = _absolute(params, taus)
-    columns = [states.entanglement_entropy(params, SubsystemSelector(k, cls), t) for k in ks]
-    _write_csv(out_path, _csv.csv_chunks(header, _rows(taus, *columns)))
+    entropies = states._entropy_stack(params, ks, cls, _absolute(params, taus))
+    _write_csv(out_path, _csv.csv_chunks(header, _rows(taus, *entropies)))
 
 
 @cli.command("fisher")
@@ -228,22 +222,27 @@ def fisher_cmd(n_qubits: int, coupling: float, dyn_class: str, k_text: str | Non
     params = NetworkParams(n_qubits, coupling)
     cls = _dyn_class(dyn_class)
     ks = _parse_k_values(k_text, n_qubits, (cls,))
-    header = ["t_over_period"]
-    for k in ks:
-        header += [f"fj_classical_k{k}", f"fj_quantum_k{k}", f"fj_total_k{k}"]
-        if not (cls is DynClass.CONTAINS_EXCITED and k == n_qubits):
-            header += [f"fn_classical_k{k}", f"fn_quantum_k{k}", f"fn_total_k{k}"]
-    taus = _grid(steps)
+    header, table = _fisher_table(params, ks, cls, _grid(steps))
+    _write_csv(out_path, _csv.csv_chunks(header, table))
+
+
+def _fisher_table(params: NetworkParams, ks: list[int], cls: DynClass, taus: np.ndarray) -> tuple:
+    # The fisher header and table: each parameter's pieces for every K from
+    # one stack. Only the table outlives this call, so the stacks are freed
+    # before writing.
     t = _absolute(params, taus)
-    columns = []
-    for k in ks:
-        sel = SubsystemSelector(k, cls)
-        fj = fisher.qfi_closed_form(params, sel, GlobalParameter.COUPLING_J, t)
-        columns += [fj.classical, fj.quantum, fj.total]
-        if not (cls is DynClass.CONTAINS_EXCITED and k == n_qubits):
-            fn = fisher.qfi_closed_form(params, sel, GlobalParameter.SIZE_N, t)
-            columns += [fn.classical, fn.quantum, fn.total]
-    _write_csv(out_path, _csv.csv_chunks(header, _rows(taus, *columns)))
+    # No size columns for K = N in class 1, the largest K.
+    sized = ks[:-1] if cls is DynClass.CONTAINS_EXCITED and ks[-1] == params.n_qubits else ks
+    stacks = [("fj", fisher._information_stack(params, ks, cls, GlobalParameter.COUPLING_J, t))]
+    if sized:
+        stacks.append(("fn", fisher._information_stack(params, sized, cls, GlobalParameter.SIZE_N, t)))
+    header, columns = ["t_over_period"], [taus]
+    for i, k in enumerate(ks):
+        for name, info in stacks:
+            if i < len(info.total):
+                header += [f"{name}_classical_k{k}", f"{name}_quantum_k{k}", f"{name}_total_k{k}"]
+                columns += [info.classical[i], info.quantum[i], info.total[i]]
+    return header, _rows(*columns)
 
 
 @cli.command("fisher-decomp")
@@ -290,6 +289,8 @@ def infer_cmd(n_qubits: int, coupling: float, dt: float, steps: int, out_path: s
     """
     params = NetworkParams(n_qubits, coupling)
     dt = _window_length(dt)
+    if dt >= 1.0:  # the period estimate holds only for windows shorter than a period
+        raise click.UsageError(f"--dt must lie in (0, 1) periods for infer, got {dt}")
     sel1 = SubsystemSelector(1, DynClass.CONTAINS_EXCITED)
     sel0 = SubsystemSelector(1, DynClass.EXCLUDES_EXCITED)
     window = dt * params.period
@@ -303,13 +304,7 @@ def infer_cmd(n_qubits: int, coupling: float, dt: float, steps: int, out_path: s
     t1 = _absolute(params, taus)
     flow1, flow0 = propagator._flows(params, (sel1, sel0), t1, _absolute(params, taus + dt))
     ground = states.excitation_probability(params, sel0, t1)
-    estimates = []
-    for obs in zip(flow1.tolist(), flow0.tolist(), ground.tolist()):
-        try:
-            estimates.append(inference.infer_network_size(inference.FlowObservation(*obs)))
-        except (IndeterminateFlowError, InconsistentObservationError):
-            estimates.append((float("nan"),) * 3)
-    rows = _rows(taus, flow1, flow0, ground, *np.array(estimates).T, j_est)
+    rows = _rows(taus, flow1, flow0, ground, *inference._size_estimates(flow1, flow0, ground), j_est)
     header = [
         "t_over_period",
         "phi_tau_c1",

@@ -12,6 +12,7 @@ propagator, a state part carried in at t1, and a signed cross term.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 from dataclasses import dataclass
 
@@ -75,13 +76,12 @@ def _check_theta(theta) -> None:
         raise ParameterError(f"theta must be a GlobalParameter, got {theta!r}")
 
 
-def _mixing_slope(params: NetworkParams, k: int, contains: bool, by_coupling: bool, t, sh, ch):
+def _mixing_slope(params: NetworkParams, w, contains: bool, by_coupling: bool, t, sh, ch):
     # d_theta p / sin(NJt/2) for p = 1 - w x, x = 4/N^2 sin^2(NJt/2), on
-    # already-validated float or array inputs. The common sine factor is
-    # left out so that (d_theta p)^2 / (p (1 - p)) can cancel it against
-    # 1 - p = w x.
+    # already-validated float or array inputs; w is the class weight, or a
+    # (K, 1) array of them. The common sine factor is left out so that
+    # (d_theta p)^2 / (p (1 - p)) can cancel it against 1 - p = w x.
     n = params.n_qubits
-    w = _class_weight(n, k, contains)
     if by_coupling:
         # dx/dJ = 4/N^2 sin cos N t
         return -4.0 / n * w * t * ch
@@ -103,30 +103,64 @@ def qfi_closed_form(
     An ndarray ``t`` gives array fields.
     """
     sel.validate(params)
-    n, k = params.n_qubits, sel.k_qubits
-    contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
-    w = _class_weight(n, k, contains)
     try:
         t = _check_time(t, "t", True)
-        _check_theta(theta)
-        by_coupling = theta is GlobalParameter.COUPLING_J
-        if w == 0 and not by_coupling:
-            raise DivergenceError(
-                "size-parameter information diverges when the subsystem is the whole network"
-            )
-        p, sh, ch = _mixing(params, k, contains, t)
-        if _any(p <= _ZERO_WEIGHT):
-            raise DegenerateStateError(f"mixing probability vanishes at t={t!r}")
+        return _information(params, sel.k_qubits, sel.dyn_class, theta, t)
     except OpenQNetError:
         _replay(qfi_closed_form, params, sel, theta, t)
         raise
+
+
+def _information_stack(
+    params: NetworkParams, ks, dyn_class: DynClass, theta: GlobalParameter, t: np.ndarray
+) -> FisherBreakdown:
+    """qfi_closed_form of every K in ``ks`` at once, over an array of times.
+
+    Fields of shape (len(ks), *t.shape), one row per K, each equal bit for
+    bit to qfi_closed_form on that K's selector; refused as the loop over
+    ``ks`` would refuse.
+    """
+    try:
+        for k in ks:
+            SubsystemSelector(k, dyn_class).validate(params)
+        checked = _check_time(t, "t", True)
+        return _information(params, np.array(ks)[:, None], dyn_class, theta, checked)
+    except OpenQNetError:
+        for k in ks:
+            _replay(qfi_closed_form, params, SubsystemSelector(k, dyn_class), theta, t)
+        raise
+
+
+def _information(params: NetworkParams, k, dyn_class: DynClass, theta, t) -> FisherBreakdown:
+    # qfi_closed_form on a validated float or array t. k is an int, or a
+    # (K, 1) int array for a stack with one row per K over t's axes: then the
+    # K share one _hop call (in _mixing) and enter as the class weight's axis.
+    n = params.n_qubits
+    stack = type(k) is not int
+    contains = dyn_class is DynClass.CONTAINS_EXCITED
+    w = _class_weight(n, k, contains)
+    _check_theta(theta)
+    by_coupling = theta is GlobalParameter.COUPLING_J
+    if not by_coupling and _any(w == 0):
+        raise DivergenceError(
+            "size-parameter information diverges when the subsystem is the whole network"
+        )
+    p, sh, ch = _mixing(params, k, contains, t)
+    if _any(p <= _ZERO_WEIGHT):
+        raise DegenerateStateError(f"mixing probability vanishes at t={t!r}")
     # An information past the float range reads inf (or nan), as in the
-    # float path, without numpy's warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope = _mixing_slope(params, k, contains, by_coupling, t, sh, ch)
+    # float path, without numpy's warnings; Python's floats never warn. A
+    # stack's rows without a piece are computed (as nan where w = 0) and
+    # then set to 0 * p.
+    if type(p) is float:
+        quiet = contextlib.nullcontext()
+    else:
+        quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    with quiet:
+        slope = _mixing_slope(params, w, contains, by_coupling, t, sh, ch)
         # With w = 0 the eigenvalue p = 1 does not move: no classical part.
-        classical = n * n * slope * slope / (4.0 * w * p) if w else 0.0 * p
-        if not contains or k == 1:
+        classical = n * n * slope * slope / (4.0 * w * p) if stack or w else 0.0 * p
+        if not contains or not stack and k == 1:
             quantum = 0.0 * p  # the eigenvectors do not move
         elif by_coupling:
             quantum = 4.0 * t * t * (k - 1) / p
@@ -134,6 +168,9 @@ def qfi_closed_form(
             alpha = n * params.coupling * t
             quantum = 4.0 * (k - 1) * (alpha * alpha - 4.0 * alpha * sh * ch + 4.0 * sh * sh)
             quantum /= n**4 * p
+        if stack:
+            classical = np.where(w == 0, 0.0 * p, classical)
+            quantum = np.where(k == 1, 0.0 * p, quantum)
         total = classical + quantum
     return FisherBreakdown(classical, quantum, total, theta)
 
@@ -221,8 +258,8 @@ def _p_dp_single_qubit(params: NetworkParams, dyn_class: DynClass, theta: Global
     # Mixing probability p^i(t; K=1) and its theta-derivative.
     contains = dyn_class is DynClass.CONTAINS_EXCITED
     p, sh, ch = _mixing(params, 1, contains, t)
-    by_coupling = theta is GlobalParameter.COUPLING_J
-    return p, sh * _mixing_slope(params, 1, contains, by_coupling, t, sh, ch)
+    w = _class_weight(params.n_qubits, 1, contains)
+    return p, sh * _mixing_slope(params, w, contains, theta is GlobalParameter.COUPLING_J, t, sh, ch)
 
 
 def process_state_split(

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .amplitudes import NetworkParams, _bisect, _check_time, _cross_abs2
 from .errors import (
     IndeterminateFlowError,
@@ -24,6 +26,9 @@ from .states import DynClass, SubsystemSelector
 
 #: Flows smaller than this carry no usable information.
 FLOW_FLOOR = 1e-12
+
+# Smallest size estimate accepted: the two observed qubits, less round-off.
+_SIZE_MIN = 2.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,24 +89,50 @@ def infer_network_size(obs: FlowObservation) -> SizeEstimate:
 
     Equal flows consistently return N = 2 (a closed pair).
     """
-    if min(abs(obs.flow_class0), abs(obs.flow_class1)) < FLOW_FLOOR:
+    flow1, flow0 = obs.flow_class1, obs.flow_class0
+    if min(abs(flow0), abs(flow1)) < FLOW_FLOOR:
         raise IndeterminateFlowError(
             "a flow weight vanishes over this window; choose a window with net flow"
         )
-    delta = obs.flow_class0 * obs.ground_prob_t1
-    bracket = delta * (1.0 / obs.flow_class0 - 1.0 / obs.flow_class1)
-    denom = 1.0 - bracket
+    bracket, denom = _balance(flow1, flow0, obs.ground_prob_t1)
     if not math.isfinite(denom) or denom <= 0.0:
         raise InconsistentObservationError(
             f"flow pair admits no finite network size (bracket={bracket!r})"
         )
     estimate = 1.0 + 1.0 / denom
-    if not math.isfinite(estimate) or estimate < 2.0 - 1e-9:
+    if not math.isfinite(estimate) or estimate < _SIZE_MIN:
         raise InconsistentObservationError(
             f"estimated size {estimate!r} is smaller than the two observed qubits"
         )
     nearest = round(estimate)
     return SizeEstimate(estimate, int(nearest), estimate - nearest)
+
+
+def _balance(flow1, flow0, ground):
+    # infer_network_size's arithmetic, for floats or arrays of nonzero flows:
+    # the bracket delta (1/flow_class0 - 1/flow_class1), delta = flow_class0
+    # times ground_prob_t1, and the denominator 1 - bracket of N = 1 + 1/denom.
+    bracket = flow0 * ground * (1.0 / flow0 - 1.0 / flow1)
+    return bracket, 1.0 - bracket
+
+
+def _size_estimates(flow1: np.ndarray, flow0: np.ndarray, ground: np.ndarray) -> tuple:
+    """infer_network_size over arrays of observations, in one pass.
+
+    Returns the estimate, nearest and residual arrays, each element equal
+    bit for bit to the scalar call on that element's observation, and NaN
+    in all three where the scalar call raises IndeterminateFlowError or
+    InconsistentObservationError. The observations must be finite, with
+    ground probabilities in (0, 1], as FlowObservation requires.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bracket, denom = _balance(flow1, flow0, ground)
+        estimate = 1.0 + 1.0 / denom
+    usable = np.minimum(np.abs(flow0), np.abs(flow1)) >= FLOW_FLOOR
+    usable &= np.isfinite(denom) & (denom > 0.0) & np.isfinite(estimate) & (estimate >= _SIZE_MIN)
+    estimate = np.where(usable, estimate, np.nan)
+    nearest = np.rint(estimate)  # ties to even, as round()
+    return estimate, nearest, estimate - nearest
 
 
 def infer_coupling(period_estimate: float, n_estimate: float) -> float:
@@ -150,6 +181,12 @@ def estimate_period(
     first crossing from dispersal to backflow sits half a window before the
     half-period, so the period equals twice the crossing time plus dt. The
     scan advances in steps of dt/2 up to ``t_max`` and then bisects.
+
+    That relation holds only for a window shorter than the period, dt <
+    period, which the caller must ensure: the period is what is being
+    estimated, so it cannot be checked here. A window of exactly one period
+    carries only round-off flows, and a longer one returns a wrong period
+    without an error.
     """
     dt = _check_time(dt, "dt")
     t_max = _check_time(t_max, "t_max")

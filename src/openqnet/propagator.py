@@ -78,19 +78,22 @@ def is_singular(params: NetworkParams, k_qubits: int, t1) -> bool:
     halves). Other K keep d >= (N-2K)^2/N^2. This d vanishes at every
     singular anchor of either class.
     """
-    return _anchor_denominator(params, k_qubits, True, _check_time(t1, "t1")) <= ANCHOR_RTOL
+    x1 = _hop(params.n_qubits, params.coupling, _check_time(t1, "t1"))[0]
+    return _anchor_denominator(params, k_qubits, True, x1) <= ANCHOR_RTOL
 
 
-def _anchor_denominator(params: NetworkParams, k: int, contains: bool, t1):
-    # d(t1) of the module docstring, for a validated float or array t1.
-    n = params.n_qubits
-    return 1.0 - (k * (n - k) if contains else k) * _hop(n, params.coupling, t1)[0]
+def _anchor_denominator(params: NetworkParams, k: int, contains: bool, x1):
+    # d(t1) of the module docstring, from x1 = |u_d(t1)|^2 of _hop.
+    return 1.0 - (k * (params.n_qubits - k) if contains else k) * x1
 
 
-def _check_anchor(params: NetworkParams, k: int, contains: bool, t1) -> None:
+def _check_anchor(params: NetworkParams, k: int, contains: bool, t1, x1=None) -> None:
     # Raises every anchor SingularIntervalError: where d(t1) <= ANCHOR_RTOL,
-    # naming t1, or an array's first such element.
-    d = _anchor_denominator(params, k, contains, t1)
+    # naming t1, or an array's first such element. ``x1`` is _hop's x at t1,
+    # if the caller has it.
+    if x1 is None:
+        x1 = _hop(params.n_qubits, params.coupling, t1)[0]
+    d = _anchor_denominator(params, k, contains, x1)
     refused = d <= ANCHOR_RTOL
     if not _any(refused):
         return
@@ -202,18 +205,25 @@ def flow_amplitude(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> flo
 
 
 def _flows(params: NetworkParams, sels, t1, t2) -> list:
-    # flow_amplitude for each selector over the same windows, reading x once
-    # per window end rather than once per selector. An array is refused as
-    # a loop over its elements, each over the selectors in order, would be.
+    # flow_amplitude for each selector over the same windows: the times are
+    # validated once, every anchor is decided from one _hop(t1), and x is
+    # read once per window end. An array is refused as a loop over its
+    # elements, each over the selectors in order, would be.
+    n = params.n_qubits
     x = None
     flows = []
     try:
         for sel in sels:
-            t1, t2 = _window(params, sel, t1, t2, True)
+            sel.validate(params)
+        t1 = _check_time(t1, "t1", True)
+        t2 = _check_time(t2, "t2", True)
+        hop = _hop(n, params.coupling, t1)[0]
+        for sel in sels:
+            contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
+            _check_anchor(params, sel.k_qubits, contains, t1, hop)
             if x is None:
                 x = _cross_abs2(params, t1), _cross_abs2(params, t2)
-            contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
-            flows.append(_flow_weight(params.n_qubits, sel.k_qubits, contains, *x))
+            flows.append(_flow_weight(n, sel.k_qubits, contains, *x))
     except OpenQNetError:
         _replay(_flows, params, sels, t1, t2)
         raise

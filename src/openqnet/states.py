@@ -149,17 +149,6 @@ def materialize_density(state: ReducedState) -> np.ndarray:
     return rho
 
 
-def _binary_entropy(x):
-    # Natural log; 0 ln 0 := 0. Elementwise for an array.
-    if type(x) is not float:
-        inside = (x > 0.0) & (x < 1.0)
-        y = np.where(inside, x, 0.5)
-        return np.where(inside, -y * np.log(y) - (1.0 - y) * np.log(1.0 - y), 0.0)
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
-
-
 def entanglement_entropy(params: NetworkParams, sel: SubsystemSelector, t) -> float:
     """Entanglement entropy (nats) between the subsystem and the rest.
 
@@ -170,14 +159,44 @@ def entanglement_entropy(params: NetworkParams, sel: SubsystemSelector, t) -> fl
     ``t`` gives an array.
     """
     sel.validate(params)
-    n = params.n_qubits
     try:
-        x = _hop(n, params.coupling, _check_time(t, "t", True))[0]
+        return _entropy(params, sel.k_qubits, sel.dyn_class, _check_time(t, "t", True))
     except ParameterError:
         _replay(entanglement_entropy, params, sel, t)
         raise
-    contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
-    return _binary_entropy(_class_weight(n, sel.k_qubits, contains) * x)
+
+
+def _entropy_stack(params: NetworkParams, ks, dyn_class: DynClass, t: np.ndarray) -> np.ndarray:
+    """entanglement_entropy of every K in ``ks`` at once, over an array of times.
+
+    A (len(ks), *t.shape) array, one row per K, each equal bit for bit to
+    entanglement_entropy on that K's selector; refused as the loop over
+    ``ks`` would refuse.
+    """
+    try:
+        for k in ks:
+            SubsystemSelector(k, dyn_class).validate(params)
+        return _entropy(params, np.array(ks)[:, None], dyn_class, _check_time(t, "t", True))
+    except ParameterError:
+        for k in ks:
+            _replay(entanglement_entropy, params, SubsystemSelector(k, dyn_class), t)
+        raise
+
+
+def _entropy(params: NetworkParams, k, dyn_class: DynClass, t):
+    # entanglement_entropy on a validated float or array t: the binary
+    # entropy of w x in nats, 0 ln 0 := 0. k is an int, or a (K, 1) int array
+    # for one row per K: the K share one _hop call and enter as the class
+    # weight's axis.
+    n = params.n_qubits
+    x = _class_weight(n, k, dyn_class is DynClass.CONTAINS_EXCITED) * _hop(n, params.coupling, t)[0]
+    if type(x) is not float:
+        inside = (x > 0.0) & (x < 1.0)
+        y = np.where(inside, x, 0.5)
+        return np.where(inside, -y * np.log(y) - (1.0 - y) * np.log(1.0 - y), 0.0)
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
 
 
 def trace_distance_to_fixed(state: ReducedState) -> float:

@@ -19,6 +19,11 @@ completeness residuals, the residuals of ``verify``'s grouped rows and the
 Bloch image of a map with array fields must equal their scalar calls bit
 for bit over an array of times, and refuse an array as its first refusing
 element does. So must the SLD oracle and the two Fisher residuals.
+
+The Fisher and entropy stacks over K, which the fisher and entropy commands
+use, must equal their per-K calls row by row, bit for bit, refuse as the
+loop over K would, and take one hop evaluation per time grid; so must the
+flow weights of many selectors.
 """
 
 import dataclasses
@@ -61,7 +66,7 @@ from openqnet import (
     qfi_numeric_oracle,
     reduced_density_oracle,
 )
-from openqnet import fisher
+from openqnet import fisher, propagator, states
 from openqnet import verification as v
 
 RTOL = 1e-13
@@ -449,3 +454,96 @@ def test_fisher_past_float_range_equals_scalar_calls():
         split = lambda b: process_state_split(params, cls, 0.25 * params.period, b, rescaled=True)
         assert np.isinf(split(t).total).any() and np.isnan(split(t).total).any()
         check_broadcast(split, t, exact=True)
+
+
+def k_rows_against_per_k_calls(stack, per_k, ks, t):
+    """A stack over ``ks`` against the loop over ``ks`` of per-K array calls.
+
+    Either every row of ``stack(ks, t)`` equals its per-K call bit for bit
+    and None is returned, or the stack raises the loop's first refusal,
+    message included, and that error is returned.
+    """
+    rows, refusal = [], None
+    for k in ks:
+        try:
+            rows.append(fields(per_k(k, t)))
+        except OpenQNetError as exc:
+            refusal = exc
+            break
+    if refusal is not None:
+        with pytest.raises(type(refusal)) as info:
+            stack(ks, t)
+        assert str(info.value) == str(refusal)
+        return refusal
+    got = fields(stack(ks, t))
+    for name, value in got.items():
+        assert value.shape == (len(ks),) + t.shape, name
+        for i, row in enumerate(rows):
+            assert same_bits(value[i], row[name]), (name, ks[i])
+    return None
+
+
+@pytest.mark.parametrize("coupling", [1.0, 0.7, 1e-300])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 17])
+def test_k_stacks_equal_per_k_calls(n, coupling):
+    # Every K of each class in one stack, as the fisher and entropy commands
+    # call them. The grid holds the half-period (degenerate at N = 2) and,
+    # at J = 1e-300, information past the float range.
+    params = NetworkParams(n, coupling)
+    t = np.linspace(0.0, 2.0, 41) * params.period
+    for cls in DynClass:
+        contains = cls is DynClass.CONTAINS_EXCITED
+        ks = list(range(1, (n if contains else n - 1) + 1))
+        for theta in GlobalParameter:
+            sized = ks[:-1] if contains and theta is GlobalParameter.SIZE_N else ks
+            stack = lambda ks, t: fisher._information_stack(params, ks, cls, theta, t)
+            per_k = lambda k, t: qfi_closed_form(params, SubsystemSelector(k, cls), theta, t)
+            refusal = k_rows_against_per_k_calls(stack, per_k, sized, t)
+            assert (refusal is not None) == (n == 2)
+            if refusal is None:
+                info = stack(sized, t)
+                if contains:  # K = 1: the eigenvectors do not move
+                    assert not info.quantum[0].any()
+                if contains and sized == ks:  # K = N: w = 0, the eigenvalue does not move
+                    assert not info.classical[-1].any()
+            if contains and theta is GlobalParameter.SIZE_N:  # K = N diverges
+                assert isinstance(k_rows_against_per_k_calls(stack, per_k, ks, t[1:10]), fisher.DivergenceError)
+        stack = lambda ks, t: states._entropy_stack(params, ks, cls, t)
+        per_k = lambda k, t: entanglement_entropy(params, SubsystemSelector(k, cls), t)
+        assert k_rows_against_per_k_calls(stack, per_k, ks, t) is None
+
+
+def test_k_stack_at_n2_names_the_per_k_loops_first_refusal():
+    # The loop over K refuses at K = 1, at the first half-period on the grid.
+    params = NetworkParams(2, 1.0)
+    t = np.linspace(0.0, 2.0, 41) * params.period
+    for cls, ks in ((DynClass.CONTAINS_EXCITED, [1, 2]), (DynClass.EXCLUDES_EXCITED, [1])):
+        with pytest.raises(fisher.DegenerateStateError) as info:
+            fisher._information_stack(params, ks, cls, GlobalParameter.COUPLING_J, t)
+        assert str(info.value) == f"mixing probability vanishes at t={float(t[10])!r}"
+    # Refusals that differ by K come in the loop's order: a K too large for
+    # the network after a degenerate K = 1.
+    refusal = k_rows_against_per_k_calls(
+        lambda ks, t: fisher._information_stack(params, ks, DynClass.CONTAINS_EXCITED, GlobalParameter.COUPLING_J, t),
+        lambda k, t: qfi_closed_form(params, SubsystemSelector(k, DynClass.CONTAINS_EXCITED), GlobalParameter.COUPLING_J, t),
+        [1, 3], t,
+    )
+    assert isinstance(refusal, fisher.DegenerateStateError)
+
+
+def test_k_stacks_and_flows_take_one_hop_call(monkeypatch):
+    params = NetworkParams(50, 1.0)
+    t = np.linspace(0.0, 1.0, 100) * params.period  # misses the K = 25 anchor at 0.5
+    sels = [SubsystemSelector(k, cls) for k in range(1, 50) for cls in DynClass]
+    stacks = [
+        (states, lambda: fisher._information_stack(params, range(1, 51), DynClass.CONTAINS_EXCITED, GlobalParameter.COUPLING_J, t)),
+        (states, lambda: states._entropy_stack(params, range(1, 50), DynClass.EXCLUDES_EXCITED, t)),
+        (propagator, lambda: propagator._flows(params, sels, t, t + 0.05 * params.period)),
+    ]
+    for module, call in stacks:
+        calls = []
+        hop = module._hop
+        monkeypatch.setattr(module, "_hop", lambda *args: calls.append(1) or hop(*args))
+        call()
+        monkeypatch.undo()
+        assert len(calls) == 1, module.__name__

@@ -197,6 +197,20 @@ def test_infer_csv(tmp_path):
     assert column(header, rows, "j_estimate")[0] == pytest.approx(0.8, abs=1e-6)
 
 
+
+@pytest.mark.parametrize("n", ["5", "8", "50"])
+@pytest.mark.parametrize("dt", ["1", "1.0000001", "1.5"])
+def test_infer_refuses_windows_of_a_period_or_more(n, dt, tmp_path, capsys):
+    # A window of one period carries only round-off flows, and the period
+    # estimate 2 crossing + dt holds only for dt < 1: J came out 0.883 at
+    # dt = 1 and 0.5 at dt = 1.0000001, with exit 0.
+    out = tmp_path / "infer.csv"
+    assert main(["infer", "--n", n, "--dt", dt, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"--dt must lie in (0, 1) periods for infer, got {float(dt)}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
 def test_verify_passes(tmp_path, capsys):
     out = tmp_path / "verify.csv"
     assert main(["verify", "--n", "4", "--out", str(out)]) == 0

@@ -5,6 +5,8 @@ text for every double, from both of its paths (numpy, and Python's
 formatter for the cells numpy cannot decide exactly).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,4 +102,65 @@ def test_chunks_hold_whole_rows(rows, cols):
     chunks = list(_csv.csv_chunks(header, table))
     assert len(chunks) == 1 + -(-rows // max(1, _csv._CHUNK_CELLS // cols))
     assert all(chunk.endswith("\n") for chunk in chunks)
+    assert "".join(chunks) == reference(header, table)
+
+
+# Each table's chunks share one workspace. A chunk must write every byte it
+# reads, so nothing of an earlier chunk, or of an earlier table, shows.
+STEP7 = _csv._CHUNK_CELLS // 7  # rows per chunk of a 7-column table
+
+
+def ordinary(rng, shape):
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 12, shape)
+
+
+def test_a_chunk_of_special_cells_leaves_nothing_to_the_next():
+    # First chunk: NaN, infinities, cells below 1e-280, guarded ties, -0 and
+    # 17-digit negatives; second chunk: short positive values, no special
+    # cell. Then a third chunk like the first, to check the way back too.
+    rng = np.random.default_rng(1901)
+    special = -np.abs(ordinary(rng, (STEP7, 7)))
+    cells = [np.nan, np.inf, -np.inf, 1e-300, -1e-300, 5e-324, 3 / 2**24, 1 / 2**25, -0.0, 1e300]
+    special.flat[rng.choice(special.size, 2000, replace=False)] = rng.choice(cells, 2000)
+    plain = np.round(np.abs(ordinary(rng, (STEP7, 7))), 3)
+    table = np.vstack([special, plain, special])
+    *_, unsure = _csv._significands(np.array([3 / 2**24, 1 / 2**25]))
+    assert unsure.all()
+    header = [f"c{i}" for i in range(7)]
+    chunks = list(_csv.csv_chunks(header, table))
+    assert len(chunks) == 4
+    assert "".join(chunks) == reference(header, table)
+
+
+def test_a_short_last_chunk_ends_at_its_own_rows():
+    rng = np.random.default_rng(1902)
+    table = ordinary(rng, (2 * STEP7 + 3, 7))
+    table[-3:] = [0.5, 1.0, 2.0, 0.25, 0.125, 4.0, 8.0]  # short text after long text
+    header = [f"c{i}" for i in range(7)]
+    chunks = list(_csv.csv_chunks(header, table))
+    assert chunks[-1] == "0.5,1,2,0.25,0.125,4,8\n" * 3
+    assert "".join(chunks) == reference(header, table)
+
+
+def test_tables_of_different_widths_back_to_back_and_interleaved():
+    rng = np.random.default_rng(1903)
+    narrow, wide = ordinary(rng, (3 * 1365 + 2, 3)), -ordinary(rng, (3 * 819 + 1, 5))
+    narrow[::7] = np.nan
+    h3, h5 = ["a", "b", "c"], ["a", "b", "c", "d", "e"]
+    assert written(h3, narrow) == reference(h3, narrow)
+    assert written(h5, wide) == reference(h5, wide)
+    pairs = itertools.zip_longest(_csv.csv_chunks(h3, narrow), _csv.csv_chunks(h5, wide), fillvalue="")
+    both = [*zip(*pairs)]
+    assert "".join(both[0]) == reference(h3, narrow)
+    assert "".join(both[1]) == reference(h5, wide)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 7), (1, 1), (1, _csv._CHUNK_CELLS + 5), (4, _csv._CHUNK_CELLS + 5)])
+def test_one_row_and_one_row_per_chunk(rows, cols):
+    rng = np.random.default_rng(rows + cols)
+    table = ordinary(rng, (rows, cols))
+    table[:, ::11] = -np.inf
+    header = [f"c{i}" for i in range(cols)]
+    chunks = list(_csv.csv_chunks(header, table))
+    assert len(chunks) == 1 + rows
     assert "".join(chunks) == reference(header, table)

@@ -20,6 +20,7 @@ from openqnet import (
     is_singular,
     two_qubit_consistency,
 )
+from openqnet.inference import FLOW_FLOOR, SizeEstimate, _size_estimates
 
 C1 = DynClass.CONTAINS_EXCITED
 C0 = DynClass.EXCLUDES_EXCITED
@@ -198,3 +199,38 @@ def test_period_estimate_errors():
         estimate_period(lambda t: 1.0, 0.0, 1.0)
     with pytest.raises(IndeterminateFlowError):
         estimate_period(lambda t: 1.0, 0.1, 1.0)  # never changes sign
+
+
+def test_size_estimates_equal_scalar_calls_bit_for_bit():
+    # Simulated windows of several networks, with equal flows (N = 2),
+    # flows at and around FLOW_FLOOR, and pairs that admit no size or one
+    # below two qubits: each row equals infer_network_size, or is NaN where
+    # that raises.
+    rng = np.random.default_rng(1904)
+    rows = []
+    for n in (2, 3, 5, 8, 50):
+        params = NetworkParams(n, 0.7)
+        for t1, t2 in rng.uniform(0, params.period, (60, 2)):
+            if not is_singular(params, 1, t1):
+                obs = simulate_observation(params, t1, t2)
+                rows.append((obs.flow_class1, obs.flow_class0, obs.ground_prob_t1))
+    floor = FLOW_FLOOR
+    rows += [(0.25, 0.25, 1.0), (0.64, 0.16, 1.0), (-0.3, 0.4, 1.0), (0.3, -0.3, 0.5), (0.5, 1.0, 1.0),
+             (floor, 0.2, 0.9), (np.nextafter(floor, 0), 0.2, 0.9), (0.2, -floor, 0.9), (0.0, 0.0, 1.0),
+             (1e-300, 1e300, 1.0), (1e300, 1e-300, 1.0), (0.1, 0.1 * (1 + 1e-15), 1e-300)]
+    rows += [(a, b, g) for (a, b), g in zip(rng.uniform(-1.0, 1.0, (300, 2)).tolist(), rng.uniform(1e-3, 1.0, 300).tolist())]
+    flow1, flow0, ground = (np.array(c) for c in zip(*rows))
+    got = _size_estimates(flow1, flow0, ground)
+    kinds = set()
+    for i, row in enumerate(rows):
+        try:
+            want = infer_network_size(FlowObservation(*row))
+        except (IndeterminateFlowError, InconsistentObservationError) as exc:
+            kinds.add(type(exc))
+            assert all(math.isnan(field[i]) for field in got), row
+            continue
+        kinds.add(SizeEstimate)
+        assert type(want.nearest) is int
+        for field, value in zip(got, want):
+            assert field[i].tobytes() == np.float64(value).tobytes(), (row, want)
+    assert kinds == {SizeEstimate, IndeterminateFlowError, InconsistentObservationError}
