@@ -31,26 +31,28 @@ it. The amplitude route (propagators, flow weights, Bloch maps) reads x
 from the :func:`amplitudes` call that also supplies its phases. The two
 forms of x agree to round-off only.
 
-The kernel and the closed forms built on it take a float time or an ndarray
-of times; an array gives arrays, elementwise, and a float still gives a
-float. An array is refused exactly as a loop of scalar calls over its
-elements would refuse it: same first element, same error, same message. A
-time whose phase N*J*t overflows is refused like a non-finite one. On the
-amplitude route an array takes one ``np.exp`` call, then Python's complex
-arithmetic and ``abs`` (libm ``hypot``) per element, so it equals its
-scalar calls bit for bit; numpy divides by N through a reciprocal, and its
-``abs`` and ``hypot`` round differently.
+The kernels and the closed forms built on them take a float time or an
+ndarray of times; an array gives arrays, elementwise. A time whose phase
+N*J*t overflows is refused like a non-finite one. One decorator,
+``_refuse_as_loop``, refuses an array exactly as a loop of scalar calls
+would: same first element, same error, same message. The amplitude kernel
+``_pair`` gives u_s and u_d of an array as Python's complex arithmetic
+rounds them for a float, signed zeros included, and ``_abs2`` takes |u|^2
+as libm ``hypot`` then ``pow``, as ``abs(u) ** 2`` does; so an array equals
+its scalar calls bit for bit, where numpy's complex division (by a
+reciprocal) and ``abs`` round differently.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SizeLimitError
+from .errors import OpenQNetError, ParameterError, SizeLimitError
 
 #: Largest N accepted by the dense exponential oracle.
 ORACLE_MAX_QUBITS = 2048
@@ -100,25 +102,32 @@ def _any(flags) -> bool:
     return flags if type(flags) is bool else bool(flags.any())
 
 
-def _replay(fn, *args) -> None:
-    """Raise an array refusal of ``fn(*args)`` as a loop of scalar calls would.
+def _refuse_as_loop(fn):
+    """Refuse an array of times as a loop of scalar calls of ``fn`` would.
 
-    Called from the handler of the refusal: the ndarray arguments (ndim >= 1)
-    are broadcast together and ``fn`` is called on their elements one at a
-    time, in C order, so the error that propagates is the first refusing
-    element's, message included. Returns when no argument is an array, or
-    when no element refuses on its own. The handler costs a float call
-    nothing, where a wrapper around every call would.
+    On an ``OpenQNetError``, the ndarray arguments (ndim >= 1) named t, t1
+    and t2 are broadcast together and the undecorated ``fn`` is called on
+    their elements one at a time, in C order, so the error that propagates
+    is the first refusing element's, message included; the original error
+    propagates when no element refuses on its own. The signature is read
+    only on that path: a call that is not refused pays one frame.
     """
-    slots = [i for i, a in enumerate(args) if isinstance(a, np.ndarray) and a.ndim]
-    if not slots:
-        return
-    scalar = list(args)
-    grids = np.broadcast_arrays(*(args[i] for i in slots))
-    for values in zip(*(g.ravel().tolist() for g in grids)):
-        for i, value in zip(slots, values):
-            scalar[i] = value
-        fn(*scalar)
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OpenQNetError:
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            times = {x: bound.arguments.get(x) for x in ("t", "t1", "t2")}
+            times = {x: a for x, a in times.items() if isinstance(a, np.ndarray) and a.ndim}
+            grids = np.broadcast_arrays(*times.values())
+            for values in zip(*(g.ravel().tolist() for g in grids)):
+                bound.arguments.update(zip(times, values))
+                fn(*bound.args, **bound.kwargs)
+            raise
+
+    return call
 
 
 def _bisect(above, lo: float, hi: float) -> float:
@@ -178,8 +187,8 @@ class Amplitudes:
 
     @property
     def cross_abs2(self):
-        """|u_d|^2, the hop probability to one specific other qubit."""
-        return abs(self.cross_site) ** 2
+        """|u_d|^2, the hop probability to one other qubit, rounded as ``abs(u_d) ** 2``."""
+        return _abs2(self.cross_site)
 
 
 def _hop(n: int, j: float, t):
@@ -197,39 +206,42 @@ def _hop(n: int, j: float, t):
     return 4.0 / (n * n) * (sh * sh), sh, ch
 
 
+@_refuse_as_loop
 def amplitudes(params: NetworkParams, t) -> Amplitudes:
     """Evaluate (u_s, u_d) at time ``t`` (any sign; periodic).
 
     An ndarray ``t`` gives complex arrays, each element equal bit for bit
     to the scalar call.
     """
-    try:
-        return _amplitudes(params, _check_time(t, "t", True))
-    except ParameterError:
-        _replay(amplitudes, params, t)
-        raise
+    return _amplitudes(params, _check_time(t, "t", True))
 
 
 def _amplitudes(params: NetworkParams, t) -> Amplitudes:
-    # amplitudes() of a validated float or array t. An array takes one np.exp
-    # call, then Python's complex arithmetic per element, as a float does.
-    n = params.n_qubits
-    z = np.exp(1j * _phase(n, params.coupling, t))
+    # amplitudes() of a validated float or array t.
+    return Amplitudes(*_pair(params.n_qubits, params.coupling, t))
+
+
+def _pair(n, j, t) -> tuple:
+    # (u_s, u_d) = ((1 + (n-1) z)/n, (1 - z)/n) at a validated float or array
+    # t, z = exp(i n j t); n is an int, or a float array of network sizes
+    # broadcast against t. An array rounds as Python's complex arithmetic on
+    # each element: numpy's products with the zero imaginary part of n-1 are
+    # exact zeros, 1 + w and 1 - z add and subtract parts as Python does, and
+    # the parts are divided by n, where numpy's complex division would
+    # multiply by a reciprocal.
+    z = np.exp(1j * _phase(n, j, t))
     if type(t) is float:
         z = complex(z)
-        return Amplitudes(same_site=(1.0 + (n - 1) * z) / n, cross_site=(1.0 - z) / n)
-    zs = z.ravel().tolist()
-    same, cross = [(1.0 + (n - 1) * w) / n for w in zs], [(1.0 - w) / n for w in zs]
-    return Amplitudes(*(np.array(u, dtype=complex).reshape(t.shape) for u in (same, cross)))
+        return (1.0 + (n - 1) * z) / n, (1.0 - z) / n
+    return tuple((u.view(float) / n).view(complex) for u in (1.0 + (n - 1) * z, 1.0 - z))
 
 
-def _cross_abs2(params: NetworkParams, t):
-    # x = |u_d(t)|^2 of the amplitude route for a validated float or array t:
-    # Python's abs per element, bit for bit a scalar call's cross_abs2.
-    ud = _amplitudes(params, t).cross_site
-    if type(t) is float:
-        return abs(ud) ** 2
-    return np.array([abs(u) ** 2 for u in ud.ravel().tolist()]).reshape(t.shape)
+def _abs2(u):
+    # |u|^2 of a complex or a complex array, rounded as abs(u) ** 2 rounds it:
+    # libm hypot, then pow.
+    if type(u) is complex:
+        return abs(u) ** 2
+    return np.float_power(np.hypot(u.real, u.imag), 2.0)
 
 
 def unitarity_residuals(amps: Amplitudes, n_qubits: int) -> tuple[float, float]:
@@ -237,13 +249,17 @@ def unitarity_residuals(amps: Amplitudes, n_qubits: int) -> tuple[float, float]:
 
     Returns ``(| |u_s|^2 + (N-1)|u_d|^2 - 1 |, | 2 Re(u_s* u_d) + (N-2)|u_d|^2 |)``.
     Both vanish identically for the closed forms; residuals are round-off.
+    Amplitude arrays give arrays, each value bit for bit its scalar call's.
     """
     us, ud = amps.same_site, amps.cross_site
-    r1 = abs(abs(us) ** 2 + (n_qubits - 1) * abs(ud) ** 2 - 1.0)
-    r2 = abs(2.0 * (us.conjugate() * ud).real + (n_qubits - 2) * abs(ud) ** 2)
+    xs, xd = _abs2(us), _abs2(ud)
+    r1 = abs(xs + (n_qubits - 1) * xd - 1.0)
+    # Re(conj(u_s) u_d), as Python's complex product rounds it
+    r2 = abs(2.0 * (us.real * ud.real + us.imag * ud.imag) + (n_qubits - 2) * xd)
     return r1, r2
 
 
+@_refuse_as_loop
 def q1_unitary_oracle(params: NetworkParams, t) -> np.ndarray:
     """Single-excitation block of the global unitary by dense exponentiation.
 
@@ -261,12 +277,8 @@ def q1_unitary_oracle(params: NetworkParams, t) -> np.ndarray:
     product per time, each equal bit for bit to the scalar call. An array
     is refused exactly as its first refusing element would be.
     """
-    try:
-        times = _check_time(t, "t", True)
-        _phase(params.n_qubits, params.coupling, times)
-    except ParameterError:
-        _replay(q1_unitary_oracle, params, t)
-        raise
+    times = _check_time(t, "t", True)
+    _phase(params.n_qubits, params.coupling, times)
     n = params.n_qubits
     if n > ORACLE_MAX_QUBITS:
         raise SizeLimitError(
@@ -291,9 +303,9 @@ def global_state(params: NetworkParams, t) -> np.ndarray:
     """Single-excitation amplitudes of the evolved generating state.
 
     The excitation starts on qubit 1, so entry 0 is u_s(t) and every other
-    entry is u_d(t); the vector has unit norm by unitarity.
+    entry is u_d(t); the vector has unit norm by unitarity. Takes a float time.
     """
-    amps = amplitudes(params, t)
+    amps = amplitudes(params, _check_time(t))
     vec = np.full(params.n_qubits, amps.cross_site, dtype=complex)
     vec[0] = amps.same_site
     return vec

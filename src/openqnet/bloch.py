@@ -14,12 +14,11 @@ its z-scale 1 - flow is the ratio p(t2)/p(t1) of the mixing probability.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams
+from .amplitudes import NetworkParams, _refuse_as_loop
 from .errors import ParameterError
 from .propagator import build_propagator
 from .states import DynClass, SubsystemSelector, _check_class, excitation_probability
@@ -43,6 +42,7 @@ class BlochAffineMap:
     t2: float
 
 
+@_refuse_as_loop
 def affine_map(params: NetworkParams, dyn_class: DynClass, t1, t2) -> BlochAffineMap:
     """Bloch-space form of the single-qubit propagator over [t1, t2].
 
@@ -71,12 +71,7 @@ def evolve_bloch(bmap: BlochAffineMap, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (3,):
         raise ParameterError(f"Bloch vector must have shape (3,), got {b.shape}")
-    angle = bmap.rotation_angle
-    if type(angle) is float:
-        c, s = math.cos(angle), math.sin(angle)
-    else:
-        angles = np.ravel(angle).tolist()
-        c, s = (np.reshape([f(a) for a in angles], np.shape(angle)) for f in (math.cos, math.sin))
+    c, s = np.cos(bmap.rotation_angle), np.sin(bmap.rotation_angle)
     image = np.array(
         [
             bmap.transverse_scale * (c * b[0] - s * b[1]),
@@ -118,6 +113,7 @@ def ball_membership(bmap: BlochAffineMap, b) -> bool:
     return float(image @ image) <= 1.0 + 1e-12
 
 
+@_refuse_as_loop
 def physical_bloch_z(params: NetworkParams, dyn_class: DynClass, t) -> float:
     """z-component of the physical single-qubit orbit at time ``t`` (an array for an ndarray)."""
     _check_class(dyn_class)

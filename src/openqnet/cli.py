@@ -295,10 +295,12 @@ def infer_cmd(n_qubits: int, coupling: float, dt: float, steps: int, out_path: s
     sel0 = SubsystemSelector(1, DynClass.EXCLUDES_EXCITED)
     window = dt * params.period
 
-    def observed_flow(t: float) -> float:
-        return propagator.flow_amplitude(params, sel1, t, t + window)
+    def hop_change(t: float) -> float:
+        # x(t + window) - x(t), x = |u_d|^2: the flow weight's sign wherever that is
+        # defined (its denominator lies in (0, 1]), and defined at singular anchors.
+        return amplitudes(params, t + window).cross_abs2 - amplitudes(params, t).cross_abs2
 
-    period_est = inference.estimate_period(observed_flow, window, 2.5 * params.period)
+    period_est = inference.estimate_period(hop_change, window, 2.5 * params.period)
     j_est = inference.infer_coupling(period_est, n_qubits)
     taus = _grid(steps)
     t1 = _absolute(params, taus)

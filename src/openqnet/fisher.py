@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _any, _check_time, _phase, _replay
+from .amplitudes import NetworkParams, _abs2, _any, _check_time, _pair, _phase, _refuse_as_loop
 from .errors import (
     DegenerateStateError,
     DivergenceError,
@@ -90,6 +90,7 @@ def _mixing_slope(params: NetworkParams, w, contains: bool, by_coupling: bool, t
     return -4.0 / n**2 * (dw * sh + w * (params.coupling * t * ch - 2.0 * sh / n))
 
 
+@_refuse_as_loop
 def qfi_closed_form(
     params: NetworkParams, sel: SubsystemSelector, theta: GlobalParameter, t
 ) -> FisherBreakdown:
@@ -103,12 +104,7 @@ def qfi_closed_form(
     An ndarray ``t`` gives array fields.
     """
     sel.validate(params)
-    try:
-        t = _check_time(t, "t", True)
-        return _information(params, sel.k_qubits, sel.dyn_class, theta, t)
-    except OpenQNetError:
-        _replay(qfi_closed_form, params, sel, theta, t)
-        raise
+    return _information(params, sel.k_qubits, sel.dyn_class, theta, _check_time(t, "t", True))
 
 
 def _information_stack(
@@ -123,11 +119,10 @@ def _information_stack(
     try:
         for k in ks:
             SubsystemSelector(k, dyn_class).validate(params)
-        checked = _check_time(t, "t", True)
-        return _information(params, np.array(ks)[:, None], dyn_class, theta, checked)
+        return _information(params, np.array(ks)[:, None], dyn_class, theta, _check_time(t, "t", True))
     except OpenQNetError:
         for k in ks:
-            _replay(qfi_closed_form, params, SubsystemSelector(k, dyn_class), theta, t)
+            qfi_closed_form(params, SubsystemSelector(k, dyn_class), theta, t)
         raise
 
 
@@ -178,18 +173,15 @@ def _information(params: NetworkParams, k, dyn_class: DynClass, theta, t) -> Fis
 def _reduced_density(n_real, j, k: int, contains: bool, t) -> np.ndarray:
     # Closed-form reduced densities with the network size as a real number,
     # so the size parameter can be finite-differenced: a (*S, K+1, K+1) stack
-    # over the broadcast shape S of n_real, j and t. Python's complex
-    # arithmetic on one time is written out in floats, with hypot and pow for
-    # its abs and ** 2, so each matrix is bit for bit what it gives.
-    z = np.exp(1j * (n_real * j * t))
-    us = [(1.0 + (n_real - 1.0) * z.real) / n_real, (n_real - 1.0) * z.imag / n_real]
-    ud = [(1.0 - z.real) / n_real, -z.imag / n_real]
-    hop = np.float_power(np.hypot(*ud), 2.0)
-    rho = np.zeros(z.shape + (k + 1, k + 1), dtype=complex)
+    # over the broadcast shape S of n_real, j and t, from the amplitude
+    # kernel's u_s and u_d.
+    us, ud = _pair(n_real, j, t)
+    hop = _abs2(ud)
+    rho = np.zeros(ud.shape + (k + 1, k + 1), dtype=complex)
     if contains:
-        psi = np.repeat((ud[0] + 1j * ud[1])[..., None], k, axis=-1)
-        psi[..., 0] = us[0] + 1j * us[1]
-        rho[..., 0, 0] = 1.0 - (np.float_power(np.hypot(*us), 2.0) + (k - 1) * hop)
+        psi = np.repeat(ud[..., None], k, axis=-1)
+        psi[..., 0] = us
+        rho[..., 0, 0] = 1.0 - (_abs2(us) + (k - 1) * hop)
         rho[..., 1:, 1:] = psi[..., :, None] * psi.conj()[..., None, :]  # p |psi_hat><psi_hat|
     else:
         p0 = 1.0 - k * hop
@@ -198,6 +190,7 @@ def _reduced_density(n_real, j, k: int, contains: bool, t) -> np.ndarray:
     return rho
 
 
+@_refuse_as_loop
 def qfi_numeric_oracle(
     params: NetworkParams,
     sel: SubsystemSelector,
@@ -223,23 +216,19 @@ def qfi_numeric_oracle(
     else:
         h = SLD_STEP * n
         shifted = [(n + h, j), (n - h, j)]
-    try:
-        t = _check_time(t, "t", True)
-        _phase(n, j, t)
-        for n_real, j_real in shifted:
-            _phase(n_real, j_real, t)  # N*J*t can be finite where a shifted phase is not
-        ns, js = np.array([(float(n), j), *shifted]).T[..., None]  # (3, 1) each
-        rho0, plus, minus = _reduced_density(ns, js, k, contains, np.ravel(t))
-        evals, evecs = np.linalg.eigh(rho0)
-        pair = evals[..., :, None] + evals[..., None, :]
-        used = pair > SLD_PAIR_CUTOFF
-        if not used.any(axis=(-2, -1)).all():
-            raise OracleFailureError(
-                "every eigenvalue pair fell below the SLD cutoff; state too degenerate"
-            )
-    except OpenQNetError:
-        _replay(qfi_numeric_oracle, params, sel, theta, t)
-        raise
+    t = _check_time(t, "t", True)
+    _phase(n, j, t)
+    for n_real, j_real in shifted:
+        _phase(n_real, j_real, t)  # N*J*t can be finite where a shifted phase is not
+    ns, js = np.array([(float(n), j), *shifted]).T[..., None]  # (3, 1) each
+    rho0, plus, minus = _reduced_density(ns, js, k, contains, np.ravel(t))
+    evals, evecs = np.linalg.eigh(rho0)
+    pair = evals[..., :, None] + evals[..., None, :]
+    used = pair > SLD_PAIR_CUTOFF
+    if not used.any(axis=(-2, -1)).all():
+        raise OracleFailureError(
+            "every eigenvalue pair fell below the SLD cutoff; state too degenerate"
+        )
     drho = (plus - minus) / (2.0 * h)
     m = np.swapaxes(evecs.conj(), -1, -2) @ drho @ evecs
     # hypot and float_power round as a scalar's abs and ** 2 do, where numpy's
@@ -262,6 +251,7 @@ def _p_dp_single_qubit(params: NetworkParams, dyn_class: DynClass, theta: Global
     return p, sh * _mixing_slope(params, w, contains, theta is GlobalParameter.COUPLING_J, t, sh, ch)
 
 
+@_refuse_as_loop
 def process_state_split(
     params: NetworkParams,
     dyn_class: DynClass,
@@ -280,23 +270,20 @@ def process_state_split(
     period points (use the rescaled form there). An ndarray ``t1`` or
     ``t2`` gives array fields.
     """
-    try:
-        _check_class(dyn_class)  # K = 1 fits every network
-        _check_theta(theta)
-        t1 = _check_time(t1, "t1", True)
-        t2 = _check_time(t2, "t2", True)
+    _check_class(dyn_class)  # K = 1 fits every network
+    _check_theta(theta)
+    t1 = _check_time(t1, "t1", True)
+    t2 = _check_time(t2, "t2", True)
+    with np.errstate(over="ignore", invalid="ignore"):  # a slope past the float range reads inf
         p1, dp1 = _p_dp_single_qubit(params, dyn_class, theta, t1)
         p2, dp2 = _p_dp_single_qubit(params, dyn_class, theta, t2)
-        # N=2 anchored at an odd half-period: the multiplicative form breaks.
-        _check_anchor(params, 1, dyn_class is DynClass.CONTAINS_EXCITED, t1)
-        denom = p2 * (1.0 - p2)
-        if not rescaled and _any(denom < 1e-14):
-            raise PoleError(
-                "p(t2)(1-p(t2)) vanishes at this t2; request the rescaled split instead"
-            )
-    except OpenQNetError:
-        _replay(process_state_split, params, dyn_class, t1, t2, theta, rescaled)
-        raise
+    # N=2 anchored at an odd half-period: the multiplicative form breaks.
+    _check_anchor(params, 1, dyn_class is DynClass.CONTAINS_EXCITED, t1)
+    denom = p2 * (1.0 - p2)
+    if not rescaled and _any(denom < 1e-14):
+        raise PoleError(
+            "p(t2)(1-p(t2)) vanishes at this t2; request the rescaled split instead"
+        )
     # Squares as products: a float's ** raises OverflowError where numpy's
     # gives inf, and x * x is the one numpy's ** 2 takes. Past the float
     # range an array reads inf (or nan), as the float path does, without

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _bisect, _check_time, _cross_abs2
+from .amplitudes import NetworkParams, _amplitudes, _bisect, _check_time
 from .errors import (
     IndeterminateFlowError,
     InconsistentObservationError,
@@ -161,7 +161,7 @@ def conservation_residual(params: NetworkParams, k_qubits: int, t1, t2) -> float
     t1, t2 = _window(params, SubsystemSelector(k_qubits, DynClass.EXCLUDES_EXCITED), t1, t2)
     _check_anchor(params, k_qubits, True, t1)
     n = params.n_qubits
-    x1, x2 = _cross_abs2(params, t1), _cross_abs2(params, t2)
+    x1, x2 = _amplitudes(params, t1).cross_abs2, _amplitudes(params, t2).cross_abs2
     flow1 = _flow_weight(n, k_qubits, True, x1, x2)
     flow0 = _flow_weight(n, k_qubits, False, x1, x2)
     if min(abs(flow0), abs(flow1)) < FLOW_FLOOR:
@@ -177,10 +177,16 @@ def estimate_period(
 ) -> float:
     """Locate the first sign change of a fixed-width flow observation.
 
-    ``flow_window(t)`` must report the flow weight over [t, t + dt]. The
-    first crossing from dispersal to backflow sits half a window before the
-    half-period, so the period equals twice the crossing time plus dt. The
-    scan advances in steps of dt/2 up to ``t_max`` and then bisects.
+    ``flow_window(t)`` must report the flow weight over [t, t + dt], or a
+    value of its sign. The first crossing from dispersal to backflow sits
+    half a window before the half-period P/2, so the period equals twice the
+    crossing time plus dt. The scan probes t = 0, dt/4, then t <- 2t + dt/4
+    up to ``t_max``, and bisects between the last two probes: from a
+    dispersal probe t <= P/2 - dt/2 the next stays at or below P - 3dt/4,
+    inside the first backflow interval (P/2 - dt/2, P - dt/2), so no probe
+    steps over it, even from a probe on the crossing itself, whose sign is
+    round-off. (With t <- 2t + dt/2 such a probe, as at dt = P/2^k, leads
+    onto the interval's end and past it.)
 
     That relation holds only for a window shorter than the period, dt <
     period, which the caller must ensure: the period is what is being
@@ -192,16 +198,17 @@ def estimate_period(
     t_max = _check_time(t_max, "t_max")
     if dt <= 0.0 or t_max <= dt:
         raise ParameterError("need 0 < dt < t_max for a period scan")
-    step = 0.5 * dt
+    step = 0.25 * dt
     prev_t, prev_v = 0.0, flow_window(0.0)
     t = step
-    while t <= t_max:
+    while True:
         value = flow_window(t)
         if prev_v > 0.0 and value <= 0.0:
             crossing = _bisect(lambda mid: flow_window(mid) > 0.0, prev_t, t)
             return 2.0 * crossing + dt
+        if t >= t_max:
+            raise IndeterminateFlowError(
+                f"no dispersal-to-backflow crossing found up to t_max={t_max!r}"
+            )
         prev_t, prev_v = t, value
-        t += step
-    raise IndeterminateFlowError(
-        f"no dispersal-to-backflow crossing found up to t_max={t_max!r}"
-    )
+        t = min(2.0 * t + step, t_max)

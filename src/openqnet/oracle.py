@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _check_time, _replay, q1_unitary_oracle
-from .errors import OpenQNetError, ParameterError, SizeLimitError, UnsupportedOracleError
+from .amplitudes import NetworkParams, _check_time, _refuse_as_loop, q1_unitary_oracle
+from .errors import ParameterError, SizeLimitError, UnsupportedOracleError
 from .propagator import _check_anchor
 from .states import DynClass, SubsystemSelector
 
@@ -104,6 +104,7 @@ def bilinear_partial_trace(
     return _partial_traces(ket[None], bra[None], sites)[0, 0]
 
 
+@_refuse_as_loop
 def reduced_density_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> np.ndarray:
     """Reduced density by evolving the generating state and tracing.
 
@@ -113,17 +114,14 @@ def reduced_density_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> 
     ``(*S, K+1, K+1)`` stack, each matrix equal bit for bit to the scalar
     call; an array is refused exactly as its first refusing element would be.
     """
-    try:
-        unitary = q1_unitary_oracle(params, t)  # also enforces the size guard
-        sites = subsystem_sites(params, sel)
-    except OpenQNetError:
-        _replay(reduced_density_oracle, params, sel, t)
-        raise
+    unitary = q1_unitary_oracle(params, t)  # also enforces the size guard
+    sites = subsystem_sites(params, sel)
     evolved = np.zeros(unitary.shape[:-2] + (1, params.n_qubits + 1), dtype=complex)
     evolved[..., 0, 1:] = unitary[..., :, 0]
     return _partial_traces(evolved, evolved, sites)[..., 0, 0, :, :]
 
 
+@_refuse_as_loop
 def dynamical_map_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> np.ndarray:
     """Tomographic matrix of the one-time map for a containing subsystem.
 
@@ -136,22 +134,18 @@ def dynamical_map_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> np
     refusing element would be. Above ``TOMOGRAPHY_MAX_QUBITS`` it raises
     :class:`SizeLimitError`.
     """
-    try:
-        sel.validate(params)
-        times = _check_time(t, "t", True)
-        if sel.dyn_class is not DynClass.CONTAINS_EXCITED:
-            raise UnsupportedOracleError(
-                "map tomography needs the environment in its ground state; "
-                "excluding-class inputs would enter the two-excitation sector"
-            )
-        if params.n_qubits > TOMOGRAPHY_MAX_QUBITS:
-            raise SizeLimitError(
-                f"tomography guarded at N <= {TOMOGRAPHY_MAX_QUBITS}, got N={params.n_qubits}"
-            )
-        unitary = q1_unitary_oracle(params, times)
-    except OpenQNetError:
-        _replay(dynamical_map_oracle, params, sel, t)
-        raise
+    sel.validate(params)
+    times = _check_time(t, "t", True)
+    if sel.dyn_class is not DynClass.CONTAINS_EXCITED:
+        raise UnsupportedOracleError(
+            "map tomography needs the environment in its ground state; "
+            "excluding-class inputs would enter the two-excitation sector"
+        )
+    if params.n_qubits > TOMOGRAPHY_MAX_QUBITS:
+        raise SizeLimitError(
+            f"tomography guarded at N <= {TOMOGRAPHY_MAX_QUBITS}, got N={params.n_qubits}"
+        )
+    unitary = q1_unitary_oracle(params, times)
     n, d = params.n_qubits, sel.k_qubits + 1
     stack = unitary.shape[:-2]
     # Row mu: the evolved |mu> (x) env ground; |0> stays put, |mu> is column mu-1.
@@ -165,6 +159,7 @@ def dynamical_map_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> np
     return blocks.reshape(stack + (d * d, d * d))
 
 
+@_refuse_as_loop
 def propagator_oracle(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> np.ndarray:
     """Tomographic two-time propagator: map(t2) composed with map(t1)^-1.
 
@@ -175,13 +170,9 @@ def propagator_oracle(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> 
     the scalar call; an array is refused exactly as its first refusing
     element would be.
     """
-    try:
-        s1, s2 = _check_time(t1, "t1", True), _check_time(t2, "t2", True)
-        _check_anchor(params, sel.k_qubits, sel.dyn_class is DynClass.CONTAINS_EXCITED, s1)
-        m1 = dynamical_map_oracle(params, sel, s1)
-        m2 = dynamical_map_oracle(params, sel, s2)
-    except OpenQNetError:
-        _replay(propagator_oracle, params, sel, t1, t2)
-        raise
+    t1, t2 = _check_time(t1, "t1", True), _check_time(t2, "t2", True)
+    _check_anchor(params, sel.k_qubits, sel.dyn_class is DynClass.CONTAINS_EXCITED, t1)
+    m1 = dynamical_map_oracle(params, sel, t1)
+    m2 = dynamical_map_oracle(params, sel, t2)
     # Plain transposes: X m1 = m2.
     return np.linalg.solve(m1.swapaxes(-1, -2), m2.swapaxes(-1, -2)).swapaxes(-1, -2)

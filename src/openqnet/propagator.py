@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _amplitudes, _any, _check_time, _cross_abs2, _hop, _replay
-from .errors import OpenQNetError, ParameterError, SingularIntervalError
+from .amplitudes import NetworkParams, _amplitudes, _any, _check_time, _hop, _refuse_as_loop
+from .errors import ParameterError, SingularIntervalError
 from .states import DynClass, SubsystemSelector
 
 #: Relative flow denominator d(t1) at or below which t1 is refused as an
@@ -126,6 +126,7 @@ def _flow_weight(n: int, k: int, contains: bool, x1, x2):
     return (x2 - x1) / (1.0 - k * x1)
 
 
+@_refuse_as_loop
 def build_propagator(
     params: NetworkParams, sel: SubsystemSelector, t1, t2
 ) -> PropagatorOps:
@@ -137,11 +138,7 @@ def build_propagator(
     equal bit for bit to the scalar call on that window. An array is
     refused exactly as its first refusing element would be.
     """
-    try:
-        return _build(params, sel, *_window(params, sel, t1, t2, True))
-    except OpenQNetError:
-        _replay(build_propagator, params, sel, t1, t2)
-        raise
+    return _build(params, sel, *_window(params, sel, t1, t2, True))
 
 
 def _build(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> PropagatorOps:
@@ -192,6 +189,7 @@ def _scalars(k: int, contains: bool, us1, ud1, us2, ud2) -> tuple:
     return x1, x2, phi_s0, abs(phi_s0) ** 2
 
 
+@_refuse_as_loop
 def flow_amplitude(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
     """The real flow weight over [t1, t2]; its sign is the flow direction.
 
@@ -204,29 +202,25 @@ def flow_amplitude(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> flo
     return _flows(params, (sel,), t1, t2)[0]
 
 
+@_refuse_as_loop
 def _flows(params: NetworkParams, sels, t1, t2) -> list:
     # flow_amplitude for each selector over the same windows: the times are
     # validated once, every anchor is decided from one _hop(t1), and x is
-    # read once per window end. An array is refused as a loop over its
-    # elements, each over the selectors in order, would be.
+    # read once per window end. Refused as the loop over the elements would.
     n = params.n_qubits
     x = None
     flows = []
-    try:
-        for sel in sels:
-            sel.validate(params)
-        t1 = _check_time(t1, "t1", True)
-        t2 = _check_time(t2, "t2", True)
-        hop = _hop(n, params.coupling, t1)[0]
-        for sel in sels:
-            contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
-            _check_anchor(params, sel.k_qubits, contains, t1, hop)
-            if x is None:
-                x = _cross_abs2(params, t1), _cross_abs2(params, t2)
-            flows.append(_flow_weight(n, sel.k_qubits, contains, *x))
-    except OpenQNetError:
-        _replay(_flows, params, sels, t1, t2)
-        raise
+    for sel in sels:
+        sel.validate(params)
+    t1 = _check_time(t1, "t1", True)
+    t2 = _check_time(t2, "t2", True)
+    hop = _hop(n, params.coupling, t1)[0]
+    for sel in sels:
+        contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
+        _check_anchor(params, sel.k_qubits, contains, t1, hop)
+        if x is None:
+            x = _amplitudes(params, t1).cross_abs2, _amplitudes(params, t2).cross_abs2
+        flows.append(_flow_weight(n, sel.k_qubits, contains, *x))
     return flows
 
 
@@ -333,6 +327,7 @@ def completeness_residual(ops: PropagatorOps) -> float:
     return _max_entry(acc - np.eye(ops.k_qubits + 1))
 
 
+@_refuse_as_loop
 def compose_residual(
     params: NetworkParams, sel: SubsystemSelector, t1, t2, test_density: np.ndarray
 ) -> float:
@@ -349,11 +344,7 @@ def compose_residual(
     its scalar call bit for bit, and an array is refused exactly as its
     first refusing element would be.
     """
-    try:
-        t1, t2 = _window(params, sel, t1, t2, True)  # the one-time map must invert at t1
-    except OpenQNetError:
-        _replay(_window, params, sel, t1, t2)
-        raise
+    t1, t2 = _window(params, sel, t1, t2, True)  # the one-time map must invert at t1
     d = sel.k_qubits + 1
     rho = np.asarray(test_density, dtype=complex)
     if rho.shape[-2:] != (d, d):

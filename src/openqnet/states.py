@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _amplitudes, _check_time, _hop, _replay
+from .amplitudes import NetworkParams, _amplitudes, _check_time, _hop, _refuse_as_loop
 from .errors import DegenerateStateError, ParameterError
 
 #: Mixing probabilities at or below this leave the rank-two state degenerate.
@@ -95,6 +95,7 @@ def _mixing(params: NetworkParams, k: int, contains: bool, t):
     return 1.0 - _class_weight(params.n_qubits, k, contains) * x, sh, ch
 
 
+@_refuse_as_loop
 def excitation_probability(params: NetworkParams, sel: SubsystemSelector, t) -> float:
     """The probability that labels the reduced state's rank-two mixture.
 
@@ -105,11 +106,7 @@ def excitation_probability(params: NetworkParams, sel: SubsystemSelector, t) -> 
     """
     sel.validate(params)
     contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
-    try:
-        return _mixing(params, sel.k_qubits, contains, _check_time(t, "t", True))[0]
-    except ParameterError:
-        _replay(excitation_probability, params, sel, t)
-        raise
+    return _mixing(params, sel.k_qubits, contains, _check_time(t, "t", True))[0]
 
 
 def reduced_state(params: NetworkParams, sel: SubsystemSelector, t) -> ReducedState:
@@ -149,6 +146,7 @@ def materialize_density(state: ReducedState) -> np.ndarray:
     return rho
 
 
+@_refuse_as_loop
 def entanglement_entropy(params: NetworkParams, sel: SubsystemSelector, t) -> float:
     """Entanglement entropy (nats) between the subsystem and the rest.
 
@@ -159,11 +157,7 @@ def entanglement_entropy(params: NetworkParams, sel: SubsystemSelector, t) -> fl
     ``t`` gives an array.
     """
     sel.validate(params)
-    try:
-        return _entropy(params, sel.k_qubits, sel.dyn_class, _check_time(t, "t", True))
-    except ParameterError:
-        _replay(entanglement_entropy, params, sel, t)
-        raise
+    return _entropy(params, sel.k_qubits, sel.dyn_class, _check_time(t, "t", True))
 
 
 def _entropy_stack(params: NetworkParams, ks, dyn_class: DynClass, t: np.ndarray) -> np.ndarray:
@@ -179,7 +173,7 @@ def _entropy_stack(params: NetworkParams, ks, dyn_class: DynClass, t: np.ndarray
         return _entropy(params, np.array(ks)[:, None], dyn_class, _check_time(t, "t", True))
     except ParameterError:
         for k in ks:
-            _replay(entanglement_entropy, params, SubsystemSelector(k, dyn_class), t)
+            entanglement_entropy(params, SubsystemSelector(k, dyn_class), t)
         raise
 
 

@@ -8,12 +8,13 @@ one seeded stream of windows, and one worst-case fold that keeps the case
 where the worst residual sits and fails on a NaN residual.
 
 Thirteen residuals also take arrays of times and return an array, each
-value equal bit for bit to its scalar call. Their checks, and the
-four-route positivity comparison ``pcp_disagreements``, run through one
-grouped routine, ``grouped_values``: it groups the cases by the arguments
-before their times (the network, then a selector, a pair of them, a
-selector and a parameter, or a class), evaluates each group in stacks of
-bounded size and returns the values in the order the cases came.
+value equal bit for bit to its scalar call, and refuse an array as the loop
+of scalar calls would. Their checks and the four-route positivity
+comparison ``pcp_disagreements`` run through one grouped routine,
+``grouped_values``: it groups the cases by the arguments before their times
+(the network, then a selector, a pair of them, a selector and a parameter,
+or a class), evaluates each group in stacks of bounded size and returns the
+values in the order the cases came.
 ``grouped_worst_case`` folds them as ``worst_case`` folds the per-case
 calls. The conservation and round-trip residuals return None where they
 have nothing to say, and their rows take under 2 ms each at N = 8, so
@@ -36,7 +37,7 @@ import numpy as np
 import numpy.random
 
 from . import bloch, fisher, inference, oracle, positivity, propagator, states
-from .amplitudes import Amplitudes, NetworkParams, amplitudes, q1_unitary_oracle
+from .amplitudes import NetworkParams, _check_time, _refuse_as_loop, amplitudes, q1_unitary_oracle
 from .amplitudes import unitarity_residuals
 from .errors import DegenerateStateError, IndeterminateFlowError
 from .fisher import GlobalParameter, _p_dp_single_qubit
@@ -200,15 +201,15 @@ def _limit_state(params: NetworkParams, sel: SubsystemSelector, t) -> states.Red
         return states.ReducedState(0.0, exc.limit_direction, sel.k_qubits, sel.dyn_class)
 
 
+@_refuse_as_loop
 def unitarity_residual(params: NetworkParams, t) -> float:
     """The larger of the two unitarity constraint residuals of u_s, u_d at
-    t, or an array of them over an array t (Python's arithmetic per element)."""
-    amps = amplitudes(params, t)
-    pairs = zip(np.ravel(amps.same_site).tolist(), np.ravel(amps.cross_site).tolist())
-    worst = [max(unitarity_residuals(Amplitudes(*pair), params.n_qubits)) for pair in pairs]
-    return np.array(worst).reshape(np.shape(t)) if np.ndim(t) else worst[0]
+    t, or an array of them over an array t."""
+    worst = np.maximum(*unitarity_residuals(amplitudes(params, t), params.n_qubits))
+    return worst if worst.ndim else float(worst)
 
 
+@_refuse_as_loop
 def amplitude_oracle_residual(params: NetworkParams, t) -> float:
     """Closed-form single-excitation block against the dense exponential at
     t, or an array of them over an array t (one stacked oracle call)."""
@@ -218,6 +219,7 @@ def amplitude_oracle_residual(params: NetworkParams, t) -> float:
     return _max_entry(closed - q1_unitary_oracle(params, t))
 
 
+@_refuse_as_loop
 def reduced_state_residual(params: NetworkParams, sel: SubsystemSelector, t) -> float:
     """Closed-form reduced density against the partial-trace oracle at t,
     or an array of them over an array t. At N=2 the limit state stands in
@@ -226,12 +228,14 @@ def reduced_state_residual(params: NetworkParams, sel: SubsystemSelector, t) -> 
     return _max_entry(dense - oracle.reduced_density_oracle(params, sel, t))
 
 
+@_refuse_as_loop
 def completeness_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
     """Trace-preservation residual of the propagator over [t1, t2], or an
     array of them over arrays of times."""
     return propagator.completeness_residual(propagator.build_propagator(params, sel, t1, t2))
 
 
+@_refuse_as_loop
 def orbit_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
     """The propagator moves the closed-form state at t1 onto the one at t2;
     an array of residuals over arrays of times."""
@@ -240,6 +244,7 @@ def orbit_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> flo
     return _max_entry(moved - _closed_density(params, sel, t2))
 
 
+@_refuse_as_loop
 def tomography_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
     """Closed-form propagator matrix against map tomography over [t1, t2],
     or an array of them over arrays of times."""
@@ -247,6 +252,7 @@ def tomography_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -
     return _max_entry(closed - oracle.propagator_oracle(params, sel, t1, t2))
 
 
+@_refuse_as_loop
 def orbit_oracle_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
     """The propagator moves the oracle's state at t1 onto the oracle's state
     at t2; an array of residuals over arrays of times."""
@@ -255,6 +261,7 @@ def orbit_oracle_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2)
     return _max_entry(moved - oracle.reduced_density_oracle(params, sel, t2))
 
 
+@_refuse_as_loop
 def composition_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
     """Propagator composition residual, acting on the closed-form state at
     t1; an array of residuals over an array t1 (and t2 of its shape)."""
@@ -338,6 +345,7 @@ def choi_psd(choi: np.ndarray, tol: float) -> np.ndarray:
     return psd.reshape(choi.shape[:-2])
 
 
+@_refuse_as_loop
 def trace_distance_residual(params: NetworkParams, sel: SubsystemSelector, t) -> float:
     """Closed-form trace distance to |0><0| against the eigenvalue route at
     t, or an array of them over an array t (one batched ``eigvalsh``)."""
@@ -352,6 +360,7 @@ def trace_distance_residual(params: NetworkParams, sel: SubsystemSelector, t) ->
     return residual if residual.ndim else float(residual)
 
 
+@_refuse_as_loop
 def entropy_symmetry_residual(
     params: NetworkParams, sel: SubsystemSelector, complement: SubsystemSelector, t
 ) -> float:
@@ -390,6 +399,7 @@ def fisher_cases(params: NetworkParams, taus) -> Iterable[tuple]:
                 yield params, sel, theta, t
 
 
+@_refuse_as_loop
 def fisher_routes(params: NetworkParams, sel: SubsystemSelector, theta, t) -> tuple[float, float]:
     """Total QFI at t by the closed form and by the SLD oracle, or arrays of
     them over an array t."""
@@ -397,6 +407,7 @@ def fisher_routes(params: NetworkParams, sel: SubsystemSelector, theta, t) -> tu
     return closed, fisher.qfi_numeric_oracle(params, sel, theta, t)
 
 
+@_refuse_as_loop
 def fisher_oracle_residual(params: NetworkParams, sel: SubsystemSelector, theta, t) -> float:
     """Relative gap between the two QFI routes, with an absolute floor near
     zero; an array of them over an array t."""
@@ -405,6 +416,7 @@ def fisher_oracle_residual(params: NetworkParams, sel: SubsystemSelector, theta,
         return abs(closed - numeric) / np.maximum(abs(closed), 1e-4)
 
 
+@_refuse_as_loop
 def fisher_split_residual(params: NetworkParams, dyn_class: DynClass, t2) -> float:
     """Process/state/cross split at t2 from anchors 0.25 and 0.4 periods, or
     an array of them over an array t2.
@@ -419,8 +431,8 @@ def fisher_split_residual(params: NetworkParams, dyn_class: DynClass, t2) -> flo
         fisher.process_state_split(params, dyn_class, anchor * params.period, t2, rescaled=True)
         for anchor in (0.25, 0.4)
     ]
-    _, dp2 = _p_dp_single_qubit(params, dyn_class, GlobalParameter.COUPLING_J, splits[0].t2)
     with np.errstate(invalid="ignore", over="ignore"):
+        _, dp2 = _p_dp_single_qubit(params, dyn_class, GlobalParameter.COUPLING_J, splits[0].t2)
         worst = abs(splits[0].total - splits[1].total)
         for split in splits:
             parts = split.process + split.cross + split.state
@@ -432,7 +444,8 @@ def fisher_split_residual(params: NetworkParams, dyn_class: DynClass, t2) -> flo
 
 def roundtrip_residual(params: NetworkParams, t1, t2) -> float | None:
     """|N estimate - N| from the single-qubit flows over [t1, t2]; None
-    where either flow is below 1e-6."""
+    where either flow is below 1e-6. Takes float times."""
+    t1, t2 = _check_time(t1, "t1"), _check_time(t2, "t2")
     flow1 = propagator.flow_amplitude(params, SubsystemSelector(1, C1), t1, t2)
     flow0 = propagator.flow_amplitude(params, SubsystemSelector(1, C0), t1, t2)
     if min(abs(flow0), abs(flow1)) < 1e-6:
@@ -452,6 +465,7 @@ def roundtrip_windows(rng, params: NetworkParams, samples: int):
             yield case
 
 
+@_refuse_as_loop
 def bloch_fixed_point_residual(params: NetworkParams, t1, t2) -> float:
     """How far the K = 1 Bloch maps over [t1, t2] move their fixed poles;
     an array of residuals over arrays of times."""

@@ -64,6 +64,36 @@ def test_unitarity_residuals(n, j):
         assert r2 <= 1e-12
 
 
+def python_reference(n, j, t):
+    """u_s, u_d, |u_d|^2 and the unitarity residual pair at a float t, by
+    Python's complex arithmetic: the per-element loop the kernel replaced."""
+    z = complex(np.exp(1j * (n * j * t)))
+    us, ud = (1.0 + (n - 1) * z) / n, (1.0 - z) / n
+    r1 = abs(abs(us) ** 2 + (n - 1) * abs(ud) ** 2 - 1.0)
+    r2 = abs(2.0 * (us.conjugate() * ud).real + (n - 2) * abs(ud) ** 2)
+    return us, ud, abs(ud) ** 2, r1, r2
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 2048])
+@pytest.mark.parametrize("j", [1.0, 0.7, 1e-300, None])
+def test_amplitude_kernel_equals_python_complex_arithmetic(n, j):
+    # Bit for bit, signed zeros included: +-0, negative times, half and whole
+    # periods, and J = 1e300/(10N), where N J = 1e299.
+    params = NetworkParams(n, 1e299 / n if j is None else j)
+    taus = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, 2.0, -3.0, 0.25, 1e-300, -1e-300]
+    taus += np.random.default_rng(n).uniform(-3.0, 3.0, 300).tolist()
+    t = np.array(taus) * params.period
+    amps = amplitudes(params, t)
+    got = (amps.same_site, amps.cross_site, amps.cross_abs2, *unitarity_residuals(amps, n))
+    want = [np.array(column) for column in zip(*(python_reference(n, params.coupling, s) for s in t.tolist()))]
+    for name, a, b in zip(("u_s", "u_d", "cross_abs2", "r1", "r2"), got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for s in t.tolist()[:12]:  # a float call too; repr shows the signs of zeros
+        one = amplitudes(params, s)
+        row = (one.same_site, one.cross_site, one.cross_abs2, *unitarity_residuals(one, n))
+        assert repr(row) == repr(python_reference(n, params.coupling, s))
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_periodicity(n):
     params = NetworkParams(n, 1.3)

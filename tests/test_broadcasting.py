@@ -1,7 +1,7 @@
 """Closed forms called on an ndarray of times against their scalar calls.
 
 For random N in 2..64, K and class, every broadcasting function must equal
-its scalar calls elementwise (the flow weight and u_s, u_d bit for bit, the
+its scalar calls elementwise (the flow weight, u_s, u_d and |u_d|^2 bit for bit, the
 rest within a relative 1e-13, with an absolute floor of 1e-15 for values that are
 round-off zeros, such as the rotation angle of a window with t1 = t2), and
 must refuse an array exactly when some scalar call
@@ -204,7 +204,7 @@ def test_amplitude_arrays_equal_scalar_calls_bit_for_bit(network, tau):
     t = tau * params.period
     amps = amplitudes(params, t)
     singles = [amplitudes(params, s) for s in t.tolist()]
-    for name in ("same_site", "cross_site"):
+    for name in ("same_site", "cross_site", "cross_abs2"):
         assert same_bits(getattr(amps, name), np.array([getattr(a, name) for a in singles])), name
 
 

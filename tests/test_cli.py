@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -210,6 +211,36 @@ def test_infer_refuses_windows_of_a_period_or_more(n, dt, tmp_path, capsys):
     assert f"--dt must lie in (0, 1) periods for infer, got {float(dt)}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dt", ["1e-6", "1e-9", "1e-12"])
+def test_infer_period_scan_takes_logarithmic_time(dt, tmp_path):
+    # The scan doubles its step, so it probes about log2(1/dt) anchors: in
+    # steps of dt/2 it took 11.4 s at dt = 1e-6, and hours at dt = 1e-9.
+    out = tmp_path / "infer.csv"
+    start = time.perf_counter()
+    assert main(["infer", "--n", "5", "--dt", dt, "--steps", "20", "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "dt,coupling",
+    [("0.5", j) for j in ("1", "0.7", "1e-300", "1e300")]
+    + [("0.01", j) for j in ("1", "1e-300", "1e300")]
+    + [("0.001", j) for j in ("1", "0.7", "1e-300")],
+)
+def test_infer_period_scan_at_n2_reads_no_singular_anchor(dt, coupling, tmp_path, capsys):
+    # At N = 2 every odd half-period is a singular anchor of the flow weight.
+    # The scan reads the sign of the hop probability's change over the
+    # window, defined there; reading flow_amplitude, it refused one and
+    # exited 3.
+    out = tmp_path / "infer.csv"
+    assert main(["infer", "--n", "2", "--j", coupling, "--dt", dt, "--out", str(out)]) == 0
+    capsys.readouterr()
+    header, rows = read_csv(out)
+    j = float(coupling)
+    assert abs(column(header, rows, "j_estimate")[0] - j) <= 1e-12 * j
+
 
 def test_verify_passes(tmp_path, capsys):
     out = tmp_path / "verify.csv"

@@ -1,0 +1,221 @@
+"""The refusal contract at every array entry point.
+
+An array of times must be refused exactly as the loop of scalar calls over
+its elements, in C order, would refuse it: with the first refusing
+element's error type and message. A seeded stream of small networks and
+time arrays checks that for every function that takes array times. The
+arrays mix ordinary times with NaN, +-inf, 1e308 (finite, but its phase
+overflows at most N and J), singular anchors (odd half-periods, singular
+for K = N/2 and at N = 2) and anchors just off them.
+
+Every public function and verification residual with a ``t``, ``t1`` or
+``t2`` parameter either carries the refusal decorator or is on the
+float-only list, and each float-only function refuses an array with
+``ParameterError``.
+"""
+
+import importlib
+import inspect
+
+import numpy as np
+import pytest
+
+from openqnet import (
+    DegenerateStateError,
+    DynClass,
+    GlobalParameter,
+    NetworkParams,
+    OpenQNetError,
+    ParameterError,
+    SubsystemSelector,
+    affine_map,
+    amplitudes,
+    build_propagator,
+    classify,
+    compose_residual,
+    conservation_residual,
+    dynamical_map_oracle,
+    entanglement_entropy,
+    excitation_probability,
+    flow_amplitude,
+    global_state,
+    is_singular,
+    physical_bloch_z,
+    process_state_split,
+    propagator_oracle,
+    q1_unitary_oracle,
+    qfi_closed_form,
+    qfi_numeric_oracle,
+    reduced_density_oracle,
+    reduced_state,
+)
+from openqnet import propagator
+from openqnet import verification as v
+
+C1, C0 = DynClass.CONTAINS_EXCITED, DynClass.EXCLUDES_EXCITED
+
+MODULES = ("amplitudes", "bloch", "fisher", "inference", "oracle", "positivity", "propagator", "states", "verification")
+
+FLOAT_ONLY = {
+    "reduced_state",
+    "is_singular",
+    "classify",
+    "global_state",
+    "conservation_residual",
+    "conservation_relation_residual",
+    "roundtrip_residual",
+}
+
+
+def refusal(call, *times):
+    """(error type, message) of ``call(*times)``, or None if it is not refused."""
+    try:
+        call(*times)
+    except OpenQNetError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def loop_refusal(call, *times):
+    """The first refusal of the scalar calls over the broadcast elements, in C order."""
+    grids = np.broadcast_arrays(*times)
+    for values in zip(*(g.ravel().tolist() for g in grids)):
+        found = refusal(call, *values)
+        if found is not None:
+            return found
+    return None
+
+
+def entry_points(params, sel, theta, rescaled):
+    """(name, call, number of times) for every function that takes array times."""
+    n, d, cls = params.n_qubits, sel.k_qubits + 1, sel.dyn_class
+    pair = v.complement_pairs(params)[min(sel.k_qubits, n - 1) - 1]
+    sels = [sel, SubsystemSelector(1, C0)]
+    rho = np.eye(d) / d
+    return [
+        ("amplitudes", lambda t: amplitudes(params, t), 1),
+        ("q1_unitary_oracle", lambda t: q1_unitary_oracle(params, t), 1),
+        ("excitation_probability", lambda t: excitation_probability(params, sel, t), 1),
+        ("entanglement_entropy", lambda t: entanglement_entropy(params, sel, t), 1),
+        ("physical_bloch_z", lambda t: physical_bloch_z(params, cls, t), 1),
+        ("qfi_closed_form", lambda t: qfi_closed_form(params, sel, theta, t), 1),
+        ("qfi_numeric_oracle", lambda t: qfi_numeric_oracle(params, sel, theta, t), 1),
+        ("reduced_density_oracle", lambda t: reduced_density_oracle(params, sel, t), 1),
+        ("dynamical_map_oracle", lambda t: dynamical_map_oracle(params, sel, t), 1),
+        ("unitarity_residual", lambda t: v.unitarity_residual(params, t), 1),
+        ("amplitude_oracle_residual", lambda t: v.amplitude_oracle_residual(params, t), 1),
+        ("reduced_state_residual", lambda t: v.reduced_state_residual(params, sel, t), 1),
+        ("trace_distance_residual", lambda t: v.trace_distance_residual(params, sel, t), 1),
+        ("entropy_symmetry_residual", lambda t: v.entropy_symmetry_residual(params, *pair, t), 1),
+        ("fisher_oracle_residual", lambda t: v.fisher_oracle_residual(params, sel, theta, t), 1),
+        ("fisher_split_residual", lambda t: v.fisher_split_residual(params, cls, t), 1),
+        ("build_propagator", lambda a, b: build_propagator(params, sel, a, b), 2),
+        ("flow_amplitude", lambda a, b: flow_amplitude(params, sel, a, b), 2),
+        ("_flows", lambda a, b: propagator._flows(params, sels, a, b), 2),
+        ("affine_map", lambda a, b: affine_map(params, cls, a, b), 2),
+        ("process_state_split", lambda a, b: process_state_split(params, cls, a, b, theta, rescaled), 2),
+        ("propagator_oracle", lambda a, b: propagator_oracle(params, sel, a, b), 2),
+        ("compose_residual", lambda a, b: compose_residual(params, sel, a, b, rho), 2),
+        ("completeness_residual", lambda a, b: v.completeness_residual(params, sel, a, b), 2),
+        ("orbit_residual", lambda a, b: v.orbit_residual(params, sel, a, b), 2),
+        ("tomography_residual", lambda a, b: v.tomography_residual(params, sel, a, b), 2),
+        ("orbit_oracle_residual", lambda a, b: v.orbit_oracle_residual(params, sel, a, b), 2),
+        ("composition_residual", lambda a, b: v.composition_residual(params, sel, a, b), 2),
+        ("bloch_fixed_point_residual", lambda a, b: v.bloch_fixed_point_residual(params, a, b), 2),
+    ]
+
+
+def draw_times(rng, period, size):
+    """An array of times: ordinary ones, odd half-periods, anchors just off
+    them, and NaN, +-inf and 1e308."""
+    special = [np.nan, np.inf, -np.inf, 1e308]
+    halves = [0.5, 1.5, 0.5 + 1e-9, 1.5 - 1e-6]
+    out = []
+    for _ in range(size):
+        kind = rng.random()
+        if kind < 0.15:
+            out.append(special[rng.integers(len(special))])
+        elif kind < 0.45:
+            out.append(halves[rng.integers(len(halves))] * period)
+        else:
+            out.append(rng.uniform(-1.0, 2.0) * period)
+    return np.array(out)
+
+
+def test_array_refusals_equal_the_scalar_loop():
+    rng = np.random.default_rng(2020)
+    mismatched = []
+    for _ in range(40):
+        n = int(rng.choice([2, 3, 4, 6]))
+        params = NetworkParams(n, float(rng.choice([1.0, 0.7])))
+        cls = C1 if rng.random() < 0.5 else C0
+        k_max = n if cls is C1 else n - 1
+        k = max(1, n // 2) if rng.random() < 0.5 else int(rng.integers(1, k_max + 1))
+        theta = GlobalParameter.COUPLING_J if rng.random() < 0.5 else GlobalParameter.SIZE_N
+        if theta is GlobalParameter.SIZE_N and cls is C1 and k == n:
+            theta = GlobalParameter.COUPLING_J  # diverges by design, at every element alike
+        size = int(rng.integers(1, 5))
+        t1 = draw_times(rng, params.period, size)
+        t2 = draw_times(rng, params.period, size)
+        for name, call, arity in entry_points(params, SubsystemSelector(k, cls), theta, rng.random() < 0.5):
+            times = (t1,) if arity == 1 else (t1, t2)
+            if refusal(call, *times) != loop_refusal(call, *times):
+                mismatched.append((name, n, k, cls.value, times))
+    assert mismatched == []
+
+
+def test_named_refusals_follow_the_loop():
+    # The array used to be refused at its singular anchor, where the loop
+    # meets another refusal at an earlier element.
+    params = NetworkParams(6, 1.0)
+    half = 0.5 * params.period  # singular anchor of K = 3
+    t1, t2 = np.array([0.1, half]), np.array([1e308, 0.7])
+    with pytest.raises(ParameterError, match=r"phase N\*J\*t overflows at t=1e\+308"):
+        compose_residual(params, SubsystemSelector(3, C1), t1, t2, np.eye(4) / 4)
+    params = NetworkParams(2, 1.0)
+    half = 0.5 * params.period  # singular anchor and degenerate state at N = 2
+    t1, t2 = np.array([0.1, half]), np.array([half, 0.7])
+    with pytest.raises(DegenerateStateError, match="excitation probability vanishes"):
+        v.orbit_residual(params, SubsystemSelector(1, C1), t1, t2)
+
+
+def array_time_functions():
+    """(module name, function name, function) of every public function with a
+    t, t1 or t2 parameter, defined in one of the package's modules."""
+    found = []
+    for module_name in MODULES:
+        module = importlib.import_module(f"openqnet.{module_name}")
+        for name, fn in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                continue
+            if {"t", "t1", "t2"} & set(inspect.signature(fn).parameters):
+                found.append((module_name, name, fn))
+    return found
+
+
+def test_array_time_functions_are_decorated_or_float_only():
+    found = array_time_functions()
+    undecorated = {name for _, name, fn in found if not hasattr(fn, "__wrapped__")}
+    assert undecorated == FLOAT_ONLY
+    assert {"amplitudes", "build_propagator", "composition_residual"} <= {name for _, name, _ in found}
+
+
+def test_float_only_functions_refuse_arrays():
+    params = NetworkParams(5, 1.0)
+    sel = SubsystemSelector(2, C1)
+    times = np.array([0.1, 0.2])
+    calls = [
+        lambda t: reduced_state(params, sel, t),
+        lambda t: is_singular(params, 2, t),
+        lambda t: global_state(params, t),
+        lambda t: classify(params, sel, t, 0.7),
+        lambda t: classify(params, sel, 0.1, t),
+        lambda t: conservation_residual(params, 2, t, 0.7),
+        lambda t: conservation_residual(params, 2, 0.1, t),
+        lambda t: v.conservation_relation_residual(params, SubsystemSelector(2, C0), t, 0.7),
+        lambda t: v.roundtrip_residual(params, t, 0.7),
+        lambda t: v.roundtrip_residual(params, 0.1, t),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="must be a real number"):
+            call(times)
