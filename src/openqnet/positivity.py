@@ -37,7 +37,7 @@ import numpy as np
 
 from .amplitudes import NetworkParams, _bisect, _check_time, _hop
 from .errors import ParameterError, SizeLimitError
-from .propagator import PropagatorOps, _basis_images, _build, _window
+from .propagator import PropagatorOps, _basis_images, _build, _take, _window
 from .states import DynClass, SubsystemSelector, _mixing
 
 #: Guard on the Choi matrix dimension (K+1)^2.
@@ -89,7 +89,19 @@ def choi_matrix(ops: PropagatorOps) -> np.ndarray:
     m = len(stack)
     # C[*S, a*d + mu, b*d + nu] = images[mu, nu, *S, a, b]
     axes = (*range(2, m + 2), m + 2, 0, m + 3, 1)
-    return _basis_images(ops).transpose(axes).reshape(stack + (d * d, d * d))
+    workspace = getattr(ops, "workspace", None)  # verification's _WorkspaceOps
+    if workspace is None:
+        return _basis_images(ops).transpose(axes).reshape(stack + (d * d, d * d))
+    # A workspace's 1-d stack goes into its buffer 0 a part at a time: the
+    # part's rows where its Choi matrices go, its product in buffer 1.
+    out = workspace.array(0, stack + (d * d, d * d))
+    step = workspace.windows(d**4)
+    for start in range(0, len(out), step):
+        part = out[start : start + step]
+        product = workspace.array(1, part.shape)
+        images = _basis_images(_take(ops, slice(start, start + step)), rows=part, product=product)
+        np.copyto(part.reshape((len(part),) + (d,) * 4), images.transpose(axes))
+    return out
 
 
 def choi_spectrum(ops: PropagatorOps) -> tuple:

@@ -32,6 +32,7 @@ half-periods, for K = N/2 or N = 2; at K = 1 it is the mixing probability.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,7 +265,7 @@ def _spread(value, sector):
     return np.asarray(value)[..., None, None] if isinstance(sector, slice) else value
 
 
-def _basis_images(ops: PropagatorOps, diagonal: bool = False) -> np.ndarray:
+def _basis_images(ops: PropagatorOps, diagonal: bool = False, rows=None, product=None) -> np.ndarray:
     # images[mu, nu, *S] = Phi[|mu><nu|] for the ops of a stack of shape S
     # (S = () for one propagator), or images[mu, *S] = Phi[|mu><mu|] for the
     # ``diagonal``. B |mu><nu| is B's column mu placed in column nu, so the
@@ -272,18 +273,36 @@ def _basis_images(ops: PropagatorOps, diagonal: bool = False) -> np.ndarray:
     # term B E B^dag takes one matrix product per map: each entry is a sum
     # with one nonzero term, so the values are those of apply on each E but
     # for the signs of zeros. The flow goes only to the images it reads.
+    # ``rows`` and ``product``, C-contiguous complex arrays of |S| d^(e+2)
+    # entries, are where the two are built, if given; the images are a view
+    # of the product.
     d, block = ops.k_qubits + 1, ops.block_diag
     stack = block.shape[:-2]
     m, e = len(stack), 1 if diagonal else 2  # e basis indices: mu (and nu)
     # rows[*S, a, mu, nu, c] = (B |mu><nu|)[a, c] = B[a, mu] [nu == c], nu = mu if diagonal
-    rows = np.zeros(stack + (d,) * e + (d * d,), dtype=complex)
+    shape = stack + (d,) * e + (d * d,)
+    if rows is None:
+        rows = np.zeros(shape, dtype=complex)
+    else:
+        rows = rows.reshape(shape)
+        rows.fill(0.0)
     rows[..., :: d + 1] = block if diagonal else block[..., None]
-    out = rows.reshape(stack + (d ** (e + 1), d)) @ block.conj().swapaxes(-1, -2)
+    rows = rows.reshape(stack + (d ** (e + 1), d))
+    product = None if product is None else product.reshape(rows.shape)
+    out = np.matmul(rows, block.conj().swapaxes(-1, -2), out=product)
     images = np.moveaxis(out.reshape(stack + (d,) * (e + 2)), range(m + 1, m + 1 + e), range(e))
     read, terms = _flow(ops)
     for sector, weight in terms:
         images[(read,) * e][..., sector, sector] += _spread(weight, sector)
     return images
+
+
+def _take(ops: PropagatorOps, index) -> PropagatorOps:
+    # The windows of a stack of ops at flat indices or a slice, as a 1-d stack.
+    d, shape = ops.k_qubits + 1, ops.block_diag.shape[:-2]
+    take = lambda x: None if x is None else np.broadcast_to(x, shape).reshape(-1)[index]
+    fields = {x: take(getattr(ops, x)) for x in ("flow_weight", "ground_extra", "t1", "t2")}
+    return dataclasses.replace(ops, block_diag=ops.block_diag.reshape(-1, d, d)[index], **fields)
 
 
 def _max_entry(diff: np.ndarray):

@@ -16,11 +16,15 @@ comparison ``pcp_disagreements`` run through one grouped routine,
 or a class), evaluates each group in stacks of bounded size and returns the
 values in the order the cases came.
 ``grouped_worst_case`` folds them as ``worst_case`` folds the per-case
-calls. The conservation and round-trip residuals return None where they
-have nothing to say, and their rows take under 2 ms each at N = 8, so
-they are called per case. The acceptance suite calls the same residuals,
-folds and routine over its own seeded cases. All sampling uses a fixed
-seed so repeated runs are byte-identical.
+calls. A stack's closed-form densities are built in numpy by the scalar
+call's own operations, not by one state call per element, and the dense
+route of ``pcp_disagreements`` builds every stack's Choi matrices and
+Cholesky operands in one workspace made for the call, so that a stack
+maps no fresh memory. The conservation and round-trip residuals return
+None where they have nothing to say, and their rows take about 2 ms each
+at N = 8, so they are called per case. The acceptance suite calls the
+same residuals, folds and routine over its own seeded cases. All sampling
+uses a fixed seed so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ import numpy as np
 import numpy.random
 
 from . import bloch, fisher, inference, oracle, positivity, propagator, states
-from .amplitudes import NetworkParams, _check_time, _refuse_as_loop, amplitudes, q1_unitary_oracle
-from .amplitudes import unitarity_residuals
+from .amplitudes import NetworkParams, _amplitudes, _check_time, _refuse_as_loop, amplitudes
+from .amplitudes import q1_unitary_oracle, unitarity_residuals
 from .errors import DegenerateStateError, IndeterminateFlowError
 from .fisher import GlobalParameter, _p_dp_single_qubit
 from .propagator import _max_entry
@@ -48,9 +52,12 @@ RNG_SEED = 0
 # Bytes of arrays that one stack of grouped_values holds at once, as each
 # row counts them per window. Set for pcp_agreement's Choi stacks: 4 MiB
 # adds 7.5 MB of peak RSS at N=8, whole unchunked groups 28 MB, at the same
-# speed. Traced peaks at N=8 under this cap: check_pcp_agreement 2.81 MB,
-# check_composition 1.10 MB, check_tomography_containing 0.87 MB, the
-# other rows at most 0.44 MB (check_amplitude_oracle, its eigh cached).
+# speed. Traced peaks at N=8 under this cap: check_pcp_agreement 3.12 MB
+# (its workspace's two buffers of this size, counted whole though they are
+# touched only as far as the stacks reach, one Cholesky factor of up to
+# 0.61 MB, and the windows), check_composition 1.10 MB,
+# check_tomography_containing 0.87 MB, the other rows at most 0.45 MB
+# (check_amplitude_oracle, its eigh cached).
 _STACK_BYTES = 1 << 20
 C1, C0 = DynClass.CONTAINS_EXCITED, DynClass.EXCLUDES_EXCITED
 
@@ -181,15 +188,40 @@ def describe_case(case: tuple) -> str:
     return " ".join(parts) + " periods"
 
 
-def _closed_density(
-    params: NetworkParams, sel: SubsystemSelector, t, state: Callable = states.reduced_state
-) -> np.ndarray:
-    # The closed-form density at t, or a (*S, K+1, K+1) stack over an array
-    # t from one scalar ``state`` call per element, as build_propagator
-    # builds a stack, so that each matrix is its scalar call's.
-    d = sel.k_qubits + 1
-    rows = [states.materialize_density(state(params, sel, s)) for s in np.ravel(t).tolist()]
-    return np.array(rows, dtype=complex).reshape(np.shape(t) + (d, d))
+def _closed_states(
+    params: NetworkParams, sel: SubsystemSelector, t, limit: bool = False
+) -> tuple:
+    # (excited weight, density) of the closed-form state at a float t, from
+    # one reduced_state call, or from _limit_state with ``limit``. Over an
+    # array t of shape S, arrays of shapes S and (*S, K+1, K+1), built in
+    # numpy by the scalar call's own operations, so that each is its scalar
+    # call's bit for bit; refused at the first degenerate element, which the
+    # residuals' decorator turns into the loop's refusal.
+    sel.validate(params)
+    t = _check_time(t, "t", True)
+    if type(t) is float:
+        state = (_limit_state if limit else states.reduced_state)(params, sel, t)
+        return state.excited_weight, states.materialize_density(state)
+    k, contains = sel.k_qubits, sel.dyn_class is C1
+    p = states._mixing(params, k, contains, t)[0]
+    if contains:
+        zero = p <= states._ZERO_WEIGHT  # only at N=2, K=1, by odd half-periods
+        if zero.any() and not limit:
+            states.reduced_state(params, sel, float(t[zero][0]))  # refused
+        amps = _amplitudes(params, t)
+        root = np.sqrt(np.where(zero, 1.0, p))
+        vec = np.empty(t.shape + (k,), dtype=complex)
+        vec[..., 0] = amps.same_site / root
+        vec[..., 1:] = (amps.cross_site / root)[..., None]
+        # The limit state's weight 0 makes its 1x1 block +0 in any direction.
+        weight = np.where(zero, 0.0, p)
+    else:
+        weight = 1.0 - p
+        vec = np.full(t.shape + (k,), 1.0 / math.sqrt(k), dtype=complex)
+    rho = np.zeros(t.shape + (k + 1, k + 1), dtype=complex)
+    rho[..., 0, 0] = 1.0 - weight
+    rho[..., 1:, 1:] = weight[..., None, None] * (vec[..., :, None] * vec.conj()[..., None, :])
+    return weight, rho
 
 
 def _limit_state(params: NetworkParams, sel: SubsystemSelector, t) -> states.ReducedState:
@@ -224,7 +256,7 @@ def reduced_state_residual(params: NetworkParams, sel: SubsystemSelector, t) -> 
     """Closed-form reduced density against the partial-trace oracle at t,
     or an array of them over an array t. At N=2 the limit state stands in
     where the excitation probability vanishes."""
-    dense = _closed_density(params, sel, t, _limit_state)
+    dense = _closed_states(params, sel, t, limit=True)[1]
     return _max_entry(dense - oracle.reduced_density_oracle(params, sel, t))
 
 
@@ -240,8 +272,8 @@ def orbit_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> flo
     """The propagator moves the closed-form state at t1 onto the one at t2;
     an array of residuals over arrays of times."""
     ops = propagator.build_propagator(params, sel, t1, t2)
-    moved = propagator.apply(ops, _closed_density(params, sel, t1))
-    return _max_entry(moved - _closed_density(params, sel, t2))
+    moved = propagator.apply(ops, _closed_states(params, sel, t1)[1])
+    return _max_entry(moved - _closed_states(params, sel, t2)[1])
 
 
 @_refuse_as_loop
@@ -265,7 +297,46 @@ def orbit_oracle_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2)
 def composition_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
     """Propagator composition residual, acting on the closed-form state at
     t1; an array of residuals over an array t1 (and t2 of its shape)."""
-    return propagator.compose_residual(params, sel, t1, t2, _closed_density(params, sel, t1))
+    return propagator.compose_residual(params, sel, t1, t2, _closed_states(params, sel, t1)[1])
+
+
+class _Workspace:
+    """Two buffers that the dense positivity route builds its stacks in, one
+    stack at a time.
+
+    Each buffer starts with room for ``nbytes`` and grows when a stack needs
+    more. The pre-test's diagonal images are built with their rows in
+    buffer 0 and their product in buffer 1. ``positivity.choi_matrix``
+    fills buffer 0 with a stack's Choi matrices a part at a time, each
+    part's rows where its matrices go and its product in buffer 1; then
+    :func:`_choi_psd` moves the support blocks to the front of buffer 0, a
+    part at a time through buffer 1. So buffer 1 holds a part, a quarter of
+    ``nbytes``, beside the stack, and only a stack of one window larger than
+    that grows it. Every array taken from a buffer is overwritten by the
+    next one taken from it.
+    """
+
+    def __init__(self, nbytes: int):
+        self._buffers = [np.empty(nbytes, dtype=np.uint8) for _ in range(2)]
+        self._part = nbytes // 4
+
+    def array(self, i: int, shape: tuple, dtype=complex) -> np.ndarray:
+        """A C-contiguous array of ``shape`` over the start of buffer i."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if self._buffers[i].size < nbytes:
+            self._buffers[i] = np.empty(nbytes, dtype=np.uint8)
+        return self._buffers[i][:nbytes].view(dtype).reshape(shape)
+
+    def windows(self, entries: int) -> int:
+        """The windows of ``entries`` complex entries each in a part of a
+        stack: as many as a quarter of ``nbytes`` holds, at least one."""
+        return max(1, self._part // (16 * entries))
+
+
+@dataclasses.dataclass(frozen=True)
+class _WorkspaceOps(propagator.PropagatorOps):
+    # Ops whose Choi matrices positivity.choi_matrix builds in ``workspace``.
+    workspace: _Workspace
 
 
 def pcp_disagreements(cases: Iterable[tuple]) -> list[tuple]:
@@ -277,39 +348,42 @@ def pcp_disagreements(cases: Iterable[tuple]) -> list[tuple]:
     The cases are evaluated by :func:`grouped_values` in stacks of at most
     1 MiB of Choi matrices: one stacked propagator, its Choi diagonal, and
     dense Choi matrices only where it passes :func:`choi_psd`'s pre-test.
+    Every stack's dense route is built in one workspace, made for the call.
     """
     cases = list(cases)
-    agree = grouped_values(cases, _pcp_agree, lambda n, d: d**4)
+    workspace = _Workspace(_STACK_BYTES)
+    evaluate = lambda *case: _pcp_agree(*case, workspace)
+    agree = grouped_values(cases, evaluate, lambda n, d: d**4)
     return [case for case, ok in zip(cases, agree) if not ok]
 
 
-def _pcp_agree(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> np.ndarray:
+def _pcp_agree(
+    params: NetworkParams, sel: SubsystemSelector, t1, t2, workspace: _Workspace
+) -> np.ndarray:
     # Whether the four routes agree, for each window of the t1, t2 arrays.
     tol = positivity.VERDICT_TOL
     ops = propagator.build_propagator(params, sel, t1, t2)
     flow_cp = ops.flow_weight >= -tol
     choi_cp = np.minimum.reduce(positivity.choi_spectrum(ops)) >= -tol
     p1, p2 = (states.excitation_probability(params, sel, t) for t in (t1, t2))
-    dense_cp = _dense_cp(ops, tol)
+    dense_cp = _dense_cp(ops, tol, workspace)
     return (flow_cp == choi_cp) & (choi_cp == (p2 - p1 <= tol)) & (choi_cp == dense_cp)
 
 
-def _dense_cp(ops: propagator.PropagatorOps, tol: float) -> np.ndarray:
+def _dense_cp(ops: propagator.PropagatorOps, tol: float, workspace=None) -> np.ndarray:
     # choi_psd of each window's dense Choi matrix, built only where its
     # diagonal C[(a, mu), (a, mu)] = Phi[|mu><mu|][a, a] passes the pre-test.
-    diag = np.diagonal(propagator._basis_images(ops, diagonal=True), axis1=-2, axis2=-1)
+    # Every stage runs in ``workspace``, by default one of its own.
+    workspace = workspace or _Workspace(_STACK_BYTES)
+    d, stack = ops.k_qubits + 1, ops.block_diag.shape[:-2]
+    buffers = [workspace.array(i, stack + (d**3,)) for i in (0, 1)]  # rows, product
+    diag = np.diagonal(propagator._basis_images(ops, True, *buffers), axis1=-2, axis2=-1)
     cp = (diag.real + tol > 0.0).all(axis=(0, -1)).reshape(-1)  # diag[mu, *S, a]
+    del buffers, diag  # so that the Choi matrices may regrow the workspace's buffers
     passed = np.flatnonzero(cp)
-    cp[passed] = choi_psd(positivity.choi_matrix(_take(ops, passed)), tol)
-    return cp.reshape(diag.shape[1:-1])
-
-
-def _take(ops: propagator.PropagatorOps, index: np.ndarray) -> propagator.PropagatorOps:
-    # The windows of a stack of ops at flat indices, as a 1-d stack.
-    d, shape = ops.k_qubits + 1, ops.block_diag.shape[:-2]
-    take = lambda x: None if x is None else np.broadcast_to(x, shape).reshape(-1)[index]
-    fields = {x: take(getattr(ops, x)) for x in ("flow_weight", "ground_extra", "t1", "t2")}
-    return dataclasses.replace(ops, block_diag=ops.block_diag.reshape(-1, d, d)[index], **fields)
+    taken = _WorkspaceOps(**vars(propagator._take(ops, passed)), workspace=workspace)
+    cp[passed] = _choi_psd(positivity.choi_matrix(taken), tol, workspace)
+    return cp.reshape(stack)
 
 
 def choi_psd(choi: np.ndarray, tol: float) -> np.ndarray:
@@ -323,6 +397,11 @@ def choi_psd(choi: np.ndarray, tol: float) -> np.ndarray:
     if that fails, on the rows and columns nonzero in some matrix: a matrix
     zero outside those is PSD at -tol (tol > 0) iff its block on them is.
     """
+    return _choi_psd(choi, tol, _Workspace(_STACK_BYTES))
+
+
+def _choi_psd(choi: np.ndarray, tol: float, workspace: _Workspace) -> np.ndarray:
+    # choi_psd, with the shifted support blocks in the workspace's buffer 0.
     dim = choi.shape[-1]
     flat = choi.reshape(-1, dim, dim)
     # Each pivot is its diagonal entry less a sum of squares, so a shifted
@@ -332,8 +411,20 @@ def choi_psd(choi: np.ndarray, tol: float) -> np.ndarray:
     candidates = np.flatnonzero(psd)
     nonzero = flat.any(axis=0)  # in some matrix of the stack
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))  # all, if tol = 0
-    shifted = flat[np.ix_(candidates, support, support)]
-    shifted[:, range(support.size), range(support.size)] += tol
+    if candidates.size < len(flat):
+        flat = flat[candidates]
+    count, size = candidates.size, support.size
+    # The support blocks go to the front of buffer 0, a part at a time
+    # through buffer 1. A part's blocks overwrite only Choi matrices that
+    # this part or an earlier one has read, where flat is buffer 0's stack.
+    shifted = workspace.array(0, (count, size, size), flat.dtype)
+    step = workspace.windows(max(size * dim, 1))
+    for start in range(0, count, step):
+        part = slice(start, start + step)
+        rows = workspace.array(1, (len(shifted[part]), size, dim), flat.dtype)
+        np.take(flat[part], support, axis=1, out=rows, mode="clip")
+        np.take(rows, support, axis=2, out=shifted[part], mode="clip")
+    shifted.reshape(count, size * size)[:, :: size + 1] += tol
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -349,14 +440,11 @@ def choi_psd(choi: np.ndarray, tol: float) -> np.ndarray:
 def trace_distance_residual(params: NetworkParams, sel: SubsystemSelector, t) -> float:
     """Closed-form trace distance to |0><0| against the eigenvalue route at
     t, or an array of them over an array t (one batched ``eigvalsh``)."""
-    closed = [states.reduced_state(params, sel, s) for s in np.ravel(t).tolist()]
-    d = sel.k_qubits + 1
-    rho = np.array([states.materialize_density(state) for state in closed])
-    fixed = np.zeros((d, d), dtype=complex)
+    distance, rho = _closed_states(params, sel, t)  # distance = excited weight
+    fixed = np.zeros(rho.shape[-2:], dtype=complex)
     fixed[0, 0] = 1.0
     eig_route = 0.5 * np.abs(np.linalg.eigvalsh(rho - fixed)).sum(axis=-1)
-    distance = np.array([states.trace_distance_to_fixed(state) for state in closed])
-    residual = np.abs(distance - eig_route).reshape(np.shape(t))
+    residual = np.abs(distance - eig_route)
     return residual if residual.ndim else float(residual)
 
 

@@ -14,9 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from openqnet import NetworkParams, SubsystemSelector, oracle, positivity, propagator
+from openqnet import NetworkParams, SubsystemSelector, oracle, positivity, propagator, states
 from openqnet import verification as v
 from openqnet.cli import main
+from openqnet.errors import OpenQNetError
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -88,6 +89,54 @@ def test_reported_case_reproduces_the_value(check, residual, n):
     assert residual(*result.worst_at) == result.value  # bit for bit
 
 
+def _outcome(call):
+    # call()'s value, or the type and message of the error it raises.
+    try:
+        return call()
+    except OpenQNetError as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(got, want) -> bool:
+    if isinstance(got[0], type) or isinstance(want[0], type):
+        return got == want
+    return all(_same_bits(np.asarray(g), np.asarray(w)) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 50])
+def test_stacked_closed_states_are_the_scalar_calls(n):
+    # Over an array of times at +-0, at odd half-periods and 1e-8 of a
+    # period past one (the N = 2 limit state) and at seeded points, the
+    # stacked weights and densities, with reduced_state and with
+    # _limit_state, and the trace-distance residual built on them are their
+    # scalar calls byte for byte, or refused as their loop is.
+    rng = np.random.default_rng(n)
+    refused = []
+    for j in (1.0, 0.7, 1e-300, 1e300 / (10 * n)):
+        params = NetworkParams(n, j)
+        taus = np.concatenate([[0.0, -0.0, 0.5, -0.5, 1.5, 0.5 + 1e-8], rng.uniform(-3.0, 3.0, 6)])
+        t = rng.permutation(taus).reshape(3, 4) * params.period
+        times = t.ravel().tolist()
+        for sel in v.selectors(params):
+            d = sel.k_qubits + 1
+            for limit, state in ((False, states.reduced_state), (True, v._limit_state)):
+
+                def scalar_calls():
+                    closed = [state(params, sel, s) for s in times]
+                    weights = np.array([x.excited_weight for x in closed]).reshape(t.shape)
+                    dense = [states.materialize_density(x) for x in closed]
+                    return weights, np.array(dense).reshape(t.shape + (d, d))
+
+                got = _outcome(lambda: v._closed_states(params, sel, t, limit))
+                want = _outcome(scalar_calls)
+                assert _same_outcome(got, want), (params, sel, limit)
+                refused.append(isinstance(want[0], type))
+            got = _outcome(lambda: (v.trace_distance_residual(params, sel, t),))
+            loop = lambda: (np.reshape([v.trace_distance_residual(params, sel, s) for s in times], t.shape),)
+            assert _same_outcome(got, _outcome(loop)), (params, sel)
+    assert any(refused) == (n == 2)  # the degenerate state of K = 1, class 1
+
+
 def test_describe_case():
     sel = v.selectors(N5, (v.C1,))[2]
     assert v.describe_case((N5, sel, 0.25 * N5.period, N5.period)) == "K=3 class=1 t1=0.25 t2=1 periods"
@@ -154,14 +203,22 @@ def _selector_stacks(params, samples):
 @pytest.mark.parametrize("n", [2, 5, 8, 17])
 def test_pre_test_diagonal_is_the_dense_choi_diagonal_bit_for_bit(n):
     # The diagonal images' diag[mu, *S, a] is C[(a, mu), (a, mu)], in both
-    # classes, on stacks and on single windows.
+    # classes, on stacks and on single windows. Built in a workspace (in
+    # parts of a stack from N = 8, grown past _STACK_BYTES at N = 17), the
+    # diagonal images and the Choi matrices are those built without one.
     params = NetworkParams(n, 1.0)
+    workspace = v._Workspace(v._STACK_BYTES)
     for sel, *ops_pair in _selector_stacks(params, 200):
         for ops in ops_pair:
-            images = propagator._basis_images(ops, diagonal=True)
-            got = np.moveaxis(np.diagonal(images, axis1=-2, axis2=-1), 0, -1)
-            want = np.diagonal(positivity.choi_matrix(ops), axis1=-2, axis2=-1)
-            assert _same_bits(got.reshape(want.shape), want), (n, sel)
+            choi = positivity.choi_matrix(ops)
+            want = np.diagonal(choi, axis1=-2, axis2=-1)
+            d, stack = ops.k_qubits + 1, ops.block_diag.shape[:-2]
+            buffers = [workspace.array(i, stack + (d**3,)) for i in (0, 1)]
+            for images in (propagator._basis_images(ops, True), propagator._basis_images(ops, True, *buffers)):
+                got = np.moveaxis(np.diagonal(images, axis1=-2, axis2=-1), 0, -1)
+                assert _same_bits(got.reshape(want.shape), want), (n, sel)
+            in_workspace = v._WorkspaceOps(**vars(propagator._take(ops, slice(None))), workspace=workspace)
+            assert _same_bits(positivity.choi_matrix(in_workspace), choi.reshape((-1,) + choi.shape[-2:]))
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -360,6 +417,21 @@ def test_verify_csv_is_unchanged(n, tmp_path):
     assert len(pinned) - len(closed) == len(ORACLE_ROWS)
     assert [line for line in out.read_text().splitlines() if line in closed] == closed
     assert out.read_bytes() == (DATA / f"verify_n{n}.csv").read_bytes()
+
+
+def test_pcp_agreement_holds_its_workspace_for_the_call_only():
+    # At N = 8 the dense route's stacks run in one workspace of two
+    # _STACK_BYTES buffers, beside one Cholesky factor of a stack's support
+    # (0.61 MB at most) and the 2000 windows. The workspace goes with the
+    # call: about 0.18 MB stays allocated after it, under half a buffer.
+    tracemalloc.start()
+    try:
+        v.check_pcp_agreement(NetworkParams(8, 1.0))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * v._STACK_BYTES + 0.25e6, peak
+    assert current <= v._STACK_BYTES // 2, current
 
 
 def test_grouped_rows_hold_no_more_than_the_positivity_stacks():
