@@ -32,7 +32,6 @@ half-periods, for K = N/2 or N = 2; at K = 1 it is the mixing probability.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,11 +297,21 @@ def _basis_images(ops: PropagatorOps, diagonal: bool = False, rows=None, product
 
 
 def _take(ops: PropagatorOps, index) -> PropagatorOps:
-    # The windows of a stack of ops at flat indices or a slice, as a 1-d stack.
+    # The windows of a stack of ops at flat indices or a slice, as a 1-d
+    # stack with array weights and times; a 1-d stack's arrays are indexed
+    # as they are.
     d, shape = ops.k_qubits + 1, ops.block_diag.shape[:-2]
-    take = lambda x: None if x is None else np.broadcast_to(x, shape).reshape(-1)[index]
-    fields = {x: take(getattr(ops, x)) for x in ("flow_weight", "ground_extra", "t1", "t2")}
-    return dataclasses.replace(ops, block_diag=ops.block_diag.reshape(-1, d, d)[index], **fields)
+
+    def take(x):
+        if x is None:
+            return None
+        if type(x) is not np.ndarray or x.shape != shape or len(shape) != 1:
+            x = np.broadcast_to(x, shape).reshape(-1)
+        return x[index]
+
+    block = ops.block_diag.reshape(-1, d, d)[index]
+    weights = take(ops.flow_weight), take(ops.ground_extra)
+    return PropagatorOps(block, *weights, ops.k_qubits, ops.dyn_class, take(ops.t1), take(ops.t2))
 
 
 def _max_entry(diff: np.ndarray):

@@ -17,14 +17,21 @@ or a class), evaluates each group in stacks of bounded size and returns the
 values in the order the cases came.
 ``grouped_worst_case`` folds them as ``worst_case`` folds the per-case
 calls. A stack's closed-form densities are built in numpy by the scalar
-call's own operations, not by one state call per element, and the dense
-route of ``pcp_disagreements`` builds every stack's Choi matrices and
-Cholesky operands in one workspace made for the call, so that a stack
+call's own operations, not by one state call per element.
+``pcp_disagreements`` evaluates its cheap routes in one stack per
+(network, selector) and builds Choi matrices only for the windows whose
+Choi diagonal passes the pre-test, in survivor stacks of at most half a
+stack's bytes, all in one workspace made for the call, so that a stack
 maps no fresh memory. The conservation and round-trip residuals return
 None where they have nothing to say, and their rows take about 2 ms each
 at N = 8, so they are called per case. The acceptance suite calls the
-same residuals, folds and routine over its own seeded cases. All sampling
-uses a fixed seed so repeated runs are byte-identical.
+same residuals, folds and routine over its own seeded cases.
+
+All sampling uses a fixed seed so repeated runs are byte-identical. The
+sampled checks share one stream of windows, drawn in bulk from the
+generator's raw words exactly as one ``integers`` and one
+``random_interval`` call per window would draw it; a window that needs a
+redraw is drawn by those calls.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import numpy as np
 import numpy.random
 
 from . import bloch, fisher, inference, oracle, positivity, propagator, states
-from .amplitudes import NetworkParams, _amplitudes, _check_time, _refuse_as_loop, amplitudes
+from .amplitudes import NetworkParams, _amplitudes, _check_time, _hop, _refuse_as_loop, amplitudes
 from .amplitudes import q1_unitary_oracle, unitarity_residuals
 from .errors import DegenerateStateError, IndeterminateFlowError
 from .fisher import GlobalParameter, _p_dp_single_qubit
@@ -52,12 +59,14 @@ RNG_SEED = 0
 # Bytes of arrays that one stack of grouped_values holds at once, as each
 # row counts them per window. Set for pcp_agreement's Choi stacks: 4 MiB
 # adds 7.5 MB of peak RSS at N=8, whole unchunked groups 28 MB, at the same
-# speed. Traced peaks at N=8 under this cap: check_pcp_agreement 3.12 MB
-# (its workspace's two buffers of this size, counted whole though they are
-# touched only as far as the stacks reach, one Cholesky factor of up to
-# 0.61 MB, and the windows), check_composition 1.10 MB,
-# check_tomography_containing 0.87 MB, the other rows at most 0.45 MB
-# (check_amplitude_oracle, its eigh cached).
+# speed. Its survivor stacks hold at most half of it: full-size ones raise
+# verify --n 8's max RSS by 1.2 MB. Traced peaks at N=8 under this cap:
+# check_pcp_agreement 3.07 MB (its workspace's two buffers of this size,
+# counted whole though they are touched only as far as the stacks reach,
+# one Cholesky factor of up to 0.42 MB, and the windows), check_composition
+# 1.10 MB, check_tomography_containing 0.87 MB, the other rows at most
+# 0.45 MB (check_amplitude_oracle, its eigh cached). At N=16,
+# check_pcp_agreement 4.33 MB.
 _STACK_BYTES = 1 << 20
 C1, C0 = DynClass.CONTAINS_EXCITED, DynClass.EXCLUDES_EXCITED
 
@@ -160,12 +169,67 @@ def random_interval(rng, params: NetworkParams, k: int) -> tuple[float, float]:
             return float(t1), float(t2)
 
 
-def _windows(params: NetworkParams, sels: list[SubsystemSelector], samples: int):
-    # The seeded (params, selector, t1, t2) stream that the sampled checks draw.
+def _windows(params: NetworkParams, sels: list[SubsystemSelector], samples: int) -> list:
+    # The seeded (params, selector, t1, t2) stream that the sampled checks
+    # draw: per window, sels[rng.integers(len(sels))] and then
+    # random_interval for its K. Drawn in bulk by _regular_windows; a window
+    # that needs a Lemire rejection or a redraw is drawn by those calls.
     rng = np.random.default_rng(RNG_SEED)
-    for _ in range(samples):
-        sel = sels[rng.integers(len(sels))]
-        yield (params, sel, *random_interval(rng, params, sel.k_qubits))
+    cases: list = []
+    while len(cases) < samples:
+        cases += _regular_windows(rng, params, sels, samples - len(cases))
+        if len(cases) < samples:
+            sel = sels[rng.integers(len(sels))]
+            cases.append((params, sel, *random_interval(rng, params, sel.k_qubits)))
+    return cases
+
+
+def _regular_windows(rng, params: NetworkParams, sels, count: int) -> list:
+    # Up to ``count`` windows of the stream, from one random_raw call on
+    # rng's PCG64 state, each raw word used as numpy's Generator calls use
+    # it. integers(n) maps a 32-bit draw u to (u n) >> 32 and rejects it
+    # where (u n) mod 2^32 < 2^32 mod n; its 32-bit draws are a word's low
+    # half, then its high half, buffered between calls; integers(1) draws
+    # nothing. uniform(0, period) takes a word w as period * ((w >> 11)
+    # 2^-53). The windows end before the first that needs a rejection or
+    # whose t1 is_singular refuses, with the generator set where it starts.
+    bits = rng.bit_generator
+    start = bits.state
+    n = len(sels)
+    # Whether a window's selector takes a fresh word: where the buffer is empty.
+    fresh = ((np.arange(count) + start["has_uint32"]) % 2 == 0) & (n > 1)
+    first = np.concatenate(([0], np.cumsum(2 + fresh)))  # each window's first word
+    words = bits.random_raw(int(first[-1]))
+    lead = words[first[:-1]]
+    draws = np.empty(count, dtype=np.uint64)  # each window's 32-bit draw
+    draws[0] = start["uinteger"]
+    draws[1:] = lead[:-1] >> 32  # the high half that a fresh word leaves
+    np.copyto(draws, lead & 0xFFFFFFFF, where=fresh)
+    scaled = draws * np.uint64(n)
+    rejected = np.flatnonzero((scaled & 0xFFFFFFFF) < (1 << 32) % n)
+    stop = int(rejected[0]) if rejected.size else count
+    picked = [sels[i] for i in (scaled[:stop] >> 32).tolist()]
+    t1, t2 = params.period * ((words[first[:stop] + fresh[:stop] + [[0], [1]]] >> 11) * 2.0**-53)
+    # The array sine may round unlike math.sin, so is_singular itself decides
+    # every t1 whose anchor denominator lies near ANCHOR_RTOL.
+    k = np.array([sel.k_qubits for sel in picked])
+    x1 = _hop(params.n_qubits, params.coupling, t1)[0]
+    near = propagator._anchor_denominator(params, k, True, x1) <= propagator.ANCHOR_RTOL + 1e-9
+    for i in np.flatnonzero(near).tolist():
+        if propagator.is_singular(params, picked[i].k_qubits, float(t1[i])):
+            stop = i
+            break
+    if stop < count:
+        bits.state = start
+        bits.advance(int(first[stop]))  # which empties the buffer
+        state = bits.state
+        # integers(1) draws nothing, so with one selector the buffer is start's.
+        buffer = (
+            (not fresh[stop], draws[stop]) if n > 1 else (start["has_uint32"], start["uinteger"])
+        )
+        state["has_uint32"], state["uinteger"] = map(int, buffer)
+        bits.state = state
+    return list(zip([params] * stop, picked, t1[:stop].tolist(), t2[:stop].tolist()))
 
 
 def _grid(params: NetworkParams, points: int) -> np.ndarray:
@@ -305,20 +369,20 @@ class _Workspace:
     stack at a time.
 
     Each buffer starts with room for ``nbytes`` and grows when a stack needs
-    more. The pre-test's diagonal images are built with their rows in
-    buffer 0 and their product in buffer 1. ``positivity.choi_matrix``
-    fills buffer 0 with a stack's Choi matrices a part at a time, each
-    part's rows where its matrices go and its product in buffer 1; then
-    :func:`_choi_psd` moves the support blocks to the front of buffer 0, a
-    part at a time through buffer 1. So buffer 1 holds a part, a quarter of
-    ``nbytes``, beside the stack, and only a stack of one window larger than
-    that grows it. Every array taken from a buffer is overwritten by the
-    next one taken from it.
+    more. The pre-test's diagonal images are built a part at a time, with
+    their rows in buffer 0 and their product in buffer 1.
+    ``positivity.choi_matrix`` fills buffer 0 with a stack of Choi matrices
+    of at most half ``nbytes`` a part at a time, each part's rows where its
+    matrices go and its product in buffer 1; then :func:`_choi_psd` moves
+    the support blocks to the front of buffer 0, a part at a time through
+    buffer 1. A part is a quarter of ``nbytes``, so only a window larger
+    than that grows the buffers. Every array taken from a buffer is
+    overwritten by the next one taken from it.
     """
 
     def __init__(self, nbytes: int):
         self._buffers = [np.empty(nbytes, dtype=np.uint8) for _ in range(2)]
-        self._part = nbytes // 4
+        self._nbytes = nbytes
 
     def array(self, i: int, shape: tuple, dtype=complex) -> np.ndarray:
         """A C-contiguous array of ``shape`` over the start of buffer i."""
@@ -327,10 +391,10 @@ class _Workspace:
             self._buffers[i] = np.empty(nbytes, dtype=np.uint8)
         return self._buffers[i][:nbytes].view(dtype).reshape(shape)
 
-    def windows(self, entries: int) -> int:
-        """The windows of ``entries`` complex entries each in a part of a
-        stack: as many as a quarter of ``nbytes`` holds, at least one."""
-        return max(1, self._part // (16 * entries))
+    def windows(self, entries: int, share: int = 4) -> int:
+        """The windows of ``entries`` complex entries each that ``nbytes /
+        share`` holds, a quarter by default (a part), at least one."""
+        return max(1, self._nbytes // share // (16 * entries))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -345,15 +409,17 @@ def pcp_disagreements(cases: Iterable[tuple]) -> list[tuple]:
 
     The routes are the flow sign, the closed-form Choi spectrum, the trace
     distance and the dense Choi matrix, each decided at ``VERDICT_TOL``.
-    The cases are evaluated by :func:`grouped_values` in stacks of at most
-    1 MiB of Choi matrices: one stacked propagator, its Choi diagonal, and
-    dense Choi matrices only where it passes :func:`choi_psd`'s pre-test.
-    Every stack's dense route is built in one workspace, made for the call.
+    The cases are evaluated by :func:`grouped_values`, one stacked
+    propagator per (network, selector) group in stacks of at most 1 MiB of
+    blocks, its Choi diagonal a part at a time, and dense Choi matrices
+    only where the diagonal passes :func:`choi_psd`'s pre-test, in stacks of
+    at most half that. The dense route runs in one workspace, made for the
+    call.
     """
     cases = list(cases)
     workspace = _Workspace(_STACK_BYTES)
     evaluate = lambda *case: _pcp_agree(*case, workspace)
-    agree = grouped_values(cases, evaluate, lambda n, d: d**4)
+    agree = grouped_values(cases, evaluate, lambda n, d: 2 * d * d)  # B and its conjugate
     return [case for case, ok in zip(cases, agree) if not ok]
 
 
@@ -373,17 +439,34 @@ def _pcp_agree(
 def _dense_cp(ops: propagator.PropagatorOps, tol: float, workspace=None) -> np.ndarray:
     # choi_psd of each window's dense Choi matrix, built only where its
     # diagonal C[(a, mu), (a, mu)] = Phi[|mu><mu|][a, a] passes the pre-test.
-    # Every stage runs in ``workspace``, by default one of its own.
+    # Every stage runs in ``workspace``, by default one of its own: the
+    # diagonal images a part at a time, the survivors' Choi matrices in
+    # stacks of at most half its size.
     workspace = workspace or _Workspace(_STACK_BYTES)
     d, stack = ops.k_qubits + 1, ops.block_diag.shape[:-2]
-    buffers = [workspace.array(i, stack + (d**3,)) for i in (0, 1)]  # rows, product
-    diag = np.diagonal(propagator._basis_images(ops, True, *buffers), axis1=-2, axis2=-1)
-    cp = (diag.real + tol > 0.0).all(axis=(0, -1)).reshape(-1)  # diag[mu, *S, a]
-    del buffers, diag  # so that the Choi matrices may regrow the workspace's buffers
+    ops = propagator._take(ops, slice(None))
+    cp = _diagonal_passes(ops, tol, workspace)
     passed = np.flatnonzero(cp)
-    taken = _WorkspaceOps(**vars(propagator._take(ops, passed)), workspace=workspace)
-    cp[passed] = _choi_psd(positivity.choi_matrix(taken), tol, workspace)
+    step = workspace.windows(d**4, 2)
+    for start in range(0, passed.size, step):
+        index = passed[start : start + step]
+        taken = _WorkspaceOps(**vars(propagator._take(ops, index)), workspace=workspace)
+        cp[index] = _choi_psd(positivity.choi_matrix(taken), tol, workspace)
     return cp.reshape(stack)
+
+
+def _diagonal_passes(ops: propagator.PropagatorOps, tol: float, workspace: _Workspace) -> np.ndarray:
+    # Whether each window of a 1-d stack passes the pre-test, from its
+    # diagonal images diag[mu, w, a], built a part at a time in the workspace.
+    d = ops.k_qubits + 1
+    passes = np.empty(len(ops.block_diag), dtype=bool)
+    step = workspace.windows(d**3)
+    for start in range(0, len(passes), step):
+        part = propagator._take(ops, slice(start, start + step))
+        buffers = [workspace.array(i, (len(part.block_diag), d**3)) for i in (0, 1)]
+        diag = np.diagonal(propagator._basis_images(part, True, *buffers), axis1=-2, axis2=-1)
+        passes[start : start + step] = (diag.real + tol > 0.0).all(axis=(0, -1))
+    return passes
 
 
 def choi_psd(choi: np.ndarray, tol: float) -> np.ndarray:

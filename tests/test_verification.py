@@ -144,6 +144,102 @@ def test_describe_case():
     assert v.describe_case(case) == "K=3 class=1 theta=N t=0.5 periods"
 
 
+def _per_draw_windows(params, sels, samples):
+    # The window stream as one generator call per draw takes it: the
+    # selector's integers, then random_interval's uniform pairs.
+    rng = np.random.default_rng(v.RNG_SEED)
+    for _ in range(samples):
+        sel = sels[rng.integers(len(sels))]
+        yield (params, sel, *v.random_interval(rng, params, sel.k_qubits))
+
+
+def _stream(cases):
+    return [(sel, t1.hex(), t2.hex()) for _, sel, t1, t2 in cases]
+
+
+STREAM_COUNTS = (1, 2, 3, 40, 60, 100, 2000)
+CLASS_SETS = ((v.C1, v.C0), (v.C1,), (v.C0,))  # (C0,) at N = 2: a single selector
+
+
+@pytest.mark.parametrize("n", [*range(2, 18), 32, 50])
+def test_bulk_window_stream_is_the_per_draw_stream(n):
+    # Every window bit for bit, against numpy's own calls: a numpy whose
+    # Generator used its raw words otherwise would fail here, naming the
+    # window stream, and not only at the pinned CSVs.
+    for j in (1.0, 0.7, 1e-300, 1e300 / (10 * n)):
+        params = NetworkParams(n, j)
+        for classes in CLASS_SETS:
+            sels = v.selectors(params, classes)
+            want = _stream(_per_draw_windows(params, sels, max(STREAM_COUNTS)))
+            for count in STREAM_COUNTS:
+                assert _stream(v._windows(params, sels, count)) == want[:count], (j, classes, count)
+
+
+def test_bulk_window_stream_redraws_and_continues_as_the_per_draw_stream(monkeypatch):
+    # With anchors refused up to d = 0.3, many t1 are redrawn, each window
+    # from the generator state where the bulk draw stopped; a continuation
+    # one raw word or one 32-bit half off changes the windows that follow.
+    monkeypatch.setattr(propagator, "ANCHOR_RTOL", 0.3)
+    refusals, real = [], propagator.is_singular
+
+    def counted(params, k, t1):
+        refusals.append(real(params, k, t1))
+        return refusals[-1]
+
+    for n in (2, 3, 4, 6, 9):
+        params = NetworkParams(n, 0.7)
+        for classes in CLASS_SETS:
+            sels = v.selectors(params, classes)
+            monkeypatch.setattr(propagator, "is_singular", counted)
+            del refusals[:]
+            want = _stream(_per_draw_windows(params, sels, 600))
+            assert sum(refusals) >= 20, (n, classes)
+            monkeypatch.setattr(propagator, "is_singular", real)
+            for count in (1, 3, 600):
+                assert _stream(v._windows(params, sels, count)) == want[:count], (n, classes, count)
+
+
+def test_bulk_window_stream_decides_anchors_at_the_threshold_by_is_singular(monkeypatch):
+    # ANCHOR_RTOL set to a window's own anchor denominator d, in
+    # is_singular's scalar arithmetic, so that d <= ANCHOR_RTOL holds with
+    # equality: that t1 is redrawn, whatever the array sine rounds it to.
+    params = NetworkParams(8, 0.7)
+    sels = v.selectors(params)
+    at_edge = 0
+    for _, sel, t1, _ in _per_draw_windows(params, sels, 200):
+        x1 = propagator._hop(params.n_qubits, params.coupling, t1)[0]
+        d = propagator._anchor_denominator(params, sel.k_qubits, True, x1)
+        if d > 0.8 or at_edge == 10:  # a threshold near 1 refuses nearly every anchor
+            continue
+        monkeypatch.setattr(propagator, "ANCHOR_RTOL", d)
+        assert propagator.is_singular(params, sel.k_qubits, t1)
+        want = _stream(_per_draw_windows(params, sels, 100))
+        assert _stream(v._windows(params, sels, 100)) == want, t1
+        at_edge += 1
+    assert at_edge >= 5
+
+
+class _ManySelectors:
+    # 2^31 + 1 selectors, of K = 1..N cyclically: integers rejects about half
+    # of its 32-bit draws, as 2^32 mod (2^31 + 1) = 2^31 - 1.
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return 2**31 + 1
+
+    def __getitem__(self, i):
+        return SubsystemSelector(1 + i % self.n, v.C1)
+
+
+def test_bulk_window_stream_draws_rejected_selectors_as_the_per_draw_stream():
+    params = NetworkParams(6, 1.0)
+    sels = _ManySelectors(6)
+    want = _stream(_per_draw_windows(params, sels, 300))
+    for count in (1, 2, 5, 300):
+        assert _stream(v._windows(params, sels, count)) == want[:count], count
+
+
 @pytest.mark.parametrize("dyn_class", [v.C1, v.C0])
 @pytest.mark.parametrize("margin", [1e-3, -1e-3])
 def test_dense_verdict_at_the_tolerance_edge(dyn_class, margin):
@@ -288,8 +384,10 @@ def test_choi_psd_factorises_a_stack_once_and_each_matrix_only_if_it_fails(monke
 def test_pcp_builds_choi_matrices_past_the_diagonal_and_factorises_each_stack_once(
     monkeypatch,
 ):
-    # At N = 8: a dense Choi matrix for exactly the windows whose diagonal
-    # passes the pre-test, and one Cholesky call per stack, none failing.
+    # At N = 8: one stack of the cheap routes per selector, a dense Choi
+    # matrix for exactly the windows whose diagonal passes the pre-test, in
+    # survivor stacks of at most half _STACK_BYTES of Choi matrices, and one
+    # 3-D Cholesky call per survivor stack, none failing.
     params = NetworkParams(8, 1.0)
     cases = list(v._windows(params, v.selectors(params), 2000))
     passing = set()
@@ -297,12 +395,13 @@ def test_pcp_builds_choi_matrices_past_the_diagonal_and_factorises_each_stack_on
         diag = np.diagonal(positivity.choi_matrix(stack), axis1=-2, axis2=-1).real
         passed = (diag + TOL > 0.0).all(axis=-1)
         passing |= {(sel, *w) for w in zip(stack.t1[passed].tolist(), stack.t2[passed].tolist())}
-    built, factorised, stacks = [], [], []
+    built, stack_bytes, factorised, stacks = [], [], [], []
     real_choi, real_cholesky, real_agree = positivity.choi_matrix, np.linalg.cholesky, v._pcp_agree
 
     def choi(ops):
         sel = SubsystemSelector(ops.k_qubits, ops.dyn_class)
         built.extend((sel, *w) for w in zip(ops.t1.tolist(), ops.t2.tolist()))
+        stack_bytes.append(16 * ops.block_diag.shape[0] * (ops.k_qubits + 1) ** 4)
         return real_choi(ops)
 
     monkeypatch.setattr(positivity, "choi_matrix", choi)
@@ -310,7 +409,9 @@ def test_pcp_builds_choi_matrices_past_the_diagonal_and_factorises_each_stack_on
     monkeypatch.setattr(v, "_pcp_agree", lambda *case: stacks.append(case) or real_agree(*case))
     assert v.pcp_disagreements(cases) == []
     assert len(built) == len(set(built)) == 1062 and set(built) == passing
-    assert len(factorised) == len(stacks) == 58 and all(m.ndim == 3 for m in factorised)
+    assert len(stacks) == len(v.selectors(params)) == 15
+    assert len(factorised) == len(stack_bytes) == 74 and all(m.ndim == 3 for m in factorised)
+    assert max(stack_bytes) <= v._STACK_BYTES // 2
 
 
 def test_nan_choi_matrix_makes_the_routes_disagree(monkeypatch):
@@ -419,18 +520,27 @@ def test_verify_csv_is_unchanged(n, tmp_path):
     assert out.read_bytes() == (DATA / f"verify_n{n}.csv").read_bytes()
 
 
-def test_pcp_agreement_holds_its_workspace_for_the_call_only():
-    # At N = 8 the dense route's stacks run in one workspace of two
-    # _STACK_BYTES buffers, beside one Cholesky factor of a stack's support
-    # (0.61 MB at most) and the 2000 windows. The workspace goes with the
-    # call: about 0.18 MB stays allocated after it, under half a buffer.
+# check_pcp_agreement's traced peak, bounded. At N = 8: the workspace's two
+# _STACK_BYTES buffers, one Cholesky factor of a survivor stack's support
+# and the 2000 windows; 3.10 MB measured (3.14 MB with the stacks of the
+# whole route capped at 1 MiB of Choi matrices), a 0.30 MB margin. At
+# N = 16: both buffers grown to one K = 16 Choi matrix (1.34 MB each), its
+# 257-row Cholesky factor (1.06 MB) and the stacks of the cheap routes;
+# 4.33 MB measured (4.16 MB capped so), a 0.42 MB margin.
+PCP_PEAK_BYTES = {8: 3 * v._STACK_BYTES + 0.25e6, 16: 4.75e6}
+
+
+@pytest.mark.parametrize("n", sorted(PCP_PEAK_BYTES))
+def test_pcp_agreement_holds_its_workspace_for_the_call_only(n):
+    # The workspace goes with the call: under half a buffer stays allocated
+    # after it (0.19 MB at N = 8, 0.10 MB at N = 16).
     tracemalloc.start()
     try:
-        v.check_pcp_agreement(NetworkParams(8, 1.0))
+        v.check_pcp_agreement(NetworkParams(n, 1.0))
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * v._STACK_BYTES + 0.25e6, peak
+    assert peak <= PCP_PEAK_BYTES[n], peak
     assert current <= v._STACK_BYTES // 2, current
 
 
