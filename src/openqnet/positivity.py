@@ -37,7 +37,7 @@ import numpy as np
 
 from .amplitudes import NetworkParams, _bisect, _check_time, _hop
 from .errors import ParameterError, SizeLimitError
-from .propagator import PropagatorOps, _basis_images, _build, _take, _window
+from .propagator import PropagatorOps, _basis_images, _build, _window
 from .states import DynClass, SubsystemSelector, _mixing
 
 #: Guard on the Choi matrix dimension (K+1)^2.
@@ -79,6 +79,10 @@ def choi_matrix(ops: PropagatorOps) -> np.ndarray:
     dense oracle for :func:`choi_spectrum`; its blocks are the images of
     the (K+1)^2 basis operators, equal in value to :func:`apply` on each,
     from one matrix product per map and the flow terms where they act.
+    Row (a, mu) is a*(K+1) + mu. The full matrix, the public oracle: it is
+    exactly zero off the rows where B[a, mu] is nonzero or a flow term
+    writes, and ``verify``'s dense route (``_choi.dense_cp``) builds it only
+    there, block by block.
     Stacked ops of shape S give a ``(*S, (K+1)^2, (K+1)^2)`` stack, each
     matrix bit for bit that of its own ops; the guard holds for each.
     """
@@ -88,20 +92,8 @@ def choi_matrix(ops: PropagatorOps) -> np.ndarray:
     stack = ops.block_diag.shape[:-2]
     m = len(stack)
     # C[*S, a*d + mu, b*d + nu] = images[mu, nu, *S, a, b]
-    axes = (*range(2, m + 2), m + 2, 0, m + 3, 1)
-    workspace = getattr(ops, "workspace", None)  # verification's _WorkspaceOps
-    if workspace is None:
-        return _basis_images(ops).transpose(axes).reshape(stack + (d * d, d * d))
-    # A workspace's 1-d stack goes into its buffer 0 a part at a time: the
-    # part's rows where its Choi matrices go, its product in buffer 1.
-    out = workspace.array(0, stack + (d * d, d * d))
-    step = workspace.windows(d**4)
-    for start in range(0, len(out), step):
-        part = out[start : start + step]
-        product = workspace.array(1, part.shape)
-        images = _basis_images(_take(ops, slice(start, start + step)), rows=part, product=product)
-        np.copyto(part.reshape((len(part),) + (d,) * 4), images.transpose(axes))
-    return out
+    images = _basis_images(ops).transpose(*range(2, m + 2), m + 2, 0, m + 3, 1)
+    return images.reshape(stack + (d * d, d * d))
 
 
 def choi_spectrum(ops: PropagatorOps) -> tuple:

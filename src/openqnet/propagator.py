@@ -264,35 +264,25 @@ def _spread(value, sector):
     return np.asarray(value)[..., None, None] if isinstance(sector, slice) else value
 
 
-def _basis_images(ops: PropagatorOps, diagonal: bool = False, rows=None, product=None) -> np.ndarray:
+def _basis_images(ops: PropagatorOps) -> np.ndarray:
     # images[mu, nu, *S] = Phi[|mu><nu|] for the ops of a stack of shape S
-    # (S = () for one propagator), or images[mu, *S] = Phi[|mu><mu|] for the
-    # ``diagonal``. B |mu><nu| is B's column mu placed in column nu, so the
-    # rows of the products B E are written, not multiplied, and the block
-    # term B E B^dag takes one matrix product per map: each entry is a sum
-    # with one nonzero term, so the values are those of apply on each E but
-    # for the signs of zeros. The flow goes only to the images it reads.
-    # ``rows`` and ``product``, C-contiguous complex arrays of |S| d^(e+2)
-    # entries, are where the two are built, if given; the images are a view
-    # of the product.
+    # (S = () for one propagator). B |mu><nu| is B's column mu placed in
+    # column nu, so the rows of the products B E are written, not multiplied,
+    # and the block term B E B^dag takes one matrix product per map: each
+    # entry is a sum with one nonzero term, so the values are those of apply
+    # on each E but for the signs of zeros. The flow goes only to the images
+    # it reads.
     d, block = ops.k_qubits + 1, ops.block_diag
     stack = block.shape[:-2]
-    m, e = len(stack), 1 if diagonal else 2  # e basis indices: mu (and nu)
-    # rows[*S, a, mu, nu, c] = (B |mu><nu|)[a, c] = B[a, mu] [nu == c], nu = mu if diagonal
-    shape = stack + (d,) * e + (d * d,)
-    if rows is None:
-        rows = np.zeros(shape, dtype=complex)
-    else:
-        rows = rows.reshape(shape)
-        rows.fill(0.0)
-    rows[..., :: d + 1] = block if diagonal else block[..., None]
-    rows = rows.reshape(stack + (d ** (e + 1), d))
-    product = None if product is None else product.reshape(rows.shape)
-    out = np.matmul(rows, block.conj().swapaxes(-1, -2), out=product)
-    images = np.moveaxis(out.reshape(stack + (d,) * (e + 2)), range(m + 1, m + 1 + e), range(e))
+    m = len(stack)
+    # rows[*S, a, mu, nu, c] = (B |mu><nu|)[a, c] = B[a, mu] [nu == c]
+    rows = np.zeros(stack + (d, d, d * d), dtype=complex)
+    rows[..., :: d + 1] = block[..., None]
+    out = rows.reshape(stack + (d**3, d)) @ block.conj().swapaxes(-1, -2)
+    images = np.moveaxis(out.reshape(stack + (d,) * 4), (m + 1, m + 2), (0, 1))
     read, terms = _flow(ops)
     for sector, weight in terms:
-        images[(read,) * e][..., sector, sector] += _spread(weight, sector)
+        images[read, read][..., sector, sector] += _spread(weight, sector)
     return images
 
 

@@ -19,13 +19,14 @@ values in the order the cases came.
 calls. A stack's closed-form densities are built in numpy by the scalar
 call's own operations, not by one state call per element.
 ``pcp_disagreements`` evaluates its cheap routes in one stack per
-(network, selector) and builds Choi matrices only for the windows whose
-Choi diagonal passes the pre-test, in survivor stacks of at most half a
-stack's bytes, all in one workspace made for the call, so that a stack
-maps no fresh memory. The conservation and round-trip residuals return
-None where they have nothing to say, and their rows take about 2 ms each
-at N = 8, so they are called per case. The acceptance suite calls the
-same residuals, folds and routine over its own seeded cases.
+(network, selector) and builds a window's dense Choi matrix only on its
+support, block by block, and only where the blocks' diagonals pass the
+pre-test, in survivor stacks of at most half a stack's bytes, all in one
+workspace made for the call, so that a stack maps no fresh memory. The
+conservation and round-trip residuals return None where they have nothing
+to say, and their rows take about 2 ms each at N = 8, so they are called
+per case. The acceptance suite calls the same residuals, folds and routine
+over its own seeded cases.
 
 All sampling uses a fixed seed so repeated runs are byte-identical. The
 sampled checks share one stream of windows, drawn in bulk from the
@@ -36,7 +37,6 @@ redraw is drawn by those calls.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from itertools import product
@@ -48,6 +48,7 @@ import numpy as np
 import numpy.random
 
 from . import bloch, fisher, inference, oracle, positivity, propagator, states
+from ._choi import _choi_psd, _Workspace, dense_cp
 from .amplitudes import NetworkParams, _amplitudes, _check_time, _hop, _refuse_as_loop, amplitudes
 from .amplitudes import q1_unitary_oracle, unitarity_residuals
 from .errors import DegenerateStateError, IndeterminateFlowError
@@ -59,14 +60,14 @@ RNG_SEED = 0
 # Bytes of arrays that one stack of grouped_values holds at once, as each
 # row counts them per window. Set for pcp_agreement's Choi stacks: 4 MiB
 # adds 7.5 MB of peak RSS at N=8, whole unchunked groups 28 MB, at the same
-# speed. Its survivor stacks hold at most half of it: full-size ones raise
-# verify --n 8's max RSS by 1.2 MB. Traced peaks at N=8 under this cap:
-# check_pcp_agreement 3.07 MB (its workspace's two buffers of this size,
+# speed. Its survivor stacks hold at most half of it of one block of the
+# Choi support (_choi.dense_cp). Traced peaks at N=8 under this cap:
+# check_pcp_agreement 3.02 MB (its workspace's two buffers of this size,
 # counted whole though they are touched only as far as the stacks reach,
-# one Cholesky factor of up to 0.42 MB, and the windows), check_composition
+# one Cholesky factor of up to 0.5 MB, and the windows), check_composition
 # 1.10 MB, check_tomography_containing 0.87 MB, the other rows at most
 # 0.45 MB (check_amplitude_oracle, its eigh cached). At N=16,
-# check_pcp_agreement 4.33 MB.
+# check_pcp_agreement 3.62 MB.
 _STACK_BYTES = 1 << 20
 C1, C0 = DynClass.CONTAINS_EXCITED, DynClass.EXCLUDES_EXCITED
 
@@ -364,45 +365,6 @@ def composition_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) 
     return propagator.compose_residual(params, sel, t1, t2, _closed_states(params, sel, t1)[1])
 
 
-class _Workspace:
-    """Two buffers that the dense positivity route builds its stacks in, one
-    stack at a time.
-
-    Each buffer starts with room for ``nbytes`` and grows when a stack needs
-    more. The pre-test's diagonal images are built a part at a time, with
-    their rows in buffer 0 and their product in buffer 1.
-    ``positivity.choi_matrix`` fills buffer 0 with a stack of Choi matrices
-    of at most half ``nbytes`` a part at a time, each part's rows where its
-    matrices go and its product in buffer 1; then :func:`_choi_psd` moves
-    the support blocks to the front of buffer 0, a part at a time through
-    buffer 1. A part is a quarter of ``nbytes``, so only a window larger
-    than that grows the buffers. Every array taken from a buffer is
-    overwritten by the next one taken from it.
-    """
-
-    def __init__(self, nbytes: int):
-        self._buffers = [np.empty(nbytes, dtype=np.uint8) for _ in range(2)]
-        self._nbytes = nbytes
-
-    def array(self, i: int, shape: tuple, dtype=complex) -> np.ndarray:
-        """A C-contiguous array of ``shape`` over the start of buffer i."""
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        if self._buffers[i].size < nbytes:
-            self._buffers[i] = np.empty(nbytes, dtype=np.uint8)
-        return self._buffers[i][:nbytes].view(dtype).reshape(shape)
-
-    def windows(self, entries: int, share: int = 4) -> int:
-        """The windows of ``entries`` complex entries each that ``nbytes /
-        share`` holds, a quarter by default (a part), at least one."""
-        return max(1, self._nbytes // share // (16 * entries))
-
-
-@dataclasses.dataclass(frozen=True)
-class _WorkspaceOps(propagator.PropagatorOps):
-    # Ops whose Choi matrices positivity.choi_matrix builds in ``workspace``.
-    workspace: _Workspace
-
-
 def pcp_disagreements(cases: Iterable[tuple]) -> list[tuple]:
     """The (params, selector, t1, t2) cases on which the four positivity
     routes disagree, in the order the cases come.
@@ -411,10 +373,11 @@ def pcp_disagreements(cases: Iterable[tuple]) -> list[tuple]:
     distance and the dense Choi matrix, each decided at ``VERDICT_TOL``.
     The cases are evaluated by :func:`grouped_values`, one stacked
     propagator per (network, selector) group in stacks of at most 1 MiB of
-    blocks, its Choi diagonal a part at a time, and dense Choi matrices
-    only where the diagonal passes :func:`choi_psd`'s pre-test, in stacks of
-    at most half that. The dense route runs in one workspace, made for the
-    call.
+    blocks. The dense route decides each window on the support of its Choi
+    matrix, split into the blocks that no entry couples: a window's blocks
+    are built only where their diagonals pass :func:`choi_psd`'s pre-test,
+    each block in survivor stacks of at most half a MiB, and factorised
+    alone. It runs in one workspace, made for the call.
     """
     cases = list(cases)
     workspace = _Workspace(_STACK_BYTES)
@@ -432,41 +395,8 @@ def _pcp_agree(
     flow_cp = ops.flow_weight >= -tol
     choi_cp = np.minimum.reduce(positivity.choi_spectrum(ops)) >= -tol
     p1, p2 = (states.excitation_probability(params, sel, t) for t in (t1, t2))
-    dense_cp = _dense_cp(ops, tol, workspace)
-    return (flow_cp == choi_cp) & (choi_cp == (p2 - p1 <= tol)) & (choi_cp == dense_cp)
-
-
-def _dense_cp(ops: propagator.PropagatorOps, tol: float, workspace=None) -> np.ndarray:
-    # choi_psd of each window's dense Choi matrix, built only where its
-    # diagonal C[(a, mu), (a, mu)] = Phi[|mu><mu|][a, a] passes the pre-test.
-    # Every stage runs in ``workspace``, by default one of its own: the
-    # diagonal images a part at a time, the survivors' Choi matrices in
-    # stacks of at most half its size.
-    workspace = workspace or _Workspace(_STACK_BYTES)
-    d, stack = ops.k_qubits + 1, ops.block_diag.shape[:-2]
-    ops = propagator._take(ops, slice(None))
-    cp = _diagonal_passes(ops, tol, workspace)
-    passed = np.flatnonzero(cp)
-    step = workspace.windows(d**4, 2)
-    for start in range(0, passed.size, step):
-        index = passed[start : start + step]
-        taken = _WorkspaceOps(**vars(propagator._take(ops, index)), workspace=workspace)
-        cp[index] = _choi_psd(positivity.choi_matrix(taken), tol, workspace)
-    return cp.reshape(stack)
-
-
-def _diagonal_passes(ops: propagator.PropagatorOps, tol: float, workspace: _Workspace) -> np.ndarray:
-    # Whether each window of a 1-d stack passes the pre-test, from its
-    # diagonal images diag[mu, w, a], built a part at a time in the workspace.
-    d = ops.k_qubits + 1
-    passes = np.empty(len(ops.block_diag), dtype=bool)
-    step = workspace.windows(d**3)
-    for start in range(0, len(passes), step):
-        part = propagator._take(ops, slice(start, start + step))
-        buffers = [workspace.array(i, (len(part.block_diag), d**3)) for i in (0, 1)]
-        diag = np.diagonal(propagator._basis_images(part, True, *buffers), axis1=-2, axis2=-1)
-        passes[start : start + step] = (diag.real + tol > 0.0).all(axis=(0, -1))
-    return passes
+    dense = dense_cp(ops, tol, workspace)
+    return (flow_cp == choi_cp) & (choi_cp == (p2 - p1 <= tol)) & (choi_cp == dense)
 
 
 def choi_psd(choi: np.ndarray, tol: float) -> np.ndarray:
@@ -476,46 +406,21 @@ def choi_psd(choi: np.ndarray, tol: float) -> np.ndarray:
     Decided by a Cholesky factorisation of C + tol*I (``np.linalg.cholesky``,
     LAPACK's ``potrf``), which reads the lower triangle, as ``eigvalsh``
     does; a failed factorisation or a non-finite entry means not PSD. What
-    the pre-test leaves is factorised as one stack, each matrix alone only
-    if that fails, on the rows and columns nonzero in some matrix: a matrix
-    zero outside those is PSD at -tol (tol > 0) iff its block on them is.
+    the pre-test on the diagonal leaves is factorised as one stack, each
+    matrix alone only if that fails, on the rows and columns nonzero in some
+    matrix: a matrix zero outside those is PSD at -tol (tol > 0) iff its
+    block on them is. The dense route of :func:`pcp_disagreements`
+    (``_choi.dense_cp``) builds only such blocks and factorises them alike.
     """
-    return _choi_psd(choi, tol, _Workspace(_STACK_BYTES))
-
-
-def _choi_psd(choi: np.ndarray, tol: float, workspace: _Workspace) -> np.ndarray:
-    # choi_psd, with the shifted support blocks in the workspace's buffer 0.
     dim = choi.shape[-1]
     flat = choi.reshape(-1, dim, dim)
     # Each pivot is its diagonal entry less a sum of squares, so a shifted
     # diagonal entry <= 0 fails the factorisation at or before its own pivot.
     psd = (np.diagonal(flat, axis1=-2, axis2=-1).real + tol > 0.0).all(axis=-1)
-    psd &= np.isfinite(flat).all(axis=(-2, -1))  # OpenBLAS factorises a NaN matrix
-    candidates = np.flatnonzero(psd)
     nonzero = flat.any(axis=0)  # in some matrix of the stack
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))  # all, if tol = 0
-    if candidates.size < len(flat):
-        flat = flat[candidates]
-    count, size = candidates.size, support.size
-    # The support blocks go to the front of buffer 0, a part at a time
-    # through buffer 1. A part's blocks overwrite only Choi matrices that
-    # this part or an earlier one has read, where flat is buffer 0's stack.
-    shifted = workspace.array(0, (count, size, size), flat.dtype)
-    step = workspace.windows(max(size * dim, 1))
-    for start in range(0, count, step):
-        part = slice(start, start + step)
-        rows = workspace.array(1, (len(shifted[part]), size, dim), flat.dtype)
-        np.take(flat[part], support, axis=1, out=rows, mode="clip")
-        np.take(rows, support, axis=2, out=shifted[part], mode="clip")
-    shifted.reshape(count, size * size)[:, :: size + 1] += tol
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        for i, matrix in zip(candidates, shifted):
-            try:
-                np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                psd[i] = False
+    candidates = np.flatnonzero(psd)
+    psd[candidates] = _choi_psd(flat[np.ix_(candidates, support, support)], tol)
     return psd.reshape(choi.shape[:-2])
 
 

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from openqnet import NetworkParams, SubsystemSelector, oracle, positivity, propagator, states
+from openqnet import NetworkParams, SubsystemSelector, _choi, oracle, positivity, propagator, states
 from openqnet import verification as v
 from openqnet.cli import main
 from openqnet.errors import OpenQNetError
@@ -261,6 +261,94 @@ def test_dense_verdict_at_the_tolerance_edge(dyn_class, margin):
         assert bool(v.choi_psd(choi, TOL)) == reference == (margin < 0), (n, k)
 
 
+def _edge_ops(n, k, dyn_class, target):
+    # The ops of test_dense_verdict_at_the_tolerance_edge: smallest Choi
+    # eigenvalue ``target``, from K*flow in the containing class and from the
+    # 2x2 block's lower eigenvalue in the excluding class.
+    params, sel = NetworkParams(n, 1.0), SubsystemSelector(k, dyn_class)
+    ops = propagator.build_propagator(params, sel, 0.1 * params.period, 0.3 * params.period)
+    if dyn_class is v.C1:
+        return dataclasses.replace(ops, flow_weight=target / k)
+    assert ops.flow_weight > 0.0  # so K*flow is not the smallest
+    a = abs(ops.block_diag[0, 0]) ** 2
+    return dataclasses.replace(ops, ground_extra=target * (1.0 + a / (k - target)))
+
+
+@pytest.mark.parametrize("dyn_class", [v.C1, v.C0])
+@pytest.mark.parametrize("margin", [1e-3, -1e-3])
+def test_dense_route_at_the_tolerance_edge_factorises_each_block_alone(
+    dyn_class, margin, monkeypatch
+):
+    # _dense_cp itself at -VERDICT_TOL * (1 + margin), alone and in a stack
+    # with a CP window. In the containing class at K >= 2 every diagonal entry
+    # passes the pre-test (flow = target / K > -VERDICT_TOL) while the K x K
+    # flow block is not PSD for margin > 0: a route that drops that block
+    # calls the window CP. Each block is factorised as its own stack, the
+    # block of B first, and a window that fails it gets no flow block.
+    target = -TOL * (1.0 + margin)
+    shapes, real = [], _choi._choi_psd
+    record = lambda blocks, tol: shapes.append(blocks.shape) or real(blocks, tol)
+    monkeypatch.setattr(_choi, "_choi_psd", record)
+    for n, k in ((3, 1), (5, 2), (8, 4), (8, 7)):
+        ops = _edge_ops(n, k, dyn_class, target)
+        assert min(positivity.choi_spectrum(ops)) == pytest.approx(target, rel=1e-9)
+        reference = np.linalg.eigvalsh(positivity.choi_matrix(ops)).min() >= -TOL
+        assert reference == (margin < 0)
+        taken, blocks = _blocks_of(ops)
+        workspace = _choi._Workspace(v._STACK_BYTES)
+        diagonals = [_choi._block_diagonal(taken, b, workspace) + TOL for b in blocks]
+        diagonal_passes = all((diagonal > 0.0).all() for diagonal in diagonals)
+        assert diagonal_passes == (dyn_class is v.C0 or k > 1 or margin < 0), (n, k)
+        del shapes[:]
+        assert bool(_dense_cp(ops, TOL)) == reference, (n, k)
+        sizes = [1 + k * k if dyn_class is v.C1 else k + 1, k] if diagonal_passes else []
+        if dyn_class is v.C0 and margin > 0:
+            sizes = sizes[:1]  # the block of B fails, so the flow block is not built
+        assert shapes == [(1, r, r) for r in sizes], (n, k)
+        # In a stack after a CP window: the same ops with a flow of |flow|.
+        sel = SubsystemSelector(k, dyn_class)
+        stack = propagator.build_propagator(NetworkParams(n, 1.0), sel, np.full(2, ops.t1), ops.t2)
+        weights = {"flow_weight": np.array([abs(ops.flow_weight), ops.flow_weight])}
+        if dyn_class is v.C0:
+            weights["ground_extra"] = np.array([stack.ground_extra[0], ops.ground_extra])
+        stack = dataclasses.replace(stack, **weights)
+        assert _dense_cp(stack, TOL).tolist() == [True, reference], (n, k)
+
+
+def _near_zero_flow_windows(params, sel, rng, count):
+    # Seeded windows whose flow weight is within 10 VERDICT_TOL of zero: t1
+    # as the stream draws it, t2 = t1 + delta with delta scaled from a probe
+    # step to a flow drawn uniformly from [-10, 10] VERDICT_TOL.
+    windows = []
+    while len(windows) < count:
+        t1 = v.random_interval(rng, params, sel.k_qubits)[0]
+        probe = 1e-6 * params.period
+        flow = propagator.flow_amplitude(params, sel, t1, t1 + probe)
+        step = probe * rng.uniform(-10.0, 10.0) * TOL / flow if flow else probe
+        if abs(propagator.flow_amplitude(params, sel, t1, t1 + step)) <= 10.0 * TOL:
+            windows.append((t1, t1 + step))
+    return windows
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_dense_route_near_zero_flow_is_the_eigenvalue_verdict(n):
+    # Five seeded windows with |flow| <= 10 VERDICT_TOL for every selector,
+    # as a stack and one by one: the dense route's verdict is that of eigvalsh
+    # on the full Choi matrix, and both verdicts occur.
+    params, rng = NetworkParams(n, 1.0), np.random.default_rng(11)
+    verdicts = []
+    for sel in v.selectors(params):
+        windows = _near_zero_flow_windows(params, sel, rng, 5)
+        stack = propagator.build_propagator(params, sel, *np.array(windows).T)
+        want = np.linalg.eigvalsh(positivity.choi_matrix(stack)).min(axis=-1) >= -TOL
+        assert _dense_cp(stack, TOL).tolist() == want.tolist(), sel
+        for i, expected in enumerate(want):
+            one = propagator.build_propagator(params, sel, float(stack.t1[i]), float(stack.t2[i]))
+            assert bool(_dense_cp(one, TOL)) == expected, (sel, i)
+        verdicts.extend(want.tolist())
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_non_finite_choi_matrix_is_not_psd():
     t1 = np.array([0.1, 0.2, 0.3])
     ops = propagator.build_propagator(N5, SubsystemSelector(2, v.C1), t1, 0.3)
@@ -282,6 +370,10 @@ def test_non_positive_diagonal_is_not_psd_whatever_lies_above_it():
     assert not v.choi_psd(choi, TOL)
 
 
+def _dense_cp(ops, tol):
+    return _choi.dense_cp(ops, tol, _choi._Workspace(v._STACK_BYTES))
+
+
 def _same_bits(got, want) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -296,25 +388,83 @@ def _selector_stacks(params, samples):
         yield sel, stack, propagator.build_propagator(params, sel, *windows[0])
 
 
+# The dense route's blocks differ from the full Choi matrix's entries only by
+# the rounding of v_r conj(v_s): numpy's complex product against the matrix
+# product's, which rounds unlike it in about three entries of four. Measured
+# over the stacks and single windows of test_choi_blocks_are_the_full_choi_matrix_on_its_support:
+# at most 1.01 eps |v_r| |v_s|; the flow entries are exact.
+BLOCK_ULPS = 2.0
+
+
+def _support_cases(n):
+    # (ops of a stack, ops of its first window alone) for every selector at
+    # N = n, K = N (flow weight 0) included: seven seeded windows each.
+    params, rng = NetworkParams(n, 1.0), np.random.default_rng(23)
+    for sel in v.selectors(params):
+        windows = [v.random_interval(rng, params, sel.k_qubits) for _ in range(7)]
+        stack = propagator.build_propagator(params, sel, *np.array(windows).T)
+        yield sel, stack, propagator.build_propagator(params, sel, *windows[0])
+
+
+def _blocks_of(ops):
+    # The 1-d stack of ops and its Choi support blocks, as the dense route takes them.
+    ops = propagator._take(ops, slice(None))
+    return ops, _choi._choi_blocks(ops)
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 17])
+def test_choi_blocks_are_the_full_choi_matrix_on_its_support(n):
+    # The full choi_matrix is exactly zero off the support and between its
+    # blocks; on each block it is what the route factorises, within
+    # BLOCK_ULPS eps |v_r| |v_s| (v the block's rows of B), and bit for bit
+    # where v_r v_s = 0. The blocks: 1 + K^2 rows of B and K flow rows in the
+    # containing class, K + 1 and K in the excluding class.
+    eps = np.finfo(float).eps
+    workspace = _choi._Workspace(v._STACK_BYTES)
+    for sel, *ops_pair in _support_cases(n):
+        k = sel.k_qubits
+        want_sizes = [1 + k * k if sel.dyn_class is v.C1 else k + 1, k]
+        for ops in ops_pair:
+            ops, blocks = _blocks_of(ops)
+            assert [b.rows.size for b in blocks] == want_sizes, (n, sel)
+            full = positivity.choi_matrix(ops)
+            covered = np.zeros(full.shape[1:], dtype=bool)
+            flat = np.abs(ops.block_diag.reshape(len(full), -1))
+            for block in blocks:
+                square = np.ix_(block.rows, block.rows)
+                assert not covered[square].any()
+                covered[square] = True
+                got = _choi._block_stack(ops, block, np.arange(len(full)), workspace)
+                want = full[(slice(None), *square)]
+                scale = flat[:, block.rows, None] * flat[:, None, block.rows]
+                assert (np.abs(got - want) <= BLOCK_ULPS * eps * scale).all(), (n, sel)
+                assert np.array_equal(got[scale == 0], want[scale == 0]), (n, sel)
+            assert not full[:, ~covered].any(), (n, sel)
+
+
 @pytest.mark.parametrize("n", [2, 5, 8, 17])
 def test_pre_test_diagonal_is_the_dense_choi_diagonal_bit_for_bit(n):
-    # The diagonal images' diag[mu, *S, a] is C[(a, mu), (a, mu)], in both
-    # classes, on stacks and on single windows. Built in a workspace (in
-    # parts of a stack from N = 8, grown past _STACK_BYTES at N = 17), the
-    # diagonal images and the Choi matrices are those built without one.
-    params = NetworkParams(n, 1.0)
-    workspace = v._Workspace(v._STACK_BYTES)
-    for sel, *ops_pair in _selector_stacks(params, 200):
+    # The pre-test's diagonal of each support block is the diagonal of the
+    # block that the route factorises, bit for bit, in both classes, on
+    # stacks and on single windows, built in a workspace (grown past
+    # _STACK_BYTES at N = 17). It is the full Choi matrix's diagonal on the
+    # block's rows within BLOCK_ULPS eps |v_r|^2, and that diagonal is zero
+    # off them.
+    eps = np.finfo(float).eps
+    workspace = _choi._Workspace(v._STACK_BYTES)
+    for sel, *ops_pair in _support_cases(n):
         for ops in ops_pair:
-            choi = positivity.choi_matrix(ops)
-            want = np.diagonal(choi, axis1=-2, axis2=-1)
-            d, stack = ops.k_qubits + 1, ops.block_diag.shape[:-2]
-            buffers = [workspace.array(i, stack + (d**3,)) for i in (0, 1)]
-            for images in (propagator._basis_images(ops, True), propagator._basis_images(ops, True, *buffers)):
-                got = np.moveaxis(np.diagonal(images, axis1=-2, axis2=-1), 0, -1)
-                assert _same_bits(got.reshape(want.shape), want), (n, sel)
-            in_workspace = v._WorkspaceOps(**vars(propagator._take(ops, slice(None))), workspace=workspace)
-            assert _same_bits(positivity.choi_matrix(in_workspace), choi.reshape((-1,) + choi.shape[-2:]))
+            ops, blocks = _blocks_of(ops)
+            full = np.diagonal(positivity.choi_matrix(ops), axis1=-2, axis2=-1)
+            rows = np.concatenate([block.rows for block in blocks])
+            assert not np.delete(full, rows, axis=-1).any()
+            for block in blocks:
+                diag = _choi._block_diagonal(ops, block, workspace).copy()
+                built = _choi._block_stack(ops, block, np.arange(len(diag)), workspace)
+                built_diag = np.diagonal(built, axis1=-2, axis2=-1).real.copy()
+                assert _same_bits(built_diag, diag), (n, sel)
+                scale = np.abs(ops.block_diag.reshape(len(diag), -1)[:, block.rows]) ** 2
+                assert (np.abs(diag - full[:, block.rows].real) <= BLOCK_ULPS * eps * scale).all()
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -325,7 +475,7 @@ def test_dense_verdict_is_the_eigenvalue_verdict_on_every_window(n):
 
     def dense_is_eigvalsh(params, sel, t1, t2):
         ops = propagator.build_propagator(params, sel, t1, t2)
-        dense = v._dense_cp(ops, TOL)
+        dense = _dense_cp(ops, TOL)
         verdicts.extend(np.atleast_1d(dense).tolist())
         return dense == (np.linalg.eigvalsh(positivity.choi_matrix(ops)).min(axis=-1) >= -TOL)
 
@@ -342,7 +492,7 @@ def test_dense_verdict_reads_neither_the_spectrum_nor_the_flow_sign(monkeypatch)
     for sel, stack, one in _selector_stacks(N5, 300):
         for ops in (stack, one):
             want = np.linalg.eigvalsh(positivity.choi_matrix(ops)).min(axis=-1) >= -TOL
-            assert _same_bits(v._dense_cp(ops, TOL), want), sel
+            assert _same_bits(_dense_cp(ops, TOL), want), sel
 
 
 def test_choi_psd_factorises_a_stack_once_and_each_matrix_only_if_it_fails(monkeypatch):
@@ -384,60 +534,78 @@ def test_choi_psd_factorises_a_stack_once_and_each_matrix_only_if_it_fails(monke
 def test_pcp_builds_choi_matrices_past_the_diagonal_and_factorises_each_stack_once(
     monkeypatch,
 ):
-    # At N = 8: one stack of the cheap routes per selector, a dense Choi
-    # matrix for exactly the windows whose diagonal passes the pre-test, in
-    # survivor stacks of at most half _STACK_BYTES of Choi matrices, and one
-    # 3-D Cholesky call per survivor stack, none failing.
+    # At N = 8: one stack of the cheap routes per selector, and each block of
+    # a window's Choi support built once for exactly the windows whose
+    # diagonal passes the pre-test, never the full Choi matrix. A block's
+    # survivor stacks hold exactly the windows that half of _STACK_BYTES
+    # holds, the last one the rest, and each takes one 3-D Cholesky call,
+    # none failing: 55 calls.
     params = NetworkParams(8, 1.0)
     cases = list(v._windows(params, v.selectors(params), 2000))
-    passing = set()
+    passing = {}
     for sel, stack, _ in _selector_stacks(params, 2000):
         diag = np.diagonal(positivity.choi_matrix(stack), axis1=-2, axis2=-1).real
         passed = (diag + TOL > 0.0).all(axis=-1)
-        passing |= {(sel, *w) for w in zip(stack.t1[passed].tolist(), stack.t2[passed].tolist())}
-    built, stack_bytes, factorised, stacks = [], [], [], []
-    real_choi, real_cholesky, real_agree = positivity.choi_matrix, np.linalg.cholesky, v._pcp_agree
+        passing[sel] = list(zip(stack.t1[passed].tolist(), stack.t2[passed].tolist()))
+    built, factorised, stacks = {}, [], []
+    real_block, real_cholesky, real_agree = _choi._block_stack, np.linalg.cholesky, v._pcp_agree
 
-    def choi(ops):
+    def block_stack(ops, block, index, workspace):
         sel = SubsystemSelector(ops.k_qubits, ops.dyn_class)
-        built.extend((sel, *w) for w in zip(ops.t1.tolist(), ops.t2.tolist()))
-        stack_bytes.append(16 * ops.block_diag.shape[0] * (ops.k_qubits + 1) ** 4)
-        return real_choi(ops)
+        windows = list(zip(ops.t1[index].tolist(), ops.t2[index].tolist()))
+        built.setdefault((sel, block.rows.size), []).append(windows)
+        return real_block(ops, block, index, workspace)
 
-    monkeypatch.setattr(positivity, "choi_matrix", choi)
+    def refuse(ops):
+        raise AssertionError("the dense route built a full Choi matrix")
+
+    monkeypatch.setattr(_choi, "_block_stack", block_stack)
+    monkeypatch.setattr(positivity, "choi_matrix", refuse)
     monkeypatch.setattr(np.linalg, "cholesky", lambda m: factorised.append(m) or real_cholesky(m))
     monkeypatch.setattr(v, "_pcp_agree", lambda *case: stacks.append(case) or real_agree(*case))
     assert v.pcp_disagreements(cases) == []
-    assert len(built) == len(set(built)) == 1062 and set(built) == passing
     assert len(stacks) == len(v.selectors(params)) == 15
-    assert len(factorised) == len(stack_bytes) == 74 and all(m.ndim == 3 for m in factorised)
-    assert max(stack_bytes) <= v._STACK_BYTES // 2
+    assert sum(map(len, passing.values())) == 1062
+    assert {sel for sel, _ in built} == {sel for sel, windows in passing.items() if windows}
+    for (sel, size), parts in built.items():
+        k = sel.k_qubits
+        assert size in ((1 + k * k, k) if sel.dyn_class is v.C1 else (k + 1, k))
+        assert sum(parts, []) == passing[sel], (sel, size)
+        cap = v._STACK_BYTES // 2 // (16 * size * size)
+        count = len(passing[sel])
+        assert [len(p) for p in parts] == [min(cap, count - i) for i in range(0, count, cap)]
+    assert len(built) == 2 * 15
+    assert len(factorised) == sum(map(len, built.values())) == 55
+    assert all(m.ndim == 3 for m in factorised)
 
 
 def test_nan_choi_matrix_makes_the_routes_disagree(monkeypatch):
-    real = positivity.choi_matrix
+    # A NaN in every block that the dense route factorises, above the
+    # diagonal, where LAPACK does not read.
+    real = _choi._block_stack
 
-    def with_nan(ops):
-        choi = real(ops)
-        choi[..., 0, -1] = np.nan
-        return choi
+    def with_nan(*args):
+        blocks = real(*args)
+        blocks[..., 0, -1] = np.nan
+        return blocks
 
-    monkeypatch.setattr(positivity, "choi_matrix", with_nan)
+    monkeypatch.setattr(_choi, "_block_stack", with_nan)
     cases = list(v._windows(N5, v.selectors(N5), 200))
     cp = [c for c in cases if propagator.flow_amplitude(*c) >= -TOL]
     assert cp and v.pcp_disagreements(cases) == cp
 
 
 def _inject(monkeypatch, targets):
-    # The dense route calls the windows anchored at the target t1 not CP.
-    real = positivity.choi_matrix
+    # The dense route calls the windows anchored at the target t1 not CP: a
+    # NaN fills their blocks.
+    real = _choi._block_stack
 
-    def patched(ops):
-        choi = real(ops)
-        choi[np.isin(ops.t1, targets)] = np.nan
-        return choi
+    def patched(ops, block, index, workspace):
+        blocks = real(ops, block, index, workspace)
+        blocks[np.isin(ops.t1[index], targets)] = np.nan
+        return blocks
 
-    monkeypatch.setattr(positivity, "choi_matrix", patched)
+    monkeypatch.setattr(_choi, "_block_stack", patched)
 
 
 def test_pcp_reports_the_first_disagreement_in_stream_order(monkeypatch):
@@ -521,12 +689,11 @@ def test_verify_csv_is_unchanged(n, tmp_path):
 
 
 # check_pcp_agreement's traced peak, bounded. At N = 8: the workspace's two
-# _STACK_BYTES buffers, one Cholesky factor of a survivor stack's support
-# and the 2000 windows; 3.10 MB measured (3.14 MB with the stacks of the
-# whole route capped at 1 MiB of Choi matrices), a 0.30 MB margin. At
-# N = 16: both buffers grown to one K = 16 Choi matrix (1.34 MB each), its
-# 257-row Cholesky factor (1.06 MB) and the stacks of the cheap routes;
-# 4.33 MB measured (4.16 MB capped so), a 0.42 MB margin.
+# _STACK_BYTES buffers, one Cholesky factor of a survivor stack's block and
+# the 2000 windows; 3.02 MB measured, a 0.38 MB margin. At N = 16: buffer 0
+# grown to one K = 16 block of B (257 rows, 1.06 MB), its Cholesky factor
+# (1.06 MB) and the stacks of the cheap routes; 3.62 MB measured, a 1.13 MB
+# margin.
 PCP_PEAK_BYTES = {8: 3 * v._STACK_BYTES + 0.25e6, 16: 4.75e6}
 
 
