@@ -1,9 +1,8 @@
 """The dense Choi PSD verdict of a stack of propagators, on its support.
 
-``dense_cp`` decides each Choi matrix of a stack as
-``verification.choi_psd`` decides any Hermitian matrix, by a Cholesky
-factorisation of C + tol*I, without building the matrices whole. Row
-(a, mu) of C is a*(K+1) + mu, B's flat index, and
+``dense_cp`` decides whether each Choi matrix of a stack is PSD at -tol by
+a Cholesky factorisation of C + tol*I, without building the matrices
+whole. Row (a, mu) of C is a*(K+1) + mu, B's flat index, and
 
     C[(a, mu), (b, nu)] = B[a, mu] conj(B[b, nu]) + the flow terms,
 
@@ -33,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import propagator
+from . import positivity, propagator
 
 
 class _Workspace:
@@ -52,12 +51,12 @@ class _Workspace:
         self._buffers = [np.empty(nbytes, dtype=np.uint8) for _ in range(2)]
         self._nbytes = nbytes
 
-    def array(self, i: int, shape: tuple, dtype=complex) -> np.ndarray:
-        """A C-contiguous array of ``shape`` over the start of buffer i."""
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    def array(self, i: int, shape: tuple) -> np.ndarray:
+        """A C-contiguous complex array of ``shape`` over the start of buffer i."""
+        nbytes = math.prod(shape) * 16
         if self._buffers[i].size < nbytes:
             self._buffers[i] = np.empty(nbytes, dtype=np.uint8)
-        return self._buffers[i][:nbytes].view(dtype).reshape(shape)
+        return self._buffers[i][:nbytes].view(complex).reshape(shape)
 
     def windows(self, entries: int) -> int:
         """The windows of ``entries`` complex entries each that half of
@@ -70,6 +69,16 @@ class _Block(NamedTuple):
     # flow terms that add there, each as (positions in rows, weights).
     rows: np.ndarray
     terms: list
+
+
+def _flatten(ops: propagator.PropagatorOps) -> propagator.PropagatorOps:
+    # A stack of ops of any shape, or one window's, as a 1-d stack with array
+    # weights and times.
+    d, shape = ops.k_qubits + 1, ops.block_diag.shape[:-2]
+    flat = lambda x: None if x is None else np.broadcast_to(x, shape).reshape(-1)
+    weights, times = map(flat, (ops.flow_weight, ops.ground_extra)), map(flat, (ops.t1, ops.t2))
+    block = ops.block_diag.reshape(-1, d, d)
+    return propagator.PropagatorOps(block, *weights, ops.k_qubits, ops.dyn_class, *times)
 
 
 def _choi_blocks(ops: propagator.PropagatorOps) -> list[_Block]:
@@ -124,17 +133,23 @@ def _block_stack(
 
 
 def dense_cp(ops: propagator.PropagatorOps, tol: float, workspace: _Workspace) -> np.ndarray:
-    """``verification.choi_psd`` of the Choi matrix of each window of a
-    stack of ops, at ``tol`` > 0, decided on its support in ``workspace``.
+    """Whether the Choi matrix of each window of a stack of ops has its
+    smallest eigenvalue at or above -``tol`` (``tol`` > 0), decided on its
+    support in ``workspace``.
 
-    The rows off the support are zero, so they pass. A window's blocks are
-    built only where all their diagonals pass the pre-test; each block is
-    then built and factorised by ``_choi_psd`` for the windows still
-    passing, in stacks of at most half the workspace. Returns an array of
-    the stack's shape.
+    Refused with ``SizeLimitError`` above ``positivity.CHOI_MAX_DIM`` rows,
+    as ``positivity.choi_matrix`` is, before any block is built. The rows
+    off the support are zero, so they pass. Each pivot of a Cholesky
+    factorisation is its diagonal entry less a sum of squares, so a shifted
+    diagonal entry <= 0 fails it at or before its own pivot: a window's
+    blocks are built only where all their diagonals pass that pre-test.
+    Each block is then built and factorised by ``_choi_psd`` for the
+    windows still passing, in stacks of at most half the workspace. Returns
+    an array of the stack's shape.
     """
+    positivity._check_choi_dim(ops)
     stack = ops.block_diag.shape[:-2]
-    ops = propagator._take(ops, slice(None))
+    ops = _flatten(ops)
     blocks = _choi_blocks(ops)
     cp = np.ones(len(ops.block_diag), dtype=bool)
     for block in blocks:
@@ -149,10 +164,11 @@ def dense_cp(ops: propagator.PropagatorOps, tol: float, workspace: _Workspace) -
 
 
 def _choi_psd(blocks: np.ndarray, tol: float) -> np.ndarray:
-    # Whether each matrix of an (n, R, R) stack, whose shifted diagonal is
-    # positive, is PSD at -tol: the finite ones are shifted in place and
-    # factorised as one stack, each alone only if that fails. The
-    # factorisation of verification.choi_psd and of dense_cp.
+    # Whether each Hermitian matrix of an (n, R, R) stack, whose shifted
+    # diagonal is positive, is PSD at -tol: the finite ones are shifted in
+    # place and factorised as one stack (np.linalg.cholesky, LAPACK's potrf,
+    # which reads the lower triangle, as eigvalsh does), each alone only if
+    # that fails. A failed factorisation or a non-finite entry means not PSD.
     psd = np.isfinite(blocks).all(axis=(-2, -1))  # OpenBLAS factorises a NaN matrix
     candidates = np.flatnonzero(psd)
     shifted = blocks if candidates.size == len(blocks) else blocks[candidates]

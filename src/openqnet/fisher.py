@@ -22,13 +22,13 @@ from .amplitudes import NetworkParams, _abs2, _any, _check_time, _pair, _phase, 
 from .errors import (
     DegenerateStateError,
     DivergenceError,
-    OpenQNetError,
     OracleFailureError,
     ParameterError,
     PoleError,
 )
 from .propagator import _check_anchor
 from .states import _ZERO_WEIGHT, DynClass, SubsystemSelector, _check_class, _class_weight, _mixing
+from .states import _k_stack
 
 #: Eigenvalue-pair cutoff in the SLD solve.
 SLD_PAIR_CUTOFF = 1e-12
@@ -110,20 +110,8 @@ def qfi_closed_form(
 def _information_stack(
     params: NetworkParams, ks, dyn_class: DynClass, theta: GlobalParameter, t: np.ndarray
 ) -> FisherBreakdown:
-    """qfi_closed_form of every K in ``ks`` at once, over an array of times.
-
-    Fields of shape (len(ks), *t.shape), one row per K, each equal bit for
-    bit to qfi_closed_form on that K's selector; refused as the loop over
-    ``ks`` would refuse.
-    """
-    try:
-        for k in ks:
-            SubsystemSelector(k, dyn_class).validate(params)
-        return _information(params, np.array(ks)[:, None], dyn_class, theta, _check_time(t, "t", True))
-    except OpenQNetError:
-        for k in ks:
-            qfi_closed_form(params, SubsystemSelector(k, dyn_class), theta, t)
-        raise
+    """qfi_closed_form of every K in ``ks`` at once (see states._k_stack)."""
+    return _k_stack(qfi_closed_form, _information, params, ks, dyn_class, theta, t)
 
 
 def _information(params: NetworkParams, k, dyn_class: DynClass, theta, t) -> FisherBreakdown:

@@ -86,14 +86,20 @@ def choi_matrix(ops: PropagatorOps) -> np.ndarray:
     Stacked ops of shape S give a ``(*S, (K+1)^2, (K+1)^2)`` stack, each
     matrix bit for bit that of its own ops; the guard holds for each.
     """
+    _check_choi_dim(ops)
     d = ops.k_qubits + 1
-    if d * d > CHOI_MAX_DIM:
-        raise SizeLimitError(f"Choi dimension {(d * d)}^2 exceeds guard {CHOI_MAX_DIM}^2")
     stack = ops.block_diag.shape[:-2]
     m = len(stack)
     # C[*S, a*d + mu, b*d + nu] = images[mu, nu, *S, a, b]
     images = _basis_images(ops).transpose(*range(2, m + 2), m + 2, 0, m + 3, 1)
     return images.reshape(stack + (d * d, d * d))
+
+
+def _check_choi_dim(ops: PropagatorOps) -> None:
+    # The guard of every dense Choi route: choi_matrix and _choi.dense_cp.
+    dim = (ops.k_qubits + 1) ** 2
+    if dim > CHOI_MAX_DIM:
+        raise SizeLimitError(f"Choi dimension {dim}^2 exceeds guard {CHOI_MAX_DIM}^2")
 
 
 def choi_spectrum(ops: PropagatorOps) -> tuple:

@@ -286,24 +286,6 @@ def _basis_images(ops: PropagatorOps) -> np.ndarray:
     return images
 
 
-def _take(ops: PropagatorOps, index) -> PropagatorOps:
-    # The windows of a stack of ops at flat indices or a slice, as a 1-d
-    # stack with array weights and times; a 1-d stack's arrays are indexed
-    # as they are.
-    d, shape = ops.k_qubits + 1, ops.block_diag.shape[:-2]
-
-    def take(x):
-        if x is None:
-            return None
-        if type(x) is not np.ndarray or x.shape != shape or len(shape) != 1:
-            x = np.broadcast_to(x, shape).reshape(-1)
-        return x[index]
-
-    block = ops.block_diag.reshape(-1, d, d)[index]
-    weights = take(ops.flow_weight), take(ops.ground_extra)
-    return PropagatorOps(block, *weights, ops.k_qubits, ops.dyn_class, take(ops.t1), take(ops.t2))
-
-
 def _max_entry(diff: np.ndarray):
     # Largest |entry| of each matrix of a (*S, D, D) stack: an array of
     # shape S, or a float for one matrix.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import NetworkParams, _amplitudes, _check_time, _hop, _refuse_as_loop
-from .errors import DegenerateStateError, ParameterError
+from .errors import DegenerateStateError, OpenQNetError, ParameterError
 
 #: Mixing probabilities at or below this leave the rank-two state degenerate.
 _ZERO_WEIGHT = 1e-14
@@ -161,19 +161,27 @@ def entanglement_entropy(params: NetworkParams, sel: SubsystemSelector, t) -> fl
 
 
 def _entropy_stack(params: NetworkParams, ks, dyn_class: DynClass, t: np.ndarray) -> np.ndarray:
-    """entanglement_entropy of every K in ``ks`` at once, over an array of times.
+    """entanglement_entropy of every K in ``ks`` at once (see _k_stack)."""
+    return _k_stack(entanglement_entropy, _entropy, params, ks, dyn_class, t)
 
-    A (len(ks), *t.shape) array, one row per K, each equal bit for bit to
-    entanglement_entropy on that K's selector; refused as the loop over
-    ``ks`` would refuse.
+
+def _k_stack(public, kernel, params: NetworkParams, ks, dyn_class: DynClass, *args):
+    """``public(params, selector, *args)`` of every K in ``ks`` at once,
+    over an array of times, the last of ``args``.
+
+    One ``kernel(params, k, dyn_class, *args)`` call, k the (len(ks), 1)
+    array of K, gives arrays of shape (len(ks), *t.shape), one row per K,
+    each equal bit for bit to ``public`` on that K's selector; refused as
+    the loop over ``ks`` would refuse.
     """
+    *rest, t = args
     try:
         for k in ks:
             SubsystemSelector(k, dyn_class).validate(params)
-        return _entropy(params, np.array(ks)[:, None], dyn_class, _check_time(t, "t", True))
-    except ParameterError:
+        return kernel(params, np.array(ks)[:, None], dyn_class, *rest, _check_time(t, "t", True))
+    except OpenQNetError:
         for k in ks:
-            entanglement_entropy(params, SubsystemSelector(k, dyn_class), t)
+            public(params, SubsystemSelector(k, dyn_class), *args)
         raise
 
 

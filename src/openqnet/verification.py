@@ -48,7 +48,7 @@ import numpy as np
 import numpy.random
 
 from . import bloch, fisher, inference, oracle, positivity, propagator, states
-from ._choi import _choi_psd, _Workspace, dense_cp
+from ._choi import _Workspace, dense_cp
 from .amplitudes import NetworkParams, _amplitudes, _check_time, _hop, _refuse_as_loop, amplitudes
 from .amplitudes import q1_unitary_oracle, unitarity_residuals
 from .errors import DegenerateStateError, IndeterminateFlowError
@@ -375,9 +375,9 @@ def pcp_disagreements(cases: Iterable[tuple]) -> list[tuple]:
     propagator per (network, selector) group in stacks of at most 1 MiB of
     blocks. The dense route decides each window on the support of its Choi
     matrix, split into the blocks that no entry couples: a window's blocks
-    are built only where their diagonals pass :func:`choi_psd`'s pre-test,
-    each block in survivor stacks of at most half a MiB, and factorised
-    alone. It runs in one workspace, made for the call.
+    are built only where their diagonals pass a pre-test, each block in
+    survivor stacks of at most half a MiB, and factorised alone by
+    ``_choi.dense_cp``. It runs in one workspace, made for the call.
     """
     cases = list(cases)
     workspace = _Workspace(_STACK_BYTES)
@@ -397,31 +397,6 @@ def _pcp_agree(
     p1, p2 = (states.excitation_probability(params, sel, t) for t in (t1, t2))
     dense = dense_cp(ops, tol, workspace)
     return (flow_cp == choi_cp) & (choi_cp == (p2 - p1 <= tol)) & (choi_cp == dense)
-
-
-def choi_psd(choi: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each Hermitian matrix of a ``(..., D, D)`` stack has its
-    smallest eigenvalue at or above ``-tol``.
-
-    Decided by a Cholesky factorisation of C + tol*I (``np.linalg.cholesky``,
-    LAPACK's ``potrf``), which reads the lower triangle, as ``eigvalsh``
-    does; a failed factorisation or a non-finite entry means not PSD. What
-    the pre-test on the diagonal leaves is factorised as one stack, each
-    matrix alone only if that fails, on the rows and columns nonzero in some
-    matrix: a matrix zero outside those is PSD at -tol (tol > 0) iff its
-    block on them is. The dense route of :func:`pcp_disagreements`
-    (``_choi.dense_cp``) builds only such blocks and factorises them alike.
-    """
-    dim = choi.shape[-1]
-    flat = choi.reshape(-1, dim, dim)
-    # Each pivot is its diagonal entry less a sum of squares, so a shifted
-    # diagonal entry <= 0 fails the factorisation at or before its own pivot.
-    psd = (np.diagonal(flat, axis1=-2, axis2=-1).real + tol > 0.0).all(axis=-1)
-    nonzero = flat.any(axis=0)  # in some matrix of the stack
-    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))  # all, if tol = 0
-    candidates = np.flatnonzero(psd)
-    psd[candidates] = _choi_psd(flat[np.ix_(candidates, support, support)], tol)
-    return psd.reshape(choi.shape[:-2])
 
 
 @_refuse_as_loop
@@ -522,11 +497,11 @@ def roundtrip_residual(params: NetworkParams, t1, t2) -> float | None:
     """|N estimate - N| from the single-qubit flows over [t1, t2]; None
     where either flow is below 1e-6. Takes float times."""
     t1, t2 = _check_time(t1, "t1"), _check_time(t2, "t2")
-    flow1 = propagator.flow_amplitude(params, SubsystemSelector(1, C1), t1, t2)
-    flow0 = propagator.flow_amplitude(params, SubsystemSelector(1, C0), t1, t2)
+    sels = SubsystemSelector(1, C1), SubsystemSelector(1, C0)
+    flow1, flow0 = propagator._flows(params, sels, t1, t2)
     if min(abs(flow0), abs(flow1)) < 1e-6:
         return None
-    ground = states.excitation_probability(params, SubsystemSelector(1, C0), t1)
+    ground = states.excitation_probability(params, sels[1], t1)
     estimate = inference.infer_network_size(inference.FlowObservation(flow1, flow0, ground))
     return abs(estimate.estimate - params.n_qubits)
 
@@ -651,8 +626,7 @@ def check_inference_roundtrip(params: NetworkParams) -> CheckResult:
 
 
 def check_bloch_fixed_points(params: NetworkParams) -> CheckResult:
-    rng = np.random.default_rng(RNG_SEED)
-    cases = ((params, *random_interval(rng, params, 1)) for _ in range(60))
+    cases = [(p, t1, t2) for p, _, t1, t2 in _windows(params, [SubsystemSelector(1, C1)], 60)]
     entries = lambda n, d: 8  # both maps' images and gaps
     return grouped_worst_case(
         "bloch_fixed_points", 1e-12, bloch_fixed_point_residual, cases, entries

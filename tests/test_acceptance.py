@@ -48,11 +48,12 @@ from openqnet import (
     qfi_closed_form,
     conservation_residual,
 )
+from openqnet._choi import _Workspace, dense_cp
 from openqnet.positivity import VERDICT_TOL
 from openqnet.verification import (
+    _STACK_BYTES,
     amplitude_oracle_residual,
     bloch_fixed_point_residual,
-    choi_psd,
     complement_pairs,
     completeness_residual,
     composition_residual,
@@ -150,17 +151,18 @@ def test_criterion_05a_three_route_agreement():
 
 
 def test_05a_cholesky_verdict_matches_eigvalsh():
-    # The dense route's Cholesky PSD test against the minimum eigenvalue,
-    # kept here as the reference, on every case of criterion 5a.
+    # The dense route's Cholesky verdict (_choi.dense_cp, as pcp_agreement
+    # runs it) against the minimum eigenvalue of the full Choi matrix, kept
+    # here as the reference, on every case of criterion 5a.
     groups = {}
     for params, sel, t1, t2 in _random_cases(10_000, 555):
         groups.setdefault((params, sel), []).append((t1, t2))
     cases = 0
     for (params, sel), windows in groups.items():
-        t1, t2 = np.array(windows).T
-        choi = choi_matrix(build_propagator(params, sel, t1, t2))
-        reference = np.linalg.eigvalsh(choi).min(axis=-1) >= -VERDICT_TOL
-        assert np.array_equal(choi_psd(choi, VERDICT_TOL), reference), (params, sel)
+        ops = build_propagator(params, sel, *np.array(windows).T)
+        reference = np.linalg.eigvalsh(choi_matrix(ops)).min(axis=-1) >= -VERDICT_TOL
+        dense = dense_cp(ops, VERDICT_TOL, _Workspace(_STACK_BYTES))
+        assert np.array_equal(dense, reference), (params, sel)
         cases += len(windows)
     assert cases == 10_000
 
