@@ -1,8 +1,8 @@
 """The dense Choi PSD verdict of a stack of propagators, on its support.
 
-``dense_cp`` decides whether each Choi matrix of a stack is PSD at -tol by
-a Cholesky factorisation of C + tol*I, without building the matrices
-whole. Row (a, mu) of C is a*(K+1) + mu, B's flat index, and
+``dense_cp`` decides whether each Choi matrix of a stack is PSD at -tol on
+its support, without building the matrices whole. Row (a, mu) of C is
+a*(K+1) + mu, B's flat index, and
 
     C[(a, mu), (b, nu)] = B[a, mu] conj(B[b, nu]) + the flow terms,
 
@@ -13,55 +13,28 @@ its own rows, a term that meets a block joins it, and every other entry is
 zero in every window. In the containing class the blocks are the 1 + K^2
 rows of B and the K rows of the flow; in the excluding class the K + 1
 rows of B, which the ground-to-ground term joins, and the K rows of the
-flow. The entries come from B and the flow weights alone, never from the
-closed-form spectrum. They are ``positivity.choi_matrix``'s but for the
-rounding of v_r conj(v_s): numpy's complex product rounds unlike the
-matrix product.
+flow.
 
-``verify``'s ``pcp_agreement`` runs ``dense_cp`` on every window, in a
-workspace made for the call, so that a stack maps no fresh memory. The
-route lives apart from ``verification``: where no bytecode is written,
+A block that no flow term joins is |v><v|, v its rows of B: rank one, so
+|v><v| + tol*I is positive definite for every finite v and for no other.
+Such a block is decided by the finiteness of B, never built. Every block
+that a flow term joins is built from B and the flow weights alone, never
+from the closed-form spectrum, and factorised by Cholesky. Its entries are
+``positivity.choi_matrix``'s but for the rounding of v_r conj(v_s): numpy's
+complex product rounds unlike the matrix product.
+
+The route lives apart from ``verification``: where no bytecode is written,
 every import compiles that module, the compiler's peak memory grows with
 it, and there this route raised ``verify``'s peak RSS.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import positivity, propagator
-
-
-class _Workspace:
-    """Two buffers that the dense route builds its stacks in, one stack at a
-    time.
-
-    Each buffer starts with room for ``nbytes`` and grows when a stack needs
-    more. The pre-test gathers a stack's rows of B on one block into buffer
-    1 and their conjugates into buffer 0; a survivor stack's block is built
-    in buffer 0, at most half ``nbytes`` of it, so only a window larger than
-    that grows the buffer. Every array taken from a buffer is overwritten by
-    the next one taken from it.
-    """
-
-    def __init__(self, nbytes: int):
-        self._buffers = [np.empty(nbytes, dtype=np.uint8) for _ in range(2)]
-        self._nbytes = nbytes
-
-    def array(self, i: int, shape: tuple) -> np.ndarray:
-        """A C-contiguous complex array of ``shape`` over the start of buffer i."""
-        nbytes = math.prod(shape) * 16
-        if self._buffers[i].size < nbytes:
-            self._buffers[i] = np.empty(nbytes, dtype=np.uint8)
-        return self._buffers[i][:nbytes].view(complex).reshape(shape)
-
-    def windows(self, entries: int) -> int:
-        """The windows of ``entries`` complex entries each that half of
-        ``nbytes`` holds, at least one."""
-        return max(1, self._nbytes // 2 // (16 * entries))
 
 
 class _Block(NamedTuple):
@@ -105,61 +78,44 @@ def _choi_blocks(ops: propagator.PropagatorOps) -> list[_Block]:
     return blocks
 
 
-def _block_diagonal(ops: propagator.PropagatorOps, block: _Block, workspace: _Workspace):
-    # The real diagonal of a block for every window of a 1-d stack: v conj(v)
-    # on the block's rows v of B, then each flow term; numpy's product, as
-    # _block_stack forms it, so bit for bit the diagonal of its blocks.
-    flat = ops.block_diag.reshape(len(ops.block_diag), -1)
-    v = workspace.array(1, (len(flat), block.rows.size))
-    np.take(flat, block.rows, axis=1, out=v, mode="clip")
-    diag = np.multiply(v, np.conjugate(v, out=workspace.array(0, v.shape)), out=v).real
+def _block_stack(ops: propagator.PropagatorOps, block: _Block) -> np.ndarray:
+    # The block of the Choi matrices of every window of a 1-d stack:
+    # v_r conj(v_s) on the block's rows v of B, plus each flow term.
+    v = ops.block_diag.reshape(len(ops.block_diag), -1)[:, block.rows]
+    out = v[:, :, None] * v.conj()[:, None, :]
     for positions, weight in block.terms:
-        diag[:, positions] += weight[:, None]
-    return diag
-
-
-def _block_stack(
-    ops: propagator.PropagatorOps, block: _Block, index: np.ndarray, workspace: _Workspace
-) -> np.ndarray:
-    # The block of the Choi matrices of a 1-d stack's windows at ``index``,
-    # in buffer 0: v_r conj(v_s) on the block's rows v of B, plus each flow term.
-    v = ops.block_diag.reshape(len(ops.block_diag), -1)[np.ix_(index, block.rows)]
-    size = block.rows.size
-    out = workspace.array(0, (len(index), size, size))
-    np.multiply(v[:, :, None], v.conj()[:, None, :], out=out)
-    for positions, weight in block.terms:
-        out[:, positions[:, None], positions] += weight[index, None, None]
+        out[:, positions[:, None], positions] += weight[:, None, None]
     return out
 
 
-def dense_cp(ops: propagator.PropagatorOps, tol: float, workspace: _Workspace) -> np.ndarray:
+def dense_cp(ops: propagator.PropagatorOps, tol: float) -> np.ndarray:
     """Whether the Choi matrix of each window of a stack of ops has its
     smallest eigenvalue at or above -``tol`` (``tol`` > 0), decided on its
-    support in ``workspace``.
+    support.
 
     Refused with ``SizeLimitError`` above ``positivity.CHOI_MAX_DIM`` rows,
     as ``positivity.choi_matrix`` is, before any block is built. The rows
-    off the support are zero, so they pass. Each pivot of a Cholesky
-    factorisation is its diagonal entry less a sum of squares, so a shifted
-    diagonal entry <= 0 fails it at or before its own pivot: a window's
-    blocks are built only where all their diagonals pass that pre-test.
-    Each block is then built and factorised by ``_choi_psd`` for the
-    windows still passing, in stacks of at most half the workspace. Returns
-    an array of the stack's shape.
+    off the support are zero, so they pass. A block that no flow term joins
+    is |v><v| + tol*I, v its rows of B, positive definite exactly where v
+    is finite, so it passes where B is finite. The other blocks are built
+    for every window. Each pivot of a Cholesky factorisation is its
+    diagonal entry less a sum of squares, so a shifted diagonal entry <= 0
+    fails it at or before its own pivot: the shifted diagonals of all built
+    blocks are tested first, so that a window a diagonal entry decides never
+    sends a stack to ``_choi_psd``'s per-matrix fallback, and each block is
+    then factorised once by ``_choi_psd`` for the windows still passing.
+    Returns an array of the stack's shape.
     """
     positivity._check_choi_dim(ops)
     stack = ops.block_diag.shape[:-2]
     ops = _flatten(ops)
-    blocks = _choi_blocks(ops)
-    cp = np.ones(len(ops.block_diag), dtype=bool)
-    for block in blocks:
-        cp &= (_block_diagonal(ops, block, workspace) + tol > 0.0).all(axis=-1)
-    for block in blocks:
-        passed = np.flatnonzero(cp)
-        step = workspace.windows(block.rows.size**2)
-        for start in range(0, passed.size, step):
-            index = passed[start : start + step]
-            cp[index] = _choi_psd(_block_stack(ops, block, index, workspace), tol)
+    cp = np.isfinite(ops.block_diag).all(axis=(-2, -1))
+    built = [_block_stack(ops, block) for block in _choi_blocks(ops) if block.terms]
+    for blocks in built:
+        cp &= (np.einsum("...ii->...i", blocks).real + tol > 0.0).all(axis=-1)
+    for blocks in built:
+        if cp.any():
+            cp[cp] = _choi_psd(blocks[cp], tol)
     return cp.reshape(stack)
 
 

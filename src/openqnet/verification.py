@@ -19,14 +19,13 @@ values in the order the cases came.
 calls. A stack's closed-form densities are built in numpy by the scalar
 call's own operations, not by one state call per element.
 ``pcp_disagreements`` evaluates its cheap routes in one stack per
-(network, selector) and builds a window's dense Choi matrix only on its
-support, block by block, and only where the blocks' diagonals pass the
-pre-test, in survivor stacks of at most half a stack's bytes, all in one
-workspace made for the call, so that a stack maps no fresh memory. The
-conservation and round-trip residuals return None where they have nothing
-to say, and their rows take about 2 ms each at N = 8, so they are called
-per case. The acceptance suite calls the same residuals, folds and routine
-over its own seeded cases.
+(network, selector) and decides a window's dense Choi matrix on its
+support: the rank-one block of B by the finiteness of B, and each block
+that a flow term joins by one Cholesky stack of the windows whose
+diagonals pass the pre-test. The conservation and round-trip residuals
+return None where they have nothing to say, and their rows take about
+2 ms each at N = 8, so they are folded per case. The acceptance suite
+calls the same residuals, folds and routine over its own seeded cases.
 
 All sampling uses a fixed seed so repeated runs are byte-identical. The
 sampled checks share one stream of windows, drawn in bulk from the
@@ -48,7 +47,7 @@ import numpy as np
 import numpy.random
 
 from . import bloch, fisher, inference, oracle, positivity, propagator, states
-from ._choi import _Workspace, dense_cp
+from ._choi import dense_cp
 from .amplitudes import NetworkParams, _amplitudes, _check_time, _hop, _refuse_as_loop, amplitudes
 from .amplitudes import q1_unitary_oracle, unitarity_residuals
 from .errors import DegenerateStateError, IndeterminateFlowError
@@ -60,14 +59,12 @@ RNG_SEED = 0
 # Bytes of arrays that one stack of grouped_values holds at once, as each
 # row counts them per window. Set for pcp_agreement's Choi stacks: 4 MiB
 # adds 7.5 MB of peak RSS at N=8, whole unchunked groups 28 MB, at the same
-# speed. Its survivor stacks hold at most half of it of one block of the
-# Choi support (_choi.dense_cp). Traced peaks at N=8 under this cap:
-# check_pcp_agreement 3.02 MB (its workspace's two buffers of this size,
-# counted whole though they are touched only as far as the stacks reach,
-# one Cholesky factor of up to 0.5 MB, and the windows), check_composition
-# 1.10 MB, check_tomography_containing 0.87 MB, the other rows at most
-# 0.45 MB (check_amplitude_oracle, its eigh cached). At N=16,
-# check_pcp_agreement 3.62 MB.
+# speed. Traced peaks at N=8 under this cap: check_composition 1.10 MB,
+# check_pcp_agreement 0.86 MB (one stack's B, its built flow-carrying Choi
+# blocks, the copy of a block's passing windows and its Cholesky factor,
+# and the windows), check_tomography_containing 0.87 MB, the other rows at
+# most 0.45 MB (check_amplitude_oracle, its eigh cached). At N=16,
+# check_pcp_agreement 1.29 MB.
 _STACK_BYTES = 1 << 20
 C1, C0 = DynClass.CONTAINS_EXCITED, DynClass.EXCLUDES_EXCITED
 
@@ -373,29 +370,25 @@ def pcp_disagreements(cases: Iterable[tuple]) -> list[tuple]:
     distance and the dense Choi matrix, each decided at ``VERDICT_TOL``.
     The cases are evaluated by :func:`grouped_values`, one stacked
     propagator per (network, selector) group in stacks of at most 1 MiB of
-    blocks. The dense route decides each window on the support of its Choi
-    matrix, split into the blocks that no entry couples: a window's blocks
-    are built only where their diagonals pass a pre-test, each block in
-    survivor stacks of at most half a MiB, and factorised alone by
-    ``_choi.dense_cp``. It runs in one workspace, made for the call.
+    blocks. The dense route, ``_choi.dense_cp``, decides each window on the
+    support of its Choi matrix, split into the blocks that no entry
+    couples: the rank-one block of B by the finiteness of B, and each block
+    that a flow term joins by a Cholesky factorisation, built for the whole
+    stack and factorised for the windows whose diagonals pass a pre-test.
     """
     cases = list(cases)
-    workspace = _Workspace(_STACK_BYTES)
-    evaluate = lambda *case: _pcp_agree(*case, workspace)
-    agree = grouped_values(cases, evaluate, lambda n, d: 2 * d * d)  # B and its conjugate
+    agree = grouped_values(cases, _pcp_agree, lambda n, d: 2 * d * d)  # B and the built blocks
     return [case for case, ok in zip(cases, agree) if not ok]
 
 
-def _pcp_agree(
-    params: NetworkParams, sel: SubsystemSelector, t1, t2, workspace: _Workspace
-) -> np.ndarray:
+def _pcp_agree(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> np.ndarray:
     # Whether the four routes agree, for each window of the t1, t2 arrays.
     tol = positivity.VERDICT_TOL
     ops = propagator.build_propagator(params, sel, t1, t2)
     flow_cp = ops.flow_weight >= -tol
     choi_cp = np.minimum.reduce(positivity.choi_spectrum(ops)) >= -tol
     p1, p2 = (states.excitation_probability(params, sel, t) for t in (t1, t2))
-    dense = dense_cp(ops, tol, workspace)
+    dense = dense_cp(ops, tol)
     return (flow_cp == choi_cp) & (choi_cp == (p2 - p1 <= tol)) & (choi_cp == dense)
 
 
@@ -507,13 +500,15 @@ def roundtrip_residual(params: NetworkParams, t1, t2) -> float | None:
 
 
 def roundtrip_windows(rng, params: NetworkParams, samples: int):
-    """``samples`` (params, t1, t2) cases, t1 and t2 from ``random_interval``
-    for K = 1, on which ``roundtrip_residual`` gives an estimate."""
+    """``samples`` ((params, t1, t2), residual) pairs, t1 and t2 from
+    ``random_interval`` for K = 1, on which ``roundtrip_residual`` gives an
+    estimate; each case's residual is evaluated once."""
     while samples:
         case = (params, *random_interval(rng, params, 1))
-        if roundtrip_residual(*case) is not None:
+        value = roundtrip_residual(*case)
+        if value is not None:
             samples -= 1
-            yield case
+            yield case, value
 
 
 @_refuse_as_loop
@@ -621,8 +616,8 @@ def check_fisher_split(params: NetworkParams) -> CheckResult:
 
 
 def check_inference_roundtrip(params: NetworkParams) -> CheckResult:
-    cases = roundtrip_windows(np.random.default_rng(RNG_SEED), params, 20)
-    return worst_case("inference_roundtrip", 1e-8, roundtrip_residual, cases)
+    values = roundtrip_windows(np.random.default_rng(RNG_SEED), params, 20)
+    return _fold("inference_roundtrip", 1e-8, values)
 
 
 def check_bloch_fixed_points(params: NetworkParams) -> CheckResult:

@@ -48,10 +48,10 @@ from openqnet import (
     qfi_closed_form,
     conservation_residual,
 )
-from openqnet._choi import _Workspace, dense_cp
+from openqnet._choi import dense_cp
 from openqnet.positivity import VERDICT_TOL
 from openqnet.verification import (
-    _STACK_BYTES,
+    _fold,
     amplitude_oracle_residual,
     bloch_fixed_point_residual,
     complement_pairs,
@@ -65,7 +65,6 @@ from openqnet.verification import (
     pcp_disagreements,
     random_interval,
     reduced_state_residual,
-    roundtrip_residual,
     roundtrip_windows,
     selectors,
     tomography_residual,
@@ -161,7 +160,7 @@ def test_05a_cholesky_verdict_matches_eigvalsh():
     for (params, sel), windows in groups.items():
         ops = build_propagator(params, sel, *np.array(windows).T)
         reference = np.linalg.eigvalsh(choi_matrix(ops)).min(axis=-1) >= -VERDICT_TOL
-        dense = dense_cp(ops, VERDICT_TOL, _Workspace(_STACK_BYTES))
+        dense = dense_cp(ops, VERDICT_TOL)
         assert np.array_equal(dense, reference), (params, sel)
         cases += len(windows)
     assert cases == 10_000
@@ -378,13 +377,13 @@ def test_criterion_12_fisher_dips_and_backflow():
 
 def test_criterion_13_inference_roundtrip():
     rng = np.random.default_rng(999)
-    cases = [
-        case
+    values = [
+        pair
         for n in range(3, 13)
         for j in (0.5, 1.0, 2.0)
-        for case in roundtrip_windows(rng, NetworkParams(n, j), 20)
+        for pair in roundtrip_windows(rng, NetworkParams(n, j), 20)
     ]
-    roundtrip = worst_case("n_dev", 1e-8, roundtrip_residual, cases)
+    roundtrip = _fold("n_dev", 1e-8, values)
     rng2 = np.random.default_rng(1001)
     cons_cases = []
     while len(cons_cases) < 100:

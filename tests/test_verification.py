@@ -281,8 +281,10 @@ def test_dense_route_at_the_tolerance_edge_factorises_each_block_alone(
     # with a CP window. In the containing class at K >= 2 every diagonal entry
     # passes the pre-test (flow = target / K > -VERDICT_TOL) while the K x K
     # flow block is not PSD for margin > 0: a route that drops that block
-    # calls the window CP. Each block is factorised as its own stack, the
-    # block of B first, and a window that fails it gets no flow block.
+    # calls the window CP. Each block that a flow term joins is factorised
+    # as its own stack, the block of B first in the excluding class, and a
+    # window that fails it gets no flow block factorised; the rank-one block
+    # of B in the containing class never is.
     target = -TOL * (1.0 + margin)
     shapes, real = [], _choi._choi_psd
     record = lambda blocks, tol: shapes.append(blocks.shape) or real(blocks, tol)
@@ -293,13 +295,13 @@ def test_dense_route_at_the_tolerance_edge_factorises_each_block_alone(
         reference = np.linalg.eigvalsh(positivity.choi_matrix(ops)).min() >= -TOL
         assert reference == (margin < 0)
         taken, blocks = _blocks_of(ops)
-        workspace = _choi._Workspace(v._STACK_BYTES)
-        diagonals = [_choi._block_diagonal(taken, b, workspace) + TOL for b in blocks]
+        built = [_choi._block_stack(taken, b) for b in blocks if b.terms]
+        diagonals = [np.diagonal(b, axis1=-2, axis2=-1).real + TOL for b in built]
         diagonal_passes = all((diagonal > 0.0).all() for diagonal in diagonals)
         assert diagonal_passes == (dyn_class is v.C0 or k > 1 or margin < 0), (n, k)
         del shapes[:]
-        assert bool(_dense_cp(ops, TOL)) == reference, (n, k)
-        sizes = [1 + k * k if dyn_class is v.C1 else k + 1, k] if diagonal_passes else []
+        assert bool(_choi.dense_cp(ops, TOL)) == reference, (n, k)
+        sizes = ([k] if dyn_class is v.C1 else [k + 1, k]) if diagonal_passes else []
         if dyn_class is v.C0 and margin > 0:
             sizes = sizes[:1]  # the block of B fails, so the flow block is not built
         assert shapes == [(1, r, r) for r in sizes], (n, k)
@@ -310,7 +312,7 @@ def test_dense_route_at_the_tolerance_edge_factorises_each_block_alone(
         if dyn_class is v.C0:
             weights["ground_extra"] = np.array([stack.ground_extra[0], ops.ground_extra])
         stack = dataclasses.replace(stack, **weights)
-        assert _dense_cp(stack, TOL).tolist() == [True, reference], (n, k)
+        assert _choi.dense_cp(stack, TOL).tolist() == [True, reference], (n, k)
 
 
 def _near_zero_flow_windows(params, sel, rng, count):
@@ -339,10 +341,10 @@ def test_dense_route_near_zero_flow_is_the_eigenvalue_verdict(n):
         windows = _near_zero_flow_windows(params, sel, rng, 5)
         stack = propagator.build_propagator(params, sel, *np.array(windows).T)
         want = np.linalg.eigvalsh(positivity.choi_matrix(stack)).min(axis=-1) >= -TOL
-        assert _dense_cp(stack, TOL).tolist() == want.tolist(), sel
+        assert _choi.dense_cp(stack, TOL).tolist() == want.tolist(), sel
         for i, expected in enumerate(want):
             one = propagator.build_propagator(params, sel, float(stack.t1[i]), float(stack.t2[i]))
-            assert bool(_dense_cp(one, TOL)) == expected, (sel, i)
+            assert bool(_choi.dense_cp(one, TOL)) == expected, (sel, i)
         verdicts.extend(want.tolist())
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -360,7 +362,8 @@ def test_non_finite_choi_matrix_is_not_psd():
 
 def test_non_positive_diagonal_is_not_psd_whatever_lies_above_it(monkeypatch):
     # A shifted diagonal entry <= 0 fails Cholesky at or before its pivot, so
-    # dense_cp's pre-test decides the window: no block is built or factorised.
+    # dense_cp's pre-test decides the window: its flow block is built, and
+    # nothing is factorised.
     ops = propagator.build_propagator(N5, SubsystemSelector(2, v.C1), 0.1, 0.3)
     ops = dataclasses.replace(ops, flow_weight=-0.1)
     choi = positivity.choi_matrix(ops)
@@ -368,20 +371,51 @@ def test_non_positive_diagonal_is_not_psd_whatever_lies_above_it(monkeypatch):
     assert np.linalg.eigvalsh(choi).min() < -TOL
 
     def refuse(*args):
-        raise AssertionError("the pre-test left a block to build or factorise")
+        raise AssertionError("the pre-test left a block to factorise")
 
-    monkeypatch.setattr(_choi, "_block_stack", refuse)
+    built, real = [], _choi._block_stack
+    monkeypatch.setattr(_choi, "_block_stack", lambda *args: built.append(args) or real(*args))
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    assert not _dense_cp(ops, TOL)
+    assert not _choi.dense_cp(ops, TOL)
     stack = propagator.build_propagator(N5, SubsystemSelector(2, v.C1), np.array([0.1, 0.2]), 0.3)
     stack = dataclasses.replace(stack, flow_weight=np.full(2, -0.1))
-    assert _dense_cp(stack, TOL).tolist() == [False, False]
+    assert _choi.dense_cp(stack, TOL).tolist() == [False, False]
+    assert [block.rows.size for _, block in built] == [2, 2]  # the K flow rows
+
+
+def test_dense_route_calls_the_rank_one_choi_block_psd_where_b_is_finite(monkeypatch):
+    # N = 8, K = 4, containing class, flow 0.211 > 0, B scaled by 1e4: the
+    # exact Choi matrix is |v><v| (+) f J_K, PSD, yet eigvalsh reads about
+    # -1.6e-7 on the round-off of the rank-one block, and a Cholesky
+    # factorisation of that block shifted by VERDICT_TOL fails. The dense
+    # route decides it by the finiteness of B, so the window is CP; a NaN or
+    # an inf in B's q = 1 block makes it not CP. No Cholesky call ever takes
+    # a block of 1 + K^2 rows.
+    params, sel = NetworkParams(8, 1.0), SubsystemSelector(4, v.C1)
+    ops = propagator.build_propagator(params, sel, 0.1, 0.3)
+    assert ops.flow_weight == pytest.approx(0.2113, abs=1e-4)
+    ops = dataclasses.replace(ops, block_diag=ops.block_diag * 1e4)
+    assert min(positivity.choi_spectrum(ops)) == pytest.approx(4 * ops.flow_weight)
+    assert np.linalg.eigvalsh(positivity.choi_matrix(ops)).min() < -TOL
+    taken, blocks = _blocks_of(ops)
+    assert [(b.rows.size, len(b.terms)) for b in blocks] == [(17, 0), (4, 1)]
+    assert _choi._choi_psd(_choi._block_stack(taken, blocks[0]), TOL).tolist() == [False]
+
+    factorised, real = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: factorised.append(m.shape) or real(m))
+    assert _choi.dense_cp(ops, TOL)
+    stack = np.repeat(ops.block_diag[None], 3, axis=0)
+    stack[1, 1, 2], stack[2, 4, 4] = np.nan, np.inf
+    for i in (1, 2):
+        assert not _choi.dense_cp(dataclasses.replace(ops, block_diag=stack[i]), TOL)
+    got = _choi.dense_cp(dataclasses.replace(ops, block_diag=stack), TOL)
+    assert got.tolist() == [True, False, False]
+    assert factorised == [(1, 4, 4), (1, 4, 4)]
 
 
 def test_dense_route_refuses_the_choi_guard_before_any_block(monkeypatch):
     # N = 64, K = 64: (K+1)^2 = 4225 rows exceed CHOI_MAX_DIM. dense_cp
-    # raises choi_matrix's SizeLimitError before it builds a block of B
-    # (1 + K^2 = 4097 rows) or its diagonal.
+    # raises choi_matrix's SizeLimitError before it builds any block.
     params = NetworkParams(64, 1.0)
     ops = propagator.build_propagator(params, SubsystemSelector(64, v.C1), 0.1, 0.3)
     with pytest.raises(SizeLimitError) as want:
@@ -390,17 +424,12 @@ def test_dense_route_refuses_the_choi_guard_before_any_block(monkeypatch):
     def refuse(*args):
         raise AssertionError("the dense route built a block past the guard")
 
-    monkeypatch.setattr(_choi, "_block_diagonal", refuse)
     monkeypatch.setattr(_choi, "_block_stack", refuse)
     with pytest.raises(SizeLimitError) as got:
-        _dense_cp(ops, TOL)
+        _choi.dense_cp(ops, TOL)
     assert str(got.value) == str(want.value) == "Choi dimension 4225^2 exceeds guard 4096^2"
     with pytest.raises(SizeLimitError):
         v.pcp_disagreements([(params, SubsystemSelector(64, v.C1), 0.1, 0.3)])
-
-
-def _dense_cp(ops, tol):
-    return _choi.dense_cp(ops, tol, _choi._Workspace(v._STACK_BYTES))
 
 
 def _same_bits(got, want) -> bool:
@@ -449,7 +478,6 @@ def test_choi_blocks_are_the_full_choi_matrix_on_its_support(n):
     # where v_r v_s = 0. The blocks: 1 + K^2 rows of B and K flow rows in the
     # containing class, K + 1 and K in the excluding class.
     eps = np.finfo(float).eps
-    workspace = _choi._Workspace(v._STACK_BYTES)
     for sel, *ops_pair in _support_cases(n):
         k = sel.k_qubits
         want_sizes = [1 + k * k if sel.dyn_class is v.C1 else k + 1, k]
@@ -463,37 +491,12 @@ def test_choi_blocks_are_the_full_choi_matrix_on_its_support(n):
                 square = np.ix_(block.rows, block.rows)
                 assert not covered[square].any()
                 covered[square] = True
-                got = _choi._block_stack(ops, block, np.arange(len(full)), workspace)
+                got = _choi._block_stack(ops, block)
                 want = full[(slice(None), *square)]
                 scale = flat[:, block.rows, None] * flat[:, None, block.rows]
                 assert (np.abs(got - want) <= BLOCK_ULPS * eps * scale).all(), (n, sel)
                 assert np.array_equal(got[scale == 0], want[scale == 0]), (n, sel)
             assert not full[:, ~covered].any(), (n, sel)
-
-
-@pytest.mark.parametrize("n", [2, 5, 8, 17])
-def test_pre_test_diagonal_is_the_dense_choi_diagonal_bit_for_bit(n):
-    # The pre-test's diagonal of each support block is the diagonal of the
-    # block that the route factorises, bit for bit, in both classes, on
-    # stacks and on single windows, built in a workspace (grown past
-    # _STACK_BYTES at N = 17). It is the full Choi matrix's diagonal on the
-    # block's rows within BLOCK_ULPS eps |v_r|^2, and that diagonal is zero
-    # off them.
-    eps = np.finfo(float).eps
-    workspace = _choi._Workspace(v._STACK_BYTES)
-    for sel, *ops_pair in _support_cases(n):
-        for ops in ops_pair:
-            ops, blocks = _blocks_of(ops)
-            full = np.diagonal(positivity.choi_matrix(ops), axis1=-2, axis2=-1)
-            rows = np.concatenate([block.rows for block in blocks])
-            assert not np.delete(full, rows, axis=-1).any()
-            for block in blocks:
-                diag = _choi._block_diagonal(ops, block, workspace).copy()
-                built = _choi._block_stack(ops, block, np.arange(len(diag)), workspace)
-                built_diag = np.diagonal(built, axis1=-2, axis2=-1).real.copy()
-                assert _same_bits(built_diag, diag), (n, sel)
-                scale = np.abs(ops.block_diag.reshape(len(diag), -1)[:, block.rows]) ** 2
-                assert (np.abs(diag - full[:, block.rows].real) <= BLOCK_ULPS * eps * scale).all()
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -504,7 +507,7 @@ def test_dense_verdict_is_the_eigenvalue_verdict_on_every_window(n):
 
     def dense_is_eigvalsh(params, sel, t1, t2):
         ops = propagator.build_propagator(params, sel, t1, t2)
-        dense = _dense_cp(ops, TOL)
+        dense = _choi.dense_cp(ops, TOL)
         verdicts.extend(np.atleast_1d(dense).tolist())
         return dense == (np.linalg.eigvalsh(positivity.choi_matrix(ops)).min(axis=-1) >= -TOL)
 
@@ -521,7 +524,7 @@ def test_dense_verdict_reads_neither_the_spectrum_nor_the_flow_sign(monkeypatch)
     for sel, stack, one in _selector_stacks(N5, 300):
         for ops in (stack, one):
             want = np.linalg.eigvalsh(positivity.choi_matrix(ops)).min(axis=-1) >= -TOL
-            assert _same_bits(_dense_cp(ops, TOL), want), sel
+            assert _same_bits(_choi.dense_cp(ops, TOL), want), sel
 
 
 def test_choi_psd_factorises_a_stack_once_and_each_matrix_only_if_it_fails(monkeypatch):
@@ -559,48 +562,49 @@ def test_pcp_builds_choi_matrices_past_the_diagonal_and_factorises_each_stack_on
     monkeypatch,
 ):
     # At N = 8: one stack of the cheap routes per selector, and each block of
-    # a window's Choi support built once for exactly the windows whose
-    # diagonal passes the pre-test, never the full Choi matrix. A block's
-    # survivor stacks hold exactly the windows that half of _STACK_BYTES
-    # holds, the last one the rest, and each takes one 3-D Cholesky call,
-    # none failing: 55 calls.
+    # a window's Choi support that a flow term joins built once for every
+    # window of the stack, never the full Choi matrix nor the rank-one block
+    # of B. Each built block takes one 3-D Cholesky call on exactly the
+    # windows whose diagonal passes the pre-test, shifted by VERDICT_TOL,
+    # none failing: 22 calls.
     params = NetworkParams(8, 1.0)
     cases = list(v._windows(params, v.selectors(params), 2000))
-    passing = {}
+    windows, passing = {}, {}
     for sel, stack, _ in _selector_stacks(params, 2000):
         diag = np.diagonal(positivity.choi_matrix(stack), axis1=-2, axis2=-1).real
-        passed = (diag + TOL > 0.0).all(axis=-1)
-        passing[sel] = list(zip(stack.t1[passed].tolist(), stack.t2[passed].tolist()))
-    built, factorised, stacks = {}, [], []
+        windows[sel] = list(zip(stack.t1.tolist(), stack.t2.tolist()))
+        passing[sel] = (diag + TOL > 0.0).all(axis=-1)
+    built, factorised, stacks = [], [], []
     real_block, real_cholesky, real_agree = _choi._block_stack, np.linalg.cholesky, v._pcp_agree
 
-    def block_stack(ops, block, index, workspace):
+    def block_stack(ops, block):
         sel = SubsystemSelector(ops.k_qubits, ops.dyn_class)
-        windows = list(zip(ops.t1[index].tolist(), ops.t2[index].tolist()))
-        built.setdefault((sel, block.rows.size), []).append(windows)
-        return real_block(ops, block, index, workspace)
+        blocks = real_block(ops, block)
+        built.append((sel, list(zip(ops.t1.tolist(), ops.t2.tolist())), blocks.copy()))
+        return blocks
 
     def refuse(ops):
         raise AssertionError("the dense route built a full Choi matrix")
 
     monkeypatch.setattr(_choi, "_block_stack", block_stack)
     monkeypatch.setattr(positivity, "choi_matrix", refuse)
-    monkeypatch.setattr(np.linalg, "cholesky", lambda m: factorised.append(m) or real_cholesky(m))
+    record = lambda m: factorised.append(m.copy()) or real_cholesky(m)
+    monkeypatch.setattr(np.linalg, "cholesky", record)
     monkeypatch.setattr(v, "_pcp_agree", lambda *case: stacks.append(case) or real_agree(*case))
     assert v.pcp_disagreements(cases) == []
     assert len(stacks) == len(v.selectors(params)) == 15
-    assert sum(map(len, passing.values())) == 1062
-    assert {sel for sel, _ in built} == {sel for sel, windows in passing.items() if windows}
-    for (sel, size), parts in built.items():
+    assert sum(map(np.count_nonzero, passing.values())) == 1062
+    assert len(built) == len(factorised) == 8 + 2 * 7 == 22
+    sizes = {}
+    for (sel, stack, blocks), matrices in zip(built, factorised):
+        sizes.setdefault(sel, []).append(blocks.shape[-1])
+        assert stack == windows[sel], sel
+        want = blocks[passing[sel]]
+        np.einsum("...ii->...i", want)[...] += TOL
+        assert _same_bits(matrices, want), sel
+    for sel in windows:
         k = sel.k_qubits
-        assert size in ((1 + k * k, k) if sel.dyn_class is v.C1 else (k + 1, k))
-        assert sum(parts, []) == passing[sel], (sel, size)
-        cap = v._STACK_BYTES // 2 // (16 * size * size)
-        count = len(passing[sel])
-        assert [len(p) for p in parts] == [min(cap, count - i) for i in range(0, count, cap)]
-    assert len(built) == 2 * 15
-    assert len(factorised) == sum(map(len, built.values())) == 55
-    assert all(m.ndim == 3 for m in factorised)
+        assert sizes[sel] == ([k] if sel.dyn_class is v.C1 else [k + 1, k]), sel
 
 
 def test_nan_choi_matrix_makes_the_routes_disagree(monkeypatch):
@@ -624,9 +628,9 @@ def _inject(monkeypatch, targets):
     # NaN fills their blocks.
     real = _choi._block_stack
 
-    def patched(ops, block, index, workspace):
-        blocks = real(ops, block, index, workspace)
-        blocks[np.isin(ops.t1[index], targets)] = np.nan
+    def patched(ops, block):
+        blocks = real(ops, block)
+        blocks[np.isin(ops.t1, targets)] = np.nan
         return blocks
 
     monkeypatch.setattr(_choi, "_block_stack", patched)
@@ -712,19 +716,18 @@ def test_verify_csv_is_unchanged(n, tmp_path):
     assert out.read_bytes() == (DATA / f"verify_n{n}.csv").read_bytes()
 
 
-# check_pcp_agreement's traced peak, bounded. At N = 8: the workspace's two
-# _STACK_BYTES buffers, one Cholesky factor of a survivor stack's block and
-# the 2000 windows; 3.02 MB measured, a 0.38 MB margin. At N = 16: buffer 0
-# grown to one K = 16 block of B (257 rows, 1.06 MB), its Cholesky factor
-# (1.06 MB) and the stacks of the cheap routes; 3.62 MB measured, a 1.13 MB
-# margin.
-PCP_PEAK_BYTES = {8: 3 * v._STACK_BYTES + 0.25e6, 16: 4.75e6}
+# check_pcp_agreement's traced peak, bounded: the 2000 windows, one stack's
+# B and cheap routes, its built flow-carrying Choi blocks, the copy of one
+# block's passing windows and its Cholesky factor. Measured after the other
+# tests of this module: 0.86 MB at N = 8 and 1.29 MB at N = 16; as a fresh
+# process's first call, 1.02 MB and 1.45 MB.
+PCP_PEAK_BYTES = {8: 1.25e6, 16: 1.75e6}
 
 
 @pytest.mark.parametrize("n", sorted(PCP_PEAK_BYTES))
 def test_pcp_agreement_holds_its_workspace_for_the_call_only(n):
-    # The workspace goes with the call: under half a buffer stays allocated
-    # after it (0.19 MB at N = 8, 0.10 MB at N = 16).
+    # Nothing of the size of a stack stays allocated after the call (0.16 MB
+    # as a fresh process's first call at N = 8 and 16).
     tracemalloc.start()
     try:
         v.check_pcp_agreement(NetworkParams(n, 1.0))
@@ -736,9 +739,10 @@ def test_pcp_agreement_holds_its_workspace_for_the_call_only(n):
 
 
 def test_grouped_rows_hold_no_more_than_the_positivity_stacks():
-    # At N = 8, no check's traced peak exceeds check_pcp_agreement's, whose
-    # Choi stacks the byte cap was set for; so grouping the oracle rows
-    # leaves verify's peak memory where it was.
+    # At N = 8, no check's traced peak exceeds 1.5 MB, below the 3.02 MB that
+    # check_pcp_agreement's Choi stacks held when the byte cap was set; so
+    # grouping the oracle rows leaves verify's peak memory where it was. The
+    # largest is check_composition's, 1.10 MB.
     params = NetworkParams(8, 1.0)
     v.check_amplitude_oracle(params)  # the generator's eigh, cached once
     peaks = {}
@@ -749,8 +753,7 @@ def test_grouped_rows_hold_no_more_than_the_positivity_stacks():
             peaks[check.__name__] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    pcp = peaks.pop("check_pcp_agreement")
-    assert max(peaks.values()) <= pcp, (peaks, pcp)
+    assert max(peaks.values()) <= 1.5e6, peaks
 
 
 def test_grouped_values_come_in_stream_order_and_chunks():
@@ -813,16 +816,29 @@ def test_grouped_values_come_in_stream_order_and_chunks():
 
 def test_only_the_rows_without_stacks_fold_per_case(monkeypatch):
     # The two rows whose residuals return None, and which take under 2 ms
-    # at N = 8, fold per case; every other row evaluates its cases in stacks.
-    callers, real = [], v.worst_case
+    # at N = 8, fold per case, through worst_case or from their own (case,
+    # value) pairs; every other row but pcp_agreement's count folds its
+    # cases in stacks. The round-trip row evaluates each case once.
+    per_case, stacked, real = [], [], v._fold
 
     def recorded(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
+        frame = sys._getframe(1)
+        folds = stacked if frame.f_code.co_name == "grouped_worst_case" else per_case
+        if frame.f_code.co_name in ("worst_case", "grouped_worst_case"):
+            frame = frame.f_back
+        folds.append(frame.f_code.co_name)
         return real(*args)
 
-    monkeypatch.setattr(v, "worst_case", recorded)
+    monkeypatch.setattr(v, "_fold", recorded)
     v.run_all_checks(NetworkParams(3, 1.0))
-    assert sorted(callers) == ["check_conservation_relation", "check_inference_roundtrip"]
+    assert sorted(per_case) == ["check_conservation_relation", "check_inference_roundtrip"]
+    rows = sorted(per_case + stacked + ["check_pcp_agreement"])
+    assert rows == sorted(check.__name__ for check in v.ALL_CHECKS)
+    calls, residual = [], v.roundtrip_residual
+    record = lambda *case: calls.append(case) or residual(*case)
+    monkeypatch.setattr(v, "roundtrip_residual", record)
+    result = v.check_inference_roundtrip(NetworkParams(8, 1.0))
+    assert len(calls) == 20 and result.worst_at in calls
 
 
 def test_overflowing_fisher_split_fails():
