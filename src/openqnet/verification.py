@@ -7,25 +7,28 @@ checks share one engine: a public per-case residual for each comparison,
 one seeded stream of windows, and one worst-case fold that keeps the case
 where the worst residual sits and fails on a NaN residual.
 
-Thirteen residuals also take arrays of times and return an array, each
-value equal bit for bit to its scalar call, and refuse an array as the loop
-of scalar calls would. Their checks and the four-route positivity
+``verify``'s rows are one table, ``ALL_CHECKS``, in CSV order. A row that
+folds one residual is a :class:`Row` of its name, tolerance, residual,
+cases and ``entries``; a row is added as one ``Row`` at its place in the
+table. Thirteen residuals also take arrays of times and return an array,
+each value equal bit for bit to its scalar call, and refuse an array as
+the loop of scalar calls would. Their rows and the four-route positivity
 comparison ``pcp_disagreements`` run through one grouped routine,
-``grouped_values``: it groups the cases by the arguments before their times
-(the network, then a selector, a pair of them, a selector and a parameter,
-or a class), evaluates each group in stacks of bounded size and returns the
-values in the order the cases came.
-``grouped_worst_case`` folds them as ``worst_case`` folds the per-case
-calls. A stack's closed-form densities are built in numpy by the scalar
-call's own operations, not by one state call per element.
-``pcp_disagreements`` evaluates its cheap routes in one stack per
-(network, selector) and decides a window's dense Choi matrix on its
-support: the rank-one block of B by the finiteness of B, and each block
-that a flow term joins by one Cholesky stack of the windows whose
-diagonals pass the pre-test. The conservation and round-trip residuals
-return None where they have nothing to say, and their rows take about
-2 ms each at N = 8, so they are folded per case. The acceptance suite
-calls the same residuals, folds and routine over its own seeded cases.
+``grouped_values``: it groups the cases by the arguments before their
+times (the network, then a selector, a pair of them, a selector and a
+parameter, or a class), evaluates each group in stacks of at most 1 MiB,
+as ``entries`` counts a window, and returns the values in the order the
+cases came, folded as ``worst_case`` folds the per-case calls. A stack's
+closed-form densities are built in numpy by the scalar call's own
+operations. The conservation residual returns None where a window carries
+no flow, which a stack cannot hold, so its row folds per case. Two rows
+are functions: ``pcp_agreement`` counts disagreements, and the inference
+round trip keeps only the windows on which its residual gives an
+estimate. ``pcp_disagreements`` decides a window's dense Choi matrix on
+its support: the rank-one block of B by the finiteness of B, and each
+block that a flow term joins by one Cholesky stack of the windows whose
+diagonals pass the pre-test. The acceptance suite calls the same
+residuals, folds and routine over its own seeded cases.
 
 All sampling uses a fixed seed so repeated runs are byte-identical. The
 sampled checks share one stream of windows, drawn in bulk from the
@@ -59,12 +62,12 @@ RNG_SEED = 0
 # Bytes of arrays that one stack of grouped_values holds at once, as each
 # row counts them per window. Set for pcp_agreement's Choi stacks: 4 MiB
 # adds 7.5 MB of peak RSS at N=8, whole unchunked groups 28 MB, at the same
-# speed. Traced peaks at N=8 under this cap: check_composition 1.10 MB,
-# check_pcp_agreement 0.86 MB (one stack's B, its built flow-carrying Choi
-# blocks, the copy of a block's passing windows and its Cholesky factor,
-# and the windows), check_tomography_containing 0.87 MB, the other rows at
-# most 0.45 MB (check_amplitude_oracle, its eigh cached). At N=16,
-# check_pcp_agreement 1.29 MB.
+# speed. Traced peaks of the rows at N=8 under this cap: composition_residual
+# 1.10 MB, pcp_agreement 0.86 MB (one stack's B, its built flow-carrying
+# Choi blocks, the copy of a block's passing windows and its Cholesky
+# factor, and the windows), tomography_containing 0.87 MB, the other rows
+# at most 0.45 MB (amplitude_oracle, its eigh cached). At N=16,
+# pcp_agreement 1.29 MB.
 _STACK_BYTES = 1 << 20
 C1, C0 = DynClass.CONTAINS_EXCITED, DynClass.EXCLUDES_EXCITED
 
@@ -92,19 +95,6 @@ def worst_case(
     residual ends the fold and is reported, so the check fails.
     """
     return _fold(name, tolerance, ((case, residual(*case)) for case in cases))
-
-
-def grouped_worst_case(
-    name: str, tolerance: float, residual: Callable, cases: Iterable[tuple], entries: Callable
-) -> CheckResult:
-    """``worst_case`` of a residual that broadcasts over arrays of times.
-
-    The (params, selector, *times) cases are evaluated in stacks by
-    :func:`grouped_values`, with ``entries`` its per-window size, and
-    folded in the order they came, so the result equals ``worst_case``'s.
-    """
-    cases = list(cases)
-    return _fold(name, tolerance, zip(cases, grouped_values(cases, residual, entries)))
 
 
 def _fold(name: str, tolerance: float, values: Iterable[tuple]) -> CheckResult:
@@ -149,6 +139,29 @@ def grouped_values(cases: list[tuple], evaluate: Callable, entries: Callable) ->
             for i, value in zip(chunk, np.atleast_1d(evaluate(*key, *args))):
                 values[i] = value
     return values
+
+
+class Row(NamedTuple):
+    """A ``verify`` row that folds one residual over its cases.
+
+    ``cases(params)`` draws the row's cases. ``entries(N, d)`` sizes the
+    stacks in which :func:`grouped_values` evaluates them; None folds them
+    one call at a time, as :func:`worst_case` does. Calling the row with a
+    network runs it.
+    """
+
+    name: str
+    tolerance: float
+    residual: Callable
+    cases: Callable[[NetworkParams], Iterable[tuple]]
+    entries: Callable[[int, int], int] | None
+
+    def __call__(self, params: NetworkParams) -> CheckResult:
+        if self.entries is None:
+            return worst_case(self.name, self.tolerance, self.residual, self.cases(params))
+        cases = list(self.cases(params))
+        values = grouped_values(cases, self.residual, self.entries)
+        return _fold(self.name, self.tolerance, zip(cases, values))
 
 
 def selectors(params: NetworkParams, dyn_classes=(C1, C0)) -> list[SubsystemSelector]:
@@ -523,128 +536,67 @@ def bloch_fixed_point_residual(params: NetworkParams, t1, t2) -> float:
     return worst if worst.ndim else float(worst)
 
 
-def check_amplitude_unitarity(params: NetworkParams) -> CheckResult:
-    cases = product([params], _grid(params, 400))
-    entries = lambda n, d: 2  # u_s and u_d
-    return grouped_worst_case("amplitude_unitarity", 1e-12, unitarity_residual, cases, entries)
-
-
-def check_amplitude_oracle(params: NetworkParams) -> CheckResult:
-    cases = product([params], _grid(params, 100))
-    entries = lambda n, d: 5 * n * n  # the oracle's operand and product, the block, the gap
-    return grouped_worst_case("amplitude_oracle", 1e-9, amplitude_oracle_residual, cases, entries)
-
-
-def check_reduced_state_oracle(params: NetworkParams) -> CheckResult:
-    cases = product([params], selectors(params), _grid(params, 25))
-    entries = lambda n, d: 2 * n * n + 3 * d * d  # two N x N products, three densities
-    return grouped_worst_case("reduced_state_oracle", 1e-9, reduced_state_residual, cases, entries)
-
-
-def check_propagator_completeness(params: NetworkParams) -> CheckResult:
-    cases = _windows(params, selectors(params), 100)
-    entries = lambda n, d: 5 * d * d  # B, its conjugate, B^dag B and the gap
-    return grouped_worst_case(
-        "propagator_completeness", 1e-10, completeness_residual, cases, entries
-    )
-
-
-def check_propagator_orbit(params: NetworkParams) -> CheckResult:
-    cases = _windows(params, selectors(params), 100)
-    entries = lambda n, d: 8 * d * d  # B, both densities, apply's products and the gap
-    return grouped_worst_case("propagator_orbit", 1e-9, orbit_residual, cases, entries)
-
-
-def check_tomography_containing(params: NetworkParams) -> CheckResult:
-    cases = _windows(params, selectors(params, (C1,)), 100)
-    # Closed form, two maps, the solve and the gap; the N x N unitary and its
-    # operand, and the evolved rows with their conjugate and environment parts.
-    entries = lambda n, d: 5 * d**4 + 2 * n * n + 4 * d * (n + 1)
-    return grouped_worst_case("tomography_containing", 1e-8, tomography_residual, cases, entries)
-
-
-def check_orbit_oracle_excluding(params: NetworkParams) -> CheckResult:
-    cases = _windows(params, selectors(params, (C0,)), 60)
-    entries = lambda n, d: 2 * n * n + 5 * d * d  # two N x N products, five densities
-    return grouped_worst_case("orbit_oracle_excluding", 1e-9, orbit_oracle_residual, cases, entries)
-
-
-def check_composition(params: NetworkParams) -> CheckResult:
-    cases = _windows(params, selectors(params), 40)
-    entries = lambda n, d: 4 * d**4  # both one-time maps, built as one stack
-    return grouped_worst_case("composition_residual", 1e-8, composition_residual, cases, entries)
-
-
 def check_pcp_agreement(params: NetworkParams) -> CheckResult:
     # A count, not a fold: the case reported is the first disagreement.
     bad = pcp_disagreements(_windows(params, selectors(params), 2000))
     return _result("pcp_agreement_disagreements", len(bad), 0.0, bad[0] if bad else None)
 
 
-def check_trace_distance(params: NetworkParams) -> CheckResult:
-    cases = product([params], selectors(params), _grid(params, 40))
-    entries = lambda n, d: 2 * d * d  # the densities and eigvalsh's copy
-    return grouped_worst_case(
-        "trace_distance_eigenroute", 1e-12, trace_distance_residual, cases, entries
-    )
-
-
-def check_entropy_symmetry(params: NetworkParams) -> CheckResult:
-    grid = _grid(params, 200)
-    cases = ((params, *pair, t) for pair in complement_pairs(params) for t in grid)
-    entries = lambda n, d: 2  # both entropies
-    return grouped_worst_case("entropy_symmetry", 1e-12, entropy_symmetry_residual, cases, entries)
-
-
-def check_conservation_relation(params: NetworkParams) -> CheckResult:
-    cases = _windows(params, selectors(params, (C0,)), 60)
-    return worst_case("conservation_relation", 1e-10, conservation_relation_residual, cases)
-
-
-def check_fisher_oracle(params: NetworkParams) -> CheckResult:
-    cases = fisher_cases(params, np.linspace(0.07, 0.93, 8))
-    entries = lambda n, d: 8 * d * d  # three densities, the difference, eigh's, m and products
-    return grouped_worst_case(
-        "fisher_oracle_relative", 1e-4, fisher_oracle_residual, cases, entries
-    )
-
-
-def check_fisher_split(params: NetworkParams) -> CheckResult:
-    cases = product([params], DynClass, (np.linspace(0.05, 1.95, 60) * params.period).tolist())
-    entries = lambda n, d: 16  # both splits' fields and gaps
-    return grouped_worst_case("fisher_split_identity", 1e-10, fisher_split_residual, cases, entries)
-
-
 def check_inference_roundtrip(params: NetworkParams) -> CheckResult:
+    # Its cases are the windows on which its own residual gives an estimate.
     values = roundtrip_windows(np.random.default_rng(RNG_SEED), params, 20)
     return _fold("inference_roundtrip", 1e-8, values)
 
 
-def check_bloch_fixed_points(params: NetworkParams) -> CheckResult:
-    cases = [(p, t1, t2) for p, _, t1, t2 in _windows(params, [SubsystemSelector(1, C1)], 60)]
-    entries = lambda n, d: 8  # both maps' images and gaps
-    return grouped_worst_case(
-        "bloch_fixed_points", 1e-12, bloch_fixed_point_residual, cases, entries
-    )
-
-
+# verify's rows in CSV order. Comments give what entries counts per window.
 ALL_CHECKS: tuple[Callable[[NetworkParams], CheckResult], ...] = (
-    check_amplitude_unitarity,
-    check_amplitude_oracle,
-    check_reduced_state_oracle,
-    check_propagator_completeness,
-    check_propagator_orbit,
-    check_tomography_containing,
-    check_orbit_oracle_excluding,
-    check_composition,
+    Row("amplitude_unitarity", 1e-12, unitarity_residual,
+        lambda p: product([p], _grid(p, 400)),
+        lambda n, d: 2),  # u_s and u_d
+    Row("amplitude_oracle", 1e-9, amplitude_oracle_residual,
+        lambda p: product([p], _grid(p, 100)),
+        lambda n, d: 5 * n * n),  # the oracle's operand and product, the block, the gap
+    Row("reduced_state_oracle", 1e-9, reduced_state_residual,
+        lambda p: product([p], selectors(p), _grid(p, 25)),
+        lambda n, d: 2 * n * n + 3 * d * d),  # two N x N products, three densities
+    Row("propagator_completeness", 1e-10, completeness_residual,
+        lambda p: _windows(p, selectors(p), 100),
+        lambda n, d: 5 * d * d),  # B, its conjugate, B^dag B and the gap
+    Row("propagator_orbit", 1e-9, orbit_residual,
+        lambda p: _windows(p, selectors(p), 100),
+        lambda n, d: 8 * d * d),  # B, both densities, apply's products and the gap
+    Row("tomography_containing", 1e-8, tomography_residual,
+        lambda p: _windows(p, selectors(p, (C1,)), 100),
+        # Closed form, two maps, the solve and the gap; the N x N unitary and
+        # its operand, and the evolved rows with their conjugate and
+        # environment parts.
+        lambda n, d: 5 * d**4 + 2 * n * n + 4 * d * (n + 1)),
+    Row("orbit_oracle_excluding", 1e-9, orbit_oracle_residual,
+        lambda p: _windows(p, selectors(p, (C0,)), 60),
+        lambda n, d: 2 * n * n + 5 * d * d),  # two N x N products, five densities
+    Row("composition_residual", 1e-8, composition_residual,
+        lambda p: _windows(p, selectors(p), 40),
+        lambda n, d: 4 * d**4),  # both one-time maps, built as one stack
     check_pcp_agreement,
-    check_trace_distance,
-    check_entropy_symmetry,
-    check_conservation_relation,
-    check_fisher_oracle,
-    check_fisher_split,
+    Row("trace_distance_eigenroute", 1e-12, trace_distance_residual,
+        lambda p: product([p], selectors(p), _grid(p, 40)),
+        lambda n, d: 2 * d * d),  # the densities and eigvalsh's copy
+    Row("entropy_symmetry", 1e-12, entropy_symmetry_residual,
+        lambda p: ((p, *pair, t) for pair, t in product(complement_pairs(p), _grid(p, 200))),
+        lambda n, d: 2),  # both entropies
+    Row("conservation_relation", 1e-10, conservation_relation_residual,
+        lambda p: _windows(p, selectors(p, (C0,)), 60),
+        None),  # None where a window carries no flow, which a stack cannot hold
+    Row("fisher_oracle_relative", 1e-4, fisher_oracle_residual,
+        lambda p: fisher_cases(p, np.linspace(0.07, 0.93, 8)),
+        lambda n, d: 8 * d * d),  # three densities, the difference, eigh's, m and products
+    Row("fisher_split_identity", 1e-10, fisher_split_residual,
+        lambda p: product([p], DynClass, (np.linspace(0.05, 1.95, 60) * p.period).tolist()),
+        lambda n, d: 16),  # both splits' fields and gaps
     check_inference_roundtrip,
-    check_bloch_fixed_points,
+    Row("bloch_fixed_points", 1e-12, bloch_fixed_point_residual,
+        lambda p: [(q, t1, t2) for q, _, t1, t2 in _windows(p, [SubsystemSelector(1, C1)], 60)],
+        lambda n, d: 8),  # both maps' images and gaps
 )
 
 

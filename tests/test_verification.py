@@ -6,6 +6,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -25,24 +26,19 @@ TOL = positivity.VERDICT_TOL
 
 N5 = NetworkParams(5, 1.0)
 
-# Every check that folds a per-case residual, with that residual.
-FOLDS = [
-    (v.check_amplitude_unitarity, v.unitarity_residual),
-    (v.check_amplitude_oracle, v.amplitude_oracle_residual),
-    (v.check_reduced_state_oracle, v.reduced_state_residual),
-    (v.check_propagator_completeness, v.completeness_residual),
-    (v.check_propagator_orbit, v.orbit_residual),
-    (v.check_tomography_containing, v.tomography_residual),
-    (v.check_orbit_oracle_excluding, v.orbit_oracle_residual),
-    (v.check_composition, v.composition_residual),
-    (v.check_trace_distance, v.trace_distance_residual),
-    (v.check_entropy_symmetry, v.entropy_symmetry_residual),
-    (v.check_conservation_relation, v.conservation_relation_residual),
-    (v.check_fisher_oracle, v.fisher_oracle_residual),
-    (v.check_fisher_split, v.fisher_split_residual),
-    (v.check_inference_roundtrip, v.roundtrip_residual),
-    (v.check_bloch_fixed_points, v.bloch_fixed_point_residual),
-]
+# The table's rows by name, and every check that folds a per-case residual,
+# with that residual: the rows, and the round trip, which folds the cases
+# its own residual keeps.
+ROWS = {row.name: row for row in v.ALL_CHECKS if isinstance(row, v.Row)}
+FOLDS = [(row, row.residual) for row in ROWS.values()]
+FOLDS.append((v.check_inference_roundtrip, v.roundtrip_residual))
+
+
+def _check_id(check) -> str:
+    # A row's id is "check_" and its name without the word naming its measure.
+    if not isinstance(check, v.Row):
+        return check.__name__
+    return "check_" + re.sub("_(residual|eigenroute|relative|identity)$", "", check.name)
 
 
 def test_worst_case_reports_the_largest_residual_and_its_case():
@@ -62,24 +58,33 @@ def test_nan_bloch_image_fails(monkeypatch):
     # The per-class maximum keeps a NaN, as the fold does.
     real = v.bloch.evolve_bloch
     monkeypatch.setattr(v.bloch, "evolve_bloch", lambda bmap, b: real(bmap, b) * np.nan)
-    result = v.check_bloch_fixed_points(N5)
+    result = ROWS["bloch_fixed_points"](N5)
     assert math.isnan(result.value) and not result.passed
 
 
 def test_nan_completeness_residual_fails(monkeypatch):
     monkeypatch.setattr(propagator, "completeness_residual", lambda ops: math.nan)
-    result = v.check_propagator_completeness(N5)
+    result = ROWS["propagator_completeness"](N5)
     assert math.isnan(result.value) and not result.passed
 
 
 def test_nan_tomography_oracle_fails(monkeypatch):
     real = oracle.propagator_oracle
     monkeypatch.setattr(oracle, "propagator_oracle", lambda *args: real(*args) + np.nan)
-    result = v.check_tomography_containing(N5)
+    result = ROWS["tomography_containing"](N5)
     assert math.isnan(result.value) and not result.passed
 
 
-@pytest.mark.parametrize("check, residual", FOLDS, ids=[c.__name__ for c, _ in FOLDS])
+@pytest.mark.parametrize("row", ROWS.values(), ids=list(ROWS))
+def test_every_row_fails_on_a_nan_residual(row):
+    # A NaN residual at every case, stacked or not: the row reads NaN, fails
+    # and reports the first case.
+    result = row._replace(residual=lambda *args: np.full(np.shape(args[-1]), np.nan))(N5)
+    assert math.isnan(result.value) and not result.passed
+    assert result.worst_at == next(iter(row.cases(N5)))
+
+
+@pytest.mark.parametrize("check, residual", FOLDS, ids=[_check_id(c) for c, _ in FOLDS])
 @pytest.mark.parametrize("n", [2, 5, 8, 12])
 def test_reported_case_reproduces_the_value(check, residual, n):
     # At N = 12 the stack cap cuts the tomography and composition groups
@@ -742,15 +747,15 @@ def test_grouped_rows_hold_no_more_than_the_positivity_stacks():
     # At N = 8, no check's traced peak exceeds 1.5 MB, below the 3.02 MB that
     # check_pcp_agreement's Choi stacks held when the byte cap was set; so
     # grouping the oracle rows leaves verify's peak memory where it was. The
-    # largest is check_composition's, 1.10 MB.
+    # largest is composition_residual's, 1.10 MB.
     params = NetworkParams(8, 1.0)
-    v.check_amplitude_oracle(params)  # the generator's eigh, cached once
+    ROWS["amplitude_oracle"](params)  # the generator's eigh, cached once
     peaks = {}
     for check in v.ALL_CHECKS:
         tracemalloc.start()
         try:
-            check(params)
-            peaks[check.__name__] = tracemalloc.get_traced_memory()[1]
+            name = check(params).name
+            peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert max(peaks.values()) <= 1.5e6, peaks
@@ -815,25 +820,13 @@ def test_grouped_values_come_in_stream_order_and_chunks():
 
 
 def test_only_the_rows_without_stacks_fold_per_case(monkeypatch):
-    # The two rows whose residuals return None, and which take under 2 ms
-    # at N = 8, fold per case, through worst_case or from their own (case,
-    # value) pairs; every other row but pcp_agreement's count folds its
-    # cases in stacks. The round-trip row evaluates each case once.
-    per_case, stacked, real = [], [], v._fold
-
-    def recorded(*args):
-        frame = sys._getframe(1)
-        folds = stacked if frame.f_code.co_name == "grouped_worst_case" else per_case
-        if frame.f_code.co_name in ("worst_case", "grouped_worst_case"):
-            frame = frame.f_back
-        folds.append(frame.f_code.co_name)
-        return real(*args)
-
-    monkeypatch.setattr(v, "_fold", recorded)
-    v.run_all_checks(NetworkParams(3, 1.0))
-    assert sorted(per_case) == ["check_conservation_relation", "check_inference_roundtrip"]
-    rows = sorted(per_case + stacked + ["check_pcp_agreement"])
-    assert rows == sorted(check.__name__ for check in v.ALL_CHECKS)
+    # The conservation row, whose residual returns None and which takes under
+    # 2 ms at N = 8, has no stack size and folds per case; every other row
+    # folds its cases in stacks. The table's two functions are pcp_agreement's
+    # count and the round trip, which evaluates each of its cases once.
+    assert [row.name for row in ROWS.values() if row.entries is None] == ["conservation_relation"]
+    functions = [check for check in v.ALL_CHECKS if not isinstance(check, v.Row)]
+    assert functions == [v.check_pcp_agreement, v.check_inference_roundtrip]
     calls, residual = [], v.roundtrip_residual
     record = lambda *case: calls.append(case) or residual(*case)
     monkeypatch.setattr(v, "roundtrip_residual", record)
@@ -846,7 +839,7 @@ def test_overflowing_fisher_split_fails():
     # periods: the NaN gap between them fails the row, stacked or not.
     params = NetworkParams(5, 1e-300)
     assert math.isnan(v.fisher_split_residual(params, v.C0, 0.3 * params.period))
-    result = v.check_fisher_split(params)
+    result = ROWS["fisher_split_identity"](params)
     assert math.isnan(result.value) and not result.passed
     assert math.isnan(v.fisher_split_residual(*result.worst_at))
 
@@ -863,7 +856,7 @@ def test_nan_in_a_grouped_row_without_a_selector_reports_the_first(monkeypatch):
         return unitary
 
     monkeypatch.setattr(v, "q1_unitary_oracle", with_nan)
-    result = v.check_amplitude_oracle(N5)
+    result = ROWS["amplitude_oracle"](N5)
     assert math.isnan(result.value) and not result.passed
     assert result.worst_at == (N5, grid[38])
     cases = [(N5, t) for t in grid]
