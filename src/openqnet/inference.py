@@ -21,7 +21,7 @@ from .errors import (
     InconsistentObservationError,
     ParameterError,
 )
-from .propagator import _check_anchor, _flow_weight, _window
+from .propagator import _flow_weight, _window
 from .states import DynClass, SubsystemSelector
 
 #: Flows smaller than this carry no usable information.
@@ -158,8 +158,8 @@ def conservation_residual(params: NetworkParams, k_qubits: int, t1, t2) -> float
     returns its absolute deviation from 1 - 1/(N-K).
     """
     # K <= N-1 from the excluding selector, the stricter anchor test from the containing class.
-    t1, t2 = _window(params, SubsystemSelector(k_qubits, DynClass.EXCLUDES_EXCITED), t1, t2)
-    _check_anchor(params, k_qubits, True, t1)
+    classes = DynClass.EXCLUDES_EXCITED, DynClass.CONTAINS_EXCITED
+    t1, t2 = _window(params, [SubsystemSelector(k_qubits, c) for c in classes], t1, t2)
     n = params.n_qubits
     x1, x2 = _amplitudes(params, t1).cross_abs2, _amplitudes(params, t2).cross_abs2
     flow1 = _flow_weight(n, k_qubits, True, x1, x2)

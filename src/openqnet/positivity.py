@@ -136,16 +136,23 @@ def classify(
     """
     if not (isinstance(tol, (int, float, np.floating, np.integer)) and 0.0 <= tol < math.inf):
         raise ParameterError(f"tol must be a finite number >= 0, got {tol!r}")
-    ops = _build(params, sel, *_window(params, sel, t1, t2))
-    t1, t2 = ops.t1, ops.t2  # validated
+    ops, spectrum, delta = _routes(params, sel, t1, t2, False)
     flow = ops.flow_weight
-    choi_min = float(min(0.0, *choi_spectrum(ops)))  # a zero eigenvalue is always present
-    k, contains = sel.k_qubits, sel.dyn_class is DynClass.CONTAINS_EXCITED
-    delta = _mixing(params, k, contains, t2)[0] - _mixing(params, k, contains, t1)[0]
+    choi_min = float(min(0.0, *spectrum))  # a zero eigenvalue is always present
     verdict = Verdict.POSITIVE_AND_CP if flow >= -tol else Verdict.NON_POSITIVE_NON_CP
     return PositivityVerdict(
         flow_sign=flow, choi_min_eig=choi_min, trace_dist_delta=float(delta), verdict=verdict
     )
+
+
+def _routes(params: NetworkParams, sel: SubsystemSelector, t1, t2, arrays: bool) -> tuple:
+    # The closed-form routes of classify over a window, or with ``arrays``
+    # over a stack of them: the propagator, whose flow_weight is the flow
+    # route, its choi_spectrum, and the trace route p(t2) - p(t1).
+    ops = _build(params, sel, *_window(params, (sel,), t1, t2, arrays))
+    k, contains = sel.k_qubits, sel.dyn_class is DynClass.CONTAINS_EXCITED
+    delta = _mixing(params, k, contains, ops.t2)[0] - _mixing(params, k, contains, ops.t1)[0]
+    return ops, choi_spectrum(ops), delta
 
 
 def positivity_transition_time(params: NetworkParams, sel: SubsystemSelector, dt) -> float:

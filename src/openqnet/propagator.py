@@ -106,13 +106,18 @@ def _check_anchor(params: NetworkParams, k: int, contains: bool, t1, x1=None) ->
     )
 
 
-def _window(params: NetworkParams, sel: SubsystemSelector, t1, t2, arrays: bool = False):
-    # Validated (t1, t2) of a propagator window; refuses singular anchors.
-    # ``arrays`` where the caller broadcasts (see _check_time).
-    sel.validate(params)
+def _window(params: NetworkParams, sels, t1, t2, arrays: bool = False):
+    # Validated (t1, t2) of a window shared by the selectors ``sels``, by the
+    # one refusal rule: every selector, then t1 and t2, then each
+    # selector's anchor, all decided from one _hop(t1). ``arrays`` where the
+    # caller broadcasts (see _check_time).
+    for sel in sels:
+        sel.validate(params)
     t1 = _check_time(t1, "t1", arrays)
     t2 = _check_time(t2, "t2", arrays)
-    _check_anchor(params, sel.k_qubits, sel.dyn_class is DynClass.CONTAINS_EXCITED, t1)
+    x1 = _hop(params.n_qubits, params.coupling, t1)[0]
+    for sel in sels:
+        _check_anchor(params, sel.k_qubits, sel.dyn_class is DynClass.CONTAINS_EXCITED, t1, x1)
     return t1, t2
 
 
@@ -138,7 +143,7 @@ def build_propagator(
     equal bit for bit to the scalar call on that window. An array is
     refused exactly as its first refusing element would be.
     """
-    return _build(params, sel, *_window(params, sel, t1, t2, True))
+    return _build(params, sel, *_window(params, (sel,), t1, t2, True))
 
 
 def _build(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> PropagatorOps:
@@ -204,24 +209,13 @@ def flow_amplitude(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> flo
 
 @_refuse_as_loop
 def _flows(params: NetworkParams, sels, t1, t2) -> list:
-    # flow_amplitude for each selector over the same windows: the times are
-    # validated once, every anchor is decided from one _hop(t1), and x is
-    # read once per window end. Refused as the loop over the elements would.
-    n = params.n_qubits
-    x = None
-    flows = []
-    for sel in sels:
-        sel.validate(params)
-    t1 = _check_time(t1, "t1", True)
-    t2 = _check_time(t2, "t2", True)
-    hop = _hop(n, params.coupling, t1)[0]
-    for sel in sels:
-        contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
-        _check_anchor(params, sel.k_qubits, contains, t1, hop)
-        if x is None:
-            x = _amplitudes(params, t1).cross_abs2, _amplitudes(params, t2).cross_abs2
-        flows.append(_flow_weight(n, sel.k_qubits, contains, *x))
-    return flows
+    # flow_amplitude for each selector over the same windows: one _window
+    # for all of them, and x read once per window end. Refused as the loop
+    # over the elements would.
+    t1, t2 = _window(params, sels, t1, t2, True)
+    x = _amplitudes(params, t1).cross_abs2, _amplitudes(params, t2).cross_abs2
+    n, contains = params.n_qubits, DynClass.CONTAINS_EXCITED
+    return [_flow_weight(n, sel.k_qubits, sel.dyn_class is contains, *x) for sel in sels]
 
 
 def apply(ops: PropagatorOps, density: np.ndarray) -> np.ndarray:
@@ -344,7 +338,7 @@ def compose_residual(
     its scalar call bit for bit, and an array is refused exactly as its
     first refusing element would be.
     """
-    t1, t2 = _window(params, sel, t1, t2, True)  # the one-time map must invert at t1
+    t1, t2 = _window(params, (sel,), t1, t2, True)  # the one-time map must invert at t1
     d = sel.k_qubits + 1
     rho = np.asarray(test_density, dtype=complex)
     if rho.shape[-2:] != (d, d):

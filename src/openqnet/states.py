@@ -74,7 +74,9 @@ class ReducedState:
     ``excited_weight`` is the probability of finding the excitation inside
     the subsystem; ``internal_vector`` is the normalized amplitude pattern
     over the K single-excitation basis states. The remaining
-    ``1 - excited_weight`` sits on the subsystem ground state.
+    ``1 - excited_weight`` sits on the subsystem ground state. A stack of
+    shape S, from an array of times, has weights of shape S and vectors of
+    shape ``(*S, K)``.
     """
 
     excited_weight: float
@@ -109,13 +111,31 @@ def excitation_probability(params: NetworkParams, sel: SubsystemSelector, t) -> 
     return _mixing(params, sel.k_qubits, contains, _check_time(t, "t", True))[0]
 
 
+@_refuse_as_loop
 def reduced_state(params: NetworkParams, sel: SubsystemSelector, t) -> ReducedState:
-    """Closed-form reduced state of the chosen subsystem at time ``t``."""
+    """Closed-form reduced state of the chosen subsystem at time ``t``.
+
+    An ndarray ``t`` gives a stack (see :class:`ReducedState`), built in
+    numpy by the scalar call's own operations, so that each element equals
+    its scalar call bit for bit.
+    """
     sel.validate(params)
-    t = _check_time(t)
+    t = _check_time(t, "t", True)
     k = sel.k_qubits
     contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
     p = _mixing(params, k, contains, t)[0]
+    if type(t) is not float:  # the float branch's operations, on the whole array
+        if contains:
+            zero = p <= _ZERO_WEIGHT
+            if zero.any():
+                reduced_state(params, sel, float(t[zero][0]))  # refused
+            amps, root = _amplitudes(params, t), np.sqrt(p)
+            vec = np.empty(t.shape + (k,), dtype=complex)
+            vec[..., 0] = amps.same_site / root
+            vec[..., 1:] = (amps.cross_site / root)[..., None]
+            return ReducedState(p, vec, k, sel.dyn_class)
+        vec = np.full(t.shape + (k,), 1.0 / math.sqrt(k), dtype=complex)
+        return ReducedState(1.0 - p, vec, k, sel.dyn_class)
     if contains:
         if p <= _ZERO_WEIGHT:
             # Only reachable at N=2, K=1, odd half-periods; the internal
@@ -136,13 +156,21 @@ def reduced_state(params: NetworkParams, sel: SubsystemSelector, t) -> ReducedSt
 
 
 def materialize_density(state: ReducedState) -> np.ndarray:
-    """Dense (K+1)x(K+1) density matrix on the ground + single-excitation space."""
-    k = state.k_qubits
-    rho = np.zeros((k + 1, k + 1), dtype=complex)
-    rho[0, 0] = 1.0 - state.excited_weight
-    rho[1:, 1:] = state.excited_weight * np.outer(
-        state.internal_vector, state.internal_vector.conj()
-    )
+    """Dense (K+1)x(K+1) density matrix on the ground + single-excitation space.
+
+    A stack of shape S gives a ``(*S, K+1, K+1)`` stack, each matrix equal
+    bit for bit to that of its state alone.
+    """
+    k, vec = state.k_qubits, state.internal_vector
+    if vec.ndim == 1:
+        rho = np.zeros((k + 1, k + 1), dtype=complex)
+        rho[0, 0] = 1.0 - state.excited_weight
+        rho[1:, 1:] = state.excited_weight * np.outer(vec, vec.conj())
+        return rho
+    weight = state.excited_weight
+    rho = np.zeros(weight.shape + (k + 1, k + 1), dtype=complex)
+    rho[..., 0, 0] = 1.0 - weight
+    rho[..., 1:, 1:] = weight[..., None, None] * (vec[..., :, None] * vec.conj()[..., None, :])
     return rho
 
 
@@ -210,6 +238,8 @@ def trace_distance_to_fixed(state: ReducedState) -> float:
     this returns ``excited_weight`` for either class. (For the excluding
     class this is the distance from the ground end of its orbit, not from
     its own fixed manifold, which lives in the local single-excitation
-    sector.)
+    sector.) A stack gives the array of its weights.
     """
-    return float(state.excited_weight)
+    if state.internal_vector.ndim == 1:
+        return float(state.excited_weight)
+    return state.excited_weight

@@ -18,17 +18,20 @@ comparison ``pcp_disagreements`` run through one grouped routine,
 times (the network, then a selector, a pair of them, a selector and a
 parameter, or a class), evaluates each group in stacks of at most 1 MiB,
 as ``entries`` counts a window, and returns the values in the order the
-cases came, folded as ``worst_case`` folds the per-case calls. A stack's
-closed-form densities are built in numpy by the scalar call's own
-operations. The conservation residual returns None where a window carries
-no flow, which a stack cannot hold, so its row folds per case. Two rows
-are functions: ``pcp_agreement`` counts disagreements, and the inference
-round trip keeps only the windows on which its residual gives an
-estimate. ``pcp_disagreements`` decides a window's dense Choi matrix on
-its support: the rank-one block of B by the finiteness of B, and each
-block that a flow term joins by one Cholesky stack of the windows whose
-diagonals pass the pre-test. The acceptance suite calls the same
-residuals, folds and routine over its own seeded cases.
+cases came, folded as ``worst_case`` folds the per-case calls. The
+residuals check the library's own code: the closed-form densities are
+``states.reduced_state`` and ``materialize_density``, of a stack as of a
+float, and the three closed-form positivity routes are the ones
+``classify`` reads. The conservation residual returns None where a
+window carries no flow, which a stack cannot hold, so its row folds per
+case. Two rows are functions: ``pcp_agreement`` counts disagreements,
+and the inference round trip keeps only the windows on which its
+residual gives an estimate. ``pcp_disagreements`` decides a window's
+dense Choi matrix on its support: the rank-one block of B by the
+finiteness of B, and each block that a flow term joins by one Cholesky
+stack of the windows whose diagonals pass the pre-test. The acceptance
+suite calls the same residuals, folds and routine over its own seeded
+cases.
 
 All sampling uses a fixed seed so repeated runs are byte-identical. The
 sampled checks share one stream of windows, drawn in bulk from the
@@ -51,7 +54,7 @@ import numpy.random
 
 from . import bloch, fisher, inference, oracle, positivity, propagator, states
 from ._choi import dense_cp
-from .amplitudes import NetworkParams, _amplitudes, _check_time, _hop, _refuse_as_loop, amplitudes
+from .amplitudes import NetworkParams, _check_time, _hop, _refuse_as_loop, amplitudes
 from .amplitudes import q1_unitary_oracle, unitarity_residuals
 from .errors import DegenerateStateError, IndeterminateFlowError
 from .fisher import GlobalParameter, _p_dp_single_qubit
@@ -263,51 +266,6 @@ def describe_case(case: tuple) -> str:
     return " ".join(parts) + " periods"
 
 
-def _closed_states(
-    params: NetworkParams, sel: SubsystemSelector, t, limit: bool = False
-) -> tuple:
-    # (excited weight, density) of the closed-form state at a float t, from
-    # one reduced_state call, or from _limit_state with ``limit``. Over an
-    # array t of shape S, arrays of shapes S and (*S, K+1, K+1), built in
-    # numpy by the scalar call's own operations, so that each is its scalar
-    # call's bit for bit; refused at the first degenerate element, which the
-    # residuals' decorator turns into the loop's refusal.
-    sel.validate(params)
-    t = _check_time(t, "t", True)
-    if type(t) is float:
-        state = (_limit_state if limit else states.reduced_state)(params, sel, t)
-        return state.excited_weight, states.materialize_density(state)
-    k, contains = sel.k_qubits, sel.dyn_class is C1
-    p = states._mixing(params, k, contains, t)[0]
-    if contains:
-        zero = p <= states._ZERO_WEIGHT  # only at N=2, K=1, by odd half-periods
-        if zero.any() and not limit:
-            states.reduced_state(params, sel, float(t[zero][0]))  # refused
-        amps = _amplitudes(params, t)
-        root = np.sqrt(np.where(zero, 1.0, p))
-        vec = np.empty(t.shape + (k,), dtype=complex)
-        vec[..., 0] = amps.same_site / root
-        vec[..., 1:] = (amps.cross_site / root)[..., None]
-        # The limit state's weight 0 makes its 1x1 block +0 in any direction.
-        weight = np.where(zero, 0.0, p)
-    else:
-        weight = 1.0 - p
-        vec = np.full(t.shape + (k,), 1.0 / math.sqrt(k), dtype=complex)
-    rho = np.zeros(t.shape + (k + 1, k + 1), dtype=complex)
-    rho[..., 0, 0] = 1.0 - weight
-    rho[..., 1:, 1:] = weight[..., None, None] * (vec[..., :, None] * vec.conj()[..., None, :])
-    return weight, rho
-
-
-def _limit_state(params: NetworkParams, sel: SubsystemSelector, t) -> states.ReducedState:
-    # The closed-form state, or at N=2 the documented limit state where the
-    # excitation probability vanishes.
-    try:
-        return states.reduced_state(params, sel, t)
-    except DegenerateStateError as exc:
-        return states.ReducedState(0.0, exc.limit_direction, sel.k_qubits, sel.dyn_class)
-
-
 @_refuse_as_loop
 def unitarity_residual(params: NetworkParams, t) -> float:
     """The larger of the two unitarity constraint residuals of u_s, u_d at
@@ -329,10 +287,16 @@ def amplitude_oracle_residual(params: NetworkParams, t) -> float:
 @_refuse_as_loop
 def reduced_state_residual(params: NetworkParams, sel: SubsystemSelector, t) -> float:
     """Closed-form reduced density against the partial-trace oracle at t,
-    or an array of them over an array t. At N=2 the limit state stands in
-    where the excitation probability vanishes."""
-    dense = _closed_states(params, sel, t, limit=True)[1]
-    return _max_entry(dense - oracle.reduced_density_oracle(params, sel, t))
+    or an array of them over an array t. At N=2 the limit state |0><0|
+    stands in where the excitation probability vanishes."""
+    try:
+        closed = states.materialize_density(states.reduced_state(params, sel, t))
+    except DegenerateStateError:  # only at N=2, K=1, by odd half-periods
+        limit = states.excitation_probability(params, sel, t) <= states._ZERO_WEIGHT
+        closed = states.materialize_density(states.reduced_state(params, sel, np.where(limit, 0.0, t)))
+        closed[limit] = 0.0
+        closed[limit, 0, 0] = 1.0
+    return _max_entry(closed - oracle.reduced_density_oracle(params, sel, t))
 
 
 @_refuse_as_loop
@@ -347,8 +311,8 @@ def orbit_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> flo
     """The propagator moves the closed-form state at t1 onto the one at t2;
     an array of residuals over arrays of times."""
     ops = propagator.build_propagator(params, sel, t1, t2)
-    moved = propagator.apply(ops, _closed_states(params, sel, t1)[1])
-    return _max_entry(moved - _closed_states(params, sel, t2)[1])
+    moved = propagator.apply(ops, states.materialize_density(states.reduced_state(params, sel, t1)))
+    return _max_entry(moved - states.materialize_density(states.reduced_state(params, sel, t2)))
 
 
 @_refuse_as_loop
@@ -372,7 +336,8 @@ def orbit_oracle_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2)
 def composition_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> float:
     """Propagator composition residual, acting on the closed-form state at
     t1; an array of residuals over an array t1 (and t2 of its shape)."""
-    return propagator.compose_residual(params, sel, t1, t2, _closed_states(params, sel, t1)[1])
+    rho = states.materialize_density(states.reduced_state(params, sel, t1))
+    return propagator.compose_residual(params, sel, t1, t2, rho)
 
 
 def pcp_disagreements(cases: Iterable[tuple]) -> list[tuple]:
@@ -395,21 +360,23 @@ def pcp_disagreements(cases: Iterable[tuple]) -> list[tuple]:
 
 
 def _pcp_agree(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> np.ndarray:
-    # Whether the four routes agree, for each window of the t1, t2 arrays.
+    # Whether the four routes agree, for each window of the t1, t2 arrays:
+    # classify's three closed-form routes, read from the function it reads
+    # them from, and the dense Choi verdict.
     tol = positivity.VERDICT_TOL
-    ops = propagator.build_propagator(params, sel, t1, t2)
+    ops, spectrum, delta = positivity._routes(params, sel, t1, t2, True)
     flow_cp = ops.flow_weight >= -tol
-    choi_cp = np.minimum.reduce(positivity.choi_spectrum(ops)) >= -tol
-    p1, p2 = (states.excitation_probability(params, sel, t) for t in (t1, t2))
+    choi_cp = np.minimum.reduce(spectrum) >= -tol
     dense = dense_cp(ops, tol)
-    return (flow_cp == choi_cp) & (choi_cp == (p2 - p1 <= tol)) & (choi_cp == dense)
+    return (flow_cp == choi_cp) & (choi_cp == (delta <= tol)) & (choi_cp == dense)
 
 
 @_refuse_as_loop
 def trace_distance_residual(params: NetworkParams, sel: SubsystemSelector, t) -> float:
     """Closed-form trace distance to |0><0| against the eigenvalue route at
     t, or an array of them over an array t (one batched ``eigvalsh``)."""
-    distance, rho = _closed_states(params, sel, t)  # distance = excited weight
+    state = states.reduced_state(params, sel, t)
+    distance, rho = states.trace_distance_to_fixed(state), states.materialize_density(state)
     fixed = np.zeros(rho.shape[-2:], dtype=complex)
     fixed[0, 0] = 1.0
     eig_route = 0.5 * np.abs(np.linalg.eigvalsh(rho - fixed)).sum(axis=-1)

@@ -1,7 +1,7 @@
 """Closed forms called on an ndarray of times against their scalar calls.
 
 For random N in 2..64, K and class, every broadcasting function must equal
-its scalar calls elementwise (the flow weight, u_s, u_d and |u_d|^2 bit for bit, the
+its scalar calls elementwise (the flow weight, the trace distance, u_s, u_d and |u_d|^2 bit for bit, the
 rest within a relative 1e-13, with an absolute floor of 1e-15 for values that are
 round-off zeros, such as the rotation angle of a window with t1 = t2), and
 must refuse an array exactly when some scalar call
@@ -14,7 +14,8 @@ periods), and period points on the grid.
 A stack of propagators built from arrays of times must equal the scalar
 builds bit for bit, and so must its Choi matrices, its matrices on the
 operator space and its action on a density; ``classify``, which takes one
-window, must refuse an array. The dense oracles, the composition and
+window, must refuse an array. The dense oracles, the reduced states and
+their densities, the composition and
 completeness residuals, the residuals of ``verify``'s grouped rows and the
 Bloch image of a map with array fields must equal their scalar calls bit
 for bit over an array of times, and refuse an array as its first refusing
@@ -57,6 +58,7 @@ from openqnet import (
     evolve_bloch,
     excitation_probability,
     flow_amplitude,
+    materialize_density,
     physical_bloch_z,
     process_state_split,
     propagator_matrix,
@@ -65,6 +67,8 @@ from openqnet import (
     qfi_closed_form,
     qfi_numeric_oracle,
     reduced_density_oracle,
+    reduced_state,
+    trace_distance_to_fixed,
 )
 from openqnet import fisher, propagator, states
 from openqnet import verification as v
@@ -151,6 +155,7 @@ def test_one_time_closed_forms(network, tau):
     t = tau * params.period
     check_broadcast(lambda s: amplitudes(params, s), t)
     check_broadcast(lambda s: excitation_probability(params, sel, s), t)
+    check_broadcast(lambda s: trace_distance_to_fixed(reduced_state(params, sel, s)), t, exact=True)
     check_broadcast(lambda s: entanglement_entropy(params, sel, s), t)
     check_broadcast(lambda s: physical_bloch_z(params, sel.dyn_class, s), t)
     for theta in GlobalParameter:
@@ -322,6 +327,8 @@ def test_stacked_oracles_equal_scalar_calls(n):
         assert same_as_scalar_calls(compose, t1, t, density=rho) is None
         calls = [
             (lambda s: reduced_density_oracle(params, sel, s), t),
+            (lambda s: reduced_state(params, sel, s).internal_vector, t),
+            (lambda s: materialize_density(reduced_state(params, sel, s)), t),
             (lambda a, b: propagator_matrix(build_propagator(params, sel, a, b)), t1, t),
             (lambda a, b: compose_residual(params, sel, a, b, rho[0, 0]), t1[0], t[0]),
             (lambda s: v.reduced_state_residual(params, sel, s), t),

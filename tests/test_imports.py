@@ -1,8 +1,12 @@
-"""No module of the package imports a name that it never uses.
+"""No module of the package imports a name that it never uses, and no
+private helper of the package goes unread.
 
 A module's names are read from its syntax tree: a name counts as used when
 it appears as a name anywhere in the module (annotations included), or in
-the module's ``__all__``.
+the module's ``__all__``. A module-level private name (one leading
+underscore: a function, class or constant) counts as read when some module
+of the package loads it, as a name or an attribute, outside its own
+definition.
 """
 
 import ast
@@ -44,6 +48,56 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def unread_private_names(paths) -> list[str]:
+    """module:name of every module-level private name that no module reads
+    outside that name's own definition."""
+    defined, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            own = {name for name in names if name.startswith("_") and not name.startswith("__")}
+            defined += [(name, f"{path.stem}:{name}") for name in sorted(own)]
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
+                    loaded = inner.id
+                elif isinstance(inner, ast.Attribute) and isinstance(inner.ctx, ast.Load):
+                    loaded = inner.attr
+                else:
+                    continue
+                if loaded not in own:  # a read inside its own definition does not count
+                    read.add(loaded)
+    return sorted(where for name, where in defined if name not in read)
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_the_check_finds_an_unread_private_name(tmp_path):
+    module, user = tmp_path / "module.py", tmp_path / "user.py"
+    lines = [
+        "_LIMIT = 3",
+        "_SPARE = 4",
+        "def _loop(n):",
+        "    return _loop(n - 1) if n else 0",
+        "def _used(x):",
+        "    return x + _LIMIT",
+        "class _Holder:",
+        "    pass",
+        "__all__ = []",
+    ]
+    module.write_text("\n".join(lines) + "\n")
+    user.write_text("from . import module\nvalue = module._used(1) + isinstance(1, module._Holder)\n")
+    assert unread_private_names([module, user]) == ["module:_SPARE", "module:_loop"]
 
 
 def test_the_check_finds_an_unused_import(tmp_path):

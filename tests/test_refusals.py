@@ -12,10 +12,16 @@ Every public function and verification residual with a ``t``, ``t1`` or
 ``t2`` parameter either carries the refusal decorator or is on the
 float-only list, and each float-only function refuses an array with
 ``ParameterError``.
+
+Every function that refuses a window (the propagator, the flow weights,
+``classify``, the composition and conservation residuals) refuses a float
+window that is bad in several ways for the first defect of one rule:
+selectors, then times, then anchors, with t2's overflowing phase last.
 """
 
 import importlib
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -27,6 +33,7 @@ from openqnet import (
     NetworkParams,
     OpenQNetError,
     ParameterError,
+    SingularIntervalError,
     SubsystemSelector,
     affine_map,
     amplitudes,
@@ -57,7 +64,6 @@ C1, C0 = DynClass.CONTAINS_EXCITED, DynClass.EXCLUDES_EXCITED
 MODULES = ("amplitudes", "bloch", "fisher", "inference", "oracle", "positivity", "propagator", "states", "verification")
 
 FLOAT_ONLY = {
-    "reduced_state",
     "is_singular",
     "classify",
     "global_state",
@@ -96,6 +102,7 @@ def entry_points(params, sel, theta, rescaled):
         ("amplitudes", lambda t: amplitudes(params, t), 1),
         ("q1_unitary_oracle", lambda t: q1_unitary_oracle(params, t), 1),
         ("excitation_probability", lambda t: excitation_probability(params, sel, t), 1),
+        ("reduced_state", lambda t: reduced_state(params, sel, t), 1),
         ("entanglement_entropy", lambda t: entanglement_entropy(params, sel, t), 1),
         ("physical_bloch_z", lambda t: physical_bloch_z(params, cls, t), 1),
         ("qfi_closed_form", lambda t: qfi_closed_form(params, sel, theta, t), 1),
@@ -205,7 +212,6 @@ def test_float_only_functions_refuse_arrays():
     sel = SubsystemSelector(2, C1)
     times = np.array([0.1, 0.2])
     calls = [
-        lambda t: reduced_state(params, sel, t),
         lambda t: is_singular(params, 2, t),
         lambda t: global_state(params, t),
         lambda t: classify(params, sel, t, 0.7),
@@ -219,3 +225,95 @@ def test_float_only_functions_refuse_arrays():
     for call in calls:
         with pytest.raises(ParameterError, match="must be a real number"):
             call(times)
+
+
+# The window refusal rule of the propagator family: a float window that is
+# bad in several ways is refused for the first of them, in this order. "k"
+# is a selector too large for its class; "t1" and "t2" a non-finite time;
+# "phase1" and "phase2" a time whose phase N*J*t overflows; "anchor" t1 at
+# an odd half-period, singular for K = N/2 in the containing class and, at
+# N = 2, for K = 1 in either class.
+WINDOW_RULE = ("k", "t1", "t2", "phase1", "anchor", "phase2")
+
+# The refusal of a window bad in one way, by network size. At N = 4 the
+# anchor refuses only the callers that hold K = 2 in the containing class.
+ANCHOR_MESSAGE = "propagator anchor t1={} (0.5 periods) refused: relative flow denominator d=0 <= ANCHOR_RTOL=1e-08"
+WINDOW_REFUSALS = {
+    2: {
+        "k": (ParameterError, "K=2 exceeds N-1=1 for a subsystem excluding the excited qubit"),
+        "t1": (ParameterError, "t1 must be finite, got nan"),
+        "t2": (ParameterError, "t2 must be finite, got inf"),
+        "phase1": (ParameterError, "phase N*J*t overflows at t=1e+308 (N=2, J=1.0)"),
+        "phase2": (ParameterError, "phase N*J*t overflows at t=1e+308 (N=2, J=1.0)"),
+        "anchor": (SingularIntervalError, ANCHOR_MESSAGE.format("1.5707963267948966")),
+    },
+    4: {
+        "k": (ParameterError, "K=4 exceeds N-1=3 for a subsystem excluding the excited qubit"),
+        "t1": (ParameterError, "t1 must be finite, got nan"),
+        "t2": (ParameterError, "t2 must be finite, got inf"),
+        "phase1": (ParameterError, "phase N*J*t overflows at t=1e+308 (N=4, J=1.0)"),
+        "phase2": (ParameterError, "phase N*J*t overflows at t=1e+308 (N=4, J=1.0)"),
+        "anchor": (SingularIntervalError, ANCHOR_MESSAGE.format("0.7853981633974483")),
+    },
+}
+UNANCHORED_AT_4 = {"build_propagator c0", "flow_amplitude c0", "classify c0", "compose_residual c0", "_flows infer"}
+
+
+def window_callers(n: int, too_large: bool) -> dict:
+    """Every function that refuses a window, by name, as call(params, t1, t2).
+
+    The single-selector calls hold K = N/2 of one class; the two _flows
+    calls hold the selector lists of the flow and infer commands. With
+    ``too_large``, the single selector is K = N of the excluding class, the
+    lists end with that selector, and conservation_residual takes K = N.
+    """
+    bad = SubsystemSelector(n, C0)
+    tail = [bad] if too_large else []
+    flow = [SubsystemSelector(k, cls) for cls in (C1, C0) for k in range(1, n)] + tail
+    infer = [SubsystemSelector(1, C1), SubsystemSelector(1, C0)] + tail
+    calls = {}
+    for cls in (C1, C0):
+        sel = bad if too_large else SubsystemSelector(n // 2, cls)
+        rho = np.eye(sel.k_qubits + 1)
+        calls |= {
+            f"build_propagator c{cls.value}": lambda p, a, b, s=sel: build_propagator(p, s, a, b),
+            f"flow_amplitude c{cls.value}": lambda p, a, b, s=sel: flow_amplitude(p, s, a, b),
+            f"classify c{cls.value}": lambda p, a, b, s=sel: classify(p, s, a, b),
+            f"compose_residual c{cls.value}": lambda p, a, b, s=sel, r=rho: compose_residual(p, s, a, b, r),
+        }
+    calls["_flows flow"] = lambda p, a, b: propagator._flows(p, flow, a, b)
+    calls["_flows infer"] = lambda p, a, b: propagator._flows(p, infer, a, b)
+    calls["conservation_residual"] = lambda p, a, b: conservation_residual(p, n if too_large else n // 2, a, b)
+    return calls
+
+
+def window_refusal(n: int, name: str, defects: tuple):
+    """The refusal of one caller on the window 0.3 to 0.65 periods made bad by ``defects``."""
+    params = NetworkParams(n, 1.0)
+    bad_t1 = {"t1": np.nan, "phase1": 1e308, "anchor": 0.5 * params.period}
+    bad_t2 = {"t2": np.inf, "phase2": 1e308}
+    t1 = next((bad_t1[d] for d in defects if d in bad_t1), 0.3 * params.period)
+    t2 = next((bad_t2[d] for d in defects if d in bad_t2), 0.65 * params.period)
+    return refusal(window_callers(n, "k" in defects)[name], params, t1, t2)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_windows_are_refused_by_the_one_window_rule(n):
+    # Every window bad in one way, then every pair of defects that fit one
+    # window: the pair is refused as its first defect in WINDOW_RULE is.
+    wrong = []
+    for name in window_callers(n, False):
+        assert window_refusal(n, name, ()) is None, name
+        single = dict(WINDOW_REFUSALS[n])
+        if n == 4 and name in UNANCHORED_AT_4:
+            single["anchor"] = None
+        for defect in WINDOW_RULE:
+            if window_refusal(n, name, (defect,)) != single[defect]:
+                wrong.append((name, defect))
+        for pair in itertools.combinations(WINDOW_RULE, 2):
+            if {"t1", "phase1", "anchor"} >= set(pair) or {"t2", "phase2"} >= set(pair):
+                continue  # both defects are one time's
+            first = next((d for d in WINDOW_RULE if d in pair and single[d] is not None), None)
+            if window_refusal(n, name, pair) != (single[first] if first else None):
+                wrong.append((name, pair))
+    assert wrong == []

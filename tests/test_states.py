@@ -16,6 +16,7 @@ from openqnet import (
     reduced_state,
     trace_distance_to_fixed,
 )
+from openqnet import states
 
 N5 = NetworkParams(5, 1.0)
 C1 = DynClass.CONTAINS_EXCITED
@@ -183,3 +184,32 @@ def test_selector_validation():
         excitation_probability(N5, SubsystemSelector(5, C0), 0.0)
     # K = N is legal for the containing class.
     assert excitation_probability(N5, SubsystemSelector(5, C1), 0.37) == pytest.approx(1.0)
+
+
+def entropy_gap(n: int) -> float:
+    # The largest gap, over every selector and 40 seeded times, between
+    # entanglement_entropy and the von Neumann entropy of the partial-trace
+    # oracle's spectrum, which no closed form enters.
+    params = NetworkParams(n, 1.0)
+    rng = np.random.default_rng(n)
+    sels = [SubsystemSelector(k, C1) for k in range(1, n + 1)]
+    sels += [SubsystemSelector(k, C0) for k in range(1, n)]
+    worst = 0.0
+    for sel in sels:
+        for t in rng.uniform(0.0, 1.0, 40) * params.period:
+            evals = np.linalg.eigvalsh(reduced_density_oracle(params, sel, t))
+            evals = evals[evals > 0.0]
+            spectral = float(-(evals * np.log(evals)).sum())
+            worst = max(worst, abs(entanglement_entropy(params, sel, t) - spectral))
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_entropy_is_the_oracle_spectrum_entropy(n):
+    assert entropy_gap(n) <= 1e-12
+
+
+def test_entropy_oracle_check_sees_a_relative_error_of_1e_6(monkeypatch):
+    entropy = states._entropy
+    monkeypatch.setattr(states, "_entropy", lambda *args: entropy(*args) * (1.0 + 1e-6))
+    assert entropy_gap(5) > 1e-12

@@ -128,12 +128,13 @@ def _same_outcome(got, want) -> bool:
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 50])
-def test_stacked_closed_states_are_the_scalar_calls(n):
+def test_stacked_states_are_the_scalar_calls(n):
     # Over an array of times at +-0, at odd half-periods and 1e-8 of a
-    # period past one (the N = 2 limit state) and at seeded points, the
-    # stacked weights and densities, with reduced_state and with
-    # _limit_state, and the trace-distance residual built on them are their
-    # scalar calls byte for byte, or refused as their loop is.
+    # period past one (the N = 2 degenerate state) and at seeded points, the
+    # stacked reduced_state, its densities and trace distances, and the
+    # reduced-state residual, whose limit state stands in at N = 2, and the
+    # trace-distance residual built on them are their scalar calls byte for
+    # byte, or refused as their loop is.
     rng = np.random.default_rng(n)
     refused = []
     for j in (1.0, 0.7, 1e-300, 1e300 / (10 * n)):
@@ -143,22 +144,35 @@ def test_stacked_closed_states_are_the_scalar_calls(n):
         times = t.ravel().tolist()
         for sel in v.selectors(params):
             d = sel.k_qubits + 1
-            for limit, state in ((False, states.reduced_state), (True, v._limit_state)):
 
-                def scalar_calls():
-                    closed = [state(params, sel, s) for s in times]
-                    weights = np.array([x.excited_weight for x in closed]).reshape(t.shape)
-                    dense = [states.materialize_density(x) for x in closed]
-                    return weights, np.array(dense).reshape(t.shape + (d, d))
+            def stacked(state):
+                return (
+                    state.excited_weight,
+                    state.internal_vector,
+                    states.materialize_density(state),
+                    states.trace_distance_to_fixed(state),
+                )
 
-                got = _outcome(lambda: v._closed_states(params, sel, t, limit))
-                want = _outcome(scalar_calls)
-                assert _same_outcome(got, want), (params, sel, limit)
-                refused.append(isinstance(want[0], type))
-            got = _outcome(lambda: (v.trace_distance_residual(params, sel, t),))
-            loop = lambda: (np.reshape([v.trace_distance_residual(params, sel, s) for s in times], t.shape),)
-            assert _same_outcome(got, _outcome(loop)), (params, sel)
+            def scalar_calls():
+                closed = [stacked(states.reduced_state(params, sel, s)) for s in times]
+                shapes = (t.shape, t.shape + (d - 1,), t.shape + (d, d), t.shape)
+                return tuple(np.array(part).reshape(shape) for part, shape in zip(zip(*closed), shapes))
+
+            got = _outcome(lambda: stacked(states.reduced_state(params, sel, t)))
+            want = _outcome(scalar_calls)
+            assert _same_outcome(got, want), (params, sel)
+            refused.append(isinstance(want[0], type))
+            for residual in (v.reduced_state_residual, v.trace_distance_residual):
+                got = _outcome(lambda: (residual(params, sel, t),))
+                loop = lambda: (np.reshape([residual(params, sel, s) for s in times], t.shape),)
+                assert _same_outcome(got, _outcome(loop)), (params, sel, residual.__name__)
     assert any(refused) == (n == 2)  # the degenerate state of K = 1, class 1
+    if n == 2:  # where it vanishes, the limit state |0><0| meets the oracle
+        params, sel = NetworkParams(2, 1.0), SubsystemSelector(1, v.C1)
+        half = 0.5 * params.period
+        limit = np.abs(np.diag([1.0, 0.0]) - oracle.reduced_density_oracle(params, sel, half)).max()
+        assert v.reduced_state_residual(params, sel, half) == limit
+        assert v.reduced_state_residual(params, sel, np.array([0.1, half]))[1] == limit
 
 
 def test_describe_case():
