@@ -8,156 +8,97 @@ Bloch geometry, quantum Fisher information for the global coupling and
 size, and observer-side inference of those globals. A brute-force oracle
 (dense exponentials by eigendecomposition, partial traces, map tomography)
 cross-checks every closed form. numpy is the only numerical dependency.
+
+``import openqnet`` loads only ``openqnet.amplitudes`` and ``openqnet.errors``.
+Every other public name, and every public submodule, loads its home module
+on first use (PEP 562) and is then cached here. ``openqnet.amplitudes`` is
+the function, which shadows its module's name; import names from the module
+with ``from openqnet.amplitudes import ...``.
 """
 
-from .amplitudes import (
-    Amplitudes,
-    NetworkParams,
-    amplitudes,
-    global_state,
-    q1_unitary_oracle,
-    unitarity_residuals,
-)
-from .bloch import (
-    BlochAffineMap,
-    affine_map,
-    axial_positivity_band,
-    ball_membership,
-    evolve_bloch,
-    physical_bloch_z,
-)
-from .errors import (
-    DegenerateStateError,
-    DivergenceError,
-    IndeterminateFlowError,
-    InconsistentObservationError,
-    OpenQNetError,
-    OracleFailureError,
-    ParameterError,
-    PoleError,
-    SingularIntervalError,
-    SizeLimitError,
-    UnsupportedOracleError,
-)
-from .fisher import (
-    FisherBreakdown,
-    GlobalParameter,
-    ProcessStateSplit,
-    process_state_split,
-    qfi_closed_form,
-    qfi_numeric_oracle,
-)
-from .inference import (
-    FlowObservation,
-    SizeEstimate,
-    conservation_residual,
-    estimate_period,
-    infer_coupling,
-    infer_network_size,
-    two_qubit_consistency,
-)
-from .oracle import (
-    GlobalVector,
-    bilinear_partial_trace,
-    dynamical_map_oracle,
-    propagator_oracle,
-    reduced_density_oracle,
-    subsystem_sites,
-)
-from .positivity import (
-    PositivityVerdict,
-    Verdict,
-    choi_matrix,
-    choi_spectrum,
-    classify,
-    positivity_transition_time,
-)
-from .propagator import (
-    PropagatorOps,
-    apply,
-    build_propagator,
-    completeness_residual,
-    compose_residual,
-    flow_amplitude,
-    is_singular,
-    propagator_matrix,
-)
-from .states import (
-    DynClass,
-    ReducedState,
-    SubsystemSelector,
-    entanglement_entropy,
-    excitation_probability,
-    materialize_density,
-    reduced_state,
-    trace_distance_to_fixed,
-)
+import sys
+
+from .amplitudes import amplitudes
 
 __version__ = "0.1.0"
 
+# The home module of every public name but ``amplitudes``.
+_EXPORTS = {
+    "amplitudes": (
+        "Amplitudes", "NetworkParams", "global_state", "q1_unitary_oracle", "unitarity_residuals",
+    ),
+    "bloch": (
+        "BlochAffineMap", "affine_map", "axial_positivity_band", "ball_membership", "evolve_bloch",
+        "physical_bloch_z",
+    ),
+    "errors": (
+        "DegenerateStateError", "DivergenceError", "IndeterminateFlowError",
+        "InconsistentObservationError", "OpenQNetError", "OracleFailureError", "ParameterError",
+        "PoleError", "SingularIntervalError", "SizeLimitError", "UnsupportedOracleError",
+    ),
+    "fisher": (
+        "FisherBreakdown", "GlobalParameter", "ProcessStateSplit", "process_state_split",
+        "qfi_closed_form", "qfi_numeric_oracle",
+    ),
+    "inference": (
+        "FlowObservation", "SizeEstimate", "conservation_residual", "estimate_period",
+        "infer_coupling", "infer_network_size", "two_qubit_consistency",
+    ),
+    "oracle": (
+        "GlobalVector", "bilinear_partial_trace", "dynamical_map_oracle", "propagator_oracle",
+        "reduced_density_oracle", "subsystem_sites",
+    ),
+    "positivity": (
+        "PositivityVerdict", "Verdict", "choi_matrix", "choi_spectrum", "classify",
+        "positivity_transition_time",
+    ),
+    "propagator": (
+        "PropagatorOps", "apply", "build_propagator", "completeness_residual", "compose_residual",
+        "flow_amplitude", "is_singular", "propagator_matrix",
+    ),
+    "states": (
+        "DynClass", "ReducedState", "SubsystemSelector", "entanglement_entropy",
+        "excitation_probability", "materialize_density", "reduced_state", "trace_distance_to_fixed",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# Public submodules, reachable as ``openqnet.<name>`` without an import.
+_SUBMODULES = (
+    "bloch", "cli", "errors", "fisher", "inference", "oracle", "positivity", "propagator", "states",
+    "verification",
+)
+
+
+def __getattr__(name: str):
+    home = name if name in _SUBMODULES else _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The import statement's machinery, which ``python -X importtime`` times;
+    # importlib.import_module would load the module untimed.
+    __import__(f"{__name__}.{home}")
+    module = sys.modules[f"{__name__}.{home}"]
+    value = globals()[name] = module if home == name else getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME, *_SUBMODULES})
+
+
 __all__ = [
-    "Amplitudes",
-    "BlochAffineMap",
-    "DegenerateStateError",
-    "DivergenceError",
-    "DynClass",
-    "FisherBreakdown",
-    "FlowObservation",
-    "GlobalParameter",
-    "GlobalVector",
-    "IndeterminateFlowError",
-    "InconsistentObservationError",
-    "NetworkParams",
-    "OpenQNetError",
-    "OracleFailureError",
-    "ParameterError",
-    "PoleError",
-    "PositivityVerdict",
-    "ProcessStateSplit",
-    "PropagatorOps",
-    "ReducedState",
-    "SingularIntervalError",
-    "SizeEstimate",
-    "SizeLimitError",
-    "SubsystemSelector",
-    "UnsupportedOracleError",
-    "Verdict",
-    "affine_map",
-    "amplitudes",
-    "apply",
-    "axial_positivity_band",
-    "ball_membership",
-    "bilinear_partial_trace",
-    "build_propagator",
-    "choi_matrix",
-    "choi_spectrum",
-    "classify",
-    "completeness_residual",
-    "compose_residual",
-    "conservation_residual",
-    "dynamical_map_oracle",
-    "entanglement_entropy",
-    "estimate_period",
-    "evolve_bloch",
-    "excitation_probability",
-    "flow_amplitude",
-    "global_state",
-    "infer_coupling",
-    "infer_network_size",
-    "is_singular",
-    "materialize_density",
-    "physical_bloch_z",
-    "positivity_transition_time",
-    "process_state_split",
-    "propagator_matrix",
-    "propagator_oracle",
-    "q1_unitary_oracle",
-    "qfi_closed_form",
-    "qfi_numeric_oracle",
-    "reduced_density_oracle",
-    "reduced_state",
-    "subsystem_sites",
-    "trace_distance_to_fixed",
-    "two_qubit_consistency",
+    "Amplitudes", "BlochAffineMap", "DegenerateStateError", "DivergenceError", "DynClass",
+    "FisherBreakdown", "FlowObservation", "GlobalParameter", "GlobalVector",
+    "IndeterminateFlowError", "InconsistentObservationError", "NetworkParams", "OpenQNetError",
+    "OracleFailureError", "ParameterError", "PoleError", "PositivityVerdict", "ProcessStateSplit",
+    "PropagatorOps", "ReducedState", "SingularIntervalError", "SizeEstimate", "SizeLimitError",
+    "SubsystemSelector", "UnsupportedOracleError", "Verdict", "affine_map", "amplitudes", "apply",
+    "axial_positivity_band", "ball_membership", "bilinear_partial_trace", "build_propagator",
+    "choi_matrix", "choi_spectrum", "classify", "completeness_residual", "compose_residual",
+    "conservation_residual", "dynamical_map_oracle", "entanglement_entropy", "estimate_period",
+    "evolve_bloch", "excitation_probability", "flow_amplitude", "global_state", "infer_coupling",
+    "infer_network_size", "is_singular", "materialize_density", "physical_bloch_z",
+    "positivity_transition_time", "process_state_split", "propagator_matrix", "propagator_oracle",
+    "q1_unitary_oracle", "qfi_closed_form", "qfi_numeric_oracle", "reduced_density_oracle",
+    "reduced_state", "subsystem_sites", "trace_distance_to_fixed", "two_qubit_consistency",
     "unitarity_residuals",
 ]

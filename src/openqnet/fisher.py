@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     PoleError,
 )
-from .propagator import _check_anchor
+from .propagator import _window
 from .states import _ZERO_WEIGHT, DynClass, SubsystemSelector, _check_class, _class_weight, _mixing
 from .states import _k_stack
 
@@ -260,13 +260,12 @@ def process_state_split(
     """
     _check_class(dyn_class)  # K = 1 fits every network
     _check_theta(theta)
-    t1 = _check_time(t1, "t1", True)
-    t2 = _check_time(t2, "t2", True)
+    # The K = 1 window; N=2 anchored at an odd half-period breaks the
+    # multiplicative form.
+    t1, t2 = _window(params, (SubsystemSelector(1, dyn_class),), t1, t2, True)
     with np.errstate(over="ignore", invalid="ignore"):  # a slope past the float range reads inf
         p1, dp1 = _p_dp_single_qubit(params, dyn_class, theta, t1)
         p2, dp2 = _p_dp_single_qubit(params, dyn_class, theta, t2)
-    # N=2 anchored at an odd half-period: the multiplicative form breaks.
-    _check_anchor(params, 1, dyn_class is DynClass.CONTAINS_EXCITED, t1)
     denom = p2 * (1.0 - p2)
     if not rescaled and _any(denom < 1e-14):
         raise PoleError(

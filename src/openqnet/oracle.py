@@ -36,7 +36,7 @@ import numpy as np
 
 from .amplitudes import NetworkParams, _check_time, _refuse_as_loop, q1_unitary_oracle
 from .errors import ParameterError, SizeLimitError, UnsupportedOracleError
-from .propagator import _check_anchor
+from .propagator import _window
 from .states import DynClass, SubsystemSelector
 
 #: Largest N accepted for map tomography (N columns of partial traces).
@@ -170,8 +170,7 @@ def propagator_oracle(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> 
     the scalar call; an array is refused exactly as its first refusing
     element would be.
     """
-    t1, t2 = _check_time(t1, "t1", True), _check_time(t2, "t2", True)
-    _check_anchor(params, sel.k_qubits, sel.dyn_class is DynClass.CONTAINS_EXCITED, t1)
+    t1, t2 = _window(params, (sel,), t1, t2, True)
     m1 = dynamical_map_oracle(params, sel, t1)
     m2 = dynamical_map_oracle(params, sel, t2)
     # Plain transposes: X m1 = m2.

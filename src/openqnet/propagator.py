@@ -87,12 +87,9 @@ def _anchor_denominator(params: NetworkParams, k: int, contains: bool, x1):
     return 1.0 - (k * (params.n_qubits - k) if contains else k) * x1
 
 
-def _check_anchor(params: NetworkParams, k: int, contains: bool, t1, x1=None) -> None:
+def _check_anchor(params: NetworkParams, k: int, contains: bool, t1, x1) -> None:
     # Raises every anchor SingularIntervalError: where d(t1) <= ANCHOR_RTOL,
-    # naming t1, or an array's first such element. ``x1`` is _hop's x at t1,
-    # if the caller has it.
-    if x1 is None:
-        x1 = _hop(params.n_qubits, params.coupling, t1)[0]
+    # naming t1, or an array's first such element. ``x1`` is _hop's x at t1.
     d = _anchor_denominator(params, k, contains, x1)
     refused = d <= ANCHOR_RTOL
     if not _any(refused):

@@ -1,5 +1,6 @@
-"""No module of the package imports a name that it never uses, and no
-private helper of the package goes unread.
+"""No module of the package imports a name that it never uses, no private
+helper of the package goes unread, and the package namespace loads each
+submodule only when one of its names is first used.
 
 A module's names are read from its syntax tree: a name counts as used when
 it appears as a name anywhere in the module (annotations included), or in
@@ -10,9 +11,15 @@ definition.
 """
 
 import ast
+import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import openqnet
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "openqnet"
 
@@ -105,3 +112,74 @@ def test_the_check_finds_an_unused_import(tmp_path):
     lines = ["import math", "import numpy as np", "from os import path, sep", "x = np.pi + len(sep)"]
     module.write_text("\n".join(lines) + "\n")
     assert unused_imports(module) == ["math", "path"]
+
+
+def loaded_after(statement: str) -> set[str]:
+    """The package's modules, and numpy.random if loaded, in a fresh
+    interpreter after ``statement``."""
+    probe = (
+        f"{statement}\nimport sys\n"
+        "print(*(m for m in sys.modules if m.partition('.')[0] == 'openqnet' or m == 'numpy.random'))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return set(proc.stdout.split())
+
+
+def test_a_submodule_import_loads_only_what_that_submodule_imports():
+    assert loaded_after("import openqnet.positivity") == {
+        "openqnet",
+        "openqnet.errors",
+        "openqnet.amplitudes",
+        "openqnet.states",
+        "openqnet.propagator",
+        "openqnet.positivity",
+    }
+
+
+def test_the_cli_loads_neither_the_oracles_nor_positivity():
+    loaded = loaded_after("import openqnet.cli")
+    assert "openqnet.cli" in loaded
+    skipped = {"openqnet.oracle", "openqnet.positivity", "openqnet._choi", "openqnet.verification", "numpy.random"}
+    assert loaded & skipped == set()
+
+
+def test_every_public_name_is_its_home_modules_object():
+    assert len(set(openqnet.__all__)) == len(openqnet.__all__)
+    assert {*openqnet._HOME, "amplitudes"} == set(openqnet.__all__)
+    for name in openqnet.__all__:
+        value = getattr(openqnet, name)
+        assert value.__module__.startswith("openqnet."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    for name in openqnet._SUBMODULES:
+        assert getattr(openqnet, name) is importlib.import_module(f"openqnet.{name}"), name
+    assert set(dir(openqnet)) >= {*openqnet.__all__, *openqnet._SUBMODULES}
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'openqnet' has no attribute 'no_such_name'"):
+        openqnet.no_such_name
+    assert not hasattr(openqnet, "no_such_name")
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from openqnet import *", namespace)
+    assert {name: namespace[name] for name in openqnet.__all__} == {
+        name: getattr(openqnet, name) for name in openqnet.__all__
+    }
+
+
+def test_amplitudes_stays_the_function_after_every_submodule_loads():
+    # The function shadows its module's name (a known wart of the namespace).
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    probe = "\n".join([
+        "import sys",
+        *(f"import openqnet.{module}" for module in modules),
+        "import openqnet",
+        "[getattr(openqnet, name) for name in openqnet.__all__]",
+        "assert openqnet.amplitudes is sys.modules['openqnet.amplitudes'].amplitudes",
+        "assert callable(openqnet.amplitudes)",
+    ])
+    assert loaded_after(probe) >= {f"openqnet.{module}" for module in modules}

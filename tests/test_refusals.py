@@ -13,10 +13,11 @@ Every public function and verification residual with a ``t``, ``t1`` or
 float-only list, and each float-only function refuses an array with
 ``ParameterError``.
 
-Every function that refuses a window (the propagator, the flow weights,
-``classify``, the composition and conservation residuals) refuses a float
-window that is bad in several ways for the first defect of one rule:
-selectors, then times, then anchors, with t2's overflowing phase last.
+Every function that refuses a window (the propagator and its tomographic
+oracle, the flow weights, ``classify``, the composition and conservation
+residuals, the process-state split) refuses a float window that is bad in
+several ways for the first defect of one rule: selectors, then times, then
+anchors, with t2's overflowing phase last.
 """
 
 import importlib
@@ -256,13 +257,19 @@ WINDOW_REFUSALS = {
         "anchor": (SingularIntervalError, ANCHOR_MESSAGE.format("0.7853981633974483")),
     },
 }
-UNANCHORED_AT_4 = {"build_propagator c0", "flow_amplitude c0", "classify c0", "compose_residual c0", "_flows infer"}
+UNANCHORED_AT_4 = {
+    "build_propagator c0", "flow_amplitude c0", "classify c0", "compose_residual c0",
+    "process_state_split c0", "process_state_split c1", "_flows infer",
+}
+# Callers whose K is 1 whatever the network: no selector is too large.
+FIXED_K = {"process_state_split c0", "process_state_split c1"}
 
 
 def window_callers(n: int, too_large: bool) -> dict:
     """Every function that refuses a window, by name, as call(params, t1, t2).
 
-    The single-selector calls hold K = N/2 of one class; the two _flows
+    The single-selector calls hold K = N/2 of one class (propagator_oracle
+    of the containing class) and process_state_split K = 1; the two _flows
     calls hold the selector lists of the flow and infer commands. With
     ``too_large``, the single selector is K = N of the excluding class, the
     lists end with that selector, and conservation_residual takes K = N.
@@ -280,7 +287,11 @@ def window_callers(n: int, too_large: bool) -> dict:
             f"flow_amplitude c{cls.value}": lambda p, a, b, s=sel: flow_amplitude(p, s, a, b),
             f"classify c{cls.value}": lambda p, a, b, s=sel: classify(p, s, a, b),
             f"compose_residual c{cls.value}": lambda p, a, b, s=sel, r=rho: compose_residual(p, s, a, b, r),
+            f"process_state_split c{cls.value}": lambda p, a, b, c=cls: process_state_split(p, c, a, b),
         }
+    # Map tomography takes the containing class only.
+    tomographed = bad if too_large else SubsystemSelector(n // 2, C1)
+    calls["propagator_oracle"] = lambda p, a, b: propagator_oracle(p, tomographed, a, b)
     calls["_flows flow"] = lambda p, a, b: propagator._flows(p, flow, a, b)
     calls["_flows infer"] = lambda p, a, b: propagator._flows(p, infer, a, b)
     calls["conservation_residual"] = lambda p, a, b: conservation_residual(p, n if too_large else n // 2, a, b)
@@ -307,6 +318,8 @@ def test_windows_are_refused_by_the_one_window_rule(n):
         single = dict(WINDOW_REFUSALS[n])
         if n == 4 and name in UNANCHORED_AT_4:
             single["anchor"] = None
+        if name in FIXED_K:
+            single["k"] = None
         for defect in WINDOW_RULE:
             if window_refusal(n, name, (defect,)) != single[defect]:
                 wrong.append((name, defect))
