@@ -57,22 +57,25 @@ def _flatten(ops: propagator.PropagatorOps) -> propagator.PropagatorOps:
 def _choi_blocks(ops: propagator.PropagatorOps) -> list[_Block]:
     # The support of a 1-d stack's Choi matrices, in the blocks that no entry
     # couples (see the module docstring): the block of B first. The flow
-    # terms' sectors are disjoint, so no two terms meet.
+    # terms' sectors are disjoint, so no two terms meet. Each block's rows
+    # are marked in a mask over the (K+1)^2 Choi rows.
     d = ops.k_qubits + 1
     index = np.arange(d * d).reshape(d, d)
     read, terms = propagator._flow(ops)
-    rows = set(np.flatnonzero(ops.block_diag.reshape(-1, d * d).any(axis=0)).tolist())
+    rows = ops.block_diag.reshape(-1, d * d).any(axis=0)  # where B is nonzero
     groups = [(rows, [])]
     for sector, weight in terms:
         term = np.ravel(index[sector, read])
-        if rows.isdisjoint(term.tolist()):
-            groups.append((set(term.tolist()), [(term, weight)]))
-        else:
-            rows.update(term.tolist())
+        if rows[term].any():
+            rows[term] = True
             groups[0][1].append((term, weight))
+        else:
+            alone = np.zeros(d * d, dtype=bool)
+            alone[term] = True
+            groups.append((alone, [(term, weight)]))
     blocks = []
-    for rows, terms in groups:
-        rows = np.array(sorted(rows), dtype=np.intp)
+    for mask, terms in groups:
+        rows = np.flatnonzero(mask)
         if rows.size:
             blocks.append(_Block(rows, [(np.searchsorted(rows, r), w) for r, w in terms]))
     return blocks
@@ -93,12 +96,13 @@ def dense_cp(ops: propagator.PropagatorOps, tol: float) -> np.ndarray:
     smallest eigenvalue at or above -``tol`` (``tol`` > 0), decided on its
     support.
 
-    Refused with ``SizeLimitError`` above ``positivity.CHOI_MAX_DIM`` rows,
-    as ``positivity.choi_matrix`` is, before any block is built. The rows
-    off the support are zero, so they pass. A block that no flow term joins
-    is |v><v| + tol*I, v its rows of B, positive definite exactly where v
-    is finite, so it passes where B is finite. The other blocks are built
-    for every window. Each pivot of a Cholesky factorisation is its
+    Refused with ``SizeLimitError`` where a block that it builds would
+    exceed ``positivity.CHOI_MAX_DIM`` rows, before any block is built: the
+    largest has K + 1 rows, where ``positivity.choi_matrix`` has (K+1)^2.
+    The rows off the support are zero, so they pass. A block that no flow
+    term joins is |v><v| + tol*I, v its rows of B, positive definite
+    exactly where v is finite, so it passes where B is finite. The other
+    blocks are built for every window. Each pivot of a Cholesky factorisation is its
     diagonal entry less a sum of squares, so a shifted diagonal entry <= 0
     fails it at or before its own pivot: the shifted diagonals of all built
     blocks are tested first, so that a window a diagonal entry decides never
@@ -106,11 +110,13 @@ def dense_cp(ops: propagator.PropagatorOps, tol: float) -> np.ndarray:
     then factorised once by ``_choi_psd`` for the windows still passing.
     Returns an array of the stack's shape.
     """
-    positivity._check_choi_dim(ops)
     stack = ops.block_diag.shape[:-2]
     ops = _flatten(ops)
+    joined = [block for block in _choi_blocks(ops) if block.terms]
+    largest = max((block.rows.size for block in joined), default=0)
+    positivity._check_choi_dim(largest, "Choi block dimension")
     cp = np.isfinite(ops.block_diag).all(axis=(-2, -1))
-    built = [_block_stack(ops, block) for block in _choi_blocks(ops) if block.terms]
+    built = [_block_stack(ops, block) for block in joined]
     for blocks in built:
         cp &= (np.einsum("...ii->...i", blocks).real + tol > 0.0).all(axis=-1)
     for blocks in built:

@@ -23,7 +23,7 @@ The two amplitudes are tied together by unitarity of the block:
 so a single function of time, |u_d(t)|^2, drives all reduced dynamics.
 
 Two routes read it. The probability route (mixing probabilities, entropy,
-Fisher information, positivity transition) calls one private kernel,
+Fisher information) calls one private kernel,
 ``_hop``, for x = |u_d|^2 = 4/N^2 sin^2(NJt/2) and the half-angle sine and
 cosine; a mixing probability is p = 1 - w x with the class weight w = N - K
 for a K-qubit subsystem containing the excited qubit, K for one excluding

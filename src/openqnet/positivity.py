@@ -35,12 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _bisect, _check_time, _hop
+from .amplitudes import NetworkParams, _check_time
 from .errors import ParameterError, SizeLimitError
 from .propagator import PropagatorOps, _basis_images, _build, _window
 from .states import DynClass, SubsystemSelector, _mixing
 
-#: Guard on the Choi matrix dimension (K+1)^2.
+#: Guard on the rows of a dense Choi build: (K+1)^2 for choi_matrix, and
+#: the largest block (K+1 rows) that verify's dense route builds.
 CHOI_MAX_DIM = 4096
 
 #: Symmetric zero-band for all three verdicts.
@@ -86,8 +87,8 @@ def choi_matrix(ops: PropagatorOps) -> np.ndarray:
     Stacked ops of shape S give a ``(*S, (K+1)^2, (K+1)^2)`` stack, each
     matrix bit for bit that of its own ops; the guard holds for each.
     """
-    _check_choi_dim(ops)
     d = ops.k_qubits + 1
+    _check_choi_dim(d * d, "Choi dimension")
     stack = ops.block_diag.shape[:-2]
     m = len(stack)
     # C[*S, a*d + mu, b*d + nu] = images[mu, nu, *S, a, b]
@@ -95,11 +96,11 @@ def choi_matrix(ops: PropagatorOps) -> np.ndarray:
     return images.reshape(stack + (d * d, d * d))
 
 
-def _check_choi_dim(ops: PropagatorOps) -> None:
-    # The guard of every dense Choi route: choi_matrix and _choi.dense_cp.
-    dim = (ops.k_qubits + 1) ** 2
+def _check_choi_dim(dim: int, what: str) -> None:
+    # The guard of every dense Choi route, on the rows it builds: choi_matrix's
+    # (K+1)^2, and the largest block that _choi.dense_cp builds.
     if dim > CHOI_MAX_DIM:
-        raise SizeLimitError(f"Choi dimension {dim}^2 exceeds guard {CHOI_MAX_DIM}^2")
+        raise SizeLimitError(f"{what} {dim}^2 exceeds guard {CHOI_MAX_DIM}^2")
 
 
 def choi_spectrum(ops: PropagatorOps) -> tuple:
@@ -159,16 +160,12 @@ def positivity_transition_time(params: NetworkParams, sel: SubsystemSelector, dt
     """Earliest window anchor where Phi(t, t+dt) flips verdict.
 
     The flip happens where the hop probability |u_d|^2 is equal at both
-    window ends, i.e. at t = period/2 - dt/2; located by bisection to
-    machine precision (well inside 1e-10 periods). The location depends on
-    neither K nor the dynamical class.
+    window ends, i.e. at t = (period - dt)/2, returned in that closed form,
+    correctly rounded. The location depends on neither K nor the
+    dynamical class.
     """
     sel.validate(params)
     dt = _check_time(dt, "dt")
     if not 0.0 < dt < params.period:
         raise ParameterError(f"dt must lie strictly between 0 and one period, got {dt!r}")
-    n, j = params.n_qubits, params.coupling
-    # |u_d|^2 grows over the window [t, t + dt] at t = 0 and shrinks at t = period/2.
-    return _bisect(
-        lambda t: _hop(n, j, t + dt)[0] > _hop(n, j, t)[0], 0.0, 0.5 * params.period
-    )
+    return 0.5 * (params.period - dt)

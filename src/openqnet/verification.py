@@ -2,36 +2,25 @@
 
 Every check compares an analytic closed form against an independent route
 (dense exponential, partial trace, map tomography, finite-difference SLD,
-or an exact algebraic identity) and reports the worst residual seen. The
-checks share one engine: a public per-case residual for each comparison,
-one seeded stream of windows, and one worst-case fold that keeps the case
-where the worst residual sits and fails on a NaN residual.
+or an exact algebraic identity) and reports the worst residual seen.
 
-``verify``'s rows are one table, ``ALL_CHECKS``, in CSV order. A row that
-folds one residual is a :class:`Row` of its name, tolerance, residual,
-cases and ``entries``; a row is added as one ``Row`` at its place in the
-table. Thirteen residuals also take arrays of times and return an array,
-each value equal bit for bit to its scalar call, and refuse an array as
-the loop of scalar calls would. Their rows and the four-route positivity
-comparison ``pcp_disagreements`` run through one grouped routine,
-``grouped_values``: it groups the cases by the arguments before their
-times (the network, then a selector, a pair of them, a selector and a
-parameter, or a class), evaluates each group in stacks of at most 1 MiB,
-as ``entries`` counts a window, and returns the values in the order the
-cases came, folded as ``worst_case`` folds the per-case calls. The
-residuals check the library's own code: the closed-form densities are
-``states.reduced_state`` and ``materialize_density``, of a stack as of a
-float, and the three closed-form positivity routes are the ones
-``classify`` reads. The conservation residual returns None where a
-window carries no flow, which a stack cannot hold, so its row folds per
-case. Two rows are functions: ``pcp_agreement`` counts disagreements,
-and the inference round trip keeps only the windows on which its
-residual gives an estimate. ``pcp_disagreements`` decides a window's
-dense Choi matrix on its support: the rank-one block of B by the
-finiteness of B, and each block that a flow term joins by one Cholesky
-stack of the windows whose diagonals pass the pre-test. The acceptance
-suite calls the same residuals, folds and routine over its own seeded
-cases.
+``verify``'s rows are one table, ``ALL_CHECKS``, in CSV order; a row that
+folds one residual is a :class:`Row`. A row's cases are columns,
+:class:`Cases`: the distinct keys (the network, then a selector, a pair of
+them, a selector and a parameter, or a class), a key index per case in
+stream order, and one float64 array per time argument. One engine runs
+them. ``grouped_values`` evaluates each key's cases in stacks of at most
+1 MiB; thirteen residuals take arrays of times, each value equal bit for
+bit to its scalar call. The fold reports the first NaN in stream order,
+otherwise the first largest value, and rebuilds only that case as a tuple.
+Streams of case tuples (``worst_case``, the acceptance suite) reach the
+engine through ``columns``. The conservation residual returns None where a
+window carries no flow, so its row folds per case. ``pcp_agreement``
+counts the windows where the four positivity routes disagree, the dense
+one deciding each Choi matrix on its support (``_choi``); the inference
+round trip keeps the windows on which its residual gives an estimate. The
+residuals check the library's own code: ``states.reduced_state`` and the
+routes ``classify`` reads.
 
 All sampling uses a fixed seed so repeated runs are byte-identical. The
 sampled checks share one stream of windows, drawn in bulk from the
@@ -42,9 +31,7 @@ redraw is drawn by those calls.
 
 from __future__ import annotations
 
-import math
 import time
-from itertools import product
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -95,76 +82,132 @@ def worst_case(
 
     Each case starts with the ``NetworkParams``. A residual of None says the
     comparison has nothing to say at that case and is skipped. A NaN
-    residual ends the fold and is reported, so the check fails.
+    residual is reported, so the check fails. The fold is the rows'.
     """
     return _fold(name, tolerance, ((case, residual(*case)) for case in cases))
 
 
 def _fold(name: str, tolerance: float, values: Iterable[tuple]) -> CheckResult:
-    # The (case, value) pairs' fold: the first largest value wins, and a NaN
-    # value wins and ends it.
-    worst, at = 0.0, None
-    for case, value in values:
-        if value is not None and (at is None or not value <= worst):  # larger, or NaN
-            worst, at = value, case
-            if math.isnan(value):
-                break
-    return _result(name, worst, tolerance, at)
+    # The fold of (case, value) pairs, a None value skipped.
+    kept = [(case, value) for case, value in values if value is not None]
+    return _worst(name, tolerance, [case for case, _ in kept], [value for _, value in kept])
 
 
-def grouped_values(cases: list[tuple], evaluate: Callable, entries: Callable) -> list:
-    """The values of ``evaluate`` on the cases, in the order the cases come.
+def _worst(name: str, tolerance: float, cases, values) -> CheckResult:
+    # values[i] is the value of cases[i]: the first NaN in stream order wins,
+    # otherwise the first largest value, as np.argmax takes them.
+    if not len(values):
+        return _result(name, 0.0, tolerance, None)
+    i = int(np.argmax(values))
+    return _result(name, values[i], tolerance, cases[i])
 
-    A case is a key, the arguments before its first float, then its times:
-    (params, t), (params, t1, t2), (params, sel, t1, t2), (params, sel,
-    complement, t), (params, sel, theta, t) or (params, dyn_class, t), every
-    case laid out as the first. Each key's group is cut into chunks that
-    ``evaluate(*key, *time_arrays)`` takes as one stack, returning one value
-    per window. ``entries(N, d)`` counts the complex entries that the row
-    holds per window, d = K+1 of the key's first selector (K = 1 for a key
-    without one); a chunk holds at most
-    ``_STACK_BYTES`` (1 MiB) of them, and at least one window. A chunk of
-    one window is passed as floats: the scalar call, which equals a stack
-    of one bit for bit without paying for the stack's validation.
+
+class Cases:
+    """A row's cases as columns, in stream order.
+
+    A case is a key, the arguments before its times, then its times, as in
+    (params, sel, t1, t2). ``keys`` lists the distinct keys, ``index``
+    (intp) gives each case's key, and ``times`` holds one contiguous
+    float64 array per time argument. Indexing and iteration give case
+    tuples.
     """
-    lead = next(i for i, x in enumerate(cases[0]) if isinstance(x, float)) if cases else 0
-    groups: dict[tuple, list[int]] = {}
-    for i, case in enumerate(cases):
-        groups.setdefault(case[:lead], []).append(i)
-    values: list = [None] * len(cases)
-    for key, members in groups.items():
+
+    __slots__ = ("keys", "index", "times")
+
+    def __init__(self, keys: list[tuple], index: np.ndarray, times: tuple):
+        self.keys, self.index, self.times = keys, index, times
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i: int) -> tuple:
+        return (*self.keys[self.index[i]], *(float(t[i]) for t in self.times))
+
+    def __iter__(self):
+        rows = zip(self.index.tolist(), *(t.tolist() for t in self.times))
+        return ((*self.keys[k], *times) for k, *times in rows)
+
+
+def columns(cases: Iterable[tuple] | Cases) -> Cases:
+    """The :class:`Cases` of a stream of case tuples laid out as the first.
+
+    The key is every argument before the first float. Equal keys share one
+    entry, in the order they first come; each distinct tuple of key objects
+    is hashed once, found again by the objects' ids, never once per case.
+    """
+    if isinstance(cases, Cases):
+        return cases
+    cases = list(cases)  # held, so that no id is reused while it is looked up
+    first = cases[0] if cases else ()
+    lead = next((i for i, x in enumerate(first) if isinstance(x, float)), len(first))
+    distinct, by_ids, index = {}, {}, []
+    for case in cases:
+        ids = tuple(map(id, case[:lead]))
+        if ids not in by_ids:
+            by_ids[ids] = distinct.setdefault(case[:lead], len(distinct))
+        index.append(by_ids[ids])
+    times = np.array([case[lead:] for case in cases], dtype=float)
+    times = times.reshape(len(cases), len(first) - lead).T.copy()
+    return Cases(list(distinct), np.array(index, dtype=np.intp), tuple(times))
+
+
+def _grid_cases(keys: list[tuple], times: np.ndarray) -> Cases:
+    # product(keys, times) as columns.
+    index = np.repeat(np.arange(len(keys), dtype=np.intp), len(times))
+    return Cases(keys, index, (np.tile(times, len(keys)),))
+
+
+def grouped_values(cases: Cases, evaluate: Callable, entries: Callable) -> np.ndarray:
+    """The values of ``evaluate`` on the cases, in one float64 array in
+    stream order (a boolean reads 1.0 or 0.0).
+
+    Each key's cases, in stream order from one stable argsort, are cut into
+    chunks that ``evaluate(*key, *time_arrays)`` takes as one stack,
+    returning one value per window. ``entries(N, d)`` counts the complex
+    entries that the row holds per window, d = K+1 of the key's first
+    selector (K = 1 without one); a chunk holds at most ``_STACK_BYTES``
+    (1 MiB) of them, and at least one window. A chunk of one window is
+    passed as floats: the scalar call, equal to a stack of one bit for bit
+    without the stack's validation.
+    """
+    order = np.argsort(cases.index, kind="stable")
+    ends = np.cumsum(np.bincount(cases.index, minlength=len(cases.keys))).tolist()
+    values = np.empty(len(cases))
+    start = 0
+    for key, end in zip(cases.keys, ends):
+        members, start = order[start:end], end
         d = next((x.k_qubits for x in key if isinstance(x, SubsystemSelector)), 1) + 1
         size = max(1, _STACK_BYTES // (16 * entries(key[0].n_qubits, d)))
-        for start in range(0, len(members), size):
-            chunk = members[start : start + size]
-            times = [cases[i][lead:] for i in chunk]
-            args = times[0] if len(chunk) == 1 else map(np.array, zip(*times))
-            for i, value in zip(chunk, np.atleast_1d(evaluate(*key, *args))):
-                values[i] = value
+        for first in range(0, len(members), size):
+            chunk = members[first : first + size]
+            if len(chunk) == 1:
+                values[chunk] = evaluate(*key, *(float(t[chunk[0]]) for t in cases.times))
+            else:
+                values[chunk] = evaluate(*key, *(t[chunk] for t in cases.times))
     return values
 
 
 class Row(NamedTuple):
     """A ``verify`` row that folds one residual over its cases.
 
-    ``cases(params)`` draws the row's cases. ``entries(N, d)`` sizes the
-    stacks in which :func:`grouped_values` evaluates them; None folds them
-    one call at a time, as :func:`worst_case` does. Calling the row with a
-    network runs it.
+    ``cases(params)`` gives the row's :class:`Cases`. ``entries(N, d)``
+    sizes the stacks in which :func:`grouped_values` evaluates them; None
+    folds them one call at a time, as :func:`worst_case` does. Calling the
+    row with a network runs it.
     """
 
     name: str
     tolerance: float
     residual: Callable
-    cases: Callable[[NetworkParams], Iterable[tuple]]
+    cases: Callable[[NetworkParams], Cases]
     entries: Callable[[int, int], int] | None
 
     def __call__(self, params: NetworkParams) -> CheckResult:
+        cases = self.cases(params)
         if self.entries is None:
-            return worst_case(self.name, self.tolerance, self.residual, self.cases(params))
-        cases = list(self.cases(params))
+            return worst_case(self.name, self.tolerance, self.residual, cases)
         values = grouped_values(cases, self.residual, self.entries)
-        return _fold(self.name, self.tolerance, zip(cases, values))
+        return _worst(self.name, self.tolerance, cases, values)
 
 
 def selectors(params: NetworkParams, dyn_classes=(C1, C0)) -> list[SubsystemSelector]:
@@ -183,30 +226,45 @@ def random_interval(rng, params: NetworkParams, k: int) -> tuple[float, float]:
             return float(t1), float(t2)
 
 
-def _windows(params: NetworkParams, sels: list[SubsystemSelector], samples: int) -> list:
+def _windows(params: NetworkParams, sels: list[SubsystemSelector], samples: int) -> Cases:
     # The seeded (params, selector, t1, t2) stream that the sampled checks
-    # draw: per window, sels[rng.integers(len(sels))] and then
+    # draw, keyed by the distinct selectors of sels in the order they first
+    # come: per window, sels[rng.integers(len(sels))] and then
     # random_interval for its K. Drawn in bulk by _regular_windows; a window
     # that needs a Lemire rejection or a redraw is drawn by those calls.
     rng = np.random.default_rng(RNG_SEED)
-    cases: list = []
-    while len(cases) < samples:
-        cases += _regular_windows(rng, params, sels, samples - len(cases))
-        if len(cases) < samples:
-            sel = sels[rng.integers(len(sels))]
-            cases.append((params, sel, *random_interval(rng, params, sel.k_qubits)))
-    return cases
+    runs, drawn = [], 0
+    while drawn < samples:
+        runs.append(_regular_windows(rng, params, sels, samples - drawn))
+        drawn += len(runs[-1][0])
+        if drawn < samples:
+            i = int(rng.integers(len(sels)))
+            runs.append(([i], *([t] for t in random_interval(rng, params, sels[i].k_qubits))))
+            drawn += 1
+    picks, t1, t2 = (np.concatenate(column) for column in zip(*runs))
+    used, index = _first_come(picks)
+    return Cases([(params, sels[i]) for i in used], index, (t1, t2))
 
 
-def _regular_windows(rng, params: NetworkParams, sels, count: int) -> list:
-    # Up to ``count`` windows of the stream, from one random_raw call on
-    # rng's PCG64 state, each raw word used as numpy's Generator calls use
-    # it. integers(n) maps a 32-bit draw u to (u n) >> 32 and rejects it
-    # where (u n) mod 2^32 < 2^32 mod n; its 32-bit draws are a word's low
-    # half, then its high half, buffered between calls; integers(1) draws
-    # nothing. uniform(0, period) takes a word w as period * ((w >> 11)
-    # 2^-53). The windows end before the first that needs a rejection or
-    # whose t1 is_singular refuses, with the generator set where it starts.
+def _first_come(values: np.ndarray) -> tuple[list, np.ndarray]:
+    # The distinct ints of an array in the order they first come, and each
+    # value's position among them; dict.fromkeys and the lookups run in C.
+    values = values.tolist()
+    distinct = list(dict.fromkeys(values))
+    position = {value: i for i, value in enumerate(distinct)}
+    return distinct, np.fromiter(map(position.__getitem__, values), np.intp, len(values))
+
+
+def _regular_windows(rng, params: NetworkParams, sels, count: int) -> tuple:
+    # Up to ``count`` windows of the stream, as the selectors' positions in
+    # sels and the t1 and t2 arrays, from one random_raw call on rng's PCG64
+    # state, each raw word used as numpy's Generator calls use it.
+    # integers(n) maps a 32-bit draw u to (u n) >> 32 and rejects it where
+    # (u n) mod 2^32 < 2^32 mod n; its 32-bit draws are a word's low half,
+    # then its high half, buffered between calls; integers(1) draws nothing.
+    # uniform(0, period) takes a word w as period * ((w >> 11) 2^-53). The
+    # windows end before the first that needs a rejection or whose t1
+    # is_singular refuses, with the generator set where it starts.
     bits = rng.bit_generator
     start = bits.state
     n = len(sels)
@@ -222,15 +280,16 @@ def _regular_windows(rng, params: NetworkParams, sels, count: int) -> list:
     scaled = draws * np.uint64(n)
     rejected = np.flatnonzero((scaled & 0xFFFFFFFF) < (1 << 32) % n)
     stop = int(rejected[0]) if rejected.size else count
-    picked = [sels[i] for i in (scaled[:stop] >> 32).tolist()]
+    picks = (scaled[:stop] >> 32).astype(np.intp)
     t1, t2 = params.period * ((words[first[:stop] + fresh[:stop] + [[0], [1]]] >> 11) * 2.0**-53)
     # The array sine may round unlike math.sin, so is_singular itself decides
     # every t1 whose anchor denominator lies near ANCHOR_RTOL.
-    k = np.array([sel.k_qubits for sel in picked])
+    used, at = _first_come(picks)
+    k = np.array([sels[i].k_qubits for i in used], dtype=np.intp)[at]
     x1 = _hop(params.n_qubits, params.coupling, t1)[0]
     near = propagator._anchor_denominator(params, k, True, x1) <= propagator.ANCHOR_RTOL + 1e-9
     for i in np.flatnonzero(near).tolist():
-        if propagator.is_singular(params, picked[i].k_qubits, float(t1[i])):
+        if propagator.is_singular(params, int(k[i]), float(t1[i])):
             stop = i
             break
     if stop < count:
@@ -243,7 +302,13 @@ def _regular_windows(rng, params: NetworkParams, sels, count: int) -> list:
         )
         state["has_uint32"], state["uinteger"] = map(int, buffer)
         bits.state = state
-    return list(zip([params] * stop, picked, t1[:stop].tolist(), t2[:stop].tolist()))
+    return picks[:stop], t1[:stop], t2[:stop]
+
+
+def _network_windows(params: NetworkParams, samples: int) -> Cases:
+    # The K = 1 containing-class stream as (params, t1, t2) cases.
+    windows = _windows(params, [SubsystemSelector(1, C1)], samples)
+    return Cases([(params,)], windows.index, windows.times)
 
 
 def _grid(params: NetworkParams, points: int) -> np.ndarray:
@@ -340,7 +405,7 @@ def composition_residual(params: NetworkParams, sel: SubsystemSelector, t1, t2) 
     return propagator.compose_residual(params, sel, t1, t2, rho)
 
 
-def pcp_disagreements(cases: Iterable[tuple]) -> list[tuple]:
+def pcp_disagreements(cases: Iterable[tuple] | Cases) -> list[tuple]:
     """The (params, selector, t1, t2) cases on which the four positivity
     routes disagree, in the order the cases come.
 
@@ -354,9 +419,9 @@ def pcp_disagreements(cases: Iterable[tuple]) -> list[tuple]:
     that a flow term joins by a Cholesky factorisation, built for the whole
     stack and factorised for the windows whose diagonals pass a pre-test.
     """
-    cases = list(cases)
+    cases = columns(cases)
     agree = grouped_values(cases, _pcp_agree, lambda n, d: 2 * d * d)  # B and the built blocks
-    return [case for case, ok in zip(cases, agree) if not ok]
+    return [cases[i] for i in np.flatnonzero(agree == 0.0).tolist()]
 
 
 def _pcp_agree(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> np.ndarray:
@@ -411,16 +476,17 @@ def conservation_relation_residual(
         return None  # mirrored window, no flow; relation says nothing there
 
 
-def fisher_cases(params: NetworkParams, taus) -> Iterable[tuple]:
-    """(params, selector, parameter, t) at t = tau periods, skipping the
-    size parameter of the whole network, which diverges by design."""
-    times = np.asarray(taus) * params.period
-    for sel in selectors(params):
-        for theta in GlobalParameter:
-            if theta is GlobalParameter.SIZE_N and sel == SubsystemSelector(params.n_qubits, C1):
-                continue
-            for t in times:
-                yield params, sel, theta, t
+def fisher_cases(params: NetworkParams, taus) -> Cases:
+    """The (params, selector, parameter, t) cases at t = tau periods, skipping
+    the size parameter of the whole network, which diverges by design."""
+    whole = SubsystemSelector(params.n_qubits, C1)
+    keys = [
+        (params, sel, theta)
+        for sel in selectors(params)
+        for theta in GlobalParameter
+        if not (theta is GlobalParameter.SIZE_N and sel == whole)
+    ]
+    return _grid_cases(keys, np.asarray(taus) * params.period)
 
 
 @_refuse_as_loop
@@ -518,13 +584,13 @@ def check_inference_roundtrip(params: NetworkParams) -> CheckResult:
 # verify's rows in CSV order. Comments give what entries counts per window.
 ALL_CHECKS: tuple[Callable[[NetworkParams], CheckResult], ...] = (
     Row("amplitude_unitarity", 1e-12, unitarity_residual,
-        lambda p: product([p], _grid(p, 400)),
+        lambda p: _grid_cases([(p,)], _grid(p, 400)),
         lambda n, d: 2),  # u_s and u_d
     Row("amplitude_oracle", 1e-9, amplitude_oracle_residual,
-        lambda p: product([p], _grid(p, 100)),
+        lambda p: _grid_cases([(p,)], _grid(p, 100)),
         lambda n, d: 5 * n * n),  # the oracle's operand and product, the block, the gap
     Row("reduced_state_oracle", 1e-9, reduced_state_residual,
-        lambda p: product([p], selectors(p), _grid(p, 25)),
+        lambda p: _grid_cases([(p, sel) for sel in selectors(p)], _grid(p, 25)),
         lambda n, d: 2 * n * n + 3 * d * d),  # two N x N products, three densities
     Row("propagator_completeness", 1e-10, completeness_residual,
         lambda p: _windows(p, selectors(p), 100),
@@ -546,10 +612,10 @@ ALL_CHECKS: tuple[Callable[[NetworkParams], CheckResult], ...] = (
         lambda n, d: 4 * d**4),  # both one-time maps, built as one stack
     check_pcp_agreement,
     Row("trace_distance_eigenroute", 1e-12, trace_distance_residual,
-        lambda p: product([p], selectors(p), _grid(p, 40)),
+        lambda p: _grid_cases([(p, sel) for sel in selectors(p)], _grid(p, 40)),
         lambda n, d: 2 * d * d),  # the densities and eigvalsh's copy
     Row("entropy_symmetry", 1e-12, entropy_symmetry_residual,
-        lambda p: ((p, *pair, t) for pair, t in product(complement_pairs(p), _grid(p, 200))),
+        lambda p: _grid_cases([(p, *pair) for pair in complement_pairs(p)], _grid(p, 200)),
         lambda n, d: 2),  # both entropies
     Row("conservation_relation", 1e-10, conservation_relation_residual,
         lambda p: _windows(p, selectors(p, (C0,)), 60),
@@ -558,11 +624,11 @@ ALL_CHECKS: tuple[Callable[[NetworkParams], CheckResult], ...] = (
         lambda p: fisher_cases(p, np.linspace(0.07, 0.93, 8)),
         lambda n, d: 8 * d * d),  # three densities, the difference, eigh's, m and products
     Row("fisher_split_identity", 1e-10, fisher_split_residual,
-        lambda p: product([p], DynClass, (np.linspace(0.05, 1.95, 60) * p.period).tolist()),
+        lambda p: _grid_cases([(p, c) for c in DynClass], np.linspace(0.05, 1.95, 60) * p.period),
         lambda n, d: 16),  # both splits' fields and gaps
     check_inference_roundtrip,
     Row("bloch_fixed_points", 1e-12, bloch_fixed_point_residual,
-        lambda p: [(q, t1, t2) for q, _, t1, t2 in _windows(p, [SubsystemSelector(1, C1)], 60)],
+        lambda p: _network_windows(p, 60),
         lambda n, d: 8),  # both maps' images and gaps
 )
 

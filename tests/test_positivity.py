@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ def test_transition_verdict_flip():
 
 
 def full_bisection(above, lo, hi):
-    """All 200 halvings, with no early stop: the reference for the shared helper."""
+    """All 200 halvings, with no early stop: the independent route to the flip."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if above(mid):
@@ -303,12 +304,24 @@ def full_bisection(above, lo, hi):
 @pytest.mark.parametrize("j", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("tau", [1e-9, 1e-3, 0.05, 0.5, 0.9, 1 - 1e-9])
 def test_transition_time_equals_a_full_bisection(n, j, tau):
+    # The closed form (T - dt)/2 within 1e-15 T of its exact value, and the
+    # flip that a full bisection of |u_d|^2 locates where the crossing is well
+    # conditioned (dt >= 1e-3 T), within the bisection's own error: round-off
+    # over the slope of |u_d|^2(t + dt) - |u_d|^2(t), eps T^2 / dt (measured:
+    # 67 ulps of T at dt = 1e-3 T, at most 1.5 from 0.05 T on). At dt = 1e-9 T
+    # that difference is below round-off near the peak, and the bisection
+    # lands 7e-9 T off.
     params = NetworkParams(n, j)
-    dt = tau * params.period
-    want = full_bisection(
-        lambda t: _hop(n, j, t + dt)[0] > _hop(n, j, t)[0], 0.0, 0.5 * params.period
-    )
-    assert positivity_transition_time(params, SubsystemSelector(1, C1), dt) == want
+    period, eps = params.period, np.finfo(float).eps
+    dt = tau * period
+    got = positivity_transition_time(params, SubsystemSelector(1, C1), dt)
+    exact = (Fraction(period) - Fraction(dt)) / 2
+    assert abs(Fraction(got) - exact) <= Fraction(1e-15) * Fraction(period)
+    if tau >= 1e-3:
+        want = full_bisection(
+            lambda t: _hop(n, j, t + dt)[0] > _hop(n, j, t)[0], 0.0, 0.5 * period
+        )
+        assert abs(got - want) <= eps * period * period / dt
 
 
 def test_transition_time_validation():

@@ -84,6 +84,66 @@ def test_every_row_fails_on_a_nan_residual(row):
     assert result.worst_at == next(iter(row.cases(N5)))
 
 
+@pytest.mark.parametrize("row", ROWS.values(), ids=list(ROWS))
+@pytest.mark.parametrize("n", [5, 8])
+def test_every_row_folds_as_the_per_case_fold(row, n):
+    # The columns' grouped stacks and fold against one residual call per
+    # case tuple, folded by worst_case: the value bit for bit, the verdict
+    # and the case.
+    params = NetworkParams(n, 1.0)
+    got = row(params)
+    want = v.worst_case(row.name, row.tolerance, row.residual, list(row.cases(params)))
+    assert got.value.hex() == want.value.hex()
+    assert (got.passed, got.worst_at) == (want.passed, want.worst_at)
+
+
+def _planted_row(values):
+    # A grouped row whose cases alternate between two selectors' keys in
+    # stream order, case i at t1 = i, and whose residual reads values[t1].
+    sels = v.selectors(N5)[:2]
+    cases = [(N5, sels[i % 2], float(i), 0.0) for i in range(len(values))]
+
+    def residual(params, sel, t1, t2):
+        return np.array(values)[np.asarray(t1, dtype=int)]
+
+    row = v.Row("planted", 1.0, residual, lambda params: v.columns(cases), lambda n, d: 2)
+    return row, cases
+
+
+@pytest.mark.parametrize(
+    "values, first",
+    [
+        ([1.0, 5.0, 5.0, 2.0], 1),  # a tie across keys: the earlier case in stream order
+        ([1.0, math.nan, math.nan, 9.0], 1),  # a NaN of the later key, earlier in the stream
+        ([math.nan, 9.0, math.nan, 9.0], 0),
+    ],
+)
+def test_planted_values_fold_in_stream_order(values, first):
+    # The first key's group is evaluated first, so its case 2 is met before
+    # case 1 of the second key; the fold still reports stream order.
+    row, cases = _planted_row(values)
+    result = row(N5)
+    want = v.worst_case("planted", 1.0, row.residual, cases)
+    assert result.worst_at == want.worst_at == cases[first]
+    assert result.value.hex() == want.value.hex() == float(values[first]).hex()
+
+
+def test_pcp_agreement_counts_as_the_tuple_stream(monkeypatch):
+    # The count and first case of check_pcp_agreement's columns are those of
+    # pcp_disagreements on the same windows as case tuples, with none and
+    # with disagreements planted in three groups.
+    cases = list(v._windows(N5, v.selectors(N5), 2000))
+    result = v.check_pcp_agreement(N5)
+    assert (result.value, result.worst_at) == (0.0, None) and v.pcp_disagreements(cases) == []
+    cp = [c for c in cases if propagator.flow_amplitude(*c) >= -TOL]
+    groups = list(dict.fromkeys(c[1] for c in cp))[:3]
+    picks = [next(c for c in reversed(cp) if c[1] == sel) for sel in groups]
+    _inject(monkeypatch, [c[2] for c in picks])
+    bad = v.pcp_disagreements(cases)
+    result = v.check_pcp_agreement(N5)
+    assert len(bad) == len(picks) and (result.value, result.worst_at) == (len(bad), bad[0])
+
+
 @pytest.mark.parametrize("check, residual", FOLDS, ids=[_check_id(c) for c, _ in FOLDS])
 @pytest.mark.parametrize("n", [2, 5, 8, 12])
 def test_reported_case_reproduces_the_value(check, residual, n):
@@ -433,22 +493,38 @@ def test_dense_route_calls_the_rank_one_choi_block_psd_where_b_is_finite(monkeyp
 
 
 def test_dense_route_refuses_the_choi_guard_before_any_block(monkeypatch):
-    # N = 64, K = 64: (K+1)^2 = 4225 rows exceed CHOI_MAX_DIM. dense_cp
-    # raises choi_matrix's SizeLimitError before it builds any block.
+    # The guard counts the rows of the largest block that dense_cp builds,
+    # K + 1, not choi_matrix's (K+1)^2. At N = 64, K = 64, choi_matrix
+    # refuses 4225 rows and dense_cp decides the window. With the guard set
+    # to 63 rows, the 64-row blocks of K = 64 in the containing class and of
+    # K = 63 in the excluding class are refused before any block is built,
+    # and the 63-row block of K = 62 is not.
     params = NetworkParams(64, 1.0)
     ops = propagator.build_propagator(params, SubsystemSelector(64, v.C1), 0.1, 0.3)
-    with pytest.raises(SizeLimitError) as want:
+    with pytest.raises(SizeLimitError) as full:
         positivity.choi_matrix(ops)
+    assert str(full.value) == "Choi dimension 4225^2 exceeds guard 4096^2"
+    assert bool(_choi.dense_cp(ops, TOL)) == (ops.flow_weight >= -TOL)
 
     def refuse(*args):
         raise AssertionError("the dense route built a block past the guard")
 
+    monkeypatch.setattr(positivity, "CHOI_MAX_DIM", 63)
+    below = propagator.build_propagator(params, SubsystemSelector(62, v.C0), 0.1, 0.3)
+    _choi.dense_cp(below, TOL)
     monkeypatch.setattr(_choi, "_block_stack", refuse)
-    with pytest.raises(SizeLimitError) as got:
-        _choi.dense_cp(ops, TOL)
-    assert str(got.value) == str(want.value) == "Choi dimension 4225^2 exceeds guard 4096^2"
-    with pytest.raises(SizeLimitError):
-        v.pcp_disagreements([(params, SubsystemSelector(64, v.C1), 0.1, 0.3)])
+    for sel in (SubsystemSelector(64, v.C1), SubsystemSelector(63, v.C0)):
+        with pytest.raises(SizeLimitError) as got:
+            _choi.dense_cp(propagator.build_propagator(params, sel, 0.1, 0.3), TOL)
+        assert str(got.value) == "Choi block dimension 64^2 exceeds guard 63^2", sel
+        with pytest.raises(SizeLimitError):
+            v.pcp_disagreements([(params, sel, 0.1, 0.3)])
+
+
+def test_pcp_agreement_runs_at_n_64():
+    # Past choi_matrix's guard: every block the dense route builds is within it.
+    result = v.check_pcp_agreement(NetworkParams(64))
+    assert result.passed and result.value == 0 and result.worst_at is None
 
 
 def _same_bits(got, want) -> bool:
@@ -530,7 +606,7 @@ def test_dense_verdict_is_the_eigenvalue_verdict_on_every_window(n):
         verdicts.extend(np.atleast_1d(dense).tolist())
         return dense == (np.linalg.eigvalsh(positivity.choi_matrix(ops)).min(axis=-1) >= -TOL)
 
-    assert all(v.grouped_values(cases, dense_is_eigvalsh, lambda n, d: d**4))
+    assert all(v.grouped_values(v.columns(cases), dense_is_eigvalsh, lambda n, d: d**4))
     assert len(verdicts) == len(cases) and 0 < sum(verdicts) < len(cases)
 
 
@@ -775,6 +851,11 @@ def test_grouped_rows_hold_no_more_than_the_positivity_stacks():
     assert max(peaks.values()) <= 1.5e6, peaks
 
 
+def _grouped(cases, evaluate, entries) -> list:
+    # grouped_values on a stream of case tuples, through the one converter.
+    return v.grouped_values(v.columns(cases), evaluate, entries).tolist()
+
+
 def test_grouped_values_come_in_stream_order_and_chunks():
     # Chunks of at most _STACK_BYTES, at least one window each, values
     # returned where their cases stand; a one-window chunk comes as floats.
@@ -787,10 +868,10 @@ def test_grouped_values_come_in_stream_order_and_chunks():
         calls.append(t1)
         return t1 + 2.0 * t2
 
-    assert v.grouped_values(cases, evaluate, lambda n, d: v._STACK_BYTES // 16 // 3) == expected
+    assert _grouped(cases, evaluate, lambda n, d: v._STACK_BYTES // 16 // 3) == expected
     assert max(np.size(t1) for t1 in calls) == 3
     del calls[:]
-    assert v.grouped_values(cases, evaluate, lambda n, d: v._STACK_BYTES) == expected
+    assert _grouped(cases, evaluate, lambda n, d: v._STACK_BYTES) == expected
     assert len(calls) == len(cases) and all(type(t1) is float for t1 in calls)
 
     # The key is every argument before the times: (params, t) cases group
@@ -808,12 +889,12 @@ def test_grouped_values_come_in_stream_order_and_chunks():
         return v._STACK_BYTES // 16 // 3
 
     cases = [(params, t) for t in grid for params in (N5, NetworkParams(5, 2.0))]
-    assert v.grouped_values(cases, keyed, entries) == [3.0 * t + p.coupling for p, t in cases]
+    assert _grouped(cases, keyed, entries) == [3.0 * t + p.coupling for p, t in cases]
     assert ds == [2, 2] and keys == [(N5,)] * 4 + [(NetworkParams(5, 2.0),)] * 4
     pairs = [v.complement_pairs(N5)[i] for i in (3, 0, 2)]
     cases = [(N5, *pair, t) for t in grid for pair in pairs]
     keys, ds = [], []
-    assert v.grouped_values(cases, keyed, entries) == [3.0 * t + 1.0 for *_, t in cases]
+    assert _grouped(cases, keyed, entries) == [3.0 * t + 1.0 for *_, t in cases]
     assert ds == [pair[0].k_qubits + 1 for pair in pairs]
     assert keys == [(N5, *pair) for pair in pairs for _ in range(4)]
 
@@ -822,15 +903,34 @@ def test_grouped_values_come_in_stream_order_and_chunks():
     # d = 2.
     cases = list(v.fisher_cases(N5, [0.1, 0.3, 0.7, 0.2, 0.9]))[-20:]
     keys, ds = [], []
-    assert v.grouped_values(cases, keyed, entries) == [3.0 * t + 1.0 for *_, t in cases]
+    assert _grouped(cases, keyed, entries) == [3.0 * t + 1.0 for *_, t in cases]
     sels = [SubsystemSelector(k, v.C0) for k in (3, 4)]
     assert ds == [4, 4, 5, 5]
     thetas = list(v.GlobalParameter)
     assert keys == [(N5, sel, theta) for sel in sels for theta in thetas for _ in range(2)]
     cases = [(N5, cls, t) for t in grid[:3] for cls in (v.C0, v.C1)]
     keys, ds = [], []
-    assert v.grouped_values(cases, keyed, entries) == [3.0 * t + 1.0 for *_, t in cases]
+    assert _grouped(cases, keyed, entries) == [3.0 * t + 1.0 for *_, t in cases]
     assert ds == [2, 2] and keys == [(N5, v.C0), (N5, v.C1)]
+
+
+def test_columns_hash_each_key_object_once():
+    # Equal keys merge, and each new tuple of key objects is hashed once:
+    # 50 cases on one key object and one case on an equal new object.
+    hashed = []
+
+    class Key:
+        def __hash__(self):
+            hashed.append(self)
+            return 0
+
+        def __eq__(self, other):
+            return isinstance(other, Key)
+
+    one = Key()
+    cases = v.columns([(N5, one, float(i)) for i in range(50)] + [(N5, Key(), 0.5)])
+    assert len(hashed) == 2 and cases.keys == [(N5, one)]
+    assert cases.index.tolist() == [0] * 51 and cases[50] == (N5, one, 0.5)
 
 
 def test_only_the_rows_without_stacks_fold_per_case(monkeypatch):
