@@ -17,11 +17,12 @@ flow.
 
 A block that no flow term joins is |v><v|, v its rows of B: rank one, so
 |v><v| + tol*I is positive definite for every finite v and for no other.
-Such a block is decided by the finiteness of B, never built. Every block
-that a flow term joins is built from B and the flow weights alone, never
-from the closed-form spectrum, and factorised by Cholesky. Its entries are
-``positivity.choi_matrix``'s but for the rounding of v_r conj(v_s): numpy's
-complex product rounds unlike the matrix product.
+Such a block is decided by the finiteness of phi_s and phi_d, never built.
+Every block that a flow term joins is built from B, built once per stack,
+and the flow weights alone, never from the closed-form spectrum, and
+factorised by Cholesky. Its entries are ``positivity.choi_matrix``'s but
+for the rounding of v_r conj(v_s): numpy's complex product rounds unlike
+the matrix product.
 
 The route lives apart from ``verification``: where no bytecode is written,
 every import compiles that module, the compiler's peak memory grows with
@@ -30,6 +31,7 @@ it, and there this route raised ``verify``'s peak RSS.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -46,23 +48,22 @@ class _Block(NamedTuple):
 
 def _flatten(ops: propagator.PropagatorOps) -> propagator.PropagatorOps:
     # A stack of ops of any shape, or one window's, as a 1-d stack with array
-    # weights and times.
-    d, shape = ops.k_qubits + 1, ops.block_diag.shape[:-2]
+    # scalars and times.
+    shape = np.shape(ops.phi_s)
     flat = lambda x: None if x is None else np.broadcast_to(x, shape).reshape(-1)
-    weights, times = map(flat, (ops.flow_weight, ops.ground_extra)), map(flat, (ops.t1, ops.t2))
-    block = ops.block_diag.reshape(-1, d, d)
-    return propagator.PropagatorOps(block, *weights, ops.k_qubits, ops.dyn_class, *times)
+    names = "phi_s", "phi_d", "flow_weight", "ground_extra", "t1", "t2"
+    return dataclasses.replace(ops, **{name: flat(getattr(ops, name)) for name in names})
 
 
-def _choi_blocks(ops: propagator.PropagatorOps) -> list[_Block]:
+def _choi_blocks(ops: propagator.PropagatorOps, b: np.ndarray) -> list[_Block]:
     # The support of a 1-d stack's Choi matrices, in the blocks that no entry
-    # couples (see the module docstring): the block of B first. The flow
-    # terms' sectors are disjoint, so no two terms meet. Each block's rows
-    # are marked in a mask over the (K+1)^2 Choi rows.
+    # couples (see the module docstring): the block of B (``b``) first. The
+    # flow terms' sectors are disjoint, so no two terms meet. Each block's
+    # rows are marked in a mask over the (K+1)^2 Choi rows.
     d = ops.k_qubits + 1
     index = np.arange(d * d).reshape(d, d)
     read, terms = propagator._flow(ops)
-    rows = ops.block_diag.reshape(-1, d * d).any(axis=0)  # where B is nonzero
+    rows = b.reshape(-1, d * d).any(axis=0)  # where B is nonzero
     groups = [(rows, [])]
     for sector, weight in terms:
         term = np.ravel(index[sector, read])
@@ -81,10 +82,10 @@ def _choi_blocks(ops: propagator.PropagatorOps) -> list[_Block]:
     return blocks
 
 
-def _block_stack(ops: propagator.PropagatorOps, block: _Block) -> np.ndarray:
-    # The block of the Choi matrices of every window of a 1-d stack:
-    # v_r conj(v_s) on the block's rows v of B, plus each flow term.
-    v = ops.block_diag.reshape(len(ops.block_diag), -1)[:, block.rows]
+def _block_stack(b: np.ndarray, block: _Block) -> np.ndarray:
+    # The block of the Choi matrices of every window of a 1-d stack of B,
+    # ``b``: v_r conj(v_s) on the block's rows v of B, plus each flow term.
+    v = b.reshape(len(b), -1)[:, block.rows]
     out = v[:, :, None] * v.conj()[:, None, :]
     for positions, weight in block.terms:
         out[:, positions[:, None], positions] += weight[:, None, None]
@@ -94,29 +95,30 @@ def _block_stack(ops: propagator.PropagatorOps, block: _Block) -> np.ndarray:
 def dense_cp(ops: propagator.PropagatorOps, tol: float) -> np.ndarray:
     """Whether the Choi matrix of each window of a stack of ops has its
     smallest eigenvalue at or above -``tol`` (``tol`` > 0), decided on its
-    support.
+    support (see the module docstring); an array of the stack's shape.
 
     Refused with ``SizeLimitError`` where a block that it builds would
     exceed ``positivity.CHOI_MAX_DIM`` rows, before any block is built: the
     largest has K + 1 rows, where ``positivity.choi_matrix`` has (K+1)^2.
-    The rows off the support are zero, so they pass. A block that no flow
-    term joins is |v><v| + tol*I, v its rows of B, positive definite
-    exactly where v is finite, so it passes where B is finite. The other
-    blocks are built for every window. Each pivot of a Cholesky factorisation is its
-    diagonal entry less a sum of squares, so a shifted diagonal entry <= 0
-    fails it at or before its own pivot: the shifted diagonals of all built
-    blocks are tested first, so that a window a diagonal entry decides never
-    sends a stack to ``_choi_psd``'s per-matrix fallback, and each block is
-    then factorised once by ``_choi_psd`` for the windows still passing.
-    Returns an array of the stack's shape.
+    The rows off the support are zero, so they pass, and the rank-one block
+    passes where phi_s and phi_d are finite. Each pivot of a Cholesky
+    factorisation is its diagonal entry less a sum of squares, so a shifted
+    diagonal entry <= 0 fails it at or before its own pivot: the shifted
+    diagonals of all built blocks are tested first, so that a window a
+    diagonal entry decides never sends a stack to ``_choi_psd``'s
+    per-matrix fallback, and each block is then factorised once by
+    ``_choi_psd`` for the windows still passing.
     """
-    stack = ops.block_diag.shape[:-2]
+    stack = np.shape(ops.phi_s)
     ops = _flatten(ops)
-    joined = [block for block in _choi_blocks(ops) if block.terms]
+    b = ops.block_diag
+    joined = [block for block in _choi_blocks(ops, b) if block.terms]
     largest = max((block.rows.size for block in joined), default=0)
     positivity._check_choi_dim(largest, "Choi block dimension")
-    cp = np.isfinite(ops.block_diag).all(axis=(-2, -1))
-    built = [_block_stack(ops, block) for block in joined]
+    cp = np.isfinite(ops.phi_s)
+    if ops.phi_d is not None:
+        cp &= np.isfinite(ops.phi_d)
+    built = [_block_stack(b, block) for block in joined]
     for blocks in built:
         cp &= (np.einsum("...ii->...i", blocks).real + tol > 0.0).all(axis=-1)
     for blocks in built:

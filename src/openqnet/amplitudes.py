@@ -80,6 +80,14 @@ def _check_time(t, name: str = "t", arrays: bool = False):
     return value
 
 
+def _check_tol(tol) -> None:
+    # A tolerance: a finite real number >= 0. A bool (np.True_ included) is
+    # refused, not read as 1.0, and so is NaN, which no comparison passes.
+    number = (int, float, np.integer, np.floating)
+    if isinstance(tol, (bool, np.bool_)) or not isinstance(tol, number) or not 0.0 <= tol < math.inf:
+        raise ParameterError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def _phase(n: int, j: float, t):
     # N J t of a validated float or array t. A finite t can still overflow
     # it, and no trig function of an infinite phase means anything.

@@ -47,17 +47,15 @@ def affine_map(params: NetworkParams, dyn_class: DynClass, t1, t2) -> BlochAffin
     """Bloch-space form of the single-qubit propagator over [t1, t2].
 
     The K = 1 reading of ``build_propagator``, with its checks and anchor
-    test. An ndarray ``t1`` or ``t2`` gives a map with array fields.
+    test: the transverse scale and rotation are |phi_s| and its phase, the
+    z-scale 1 - flow. An ndarray ``t1`` or ``t2`` gives a map with array fields.
     """
     _check_class(dyn_class)
     ops = build_propagator(params, _QUBIT[dyn_class], t1, t2)
-    contains = dyn_class is DynClass.CONTAINS_EXCITED
-    # B's non-unit diagonal entry, u_s(t2)/u_s(t1) in both classes.
-    ratio = ops.block_diag[..., 1, 1] if contains else ops.block_diag[..., 0, 0]
-    ratio = ratio if ratio.ndim else complex(ratio)
+    ratio = ops.phi_s  # B's non-unit diagonal entry, u_s(t2)/u_s(t1), in both classes
     phase = cmath.phase(ratio) if isinstance(ratio, complex) else np.angle(ratio)
     z_scale = 1.0 - ops.flow_weight
-    if contains:
+    if dyn_class is DynClass.CONTAINS_EXCITED:
         # Coherence rotates against the unit ground phase.
         return BlochAffineMap(abs(ratio), phase, z_scale, 1.0 - z_scale, dyn_class, ops.t1, ops.t2)
     # Coherence rotates against the unit local single-excitation phase,

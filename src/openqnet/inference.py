@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _amplitudes, _bisect, _check_time
+from .amplitudes import NetworkParams, _amplitudes, _bisect, _check_time, _check_tol
 from .errors import (
     IndeterminateFlowError,
     InconsistentObservationError,
@@ -73,7 +73,9 @@ def two_qubit_consistency(obs: FlowObservation, tol: float) -> bool:
 
     Any excitation-conserving two-qubit unitary forces the two flow weights
     to coincide; a mismatch beyond ``tol`` signals hidden degrees of freedom.
+    ``tol`` must be a finite number >= 0, not a bool.
     """
+    _check_tol(tol)
     return abs(obs.flow_class1 - obs.flow_class0) <= tol
 
 

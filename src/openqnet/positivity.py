@@ -19,7 +19,7 @@ ground-to-ground weight:
   v = phi_0 |00> + sum_i |ii> and w = sum_i |i>|0>. K f is an eigenvalue;
   the other two are those of the 2x2 matrix
   [[|phi_0|^2 + g, sqrt(K) phi_0], [sqrt(K) conj(phi_0), K]] on
-  span{|00>, sum_i |ii>/sqrt(K)}, with phi_0 = B[0, 0]. Its determinant
+  span{|00>, sum_i |ii>/sqrt(K)}, with phi_0 the ground phase. Its determinant
   is K g, so the smaller one carries the sign of g.
 
 Every other eigenvalue is exactly zero, and at least one zero is always
@@ -30,12 +30,11 @@ the dense :func:`choi_matrix` is kept as the independent oracle for it.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _check_time
+from .amplitudes import NetworkParams, _check_time, _check_tol
 from .errors import ParameterError, SizeLimitError
 from .propagator import PropagatorOps, _basis_images, _build, _window
 from .states import DynClass, SubsystemSelector, _mixing
@@ -89,7 +88,7 @@ def choi_matrix(ops: PropagatorOps) -> np.ndarray:
     """
     d = ops.k_qubits + 1
     _check_choi_dim(d * d, "Choi dimension")
-    stack = ops.block_diag.shape[:-2]
+    stack = np.shape(ops.phi_s)
     m = len(stack)
     # C[*S, a*d + mu, b*d + nu] = images[mu, nu, *S, a, b]
     images = _basis_images(ops).transpose(*range(2, m + 2), m + 2, 0, m + 3, 1)
@@ -106,24 +105,21 @@ def _check_choi_dim(dim: int, what: str) -> None:
 def choi_spectrum(ops: PropagatorOps) -> tuple:
     """The Choi eigenvalues that can be nonzero, in closed form.
 
-    ``(||B||_F^2, K*flow)`` for the containing class and ``(K*flow,
-    lambda_+, lambda_-)`` for the excluding class (see the module
-    docstring); all other (K+1)^2 - 2 or - 3 eigenvalues are exactly zero.
-    Stacked ops of shape S give arrays of shape S, equal to the calls on
-    each element's ops within round-off.
+    ``(||B||_F^2, K*flow)`` for the containing class, with ||B||_F^2 =
+    1 + K|phi_s|^2 + K(K-1)|phi_d|^2, and ``(K*flow, lambda_+, lambda_-)``
+    for the excluding class (see the module docstring); all other (K+1)^2 -
+    2 or - 3 eigenvalues are exactly zero. Stacked ops of shape S give
+    arrays of shape S, equal to the calls on each element's ops within
+    round-off.
     """
-    k, flow, block = ops.k_qubits, ops.flow_weight, ops.block_diag
-    one = block.ndim == 2
+    k, flow, phi_s_abs2 = ops.k_qubits, ops.flow_weight, abs(ops.phi_s) ** 2
     if ops.dyn_class is DynClass.CONTAINS_EXCITED:
-        if one:
-            return float(np.vdot(block, block).real), k * flow
-        return np.einsum("...ij,...ij->...", block.conj(), block).real, k * flow
-    phi0_abs2 = abs(block[0, 0] if one else block[..., 0, 0]) ** 2
+        return 1.0 + k * phi_s_abs2 + k * (k - 1) * abs(ops.phi_d) ** 2, k * flow
     g = ops.ground_extra
-    top = phi0_abs2 + g  # ground weight p(t2)/p(t1) >= 0, so trace > 0
+    top = phi_s_abs2 + g  # ground weight p(t2)/p(t1) >= 0, so trace > 0
     trace = top + k
     # tr^2 - 4 det written as a sum of squares: never negative by round-off.
-    root = (math.sqrt if one else np.sqrt)((top - k) ** 2 + 4.0 * k * phi0_abs2)
+    root = np.sqrt((top - k) ** 2 + 4.0 * k * phi_s_abs2)
     # The smaller root from det / larger root, free of cancellation.
     return k * flow, 0.5 * (trace + root), 2.0 * k * g / (trace + root)
 
@@ -133,10 +129,9 @@ def classify(
 ) -> PositivityVerdict:
     """Run all three positivity routes over [t1, t2] and classify the map.
 
-    Takes float times. ``tol`` must be finite and non-negative.
+    Takes float times. ``tol`` must be a finite number >= 0, not a bool.
     """
-    if not (isinstance(tol, (int, float, np.floating, np.integer)) and 0.0 <= tol < math.inf):
-        raise ParameterError(f"tol must be a finite number >= 0, got {tol!r}")
+    _check_tol(tol)
     ops, spectrum, delta = _routes(params, sel, t1, t2, False)
     flow = ops.flow_weight
     choi_min = float(min(0.0, *spectrum))  # a zero eigenvalue is always present

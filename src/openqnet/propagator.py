@@ -49,24 +49,46 @@ ANCHOR_RTOL = 1e-8
 class PropagatorOps:
     """Operator-sum data of one propagator, restricted to q <= 1, or of a stack.
 
-    ``block_diag`` is the (K+1)x(K+1) excitation-conserving operator B;
-    ``flow_weight`` is the real squared weight of the flow operator (may be
-    negative); ``ground_extra`` is the squared weight of the extra
-    ground-to-ground operator (excluding class only, else None).
+    The window's scalars, and no matrix: ``phi_s`` and ``phi_d`` of the
+    containing class, or phi_0 as ``phi_s`` (``phi_d`` None) of the
+    excluding class; ``flow_weight``, the real squared weight of the flow
+    operator (may be negative); ``ground_extra``, the squared weight of the
+    extra ground-to-ground operator (excluding class only, else None).
     ``dyn_class`` fixes the flow operator's pattern: the ground row over the
     q=1 columns for the containing class, the mirrored column for the
-    excluding class. A stack of shape S, built from arrays of times, has a
-    ``(*S, K+1, K+1)`` block, weights of shape S and the validated ``t1``,
-    ``t2`` arrays.
+    excluding class. A stack of shape S, built from arrays of times, has
+    scalars of shape S and the validated ``t1``, ``t2`` arrays.
     """
 
-    block_diag: np.ndarray
+    phi_s: complex | np.ndarray
+    phi_d: complex | np.ndarray | None
     flow_weight: float | np.ndarray
     ground_extra: float | np.ndarray | None
     k_qubits: int
     dyn_class: DynClass
     t1: float | np.ndarray
     t2: float | np.ndarray
+
+    @property
+    def block_diag(self) -> np.ndarray:
+        """B, the (K+1)x(K+1) excitation-conserving operator (``(*S, K+1, K+1)``
+        for a stack), built from the scalars on each read: 1, then phi_s on the
+        q = 1 diagonal and phi_d off it, or phi_0, then the q = 1 identity
+        (excluding class: all K qubits are equivalent, so nothing mixes)."""
+        k, phi_s, phi_d = self.k_qubits, self.phi_s, self.phi_d
+        shape = () if type(phi_s) is complex else phi_s.shape
+        block = np.zeros(shape + (k + 1, k + 1), dtype=complex)
+        flat = block.reshape(shape + ((k + 1) ** 2,))  # a view: B[a, b] at a*(K+1) + b
+        if self.dyn_class is not DynClass.CONTAINS_EXCITED:
+            flat[..., 0] = phi_s
+            flat[..., k + 2 :: k + 2] = 1.0  # local q = 1 phases are unity by gauge
+            return block
+        if shape:  # line a stack's scalars up with the blocks' last axes
+            phi_s, phi_d = phi_s[..., None], phi_d[..., None, None]
+        flat[..., 0] = 1.0  # the ground-sector phase is unity by gauge
+        block[..., 1:, 1:] = phi_d
+        flat[..., k + 2 :: k + 2] = phi_s
+        return block
 
 
 def is_singular(params: NetworkParams, k_qubits: int, t1) -> bool:
@@ -135,9 +157,8 @@ def build_propagator(
     """Construct the closed-form propagator over [t1, t2] for the subsystem.
 
     An ndarray ``t1`` or ``t2`` gives a stack of propagators over the
-    broadcast shape S of the two: ``block_diag`` is ``(*S, K+1, K+1)`` and
-    ``flow_weight`` and ``ground_extra`` are arrays of shape S, each element
-    equal bit for bit to the scalar call on that window. An array is
+    broadcast shape S of the two, whose scalars are arrays of shape S, each
+    element equal bit for bit to the scalar call on that window. An array is
     refused exactly as its first refusing element would be.
     """
     return _build(params, sel, *_window(params, (sel,), t1, t2, True))
@@ -152,7 +173,6 @@ def _build(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> PropagatorO
     a1, a2 = _amplitudes(params, t1), _amplitudes(params, t2)
     amps = a1.same_site, a1.cross_site, a2.same_site, a2.cross_site
     if type(t1) is float and type(t2) is float:
-        shape = ()
         x1, x2, phase, extra = _scalars(k, contains, *amps)
     else:
         ends = np.broadcast_arrays(*amps)
@@ -161,20 +181,10 @@ def _build(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> PropagatorO
         rows = [_scalars(k, contains, *window) for window in windows]
         x1, x2, phase, extra = (np.array(c).reshape(shape) for c in list(zip(*rows)) or [()] * 4)
     flow = _flow_weight(n, k, contains, x1, x2)
-    block = np.zeros(shape + (k + 1, k + 1), dtype=complex)
     if contains:
-        if shape:  # line a stack's phases up with the block's last axes
-            phase, extra = phase[..., None], extra[..., None, None]
-        block[..., 0, 0] = 1.0  # ground-sector phase is unity by gauge
-        block[..., 1:, 1:] = extra  # phi_d off the diagonal
-        block.reshape(shape + (-1,))[..., k + 2 :: k + 2] = phase  # phi_s on it
-        return PropagatorOps(block, flow, None, k, sel.dyn_class, t1, t2)
-    block[..., 0, 0] = phase
-    # Local single-excitation phases are unity by gauge; there is no
-    # internal mixing in this class (all K qubits are equivalent).
-    block[..., 1:, 1:] = np.eye(k)
+        return PropagatorOps(phase, extra, flow, None, k, sel.dyn_class, t1, t2)
     # Ground weight p(t2)/p(t1) = 1 - K flow (excitation balance).
-    return PropagatorOps(block, flow, 1.0 - k * flow - extra, k, sel.dyn_class, t1, t2)
+    return PropagatorOps(phase, None, flow, 1.0 - k * flow - extra, k, sel.dyn_class, t1, t2)
 
 
 def _scalars(k: int, contains: bool, us1, ud1, us2, ud2) -> tuple:

@@ -233,7 +233,7 @@ def test_stacked_propagator_equals_scalar_builds(network, tau2, tau1):
     ops = build_propagator(params, sel, t1, t2)
     shape, d = grids[0].shape, sel.k_qubits + 1
     assert ops.block_diag.shape == shape + (d, d)
-    for name in ("block_diag", "flow_weight", "ground_extra"):
+    for name in ("block_diag", "phi_s", "phi_d", "flow_weight", "ground_extra"):
         if getattr(singles[0], name) is None:
             assert getattr(ops, name) is None
             continue

@@ -42,6 +42,17 @@ def test_two_qubit_consistency_examples():
     assert not two_qubit_consistency(FlowObservation(0.64, 0.16, 1.0), 1e-9)
 
 
+@pytest.mark.parametrize(
+    "tol", [math.nan, -1.0, math.inf, -math.inf, "1e-9", None, True, np.True_]
+)
+def test_two_qubit_consistency_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    # Unchecked, nan and -1.0 would report hidden degrees of freedom for
+    # every pair, equal flows included, and inf and True none for this one.
+    with pytest.raises(ParameterError, match="tol must be"):
+        two_qubit_consistency(FlowObservation(0.64, 0.16, 1.0), tol)
+    assert two_qubit_consistency(FlowObservation(0.3, 0.3, 1.0), 0)
+
+
 def test_two_qubit_consistency_for_actual_pair():
     params = NetworkParams(2, 1.0)
     rng = np.random.default_rng(61)

@@ -250,10 +250,12 @@ def test_full_network_always_cp():
         assert verdict.choi_min_eig >= -1e-10
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf, "1e-9", None])
+@pytest.mark.parametrize(
+    "tol", [math.nan, -1.0, math.inf, -math.inf, "1e-9", None, True, np.True_]
+)
 def test_classify_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol):
-    # Unchecked, nan and -1.0 would call this CP window (flow +0.086) not CP
-    # and inf would call every window CP.
+    # Unchecked, nan and -1.0 would call this CP window (flow +0.086) not CP,
+    # inf would call every window CP, and True would run as tol = 1.0.
     with pytest.raises(ParameterError, match="tol must be"):
         classify(N5, SubsystemSelector(2, C1), 0.1, 0.2, tol=tol)
     assert classify(N5, SubsystemSelector(2, C1), 0.1, 0.2, tol=0).verdict is Verdict.POSITIVE_AND_CP

@@ -13,6 +13,7 @@ from openqnet import (
     amplitudes,
     apply,
     build_propagator,
+    choi_spectrum,
     classify,
     completeness_residual,
     compose_residual,
@@ -24,7 +25,7 @@ from openqnet import (
     reduced_state,
 )
 from openqnet.propagator import ANCHOR_RTOL
-from openqnet.verification import composition_residual, orbit_residual
+from openqnet.verification import composition_residual, orbit_residual, random_interval
 
 N5 = NetworkParams(5, 1.0)
 C1 = DynClass.CONTAINS_EXCITED
@@ -357,3 +358,60 @@ def test_every_route_refuses_the_same_anchors(n):
                     build_propagator(params, SubsystemSelector(k, C0), t1, t2)
                 verdicts.append(want)
     assert any(verdicts) and not all(verdicts)
+
+
+def _b_by_hand(ops, index):
+    # B of one window of ops, written out from its scalars: 1, phi_s on the
+    # q = 1 diagonal and phi_d off it (containing class), or phi_0 and the
+    # q = 1 identity (excluding class).
+    d = ops.k_qubits + 1
+    block = np.zeros((d, d), dtype=complex)
+    if ops.dyn_class is C1:
+        block[0, 0] = 1.0
+        block[1:, 1:] = np.asarray(ops.phi_d)[index]
+        for i in range(1, d):
+            block[i, i] = np.asarray(ops.phi_s)[index]
+    else:
+        block[0, 0] = np.asarray(ops.phi_s)[index]
+        for i in range(1, d):
+            block[i, i] = 1.0
+    return block
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("shape", [(), (3, 4)])
+def test_a_propagator_is_its_window_scalars(n, shape):
+    # Every field but K and the class has the stack's shape S, so no
+    # per-window matrix is held; B is built from the scalars on each read,
+    # bit for bit as written out by hand; choi_spectrum reads ||B||_F^2 from
+    # the scalars within 4 eps of np.vdot; and affine_map's transverse scale
+    # and rotation are those of B's non-unit diagonal entry.
+    params, rng = NetworkParams(n, 1.0), np.random.default_rng(47)
+    eps = np.finfo(float).eps
+    for sel in all_selectors(params):
+        count = math.prod(shape)
+        windows = np.array([random_interval(rng, params, sel.k_qubits) for _ in range(count)])
+        t1, t2 = windows[:, 0].reshape(shape), windows[:, 1].reshape(shape)
+        if not shape:
+            t1, t2 = float(t1), float(t2)
+        ops = build_propagator(params, sel, t1, t2)
+        fields = ops.phi_s, ops.phi_d, ops.flow_weight, ops.ground_extra, ops.t1, ops.t2
+        assert [np.shape(f) for f in fields if f is not None] == [shape] * 5, sel
+        assert (ops.phi_d is None) == (ops.ground_extra is not None) == (sel.dyn_class is C0)
+        block = ops.block_diag
+        assert block.shape == shape + (sel.k_qubits + 1,) * 2
+        for index in np.ndindex(shape):
+            assert block[index].tobytes() == _b_by_hand(ops, index).tobytes(), (sel, index)
+        if sel.dyn_class is C1:
+            norm2 = np.asarray(choi_spectrum(ops)[0])
+            for index in np.ndindex(shape):
+                want = np.vdot(block[index], block[index]).real
+                assert abs(norm2[index] - want) <= 4 * eps * want, (sel, index)
+        if sel.k_qubits == 1:
+            bmap = affine_map(params, sel.dyn_class, t1, t2)
+            # A scalar entry for one window, as abs() of a scalar rounds unlike
+            # np.abs of an array.
+            entry = (block[..., 1, 1] if sel.dyn_class is C1 else block[..., 0, 0])[()]
+            sign = 1.0 if sel.dyn_class is C1 else -1.0
+            assert np.asarray(bmap.transverse_scale).tobytes() == np.asarray(abs(entry)).tobytes()
+            assert np.asarray(bmap.rotation_angle).tobytes() == (sign * np.angle(entry)).tobytes()

@@ -373,8 +373,8 @@ def test_dense_route_at_the_tolerance_edge_factorises_each_block_alone(
         assert min(positivity.choi_spectrum(ops)) == pytest.approx(target, rel=1e-9)
         reference = np.linalg.eigvalsh(positivity.choi_matrix(ops)).min() >= -TOL
         assert reference == (margin < 0)
-        taken, blocks = _blocks_of(ops)
-        built = [_choi._block_stack(taken, b) for b in blocks if b.terms]
+        _, b, blocks = _blocks_of(ops)
+        built = [_choi._block_stack(b, block) for block in blocks if block.terms]
         diagonals = [np.diagonal(b, axis1=-2, axis2=-1).real + TOL for b in built]
         diagonal_passes = all((diagonal > 0.0).all() for diagonal in diagonals)
         assert diagonal_passes == (dyn_class is v.C0 or k > 1 or margin < 0), (n, k)
@@ -463,31 +463,33 @@ def test_non_positive_diagonal_is_not_psd_whatever_lies_above_it(monkeypatch):
 
 
 def test_dense_route_calls_the_rank_one_choi_block_psd_where_b_is_finite(monkeypatch):
-    # N = 8, K = 4, containing class, flow 0.211 > 0, B scaled by 1e4: the
-    # exact Choi matrix is |v><v| (+) f J_K, PSD, yet eigvalsh reads about
-    # -1.6e-7 on the round-off of the rank-one block, and a Cholesky
-    # factorisation of that block shifted by VERDICT_TOL fails. The dense
-    # route decides it by the finiteness of B, so the window is CP; a NaN or
-    # an inf in B's q = 1 block makes it not CP. No Cholesky call ever takes
-    # a block of 1 + K^2 rows.
+    # N = 8, K = 4, containing class, flow 0.211 > 0, phi_s and phi_d (so
+    # B's q = 1 block) scaled by 1e4: the exact Choi matrix is
+    # |v><v| (+) f J_K, PSD, yet eigvalsh reads about -1.6e-7 on the
+    # round-off of the rank-one block, and a Cholesky factorisation of that
+    # block shifted by VERDICT_TOL fails. The dense route decides it by the
+    # finiteness of phi_s and phi_d, so the window is CP; a NaN phi_d or an
+    # inf phi_s makes it not CP. No Cholesky call ever takes a block of
+    # 1 + K^2 rows.
     params, sel = NetworkParams(8, 1.0), SubsystemSelector(4, v.C1)
     ops = propagator.build_propagator(params, sel, 0.1, 0.3)
     assert ops.flow_weight == pytest.approx(0.2113, abs=1e-4)
-    ops = dataclasses.replace(ops, block_diag=ops.block_diag * 1e4)
+    ops = dataclasses.replace(ops, phi_s=ops.phi_s * 1e4, phi_d=ops.phi_d * 1e4)
     assert min(positivity.choi_spectrum(ops)) == pytest.approx(4 * ops.flow_weight)
     assert np.linalg.eigvalsh(positivity.choi_matrix(ops)).min() < -TOL
-    taken, blocks = _blocks_of(ops)
-    assert [(b.rows.size, len(b.terms)) for b in blocks] == [(17, 0), (4, 1)]
-    assert _choi._choi_psd(_choi._block_stack(taken, blocks[0]), TOL).tolist() == [False]
+    _, b, blocks = _blocks_of(ops)
+    assert [(block.rows.size, len(block.terms)) for block in blocks] == [(17, 0), (4, 1)]
+    assert _choi._choi_psd(_choi._block_stack(b, blocks[0]), TOL).tolist() == [False]
 
     factorised, real = [], np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda m: factorised.append(m.shape) or real(m))
     assert _choi.dense_cp(ops, TOL)
-    stack = np.repeat(ops.block_diag[None], 3, axis=0)
-    stack[1, 1, 2], stack[2, 4, 4] = np.nan, np.inf
-    for i in (1, 2):
-        assert not _choi.dense_cp(dataclasses.replace(ops, block_diag=stack[i]), TOL)
-    got = _choi.dense_cp(dataclasses.replace(ops, block_diag=stack), TOL)
+    phi_s, phi_d = np.full(3, ops.phi_s), np.full(3, ops.phi_d)
+    phi_d[1], phi_s[2] = np.nan, np.inf
+    planted = [dataclasses.replace(ops, phi_s=phi_s[i], phi_d=phi_d[i]) for i in (1, 2)]
+    for one in planted:
+        assert not _choi.dense_cp(one, TOL)
+    got = _choi.dense_cp(dataclasses.replace(ops, phi_s=phi_s, phi_d=phi_d), TOL)
     assert got.tolist() == [True, False, False]
     assert factorised == [(1, 4, 4), (1, 4, 4)]
 
@@ -560,9 +562,11 @@ def _support_cases(n):
 
 
 def _blocks_of(ops):
-    # The 1-d stack of ops and its Choi support blocks, as the dense route takes them.
+    # The 1-d stack of ops, its B and its Choi support blocks, as the dense
+    # route takes them.
     ops = _choi._flatten(ops)
-    return ops, _choi._choi_blocks(ops)
+    b = ops.block_diag
+    return ops, b, _choi._choi_blocks(ops, b)
 
 
 @pytest.mark.parametrize("n", [2, 5, 8, 17])
@@ -577,16 +581,16 @@ def test_choi_blocks_are_the_full_choi_matrix_on_its_support(n):
         k = sel.k_qubits
         want_sizes = [1 + k * k if sel.dyn_class is v.C1 else k + 1, k]
         for ops in ops_pair:
-            ops, blocks = _blocks_of(ops)
-            assert [b.rows.size for b in blocks] == want_sizes, (n, sel)
+            ops, b, blocks = _blocks_of(ops)
+            assert [block.rows.size for block in blocks] == want_sizes, (n, sel)
             full = positivity.choi_matrix(ops)
             covered = np.zeros(full.shape[1:], dtype=bool)
-            flat = np.abs(ops.block_diag.reshape(len(full), -1))
+            flat = np.abs(b.reshape(len(full), -1))
             for block in blocks:
                 square = np.ix_(block.rows, block.rows)
                 assert not covered[square].any()
                 covered[square] = True
-                got = _choi._block_stack(ops, block)
+                got = _choi._block_stack(b, block)
                 want = full[(slice(None), *square)]
                 scale = flat[:, block.rows, None] * flat[:, None, block.rows]
                 assert (np.abs(got - want) <= BLOCK_ULPS * eps * scale).all(), (n, sel)
@@ -669,18 +673,25 @@ def test_pcp_builds_choi_matrices_past_the_diagonal_and_factorises_each_stack_on
         diag = np.diagonal(positivity.choi_matrix(stack), axis1=-2, axis2=-1).real
         windows[sel] = list(zip(stack.t1.tolist(), stack.t2.tolist()))
         passing[sel] = (diag + TOL > 0.0).all(axis=-1)
-    built, factorised, stacks = [], [], []
+    built, factorised, stacks, current = [], [], [], []
     real_block, real_cholesky, real_agree = _choi._block_stack, np.linalg.cholesky, v._pcp_agree
+    real_blocks = _choi._choi_blocks
 
-    def block_stack(ops, block):
+    def choi_blocks(ops, b):
+        # The selector and windows of the stack whose blocks are built next.
         sel = SubsystemSelector(ops.k_qubits, ops.dyn_class)
-        blocks = real_block(ops, block)
-        built.append((sel, list(zip(ops.t1.tolist(), ops.t2.tolist())), blocks.copy()))
+        current[:] = [sel, list(zip(ops.t1.tolist(), ops.t2.tolist()))]
+        return real_blocks(ops, b)
+
+    def block_stack(b, block):
+        blocks = real_block(b, block)
+        built.append((*current, blocks.copy()))
         return blocks
 
     def refuse(ops):
         raise AssertionError("the dense route built a full Choi matrix")
 
+    monkeypatch.setattr(_choi, "_choi_blocks", choi_blocks)
     monkeypatch.setattr(_choi, "_block_stack", block_stack)
     monkeypatch.setattr(positivity, "choi_matrix", refuse)
     record = lambda m: factorised.append(m.copy()) or real_cholesky(m)
@@ -720,14 +731,20 @@ def test_nan_choi_matrix_makes_the_routes_disagree(monkeypatch):
 
 def _inject(monkeypatch, targets):
     # The dense route calls the windows anchored at the target t1 not CP: a
-    # NaN fills their blocks.
-    real = _choi._block_stack
+    # NaN fills their blocks. The anchors are those of the stack whose
+    # support blocks were found last.
+    real_blocks, real_stack, anchors = _choi._choi_blocks, _choi._block_stack, []
 
-    def patched(ops, block):
-        blocks = real(ops, block)
-        blocks[np.isin(ops.t1, targets)] = np.nan
+    def choi_blocks(ops, b):
+        anchors[:] = [ops.t1]
+        return real_blocks(ops, b)
+
+    def patched(b, block):
+        blocks = real_stack(b, block)
+        blocks[np.isin(anchors[0], targets)] = np.nan
         return blocks
 
+    monkeypatch.setattr(_choi, "_choi_blocks", choi_blocks)
     monkeypatch.setattr(_choi, "_block_stack", patched)
 
 
