@@ -22,14 +22,14 @@ from .amplitudes import amplitudes
 
 __version__ = "0.1.0"
 
-# The home module of every public name but ``amplitudes``.
+# The home module of every public name but ``amplitudes``. With ``amplitudes``,
+# this table is the public surface: ``__all__`` is read off it.
 _EXPORTS = {
     "amplitudes": (
         "Amplitudes", "NetworkParams", "global_state", "q1_unitary_oracle", "unitarity_residuals",
     ),
     "bloch": (
-        "BlochAffineMap", "affine_map", "axial_positivity_band", "ball_membership", "evolve_bloch",
-        "physical_bloch_z",
+        "BlochAffineMap", "affine_map", "axial_positivity_band", "evolve_bloch", "physical_bloch_z",
     ),
     "errors": (
         "DegenerateStateError", "DivergenceError", "IndeterminateFlowError",
@@ -44,10 +44,7 @@ _EXPORTS = {
         "FlowObservation", "SizeEstimate", "conservation_residual", "estimate_period",
         "infer_coupling", "infer_network_size", "two_qubit_consistency",
     ),
-    "oracle": (
-        "GlobalVector", "bilinear_partial_trace", "dynamical_map_oracle", "propagator_oracle",
-        "reduced_density_oracle", "subsystem_sites",
-    ),
+    "oracle": ("dynamical_map_oracle", "propagator_oracle", "reduced_density_oracle"),
     "positivity": (
         "PositivityVerdict", "Verdict", "choi_matrix", "choi_spectrum", "classify",
         "positivity_transition_time",
@@ -62,6 +59,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(["amplitudes", *_HOME])
 # Public submodules, reachable as ``openqnet.<name>`` without an import.
 _SUBMODULES = (
     "bloch", "cli", "errors", "fisher", "inference", "oracle", "positivity", "propagator", "states",
@@ -84,21 +82,3 @@ def __getattr__(name: str):
 def __dir__():
     return sorted({*globals(), *_HOME, *_SUBMODULES})
 
-
-__all__ = [
-    "Amplitudes", "BlochAffineMap", "DegenerateStateError", "DivergenceError", "DynClass",
-    "FisherBreakdown", "FlowObservation", "GlobalParameter", "GlobalVector",
-    "IndeterminateFlowError", "InconsistentObservationError", "NetworkParams", "OpenQNetError",
-    "OracleFailureError", "ParameterError", "PoleError", "PositivityVerdict", "ProcessStateSplit",
-    "PropagatorOps", "ReducedState", "SingularIntervalError", "SizeEstimate", "SizeLimitError",
-    "SubsystemSelector", "UnsupportedOracleError", "Verdict", "affine_map", "amplitudes", "apply",
-    "axial_positivity_band", "ball_membership", "bilinear_partial_trace", "build_propagator",
-    "choi_matrix", "choi_spectrum", "classify", "completeness_residual", "compose_residual",
-    "conservation_residual", "dynamical_map_oracle", "entanglement_entropy", "estimate_period",
-    "evolve_bloch", "excitation_probability", "flow_amplitude", "global_state", "infer_coupling",
-    "infer_network_size", "is_singular", "materialize_density", "physical_bloch_z",
-    "positivity_transition_time", "process_state_split", "propagator_matrix", "propagator_oracle",
-    "q1_unitary_oracle", "qfi_closed_form", "qfi_numeric_oracle", "reduced_density_oracle",
-    "reduced_state", "subsystem_sites", "trace_distance_to_fixed", "two_qubit_consistency",
-    "unitarity_residuals",
-]

@@ -48,19 +48,24 @@ def affine_map(params: NetworkParams, dyn_class: DynClass, t1, t2) -> BlochAffin
 
     The K = 1 reading of ``build_propagator``, with its checks and anchor
     test: the transverse scale and rotation are |phi_s| and its phase, the
-    z-scale 1 - flow. An ndarray ``t1`` or ``t2`` gives a map with array fields.
+    z-scale 1 - flow. An ndarray ``t1`` or ``t2`` gives a map with array
+    fields, each equal bit for bit to the scalar call's but the rotation
+    angle: ``np.angle`` rounds unlike ``cmath.phase`` in the last bits.
     """
     _check_class(dyn_class)
     ops = build_propagator(params, _QUBIT[dyn_class], t1, t2)
     ratio = ops.phi_s  # B's non-unit diagonal entry, u_s(t2)/u_s(t1), in both classes
-    phase = cmath.phase(ratio) if isinstance(ratio, complex) else np.angle(ratio)
+    if isinstance(ratio, complex):
+        scale, phase = abs(ratio), cmath.phase(ratio)
+    else:  # hypot rounds as abs() of each element does, where np.abs does not
+        scale, phase = np.hypot(ratio.real, ratio.imag), np.angle(ratio)
     z_scale = 1.0 - ops.flow_weight
     if dyn_class is DynClass.CONTAINS_EXCITED:
         # Coherence rotates against the unit ground phase.
-        return BlochAffineMap(abs(ratio), phase, z_scale, 1.0 - z_scale, dyn_class, ops.t1, ops.t2)
+        return BlochAffineMap(scale, phase, z_scale, 1.0 - z_scale, dyn_class, ops.t1, ops.t2)
     # Coherence rotates against the unit local single-excitation phase,
     # opposite in sense to the containing class.
-    return BlochAffineMap(abs(ratio), -phase, z_scale, z_scale - 1.0, dyn_class, ops.t1, ops.t2)
+    return BlochAffineMap(scale, -phase, z_scale, z_scale - 1.0, dyn_class, ops.t1, ops.t2)
 
 
 def evolve_bloch(bmap: BlochAffineMap, b) -> np.ndarray:
@@ -98,17 +103,6 @@ def axial_positivity_band(bmap: BlochAffineMap) -> tuple[float, float] | None:
     if scale.ndim:
         return np.where(empty, np.nan, lo), np.where(empty, np.nan, hi)
     return None if empty else (float(lo), float(hi))
-
-
-def ball_membership(bmap: BlochAffineMap, b) -> bool:
-    """Whether the image of a Bloch-ball vector stays inside the ball."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (3,):
-        raise ParameterError(f"Bloch vector must have shape (3,), got {b.shape}")
-    if float(b @ b) > 1.0 + 1e-12:
-        raise ParameterError(f"input Bloch vector lies outside the unit ball: {b}")
-    image = evolve_bloch(bmap, b)
-    return float(image @ image) <= 1.0 + 1e-12
 
 
 @_refuse_as_loop

@@ -11,9 +11,9 @@ over the whole time grid, and ``fisher`` and ``entropy`` take every K in
 one (K, T) stack; a column refuses what its first refusing grid point
 would, and a stack what the loop over its K would. Only ``infer``'s period
 bisection still works point by point. Exit codes: 0 success, 1 usage
-error, 2 numerical-verification failure, 3 singular-point request (a
-singular propagator anchor or a degenerate state; the message names the
-time).
+error or a table above ``TABLE_MAX_CELLS``, 2 numerical-verification
+failure, 3 singular-point request (a singular propagator anchor or a
+degenerate state; the message names the time).
 """
 
 from __future__ import annotations
@@ -27,9 +27,14 @@ import numpy as np
 
 from . import _csv, bloch, fisher, inference, propagator, states
 from .amplitudes import NetworkParams, amplitudes
-from .errors import DegenerateStateError, OpenQNetError, SingularIntervalError
+from .errors import DegenerateStateError, OpenQNetError, SingularIntervalError, SizeLimitError
 from .fisher import GlobalParameter
 from .states import DynClass, SubsystemSelector
+
+
+#: Largest dataset table, in cells (rows x columns), refused before any
+#: column is built. The benchmark's largest table holds 150.5k.
+TABLE_MAX_CELLS = 1_000_000
 
 
 class _VerificationFailed(OpenQNetError):
@@ -55,10 +60,10 @@ def _rows(*columns) -> np.ndarray:
     return np.column_stack(np.broadcast_arrays(*columns))
 
 
-def _parse_k_values(text: str | None, n: int, dyn_classes: Sequence[DynClass]) -> list[int]:
+def _parse_k_values(text: str | None, n: int, dyn_classes: Sequence[DynClass]) -> range:
     k_max = n if DynClass.CONTAINS_EXCITED in dyn_classes else n - 1
     if text is None:
-        return list(range(1, min(n - 1, k_max) + 1)) or [1]
+        return range(1, max(n, 2))  # 1..N-1, and K = 1 at least
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -71,7 +76,7 @@ def _parse_k_values(text: str | None, n: int, dyn_classes: Sequence[DynClass]) -
         raise click.UsageError(f"--k range must satisfy 1 <= a <= b, got {text!r}")
     if hi > k_max:
         raise click.UsageError(f"--k={text} exceeds the largest valid K ({k_max}) for this request")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _dyn_class(value: str) -> DynClass:
@@ -85,11 +90,20 @@ _out_option = click.option("--out", "out_path", default="-", show_default=True, 
 _class_option = click.option("--class", "dyn_class", type=click.Choice(["0", "1"]), default="1", show_default=True, help="Dynamical class: 1 contains the excited qubit, 0 excludes it.")
 
 
-def _grid(steps: int, start: float = 0.0, stop: float = 1.0) -> np.ndarray:
+def _grid(
+    steps: int, columns: int, start: float = 0.0, stop: float = 1.0, by_k: bool = False
+) -> np.ndarray:
+    # The time grid of a table with ``columns`` columns, ``t_over_period``
+    # included; the one size guard, before any column is built.
     if steps < 2:
         raise click.UsageError(f"--steps must be >= 2, got {steps}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise click.UsageError(f"the time range must be finite, got {start} to {stop}")
+    if steps * columns > TABLE_MAX_CELLS:
+        raise SizeLimitError(
+            f"table of {steps} rows x {columns} columns ({steps * columns} cells) guarded at "
+            f"{TABLE_MAX_CELLS} cells; lower --steps" + (" or narrow --k" if by_k else "")
+        )
     return np.linspace(start, stop, steps)
 
 
@@ -119,11 +133,12 @@ def cli() -> None:
 def amplitudes_cmd(n_qubits: int, coupling: float, steps: int, out_path: str) -> None:
     """Global transition amplitudes u_s(t), u_d(t) over one period."""
     params = NetworkParams(n_qubits, coupling)
-    taus = _grid(steps)
+    header = ["t_over_period", "u_s_re", "u_s_im", "u_d_re", "u_d_im", "u_d_abs2"]
+    taus = _grid(steps, len(header))
     amps = amplitudes(params, _absolute(params, taus))
     us, ud = amps.same_site, amps.cross_site
     rows = _rows(taus, us.real, us.imag, ud.real, ud.imag, amps.cross_abs2)
-    _write_csv(out_path, _csv.csv_chunks(["t_over_period", "u_s_re", "u_s_im", "u_d_re", "u_d_im", "u_d_abs2"], rows))
+    _write_csv(out_path, _csv.csv_chunks(header, rows))
 
 
 @cli.command("flow")
@@ -138,12 +153,13 @@ def flow_cmd(n_qubits: int, coupling: float, dt: float, k_text: str | None, step
     params = NetworkParams(n_qubits, coupling)
     dt = _window_length(dt)
     ks = _parse_k_values(k_text, n_qubits, (DynClass.CONTAINS_EXCITED,))
+    ks0 = ks if ks[-1] < n_qubits else ks[:-1]  # class 0 stops at K = N - 1
+    taus = _grid(steps, 1 + len(ks) + len(ks0), by_k=True)
     header = ["t_over_period"]
     header += [f"phi_tau_c1_k{k}" for k in ks]
-    header += [f"phi_tau_c0_k{k}" for k in ks if k <= n_qubits - 1]
+    header += [f"phi_tau_c0_k{k}" for k in ks0]
     sels = [SubsystemSelector(k, DynClass.CONTAINS_EXCITED) for k in ks]
-    sels += [SubsystemSelector(k, DynClass.EXCLUDES_EXCITED) for k in ks if k <= n_qubits - 1]
-    taus = _grid(steps)
+    sels += [SubsystemSelector(k, DynClass.EXCLUDES_EXCITED) for k in ks0]
     flows = propagator._flows(params, sels, _absolute(params, taus), _absolute(params, taus + dt))
     _write_csv(out_path, _csv.csv_chunks(header, _rows(taus, *flows)))
 
@@ -162,7 +178,7 @@ def bloch_traj_cmd(n_qubits: int, coupling: float, dyn_class: str, steps: int, o
     params = NetworkParams(n_qubits, coupling)
     cls = _dyn_class(dyn_class)
     header = ["t_over_period"] + [f"bz0_{z0:+.4f}" for z0 in _TRAJECTORY_STARTS] + ["orbit_bz"]
-    taus = _grid(steps)
+    taus = _grid(steps, len(header))
     t = _absolute(params, taus)
     bmap = bloch.affine_map(params, cls, 0.0, t)
     starts = [bmap.z_shift + bmap.z_scale * z0 for z0 in _TRAJECTORY_STARTS]
@@ -181,11 +197,12 @@ def bloch_domain_cmd(n_qubits: int, coupling: float, dyn_class: str, dt: float, 
     params = NetworkParams(n_qubits, coupling)
     cls = _dyn_class(dyn_class)
     dt = _window_length(dt)
-    taus = _grid(steps)
+    header = ["t_over_period", "band_lo", "band_hi", "orbit_bz"]
+    taus = _grid(steps, len(header))
     t1, t2 = _absolute(params, taus), _absolute(params, taus + dt)
     lo, hi = bloch.axial_positivity_band(bloch.affine_map(params, cls, t1, t2))
     rows = _rows(taus, lo, hi, bloch.physical_bloch_z(params, cls, t1))
-    _write_csv(out_path, _csv.csv_chunks(["t_over_period", "band_lo", "band_hi", "orbit_bz"], rows))
+    _write_csv(out_path, _csv.csv_chunks(header, rows))
 
 
 @cli.command("entropy")
@@ -200,8 +217,8 @@ def entropy_cmd(n_qubits: int, coupling: float, dyn_class: str, k_text: str | No
     params = NetworkParams(n_qubits, coupling)
     cls = _dyn_class(dyn_class)
     ks = _parse_k_values(k_text, n_qubits, (cls,))
+    taus = _grid(steps, 1 + len(ks), by_k=True)
     header = ["t_over_period"] + [f"entropy_k{k}" for k in ks]
-    taus = _grid(steps)
     entropies = states._entropy_stack(params, ks, cls, _absolute(params, taus))
     _write_csv(out_path, _csv.csv_chunks(header, _rows(taus, *entropies)))
 
@@ -222,17 +239,20 @@ def fisher_cmd(n_qubits: int, coupling: float, dyn_class: str, k_text: str | Non
     params = NetworkParams(n_qubits, coupling)
     cls = _dyn_class(dyn_class)
     ks = _parse_k_values(k_text, n_qubits, (cls,))
-    header, table = _fisher_table(params, ks, cls, _grid(steps))
+    # No size columns for K = N in class 1, the largest K.
+    sized = ks[:-1] if cls is DynClass.CONTAINS_EXCITED and ks[-1] == n_qubits else ks
+    taus = _grid(steps, 1 + 3 * (len(ks) + len(sized)), by_k=True)
+    header, table = _fisher_table(params, ks, sized, cls, taus)
     _write_csv(out_path, _csv.csv_chunks(header, table))
 
 
-def _fisher_table(params: NetworkParams, ks: list[int], cls: DynClass, taus: np.ndarray) -> tuple:
-    # The fisher header and table: each parameter's pieces for every K from
-    # one stack. Only the table outlives this call, so the stacks are freed
-    # before writing.
+def _fisher_table(
+    params: NetworkParams, ks: range, sized: range, cls: DynClass, taus: np.ndarray
+) -> tuple:
+    # The fisher header and table: each parameter's pieces for every K of
+    # ``ks``, size pieces for the K of ``sized``, from one stack each. Only
+    # the table outlives this call, so the stacks are freed before writing.
     t = _absolute(params, taus)
-    # No size columns for K = N in class 1, the largest K.
-    sized = ks[:-1] if cls is DynClass.CONTAINS_EXCITED and ks[-1] == params.n_qubits else ks
     stacks = [("fj", fisher._information_stack(params, ks, cls, GlobalParameter.COUPLING_J, t))]
     if sized:
         stacks.append(("fn", fisher._information_stack(params, sized, cls, GlobalParameter.SIZE_N, t)))
@@ -266,12 +286,13 @@ def fisher_decomp_cmd(n_qubits: int, coupling: float, dyn_class: str, t1: float,
         raise click.UsageError(f"the default two-period sweep is not representable past t1={t1}")
     if end <= t1:
         raise click.UsageError(f"--t2 must exceed --t1, got t1={t1} t2={end}")
-    taus = _grid(steps, t1, end)
+    header = ["t_over_period", "process", "state", "cross", "total"]
+    taus = _grid(steps, len(header), t1, end)
     split = fisher.process_state_split(
         params, cls, t1 * params.period, _absolute(params, taus), rescaled=True
     )
     rows = _rows(taus, split.process, split.state, split.cross, split.total)
-    _write_csv(out_path, _csv.csv_chunks(["t_over_period", "process", "state", "cross", "total"], rows))
+    _write_csv(out_path, _csv.csv_chunks(header, rows))
 
 
 @cli.command("infer")
@@ -302,11 +323,6 @@ def infer_cmd(n_qubits: int, coupling: float, dt: float, steps: int, out_path: s
 
     period_est = inference.estimate_period(hop_change, window, 2.5 * params.period)
     j_est = inference.infer_coupling(period_est, n_qubits)
-    taus = _grid(steps)
-    t1 = _absolute(params, taus)
-    flow1, flow0 = propagator._flows(params, (sel1, sel0), t1, _absolute(params, taus + dt))
-    ground = states.excitation_probability(params, sel0, t1)
-    rows = _rows(taus, flow1, flow0, ground, *inference._size_estimates(flow1, flow0, ground), j_est)
     header = [
         "t_over_period",
         "phi_tau_c1",
@@ -317,6 +333,11 @@ def infer_cmd(n_qubits: int, coupling: float, dt: float, steps: int, out_path: s
         "n_residual",
         "j_estimate",
     ]
+    taus = _grid(steps, len(header))
+    t1 = _absolute(params, taus)
+    flow1, flow0 = propagator._flows(params, (sel1, sel0), t1, _absolute(params, taus + dt))
+    ground = states.excitation_probability(params, sel0, t1)
+    rows = _rows(taus, flow1, flow0, ground, *inference._size_estimates(flow1, flow0, ground), j_est)
     _write_csv(out_path, _csv.csv_chunks(header, rows))
 
 

@@ -30,12 +30,10 @@ for that class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .amplitudes import NetworkParams, _check_time, _refuse_as_loop, q1_unitary_oracle
-from .errors import ParameterError, SizeLimitError, UnsupportedOracleError
+from .errors import SizeLimitError, UnsupportedOracleError
 from .propagator import _window
 from .states import DynClass, SubsystemSelector
 
@@ -43,29 +41,9 @@ from .states import DynClass, SubsystemSelector
 TOMOGRAPHY_MAX_QUBITS = 512
 
 
-@dataclass(frozen=True)
-class GlobalVector:
-    """A global vector restricted to the reachable q <= 1 sectors."""
-
-    q0_amp: complex
-    q1_amps: np.ndarray
-    n_qubits: int
-
-    def __post_init__(self):
-        shape = np.shape(self.q1_amps)
-        if shape != (self.n_qubits,):
-            raise ParameterError(f"q1_amps must have shape ({self.n_qubits},), got {shape}")
-
-    @property
-    def norm_sq(self) -> float:
-        return abs(self.q0_amp) ** 2 + float(np.sum(np.abs(self.q1_amps) ** 2))
-
-
-def subsystem_sites(params: NetworkParams, sel: SubsystemSelector) -> tuple[int, ...]:
-    """Deterministic site choice: the excited qubit is site 0.
-
-    Containing class takes sites 0..K-1; excluding class takes 1..K.
-    """
+def _subsystem_sites(params: NetworkParams, sel: SubsystemSelector) -> tuple[int, ...]:
+    # The excited qubit is site 0: the containing class takes sites 0..K-1,
+    # the excluding class 1..K.
     sel.validate(params)
     if sel.dyn_class is DynClass.CONTAINS_EXCITED:
         return tuple(range(sel.k_qubits))
@@ -89,21 +67,6 @@ def _partial_traces(kets: np.ndarray, bras: np.ndarray, sites: tuple[int, ...]) 
     return out
 
 
-def bilinear_partial_trace(
-    psi: GlobalVector, chi: GlobalVector, sites: tuple[int, ...]
-) -> np.ndarray:
-    """Tr_env |psi><chi| onto the chosen sites, as a (K+1)x(K+1) matrix."""
-    if psi.n_qubits != chi.n_qubits:
-        raise ParameterError("bra and ket describe different network sizes")
-    n = psi.n_qubits
-    site_set = set(sites)
-    integers = all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in sites)
-    if not (integers and site_set and len(site_set) == len(sites) and site_set <= set(range(n))):
-        raise ParameterError(f"sites must be distinct indices in 0..{n - 1}, got {sites!r}")
-    ket, bra = (np.concatenate(([v.q0_amp], v.q1_amps), dtype=complex) for v in (psi, chi))
-    return _partial_traces(ket[None], bra[None], sites)[0, 0]
-
-
 @_refuse_as_loop
 def reduced_density_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> np.ndarray:
     """Reduced density by evolving the generating state and tracing.
@@ -115,7 +78,7 @@ def reduced_density_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> 
     call; an array is refused exactly as its first refusing element would be.
     """
     unitary = q1_unitary_oracle(params, t)  # also enforces the size guard
-    sites = subsystem_sites(params, sel)
+    sites = _subsystem_sites(params, sel)
     evolved = np.zeros(unitary.shape[:-2] + (1, params.n_qubits + 1), dtype=complex)
     evolved[..., 0, 1:] = unitary[..., :, 0]
     return _partial_traces(evolved, evolved, sites)[..., 0, 0, :, :]
@@ -153,7 +116,7 @@ def dynamical_map_oracle(params: NetworkParams, sel: SubsystemSelector, t) -> np
     evolved[..., 0, 0] = 1.0
     evolved[..., 1:, 1:] = unitary[..., :, : d - 1].swapaxes(-1, -2)
     # blocks[*S, mu, nu] = Tr_env of the image of |mu><nu|
-    blocks = _partial_traces(evolved, evolved, subsystem_sites(params, sel))
+    blocks = _partial_traces(evolved, evolved, _subsystem_sites(params, sel))
     m = len(stack)
     blocks = blocks.transpose(*range(m), m + 3, m + 2, m + 1, m)
     return blocks.reshape(stack + (d * d, d * d))

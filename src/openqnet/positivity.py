@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _check_time, _check_tol
+from .amplitudes import NetworkParams, _abs2, _check_time, _check_tol
 from .errors import ParameterError, SizeLimitError
 from .propagator import PropagatorOps, _basis_images, _build, _window
 from .states import DynClass, SubsystemSelector, _mixing
@@ -109,17 +109,16 @@ def choi_spectrum(ops: PropagatorOps) -> tuple:
     1 + K|phi_s|^2 + K(K-1)|phi_d|^2, and ``(K*flow, lambda_+, lambda_-)``
     for the excluding class (see the module docstring); all other (K+1)^2 -
     2 or - 3 eigenvalues are exactly zero. Stacked ops of shape S give
-    arrays of shape S, equal to the calls on each element's ops within
-    round-off.
+    arrays of shape S, each equal bit for bit to the call on its element's ops.
     """
-    k, flow, phi_s_abs2 = ops.k_qubits, ops.flow_weight, abs(ops.phi_s) ** 2
+    k, flow, phi_s_abs2 = ops.k_qubits, ops.flow_weight, _abs2(ops.phi_s)
     if ops.dyn_class is DynClass.CONTAINS_EXCITED:
-        return 1.0 + k * phi_s_abs2 + k * (k - 1) * abs(ops.phi_d) ** 2, k * flow
+        return 1.0 + k * phi_s_abs2 + k * (k - 1) * _abs2(ops.phi_d), k * flow
     g = ops.ground_extra
     top = phi_s_abs2 + g  # ground weight p(t2)/p(t1) >= 0, so trace > 0
     trace = top + k
     # tr^2 - 4 det written as a sum of squares: never negative by round-off.
-    root = np.sqrt((top - k) ** 2 + 4.0 * k * phi_s_abs2)
+    root = np.sqrt(np.float_power(top - k, 2.0) + 4.0 * k * phi_s_abs2)
     # The smaller root from det / larger root, free of cancellation.
     return k * flow, 0.5 * (trace + root), 2.0 * k * g / (trace + root)
 

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from openqnet import (
     DynClass,
     NetworkParams,
-    ParameterError,
     SingularIntervalError,
     SubsystemSelector,
     Verdict,
     affine_map,
     amplitudes,
     axial_positivity_band,
-    ball_membership,
     classify,
     evolve_bloch,
     excitation_probability,
@@ -114,17 +112,6 @@ def test_band_contains_fixed_point():
         lo, hi = axial_positivity_band(affine_map(N5, cls, t1, t2))
         pole = 1.0 if cls is C1 else -1.0
         assert lo - 1e-12 <= pole <= hi + 1e-12
-
-
-def test_ball_membership():
-    identity = affine_map(N5, C1, 0.4, 0.4)
-    assert ball_membership(identity, np.array([0.3, -0.2, 0.5]))
-
-    expanding = affine_map(N5, C1, HALF, FULL)
-    assert ball_membership(expanding, np.array([0.0, 0.0, 0.28]))  # image norm exactly 1
-    assert not ball_membership(expanding, np.array([0.5, 0.0, 0.28]))
-    with pytest.raises(ParameterError):
-        ball_membership(identity, np.array([1.0, 1.0, 1.0]))
 
 
 def test_never_visited_band():

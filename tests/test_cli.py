@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import openqnet.cli as cli_module
 from openqnet.cli import main
 from test_cli_columns import COMMANDS as COLUMN_COMMANDS
 from test_cli_columns import case as column_case
@@ -395,6 +396,66 @@ def test_refused_input_writes_nothing(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and "Warning" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--n", "100000000", "--steps", "3"],
+        ["entropy", "--n", "100000000", "--k", "1..100000000", "--steps", "3"],
+        ["fisher", "--n", "100000000", "--k", "1..100000000", "--steps", "3"],
+        ["flow", "--n", "100000000", "--dt", "0.05", "--steps", "3"],
+        ["amplitudes", "--n", "5", "--steps", "100000000000"],
+    ],
+    ids=" ".join,
+)
+def test_an_oversized_table_is_refused_before_it_is_built(argv, tmp_path, capsys):
+    # The K list is a range and the guard runs before the grid, so the refusal
+    # allocates nothing of the table's size.
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(out)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"cells) guarded at {cli_module.TABLE_MAX_CELLS} cells; lower --steps" in err
+    assert ("or narrow --k" in err) == (argv[0] != "amplitudes")
+    assert not out.exists()
+
+
+EDGE_COMMANDS = (
+    ("amplitudes",),
+    ("flow", "--dt", "0.05", "--k", "3..5"),  # no class-0 column for K = N
+    ("bloch-traj",),
+    ("bloch-domain", "--dt", "0.05"),
+    ("entropy", "--k", "2..3"),
+    ("fisher",),
+    ("fisher", "--k", "3..5"),  # no size columns for K = N
+    ("fisher-decomp", "--t1", "0.25"),
+    ("infer",),
+)
+
+
+@pytest.mark.parametrize("command", EDGE_COMMANDS, ids=" ".join)
+def test_the_size_guard_at_its_edge(command, tmp_path, monkeypatch, capsys):
+    # A table of exactly TABLE_MAX_CELLS cells is written as it would be
+    # without the guard; one cell fewer allowed, and it is refused.
+    argv = [command[0], "--n", "5", *command[1:], "--steps", "7"]
+    full, edge = tmp_path / "full.csv", tmp_path / "edge.csv"
+    assert main(argv + ["--out", str(full)]) == 0
+    header, rows = read_csv(full)
+    cells = len(rows) * len(header)
+    monkeypatch.setattr(cli_module, "TABLE_MAX_CELLS", cells)
+    assert main(argv + ["--out", str(edge)]) == 0
+    assert edge.read_bytes() == full.read_bytes()
+    monkeypatch.setattr(cli_module, "TABLE_MAX_CELLS", cells - 1)
+    assert main(argv + ["--out", str(tmp_path / "over.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"table of 7 rows x {len(header)} columns ({cells} cells) guarded at {cells - 1}" in err
 
 
 def test_degenerate_point_exits_3(capsys):

@@ -1,19 +1,23 @@
 """No module of the package imports a name that it never uses, no private
-helper of the package goes unread, and the package namespace loads each
-submodule only when one of its names is first used.
+helper of the package goes unread, no public name goes both unread and
+undocumented, and the package namespace loads each submodule only when one
+of its names is first used.
 
 A module's names are read from its syntax tree: a name counts as used when
-it appears as a name anywhere in the module (annotations included), or in
-the module's ``__all__``. A module-level private name (one leading
-underscore: a function, class or constant) counts as read when some module
-of the package loads it, as a name or an attribute, outside its own
-definition.
+it appears as a name anywhere in the module (annotations included), or as a
+string in the expression assigned to the module's ``__all__``. A
+module-level private name (one leading underscore: a function, class or
+constant) counts as read when some module of the package loads it, as a
+name or an attribute, outside its own definition. A public name (one of
+``openqnet.__all__``) counts as read the same way, or when README mentions
+it as a word.
 """
 
 import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -22,6 +26,7 @@ import pytest
 import openqnet
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "openqnet"
+README = PACKAGE.parents[1] / "README.md"
 
 # Imported for the side effect: numpy.random loads at set-up, not inside the
 # first sampled check.
@@ -44,7 +49,10 @@ def unused_imports(path: pathlib.Path) -> list[str]:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
-            used |= set(ast.literal_eval(node.value))
+            # A literal list, or one derived from a table: its strings are the
+            # names the module re-exports.
+            strings = (n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant))
+            used |= {value for value in strings if isinstance(value, str)}
     return sorted(
         written
         for name, written in bound.items()
@@ -57,9 +65,10 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-def unread_private_names(paths) -> list[str]:
-    """module:name of every module-level private name that no module reads
-    outside that name's own definition."""
+def unread_names(paths, public=frozenset(), docs: str = "") -> list[str]:
+    """module:name of every module-level private name, and of every name in
+    ``public``, that no module reads outside that name's own definition. A
+    public name that ``docs`` mentions as a word counts as read."""
     defined, read = [], set()
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -71,7 +80,8 @@ def unread_private_names(paths) -> list[str]:
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 names = []
-            own = {name for name in names if name.startswith("_") and not name.startswith("__")}
+            private = {name for name in names if name.startswith("_") and not name.startswith("__")}
+            own = private | (set(names) & public)
             defined += [(name, f"{path.stem}:{name}") for name in sorted(own)]
             for inner in ast.walk(node):
                 if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
@@ -82,11 +92,18 @@ def unread_private_names(paths) -> list[str]:
                     continue
                 if loaded not in own:  # a read inside its own definition does not count
                     read.add(loaded)
+    read |= set(re.findall(r"\w+", docs)) & set(public)
     return sorted(where for name, where in defined if name not in read)
 
 
 def test_every_private_name_is_read():
-    assert unread_private_names(sorted(PACKAGE.glob("*.py"))) == []
+    assert unread_names(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_every_public_name_is_read_or_documented():
+    # What only tests read is not surface: it goes, or README documents it.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert unread_names(paths, set(openqnet.__all__), README.read_text()) == []
 
 
 def test_the_check_finds_an_unread_private_name(tmp_path):
@@ -104,7 +121,27 @@ def test_the_check_finds_an_unread_private_name(tmp_path):
     ]
     module.write_text("\n".join(lines) + "\n")
     user.write_text("from . import module\nvalue = module._used(1) + isinstance(1, module._Holder)\n")
-    assert unread_private_names([module, user]) == ["module:_SPARE", "module:_loop"]
+    assert unread_names([module, user]) == ["module:_SPARE", "module:_loop"]
+
+
+def test_the_check_finds_an_unread_public_name(tmp_path):
+    module, user = tmp_path / "module.py", tmp_path / "user.py"
+    lines = [
+        "LIMIT = 3",
+        "def spare(n):",
+        "    return spare(n - 1) if n else LIMIT",
+        "def documented():",
+        "    pass",
+        "class Holder:",
+        "    pass",
+        "def internal():",
+        "    pass",
+    ]
+    module.write_text("\n".join(lines) + "\n")
+    user.write_text("from .module import Holder\nvalue = isinstance(1, Holder)\n")
+    public = {"LIMIT", "spare", "documented", "Holder"}  # internal is not public
+    assert unread_names([module, user], public, "Call `documented()`.") == ["module:spare"]
+    assert unread_names([module, user], public) == ["module:documented", "module:spare"]
 
 
 def test_the_check_finds_an_unused_import(tmp_path):
@@ -112,6 +149,20 @@ def test_the_check_finds_an_unused_import(tmp_path):
     lines = ["import math", "import numpy as np", "from os import path, sep", "x = np.pi + len(sep)"]
     module.write_text("\n".join(lines) + "\n")
     assert unused_imports(module) == ["math", "path"]
+
+
+def test_the_check_finds_an_unused_import_next_to_a_derived_all(tmp_path):
+    # As in the package's __init__: one name re-exported through __all__,
+    # which is derived from a table rather than written as a literal.
+    module = tmp_path / "__init__.py"
+    lines = [
+        "import sys",
+        "from .core import run, spare",
+        "_TABLE = {'core': ('Engine',)}",
+        "__all__ = sorted(['run', *_TABLE['core']])",
+    ]
+    module.write_text("\n".join(lines) + "\n")
+    assert unused_imports(module) == ["spare", "sys"]
 
 
 def loaded_after(statement: str) -> set[str]:
@@ -146,8 +197,9 @@ def test_the_cli_loads_neither_the_oracles_nor_positivity():
 
 
 def test_every_public_name_is_its_home_modules_object():
-    assert len(set(openqnet.__all__)) == len(openqnet.__all__)
-    assert {*openqnet._HOME, "amplitudes"} == set(openqnet.__all__)
+    # __all__ is the table, each name listed once (_HOME would hide a repeat).
+    listed = ["amplitudes", *(name for names in openqnet._EXPORTS.values() for name in names)]
+    assert sorted(listed) == openqnet.__all__
     for name in openqnet.__all__:
         value = getattr(openqnet, name)
         assert value.__module__.startswith("openqnet."), name

@@ -5,14 +5,11 @@ import pytest
 
 from openqnet import (
     DynClass,
-    GlobalVector,
     NetworkParams,
-    ParameterError,
     SingularIntervalError,
     SizeLimitError,
     SubsystemSelector,
     UnsupportedOracleError,
-    bilinear_partial_trace,
     build_propagator,
     compose_residual,
     dynamical_map_oracle,
@@ -22,9 +19,8 @@ from openqnet import (
     propagator_oracle,
     q1_unitary_oracle,
     reduced_density_oracle,
-    subsystem_sites,
 )
-from openqnet.oracle import TOMOGRAPHY_MAX_QUBITS
+from openqnet.oracle import TOMOGRAPHY_MAX_QUBITS, _partial_traces, _subsystem_sites
 
 N5 = NetworkParams(5, 1.0)
 C1 = DynClass.CONTAINS_EXCITED
@@ -50,54 +46,40 @@ def unvec(vector, dim):
 
 
 def test_sites_choice():
-    assert subsystem_sites(N5, SubsystemSelector(3, C1)) == (0, 1, 2)
-    assert subsystem_sites(N5, SubsystemSelector(3, C0)) == (1, 2, 3)
+    assert _subsystem_sites(N5, SubsystemSelector(3, C1)) == (0, 1, 2)
+    assert _subsystem_sites(N5, SubsystemSelector(3, C0)) == (1, 2, 3)
+
+
+def _row(q0_amp, q1_amps):
+    # One global vector as _partial_traces reads it: the q0 amplitude, then
+    # site i's at 1 + i.
+    return np.concatenate(([q0_amp], q1_amps), dtype=complex)
+
+
+def _trace(psi, chi, sites):
+    # Tr_env |psi><chi| of one pair of rows.
+    return _partial_traces(psi[None], chi[None], sites)[0, 0]
 
 
 def test_partial_trace_of_generating_orbit():
-    psi = GlobalVector(0.0, global_state(N5, HALF), 5)
-    rho = bilinear_partial_trace(psi, psi, (0,))
+    psi = _row(0.0, global_state(N5, HALF))
+    rho = _trace(psi, psi, (0,))
     assert np.allclose(rho, np.diag([0.64, 0.36]), atol=1e-13)
-    assert abs(np.trace(rho).real - psi.norm_sq) <= 1e-13
-
-
-def test_partial_trace_validation():
-    psi = GlobalVector(0.0, global_state(N5, 0.3), 5)
-    chi = GlobalVector(0.0, global_state(NetworkParams(4, 1.0), 0.3), 4)
-    with pytest.raises(ParameterError):
-        bilinear_partial_trace(psi, chi, (0,))
-    with pytest.raises(ParameterError):
-        bilinear_partial_trace(psi, psi, (0, 0))
-    with pytest.raises(ParameterError):
-        bilinear_partial_trace(psi, psi, (7,))
-    for sites in [(1.0,), (True,), (2, True)]:  # equal to an index, but not an integer
-        with pytest.raises(ParameterError, match="sites must be distinct indices"):
-            bilinear_partial_trace(psi, psi, sites)
-    assert np.array_equal(
-        bilinear_partial_trace(psi, psi, (np.int64(1),)), bilinear_partial_trace(psi, psi, (1,))
-    )
-
-
-def test_global_vector_rejects_wrong_length():
-    for length in (6, 4):
-        with pytest.raises(ParameterError, match=r"q1_amps must have shape \(5,\)"):
-            GlobalVector(0.0, np.full(length, 1 / math.sqrt(length), dtype=complex), 5)
+    assert abs(np.trace(rho).real - np.vdot(psi, psi).real) <= 1e-13
 
 
 def _partial_trace_loop(psi, chi, sites):
-    # Reference: the trace filled one entry at a time.
-    n = psi.n_qubits
+    # Reference: the trace of two rows filled one entry at a time.
+    n = len(psi) - 1
     env = [i for i in range(n) if i not in set(sites)]
     k = len(sites)
     out = np.zeros((k + 1, k + 1), dtype=complex)
-    out[0, 0] = psi.q0_amp * np.conj(chi.q0_amp) + sum(
-        psi.q1_amps[i] * np.conj(chi.q1_amps[i]) for i in env
-    )
+    out[0, 0] = psi[0] * np.conj(chi[0]) + sum(psi[1 + i] * np.conj(chi[1 + i]) for i in env)
     for a, site_a in enumerate(sites):
-        out[a + 1, 0] = psi.q1_amps[site_a] * np.conj(chi.q0_amp)
-        out[0, a + 1] = psi.q0_amp * np.conj(chi.q1_amps[site_a])
+        out[a + 1, 0] = psi[1 + site_a] * np.conj(chi[0])
+        out[0, a + 1] = psi[0] * np.conj(chi[1 + site_a])
         for b, site_b in enumerate(sites):
-            out[a + 1, b + 1] = psi.q1_amps[site_a] * np.conj(chi.q1_amps[site_b])
+            out[a + 1, b + 1] = psi[1 + site_a] * np.conj(chi[1 + site_b])
     return out
 
 
@@ -105,9 +87,9 @@ def _dynamical_map_loop(params, sel, t):
     # Reference: one looped trace per column of the map.
     n, d = params.n_qubits, sel.k_qubits + 1
     unitary = q1_unitary_oracle(params, t)
-    sites = subsystem_sites(params, sel)
-    evolved = [GlobalVector(1.0, np.zeros(n, dtype=complex), n)]
-    evolved += [GlobalVector(0.0, unitary[:, mu - 1].copy(), n) for mu in range(1, d)]
+    sites = _subsystem_sites(params, sel)
+    evolved = [_row(1.0, np.zeros(n))]
+    evolved += [_row(0.0, unitary[:, mu - 1]) for mu in range(1, d)]
     out = np.zeros((d * d, d * d), dtype=complex)
     for nu in range(d):
         for mu in range(d):
@@ -120,8 +102,7 @@ def _random_vector(rng, n):
     # Normalised; the q0 amplitude is drawn well away from zero.
     amps = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     amps[0] = (0.3 + rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
-    amps /= np.linalg.norm(amps)
-    return GlobalVector(complex(amps[0]), amps[1:], n)
+    return amps / np.linalg.norm(amps)
 
 
 TAUS = (-1.93, -1.0, -0.61, 0.0, 0.37, 0.5, 1.28, 2.0)  # periods
@@ -134,11 +115,24 @@ def test_partial_trace_matches_loop():
             psi, chi = _random_vector(rng, n), _random_vector(rng, n)
             sites = tuple(int(i) for i in rng.permutation(n)[:k])
             ref = _partial_trace_loop(psi, chi, sites)
-            assert np.abs(bilinear_partial_trace(psi, chi, sites) - ref).max() <= 1e-14
+            assert np.abs(_trace(psi, chi, sites) - ref).max() <= 1e-14
     psi, chi = _random_vector(rng, 5), _random_vector(rng, 5)
-    rho = bilinear_partial_trace(psi, chi, (3, 1))
+    rho = _trace(psi, chi, (3, 1))
     assert np.abs(rho - _partial_trace_loop(psi, chi, (3, 1))).max() <= 1e-14
-    assert rho[1, 2] == psi.q1_amps[3] * np.conj(chi.q1_amps[1])
+    assert rho[1, 2] == psi[1 + 3] * np.conj(chi[1 + 1])
+
+
+def test_partial_traces_of_stacks_match_the_loop_pair_by_pair():
+    # Every ket/bra pair of a (2, 3, N+1) and a (2, 4, N+1) stack.
+    rng = np.random.default_rng(101)
+    n, sites = 7, (5, 0, 2)
+    kets = np.array([[_random_vector(rng, n) for _ in range(3)] for _ in range(2)])
+    bras = np.array([[_random_vector(rng, n) for _ in range(4)] for _ in range(2)])
+    traces = _partial_traces(kets, bras, sites)
+    assert traces.shape == (2, 3, 4, 4, 4)
+    for s, m, b in np.ndindex(2, 3, 4):
+        ref = _partial_trace_loop(kets[s, m], bras[s, b], sites)
+        assert np.abs(traces[s, m, b] - ref).max() <= 1e-14, (s, m, b)
 
 
 def test_reduced_density_matches_loop():
@@ -148,9 +142,9 @@ def test_reduced_density_matches_loop():
         sels += [SubsystemSelector(k, C0) for k in range(1, n)]
         for tau in TAUS:
             t = tau * params.period
-            evolved = GlobalVector(0.0, q1_unitary_oracle(params, t)[:, 0].copy(), n)
+            evolved = _row(0.0, q1_unitary_oracle(params, t)[:, 0])
             for sel in sels:
-                ref = _partial_trace_loop(evolved, evolved, subsystem_sites(params, sel))
+                ref = _partial_trace_loop(evolved, evolved, _subsystem_sites(params, sel))
                 assert np.abs(reduced_density_oracle(params, sel, t) - ref).max() <= 1e-14
 
 

@@ -384,8 +384,10 @@ def test_a_propagator_is_its_window_scalars(n, shape):
     # Every field but K and the class has the stack's shape S, so no
     # per-window matrix is held; B is built from the scalars on each read,
     # bit for bit as written out by hand; choi_spectrum reads ||B||_F^2 from
-    # the scalars within 4 eps of np.vdot; and affine_map's transverse scale
-    # and rotation are those of B's non-unit diagonal entry.
+    # the scalars within 4 eps of np.vdot; affine_map's transverse scale
+    # and rotation are those of B's non-unit diagonal entry; and each
+    # window's choi_spectrum and affine_map are its scalar call's, bit for
+    # bit, but the rotation angle (np.angle rounds unlike cmath.phase).
     params, rng = NetworkParams(n, 1.0), np.random.default_rng(47)
     eps = np.finfo(float).eps
     for sel in all_selectors(params):
@@ -409,9 +411,21 @@ def test_a_propagator_is_its_window_scalars(n, shape):
                 assert abs(norm2[index] - want) <= 4 * eps * want, (sel, index)
         if sel.k_qubits == 1:
             bmap = affine_map(params, sel.dyn_class, t1, t2)
-            # A scalar entry for one window, as abs() of a scalar rounds unlike
-            # np.abs of an array.
+            # hypot, as abs() of a scalar rounds and np.abs of an array does not.
             entry = (block[..., 1, 1] if sel.dyn_class is C1 else block[..., 0, 0])[()]
             sign = 1.0 if sel.dyn_class is C1 else -1.0
-            assert np.asarray(bmap.transverse_scale).tobytes() == np.asarray(abs(entry)).tobytes()
+            scale = np.hypot(entry.real, entry.imag)
+            assert np.asarray(bmap.transverse_scale).tobytes() == scale.tobytes()
             assert np.asarray(bmap.rotation_angle).tobytes() == (sign * np.angle(entry)).tobytes()
+        spectrum = choi_spectrum(ops)
+        for index in np.ndindex(shape):
+            w1, w2 = float(np.asarray(t1)[index]), float(np.asarray(t2)[index])
+            alone = choi_spectrum(build_propagator(params, sel, w1, w2))
+            assert [np.float64(v).tobytes() for v in alone] == [
+                np.asarray(v)[index].tobytes() for v in spectrum
+            ], (sel, index)
+            if sel.k_qubits == 1:
+                one = affine_map(params, sel.dyn_class, w1, w2)
+                for field in ("transverse_scale", "z_scale", "z_shift"):
+                    want = np.float64(getattr(one, field)).tobytes()
+                    assert np.asarray(getattr(bmap, field))[index].tobytes() == want, (sel, field)
