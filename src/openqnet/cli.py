@@ -54,12 +54,6 @@ def _write_csv(out_path: str, chunks: Iterable[str]) -> None:
         raise click.UsageError(f"cannot write {out_path!r}: {exc}") from exc
 
 
-def _rows(*columns) -> np.ndarray:
-    # The table, one row per grid point, from columns over the grid; a float
-    # is a constant column.
-    return np.column_stack(np.broadcast_arrays(*columns))
-
-
 def _parse_k_values(text: str | None, n: int, dyn_classes: Sequence[DynClass]) -> range:
     k_max = n if DynClass.CONTAINS_EXCITED in dyn_classes else n - 1
     if text is None:
@@ -79,15 +73,17 @@ def _parse_k_values(text: str | None, n: int, dyn_classes: Sequence[DynClass]) -
     return range(lo, hi + 1)
 
 
-def _dyn_class(value: str) -> DynClass:
-    return DynClass(int(value))
-
-
 _n_option = click.option("--n", "n_qubits", type=int, required=True, help="Network size N >= 2.")
 _j_option = click.option("--j", "coupling", type=float, default=1.0, show_default=True, help="Exchange coupling J.")
 _steps_option = click.option("--steps", type=int, default=400, show_default=True, help="Grid points over the time range.")
 _out_option = click.option("--out", "out_path", default="-", show_default=True, help="Output CSV path, or - for stdout.")
-_class_option = click.option("--class", "dyn_class", type=click.Choice(["0", "1"]), default="1", show_default=True, help="Dynamical class: 1 contains the excited qubit, 0 excludes it.")
+_class_option = click.option(
+    "--class", "cls", type=click.Choice(["0", "1"]), default="1", show_default=True,
+    callback=lambda ctx, param, value: DynClass(int(value)),
+    help="Dynamical class: 1 contains the excited qubit, 0 excludes it.",
+)
+_dt_option = click.option("--dt", type=float, required=True, help="Window length, in periods.")
+_k_option = click.option("--k", "k_text", default=None, help="Subsystem size, int or a..b range.")
 
 
 def _grid(
@@ -125,35 +121,50 @@ def cli() -> None:
     """Closed-form subsystem dynamics of a single-excitation qubit network."""
 
 
-@cli.command("amplitudes")
-@_n_option
-@_j_option
-@_steps_option
-@_out_option
-def amplitudes_cmd(n_qubits: int, coupling: float, steps: int, out_path: str) -> None:
+def _dataset(name: str, *options):
+    """Declare a dataset subcommand with --n, --j, ``options``, --steps and
+    --out. The decorated body takes the network, ``steps`` and its own
+    options, and returns its header and its columns over the grid; the
+    command writes them as one table."""
+
+    def table(body, n_qubits: int, coupling: float, **values) -> tuple:
+        # One row per grid point; a float is a constant column. Only the
+        # header and the table outlive this call, so the body's columns and
+        # the stacks they view are freed before writing.
+        header, columns = body(NetworkParams(n_qubits, coupling), **values)
+        return header, np.column_stack(np.broadcast_arrays(*columns))
+
+    def decorate(body):
+        def command(out_path: str, **values) -> None:
+            _write_csv(out_path, _csv.csv_chunks(*table(body, **values)))
+
+        for option in reversed((_n_option, _j_option, *options, _steps_option, _out_option)):
+            command = option(command)
+        return cli.command(name, help=body.__doc__)(command)
+
+    return decorate
+
+
+@_dataset("amplitudes")
+def amplitudes_cmd(params: NetworkParams, steps: int) -> tuple:
     """Global transition amplitudes u_s(t), u_d(t) over one period."""
-    params = NetworkParams(n_qubits, coupling)
     header = ["t_over_period", "u_s_re", "u_s_im", "u_d_re", "u_d_im", "u_d_abs2"]
     taus = _grid(steps, len(header))
     amps = amplitudes(params, _absolute(params, taus))
     us, ud = amps.same_site, amps.cross_site
-    rows = _rows(taus, us.real, us.imag, ud.real, ud.imag, amps.cross_abs2)
-    _write_csv(out_path, _csv.csv_chunks(header, rows))
+    return header, (taus, us.real, us.imag, ud.real, ud.imag, amps.cross_abs2)
 
 
-@cli.command("flow")
-@_n_option
-@_j_option
-@click.option("--dt", type=float, required=True, help="Window length, in periods.")
-@click.option("--k", "k_text", default=None, help="Subsystem size, int or a..b range (default 1..N-1).")
-@_steps_option
-@_out_option
-def flow_cmd(n_qubits: int, coupling: float, dt: float, k_text: str | None, steps: int, out_path: str) -> None:
+@_dataset(
+    "flow",
+    _dt_option,
+    click.option("--k", "k_text", default=None, help="Subsystem size, int or a..b range (default 1..N-1)."),
+)
+def flow_cmd(params: NetworkParams, dt: float, k_text: str | None, steps: int) -> tuple:
     """Excitation-flow weight of the windowed propagator, both classes."""
-    params = NetworkParams(n_qubits, coupling)
     dt = _window_length(dt)
-    ks = _parse_k_values(k_text, n_qubits, (DynClass.CONTAINS_EXCITED,))
-    ks0 = ks if ks[-1] < n_qubits else ks[:-1]  # class 0 stops at K = N - 1
+    ks = _parse_k_values(k_text, params.n_qubits, (DynClass.CONTAINS_EXCITED,))
+    ks0 = ks if ks[-1] < params.n_qubits else ks[:-1]  # class 0 stops at K = N - 1
     taus = _grid(steps, 1 + len(ks) + len(ks0), by_k=True)
     header = ["t_over_period"]
     header += [f"phi_tau_c1_k{k}" for k in ks]
@@ -161,98 +172,57 @@ def flow_cmd(n_qubits: int, coupling: float, dt: float, k_text: str | None, step
     sels = [SubsystemSelector(k, DynClass.CONTAINS_EXCITED) for k in ks]
     sels += [SubsystemSelector(k, DynClass.EXCLUDES_EXCITED) for k in ks0]
     flows = propagator._flows(params, sels, _absolute(params, taus), _absolute(params, taus + dt))
-    _write_csv(out_path, _csv.csv_chunks(header, _rows(taus, *flows)))
+    return header, (taus, *flows)
 
 
 _TRAJECTORY_STARTS = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 
 
-@cli.command("bloch-traj")
-@_n_option
-@_j_option
-@_class_option
-@_steps_option
-@_out_option
-def bloch_traj_cmd(n_qubits: int, coupling: float, dyn_class: str, steps: int, out_path: str) -> None:
+@_dataset("bloch-traj", _class_option)
+def bloch_traj_cmd(params: NetworkParams, cls: DynClass, steps: int) -> tuple:
     """z-trajectories of a fan of initial axial states under the one-time map."""
-    params = NetworkParams(n_qubits, coupling)
-    cls = _dyn_class(dyn_class)
     header = ["t_over_period"] + [f"bz0_{z0:+.4f}" for z0 in _TRAJECTORY_STARTS] + ["orbit_bz"]
     taus = _grid(steps, len(header))
     t = _absolute(params, taus)
     bmap = bloch.affine_map(params, cls, 0.0, t)
     starts = [bmap.z_shift + bmap.z_scale * z0 for z0 in _TRAJECTORY_STARTS]
-    _write_csv(out_path, _csv.csv_chunks(header, _rows(taus, *starts, bloch.physical_bloch_z(params, cls, t))))
+    return header, (taus, *starts, bloch.physical_bloch_z(params, cls, t))
 
 
-@cli.command("bloch-domain")
-@_n_option
-@_j_option
-@_class_option
-@click.option("--dt", type=float, required=True, help="Window length, in periods.")
-@_steps_option
-@_out_option
-def bloch_domain_cmd(n_qubits: int, coupling: float, dyn_class: str, dt: float, steps: int, out_path: str) -> None:
+@_dataset("bloch-domain", _class_option, _dt_option)
+def bloch_domain_cmd(params: NetworkParams, cls: DynClass, dt: float, steps: int) -> tuple:
     """Axial positivity band of the windowed single-qubit propagator."""
-    params = NetworkParams(n_qubits, coupling)
-    cls = _dyn_class(dyn_class)
     dt = _window_length(dt)
     header = ["t_over_period", "band_lo", "band_hi", "orbit_bz"]
     taus = _grid(steps, len(header))
     t1, t2 = _absolute(params, taus), _absolute(params, taus + dt)
     lo, hi = bloch.axial_positivity_band(bloch.affine_map(params, cls, t1, t2))
-    rows = _rows(taus, lo, hi, bloch.physical_bloch_z(params, cls, t1))
-    _write_csv(out_path, _csv.csv_chunks(header, rows))
+    return header, (taus, lo, hi, bloch.physical_bloch_z(params, cls, t1))
 
 
-@cli.command("entropy")
-@_n_option
-@_j_option
-@_class_option
-@click.option("--k", "k_text", default=None, help="Subsystem size, int or a..b range.")
-@_steps_option
-@_out_option
-def entropy_cmd(n_qubits: int, coupling: float, dyn_class: str, k_text: str | None, steps: int, out_path: str) -> None:
+@_dataset("entropy", _class_option, _k_option)
+def entropy_cmd(params: NetworkParams, cls: DynClass, k_text: str | None, steps: int) -> tuple:
     """Entanglement entropy of the chosen subsystems over one period."""
-    params = NetworkParams(n_qubits, coupling)
-    cls = _dyn_class(dyn_class)
-    ks = _parse_k_values(k_text, n_qubits, (cls,))
+    ks = _parse_k_values(k_text, params.n_qubits, (cls,))
     taus = _grid(steps, 1 + len(ks), by_k=True)
     header = ["t_over_period"] + [f"entropy_k{k}" for k in ks]
-    entropies = states._entropy_stack(params, ks, cls, _absolute(params, taus))
-    _write_csv(out_path, _csv.csv_chunks(header, _rows(taus, *entropies)))
+    return header, (taus, *states._entropy_stack(params, ks, cls, _absolute(params, taus)))
 
 
-@cli.command("fisher")
-@_n_option
-@_j_option
-@_class_option
-@click.option("--k", "k_text", default=None, help="Subsystem size, int or a..b range.")
-@_steps_option
-@_out_option
-def fisher_cmd(n_qubits: int, coupling: float, dyn_class: str, k_text: str | None, steps: int, out_path: str) -> None:
+@_dataset("fisher", _class_option, _k_option)
+def fisher_cmd(params: NetworkParams, cls: DynClass, k_text: str | None, steps: int) -> tuple:
     """Fisher information pieces for both global parameters.
 
     Size-parameter columns are omitted for K = N in class 1, where that
     quantity diverges.
     """
-    params = NetworkParams(n_qubits, coupling)
-    cls = _dyn_class(dyn_class)
-    ks = _parse_k_values(k_text, n_qubits, (cls,))
+    ks = _parse_k_values(k_text, params.n_qubits, (cls,))
     # No size columns for K = N in class 1, the largest K.
-    sized = ks[:-1] if cls is DynClass.CONTAINS_EXCITED and ks[-1] == n_qubits else ks
+    sized = ks[:-1] if cls is DynClass.CONTAINS_EXCITED and ks[-1] == params.n_qubits else ks
     taus = _grid(steps, 1 + 3 * (len(ks) + len(sized)), by_k=True)
-    header, table = _fisher_table(params, ks, sized, cls, taus)
-    _write_csv(out_path, _csv.csv_chunks(header, table))
-
-
-def _fisher_table(
-    params: NetworkParams, ks: range, sized: range, cls: DynClass, taus: np.ndarray
-) -> tuple:
-    # The fisher header and table: each parameter's pieces for every K of
-    # ``ks``, size pieces for the K of ``sized``, from one stack each. Only
-    # the table outlives this call, so the stacks are freed before writing.
     t = _absolute(params, taus)
+    # Each parameter's pieces for every K of ``ks``, size pieces for the K
+    # of ``sized``, from one stack each.
     stacks = [("fj", fisher._information_stack(params, ks, cls, GlobalParameter.COUPLING_J, t))]
     if sized:
         stacks.append(("fn", fisher._information_stack(params, sized, cls, GlobalParameter.SIZE_N, t)))
@@ -262,25 +232,21 @@ def _fisher_table(
             if i < len(info.total):
                 header += [f"{name}_classical_k{k}", f"{name}_quantum_k{k}", f"{name}_total_k{k}"]
                 columns += [info.classical[i], info.quantum[i], info.total[i]]
-    return header, _rows(*columns)
+    return header, columns
 
 
-@cli.command("fisher-decomp")
-@_n_option
-@_j_option
-@_class_option
-@click.option("--t1", type=float, required=True, help="Window start, in periods.")
-@click.option("--t2", type=float, default=None, help="Sweep end, in periods (default t1 + 2).")
-@_steps_option
-@_out_option
-def fisher_decomp_cmd(n_qubits: int, coupling: float, dyn_class: str, t1: float, t2: float | None, steps: int, out_path: str) -> None:
+@_dataset(
+    "fisher-decomp",
+    _class_option,
+    click.option("--t1", type=float, required=True, help="Window start, in periods."),
+    click.option("--t2", type=float, default=None, help="Sweep end, in periods (default t1 + 2)."),
+)
+def fisher_decomp_cmd(params: NetworkParams, cls: DynClass, t1: float, t2: float | None, steps: int) -> tuple:
     """Rescaled process/state/cross split of single-qubit sensitivity.
 
     t2 sweeps forward from t1 (two periods by default); the first column is
     absolute t2 in period units.
     """
-    params = NetworkParams(n_qubits, coupling)
-    cls = _dyn_class(dyn_class)
     end = t1 + 2.0 if t2 is None else t2
     if end <= t1 and t2 is None:
         raise click.UsageError(f"the default two-period sweep is not representable past t1={t1}")
@@ -291,24 +257,20 @@ def fisher_decomp_cmd(n_qubits: int, coupling: float, dyn_class: str, t1: float,
     split = fisher.process_state_split(
         params, cls, t1 * params.period, _absolute(params, taus), rescaled=True
     )
-    rows = _rows(taus, split.process, split.state, split.cross, split.total)
-    _write_csv(out_path, _csv.csv_chunks(header, rows))
+    return header, (taus, split.process, split.state, split.cross, split.total)
 
 
-@cli.command("infer")
-@_n_option
-@_j_option
-@click.option("--dt", type=float, default=0.05, show_default=True, help="Window length, in periods.")
-@_steps_option
-@_out_option
-def infer_cmd(n_qubits: int, coupling: float, dt: float, steps: int, out_path: str) -> None:
+@_dataset(
+    "infer",
+    click.option("--dt", type=float, default=0.05, show_default=True, help="Window length, in periods."),
+)
+def infer_cmd(params: NetworkParams, dt: float, steps: int) -> tuple:
     """Round-trip inference of N and J from simulated single-qubit flows.
 
     Rows sweep the window anchor over one period; windows with no usable
     flow yield NaN size estimates. The coupling estimate comes from a
     bisected flow sign change and is constant across rows.
     """
-    params = NetworkParams(n_qubits, coupling)
     dt = _window_length(dt)
     if dt >= 1.0:  # the period estimate holds only for windows shorter than a period
         raise click.UsageError(f"--dt must lie in (0, 1) periods for infer, got {dt}")
@@ -322,7 +284,7 @@ def infer_cmd(n_qubits: int, coupling: float, dt: float, steps: int, out_path: s
         return amplitudes(params, t + window).cross_abs2 - amplitudes(params, t).cross_abs2
 
     period_est = inference.estimate_period(hop_change, window, 2.5 * params.period)
-    j_est = inference.infer_coupling(period_est, n_qubits)
+    j_est = inference.infer_coupling(period_est, params.n_qubits)
     header = [
         "t_over_period",
         "phi_tau_c1",
@@ -337,8 +299,7 @@ def infer_cmd(n_qubits: int, coupling: float, dt: float, steps: int, out_path: s
     t1 = _absolute(params, taus)
     flow1, flow0 = propagator._flows(params, (sel1, sel0), t1, _absolute(params, taus + dt))
     ground = states.excitation_probability(params, sel0, t1)
-    rows = _rows(taus, flow1, flow0, ground, *inference._size_estimates(flow1, flow0, ground), j_est)
-    _write_csv(out_path, _csv.csv_chunks(header, rows))
+    return header, (taus, flow1, flow0, ground, *inference._size_estimates(flow1, flow0, ground), j_est)
 
 
 @cli.command("verify")

@@ -217,13 +217,14 @@ def qfi_numeric_oracle(
         raise OracleFailureError(
             "every eigenvalue pair fell below the SLD cutoff; state too degenerate"
         )
-    drho = (plus - minus) / (2.0 * h)
-    m = np.swapaxes(evecs.conj(), -1, -2) @ drho @ evecs
     # hypot and float_power round as a scalar's abs and ** 2 do, where numpy's
     # array abs does not; accumulate adds the pairs one at a time in row-major
     # order, where sum adds pairwise. An information past the float range
-    # reads inf.
-    with np.errstate(over="ignore"):
+    # reads inf, and a subnormal step h gives an inf derivative, whose
+    # products with 0 read NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        drho = (plus - minus) / (2.0 * h)
+        m = np.swapaxes(evecs.conj(), -1, -2) @ drho @ evecs
         terms = 2.0 * np.float_power(np.hypot(m.real, m.imag), 2.0)
         terms = np.divide(terms, pair, out=np.zeros_like(pair), where=used)
         total = np.add.accumulate(terms.reshape(-1, (k + 1) ** 2), axis=-1)[:, -1]

@@ -194,13 +194,16 @@ def estimate_period(
     period, which the caller must ensure: the period is what is being
     estimated, so it cannot be checked here. A window of exactly one period
     carries only round-off flows, and a longer one returns a wrong period
-    without an error.
+    without an error. A dt whose quarter underflows to 0 cannot step the
+    scan, and is refused.
     """
     dt = _check_time(dt, "dt")
     t_max = _check_time(t_max, "t_max")
     if dt <= 0.0 or t_max <= dt:
         raise ParameterError("need 0 < dt < t_max for a period scan")
     step = 0.25 * dt
+    if step == 0.0:  # the scan would never leave t = 0
+        raise ParameterError(f"dt={dt!r} is too small to step a period scan")
     prev_t, prev_v = 0.0, flow_window(0.0)
     t = step
     while True:

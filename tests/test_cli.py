@@ -44,6 +44,34 @@ def test_invalid_params_are_usage_errors(capsys):
     capsys.readouterr()
 
 
+# Each subcommand's options in help order: flag, type and default, or
+# REQUIRED.
+REQUIRED = "required"
+N, J, STEPS, OUT = ("--n", "integer", REQUIRED), ("--j", "float", 1.0), ("--steps", "integer", 400), ("--out", "text", "-")
+CLASS = ("--class", "choice", "1")
+OPTION_SURFACE = {
+    "amplitudes": [N, J, STEPS, OUT],
+    "flow": [N, J, ("--dt", "float", REQUIRED), ("--k", "text", None), STEPS, OUT],
+    "bloch-traj": [N, J, CLASS, STEPS, OUT],
+    "bloch-domain": [N, J, CLASS, ("--dt", "float", REQUIRED), STEPS, OUT],
+    "entropy": [N, J, CLASS, ("--k", "text", None), STEPS, OUT],
+    "fisher": [N, J, CLASS, ("--k", "text", None), STEPS, OUT],
+    "fisher-decomp": [N, J, CLASS, ("--t1", "float", REQUIRED), ("--t2", "float", None), STEPS, OUT],
+    "infer": [N, J, ("--dt", "float", 0.05), STEPS, OUT],
+    "verify": [N, J, OUT],
+}
+
+
+def test_the_option_surface_is_pinned():
+    # The fuzz draws its argv from these declarations, so only this table
+    # shows an option dropped, reordered or changed.
+    got = {
+        name: [(p.opts[0], p.type.name, REQUIRED if p.required else p.default) for p in command.params]
+        for name, command in cli_module.cli.commands.items()
+    }
+    assert got == OPTION_SURFACE
+
+
 def test_amplitudes_csv(tmp_path):
     out = tmp_path / "amps.csv"
     assert main(["amplitudes", "--n", "5", "--steps", "11", "--out", str(out)]) == 0
@@ -241,6 +269,26 @@ def test_infer_period_scan_at_n2_reads_no_singular_anchor(dt, coupling, tmp_path
     header, rows = read_csv(out)
     j = float(coupling)
     assert abs(column(header, rows, "j_estimate")[0] - j) <= 1e-12 * j
+
+
+def test_infer_refuses_a_window_too_small_to_step_its_scan(monkeypatch, capsys):
+    # --dt 5e-324 is a window of one subnormal ulp, whose quarter rounds to 0:
+    # the period scan never left t = 0. The probe budget makes that a
+    # failure here, not a hang.
+    real, probes = cli_module.amplitudes, []
+
+    def counted(*args):
+        probes.append(args)
+        if len(probes) > 10**4:
+            raise RuntimeError("the period scan is stuck")
+        return real(*args)
+
+    monkeypatch.setattr(cli_module, "amplitudes", counted)
+    start = time.perf_counter()
+    assert main(["infer", "--n", "5", "--dt", "5e-324", "--steps", "3"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "too small to step a period scan" in err and "Traceback" not in err
 
 
 def test_verify_passes(tmp_path, capsys):
@@ -494,6 +542,17 @@ def test_verify_fails_the_overflowing_fisher_split(tmp_path):
     header, rows = read_csv(out)
     row = next(row for row in rows if row[0] == "fisher_split_identity")
     assert row[header.index("value")] == "nan" and row[header.index("status")] == "FAIL"
+
+
+def test_verify_at_a_subnormal_sld_step_warns_nothing(tmp_path, capsys):
+    # SLD_STEP * J is subnormal at J = 2.2e-308: the oracle's central
+    # difference overflows, and inf * 0 reads NaN. Both Fisher rows fail, as
+    # at J = 1e-300; numpy's warnings escaped main as errors under pytest.
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--n", "8", "--j", "2.2e-308", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert "FAIL  fisher_oracle_relative  " in err and "FAIL  fisher_split_identity  " in err
 
 
 @pytest.mark.parametrize("n", ["2", "3", "6"])

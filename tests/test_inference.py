@@ -230,6 +230,22 @@ def test_period_estimate_errors():
         estimate_period(lambda t: 1.0, 0.1, 1.0)  # never changes sign
 
 
+def test_period_scan_refuses_a_window_too_small_to_step():
+    # A quarter of one subnormal ulp rounds to 0, so the scan t <- 2t + dt/4
+    # never left t = 0. The probe budget makes that a failure, not a hang.
+    probes = []
+
+    def flow_window(t):
+        probes.append(t)
+        if len(probes) > 10**4:
+            raise RuntimeError(f"the scan is stuck at t={t!r}")
+        return 1.0
+
+    with pytest.raises(ParameterError, match="too small to step"):
+        estimate_period(flow_window, 5e-324, 1.0)
+    assert probes == []  # refused before the first probe
+
+
 def test_size_estimates_equal_scalar_calls_bit_for_bit():
     # Simulated windows of several networks, with equal flows (N = 2),
     # flows at and around FLOW_FLOOR, and pairs that admit no size or one
