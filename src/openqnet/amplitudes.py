@@ -22,14 +22,12 @@ The two amplitudes are tied together by unitarity of the block:
 
 so a single function of time, |u_d(t)|^2, drives all reduced dynamics.
 
-Two routes read it. The probability route (mixing probabilities, entropy,
-Fisher information) calls one private kernel,
-``_hop``, for x = |u_d|^2 = 4/N^2 sin^2(NJt/2) and the half-angle sine and
-cosine; a mixing probability is p = 1 - w x with the class weight w = N - K
-for a K-qubit subsystem containing the excited qubit, K for one excluding
-it. The amplitude route (propagators, flow weights, Bloch maps) reads x
-from the :func:`amplitudes` call that also supplies its phases. The two
-forms of x agree to round-off only.
+Two routes read it. One private kernel, ``_hop``, gives x = |u_d|^2 =
+4/N^2 sin^2(NJt/2) and the half-angle sine and cosine: mixing probabilities
+p = 1 - w x (class weight w = N - K for a K-qubit subsystem containing the
+excited qubit, K for one excluding it), entropy, Fisher information and the
+propagators' phases read it. The amplitude route supplies only x for the
+flow weight, from :func:`amplitudes`. The two forms of x agree to round-off.
 
 The kernels and the closed forms built on them take a float time or an
 ndarray of times; an array gives arrays, elementwise. A time whose phase

@@ -7,13 +7,13 @@ scaled and shifted. Maps for the class containing the excited qubit fix the
 north pole, maps for the class excluding it fix the south pole, for every
 time interval.
 
-A map is the K = 1 case of :func:`build_propagator` in Bloch coordinates;
-its z-scale 1 - flow is the ratio p(t2)/p(t1) of the mixing probability.
+A map is the K = 1 case of :func:`build_propagator` in Bloch coordinates:
+its rotation is the phase of u_s(t2)/u_s(t1), from half-angle terms, and its
+z-scale 1 - flow the ratio p(t2)/p(t1) of the mixing probability.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,16 +49,15 @@ def affine_map(params: NetworkParams, dyn_class: DynClass, t1, t2) -> BlochAffin
     The K = 1 reading of ``build_propagator``, with its checks and anchor
     test: the transverse scale and rotation are |phi_s| and its phase, the
     z-scale 1 - flow. An ndarray ``t1`` or ``t2`` gives a map with array
-    fields, each equal bit for bit to the scalar call's but the rotation
-    angle: ``np.angle`` rounds unlike ``cmath.phase`` in the last bits.
+    fields, each equal bit for bit to the scalar call's: np.hypot and
+    np.arctan2 round a float as they round each element of an array.
     """
     _check_class(dyn_class)
     ops = build_propagator(params, _QUBIT[dyn_class], t1, t2)
     ratio = ops.phi_s  # B's non-unit diagonal entry, u_s(t2)/u_s(t1), in both classes
-    if isinstance(ratio, complex):
-        scale, phase = abs(ratio), cmath.phase(ratio)
-    else:  # hypot rounds as abs() of each element does, where np.abs does not
-        scale, phase = np.hypot(ratio.real, ratio.imag), np.angle(ratio)
+    scale, phase = np.hypot(ratio.real, ratio.imag), np.arctan2(ratio.imag, ratio.real)
+    if type(ratio) is complex:
+        scale, phase = float(scale), float(phase)
     z_scale = 1.0 - ops.flow_weight
     if dyn_class is DynClass.CONTAINS_EXCITED:
         # Coherence rotates against the unit ground phase.

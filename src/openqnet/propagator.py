@@ -21,9 +21,11 @@ block), plus one extra ground-to-ground operator with squared weight
 real scalars instead of forming operators with imaginary entries, so the
 action is exact and sign-transparent in both flow directions.
 
-Construction fails only at anchor times t1 where the one-time map cannot be
-inverted. The flow weight is closed form in x1 = |u_d(t1)|^2 and
-x2 = |u_d(t2)|^2, and its denominator vanishes wherever one of B does, so
+Construction fails only at a window whose phase gap N*J*(t2 - t1) overflows
+(ParameterError) and at anchor times t1 where the one-time map cannot be
+inverted. The phases of B come from half-angle sines and cosines; the flow
+weight is closed form in x1 = |u_d(t1)|^2 and x2 = |u_d(t2)|^2, read from
+:func:`amplitudes`, and its denominator vanishes wherever one of B does, so
 one test decides every anchor: t1 raises :class:`SingularIntervalError`
 exactly when the relative flow denominator d(t1) = 1 - K(N-K) x1 (containing
 class; 1 - K x1 excluding) is at most ANCHOR_RTOL. d vanishes only at odd
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NetworkParams, _amplitudes, _any, _check_time, _hop, _refuse_as_loop
+from .amplitudes import NetworkParams, _abs2, _amplitudes, _any, _check_time, _hop, _refuse_as_loop
 from .errors import ParameterError, SingularIntervalError
 from .states import DynClass, SubsystemSelector
 
@@ -83,8 +85,7 @@ class PropagatorOps:
             flat[..., 0] = phi_s
             flat[..., k + 2 :: k + 2] = 1.0  # local q = 1 phases are unity by gauge
             return block
-        if shape:  # line a stack's scalars up with the blocks' last axes
-            phi_s, phi_d = phi_s[..., None], phi_d[..., None, None]
+        phi_s, phi_d = np.asarray(phi_s)[..., None], np.asarray(phi_d)[..., None, None]
         flat[..., 0] = 1.0  # the ground-sector phase is unity by gauge
         block[..., 1:, 1:] = phi_d
         flat[..., k + 2 :: k + 2] = phi_s
@@ -116,8 +117,7 @@ def _check_anchor(params: NetworkParams, k: int, contains: bool, t1, x1) -> None
     refused = d <= ANCHOR_RTOL
     if not _any(refused):
         return
-    if type(t1) is not float:
-        t1, d = float(t1[refused][0]), float(d[refused][0])
+    t1, d = (float(np.broadcast_to(v, np.shape(refused))[refused][0]) for v in (t1, d))
     raise SingularIntervalError(
         f"propagator anchor t1={t1!r} ({t1 / params.period:.12g} periods) refused: "
         f"relative flow denominator d={d:.3g} <= ANCHOR_RTOL={ANCHOR_RTOL:g}",
@@ -165,40 +165,37 @@ def build_propagator(
 
 
 def _build(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> PropagatorOps:
-    # build_propagator on validated times. An array's window scalars come
-    # from _scalars one element at a time, so that every element is the
-    # scalar call: Python's complex arithmetic rounds unlike numpy's.
-    n, k = params.n_qubits, sel.k_qubits
+    # build_propagator on validated times. With phi = NJt/2, Delta = NJ(t2 - t1)/2
+    # and E(phi) = N cos phi + i m sin phi (m = N - 2K; N - 2 excluding):
+    # phi_s - phi_d = e^{2i Delta}, phi_d = -2i sin Delta e^{i(Delta - phi_1)} / E(phi_1),
+    # or phi_0 = e^{i Delta} E(phi_2) / E(phi_1).
+    n, j, k = params.n_qubits, params.coupling, sel.k_qubits
     contains = sel.dyn_class is DynClass.CONTAINS_EXCITED
-    a1, a2 = _amplitudes(params, t1), _amplitudes(params, t2)
-    amps = a1.same_site, a1.cross_site, a2.same_site, a2.cross_site
-    if type(t1) is float and type(t2) is float:
-        x1, x2, phase, extra = _scalars(k, contains, *amps)
+    flow = _flow_weight(n, k, contains, *(_amplitudes(params, t).cross_abs2 for t in (t1, t2)))
+    (_, s1, c1), (_, s2, c2), (sd, cd) = _hop(n, j, t1), _hop(n, j, t2), _gap(n, j, t1, t2)
+    m = n - 2 * k if contains else n - 2
+    if contains:
+        re, im = 2.0 * sd * (sd * c1 - cd * s1), -2.0 * sd * (cd * c1 + sd * s1)
     else:
-        ends = np.broadcast_arrays(*amps)
-        shape = ends[0].shape
-        windows = zip(*(end.ravel().tolist() for end in ends))
-        rows = [_scalars(k, contains, *window) for window in windows]
-        x1, x2, phase, extra = (np.array(c).reshape(shape) for c in list(zip(*rows)) or [()] * 4)
-    flow = _flow_weight(n, k, contains, x1, x2)
-    if contains:
-        return PropagatorOps(phase, extra, flow, None, k, sel.dyn_class, t1, t2)
+        re, im = cd * (n * c2) - sd * (m * s2), sd * (n * c2) + cd * (m * s2)
+    nc, ms = n * c1, m * s1  # over E(phi_1): times its conjugate, over its |.|^2
+    e1 = nc * nc + ms * ms
+    phase = (re * nc + im * ms) / e1 + 1j * ((im * nc - re * ms) / e1)
+    if contains:  # phi_s = phi_d + e^{2i Delta}
+        phi_s = phase + ((1.0 - 2.0 * sd * sd) + 1j * (2.0 * sd * cd))
+        return PropagatorOps(phi_s, phase, flow, None, k, sel.dyn_class, t1, t2)
     # Ground weight p(t2)/p(t1) = 1 - K flow (excitation balance).
-    return PropagatorOps(phase, None, flow, 1.0 - k * flow - extra, k, sel.dyn_class, t1, t2)
+    return PropagatorOps(phase, None, flow, 1.0 - k * flow - _abs2(phase), k, sel.dyn_class, t1, t2)
 
 
-def _scalars(k: int, contains: bool, us1, ud1, us2, ud2) -> tuple:
-    # (x1, x2, phi_s, phi_d) for the containing class and (x1, x2, phi_s0,
-    # |phi_s0|^2) for the excluding class, from the Python complex (u_s, u_d)
-    # at both ends of one window. At K = 1 both phases reduce to u_s(t2)/u_s(t1).
-    x1, x2 = abs(ud1) ** 2, abs(ud2) ** 2
-    if contains:
-        denom = (ud1 - us1) * ((k - 1) * ud1 + us1)
-        phi_s = (ud1 * ud2 - us1 * us2 + (k - 2) * ud1 * (ud2 - us2)) / denom
-        phi_d = (ud1 * us2 - us1 * ud2) / denom
-        return x1, x2, phi_s, phi_d
-    phi_s0 = us2 / us1
-    return x1, x2, phi_s0, abs(phi_s0) ** 2
+def _gap(n: int, j: float, t1, t2) -> tuple:
+    # (sin Delta, cos Delta); an overflowing gap is refused (an array's first by _refuse_as_loop).
+    with np.errstate(over="ignore"):  # refused below
+        gap = t2 - t1
+    try:
+        return _hop(n, j, gap)[1:]
+    except ParameterError:
+        raise ParameterError(f"phase gap N*J*(t2 - t1) overflows at t1={t1!r}, t2={t2!r}") from None
 
 
 @_refuse_as_loop
@@ -311,21 +308,20 @@ def propagator_matrix(ops: PropagatorOps) -> np.ndarray:
 def completeness_residual(ops: PropagatorOps) -> float:
     """Max-entry residual of B^dag B + sum_i F_i^T F_i - identity.
 
-    Zero residual is exactly trace preservation of the operator sum.
+    Zero residual is exactly trace preservation of the operator sum. Read
+    from the scalars: | |phi_0|^2 + K f + g - 1 | (excluding class), or, as
+    the q = 1 block is (|a|^2 - 1) I + c (all-ones) with a = phi_s - phi_d and
+    c = 2 Re(conj(a) phi_d) + K|phi_d|^2 + f, max(| |a|^2 - 1 + c |, |c|).
     Stacked ops of shape S give an array of shape S, each value equal bit
     for bit to the one of its propagator alone.
     """
-    block, flow = ops.block_diag, ops.flow_weight
-    acc = block.swapaxes(-1, -2).conj() @ block
-    # F^T F adds flow * (all-ones q=1 block), or K flow + ground_extra at |0><0|;
-    # on one matrix, plain indices add several times faster than an Ellipsis.
+    k, flow = ops.k_qubits, ops.flow_weight
     if ops.dyn_class is not DynClass.CONTAINS_EXCITED:
-        acc[(..., 0, 0) if acc.ndim > 2 else (0, 0)] += ops.k_qubits * flow + ops.ground_extra
-    elif acc.ndim > 2:
-        acc[..., 1:, 1:] += flow[..., None, None]
-    else:
-        acc[1:, 1:] += flow
-    return _max_entry(acc - np.eye(ops.k_qubits + 1))
+        return abs(_abs2(ops.phi_s) + k * flow + ops.ground_extra - 1.0)
+    a, b = ops.phi_s - ops.phi_d, ops.phi_d
+    c = 2.0 * (a.real * b.real + a.imag * b.imag) + k * _abs2(b) + flow
+    worst = np.maximum(abs(_abs2(a) - 1.0 + c), abs(c) if k > 1 else 0.0)  # NaN wins
+    return worst if np.ndim(worst) else float(worst)
 
 
 @_refuse_as_loop

@@ -158,8 +158,9 @@ def _grid_cases(keys: list[tuple], times: np.ndarray) -> Cases:
 
 
 def grouped_values(cases: Cases, evaluate: Callable, entries: Callable) -> np.ndarray:
-    """The values of ``evaluate`` on the cases, in one float64 array in
-    stream order (a boolean reads 1.0 or 0.0).
+    """The values of ``evaluate`` on the cases, in one float64 array in stream
+    order (a boolean reads 1.0 or 0.0; a case with a time past the float
+    range is not evaluated and reads NaN, which fails its row).
 
     Each key's cases, in stream order from one stable argsort, are cut into
     chunks that ``evaluate(*key, *time_arrays)`` takes as one stack,
@@ -170,9 +171,10 @@ def grouped_values(cases: Cases, evaluate: Callable, entries: Callable) -> np.nd
     passed as floats: the scalar call, equal to a stack of one bit for bit
     without the stack's validation.
     """
-    order = np.argsort(cases.index, kind="stable")
-    ends = np.cumsum(np.bincount(cases.index, minlength=len(cases.keys))).tolist()
-    values = np.empty(len(cases))
+    kept = np.isfinite(cases.times).all(axis=0)
+    order = np.flatnonzero(kept)[np.argsort(cases.index[kept], kind="stable")]
+    ends = np.cumsum(np.bincount(cases.index[kept], minlength=len(cases.keys))).tolist()
+    values = np.full(len(cases), np.nan)
     start = 0
     for key, end in zip(cases.keys, ends):
         members, start = order[start:end], end
@@ -311,8 +313,9 @@ def _network_windows(params: NetworkParams, samples: int) -> Cases:
     return Cases([(params,)], windows.index, windows.times)
 
 
-def _grid(params: NetworkParams, points: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, points) * params.period
+def _grid(params: NetworkParams, points: int, first: float = 0.0, last: float = 1.0) -> np.ndarray:
+    with np.errstate(over="ignore"):  # inf past the float range, which reads NaN
+        return np.linspace(first, last, points) * params.period
 
 
 def describe_case(case: tuple) -> str:
@@ -420,10 +423,13 @@ def pcp_disagreements(cases: Iterable[tuple] | Cases) -> list[tuple]:
     stack and factorised for the windows whose diagonals pass a pre-test.
     """
     cases = columns(cases)
+    for name, t in zip(("t1", "t2"), cases.times):  # refused, where a row reads NaN
+        _check_time(t, name, True)
     agree = grouped_values(cases, _pcp_agree, lambda n, d: 2 * d * d)  # B and the built blocks
     return [cases[i] for i in np.flatnonzero(agree == 0.0).tolist()]
 
 
+@_refuse_as_loop
 def _pcp_agree(params: NetworkParams, sel: SubsystemSelector, t1, t2) -> np.ndarray:
     # Whether the four routes agree, for each window of the t1, t2 arrays:
     # classify's three closed-form routes, read from the function it reads
@@ -594,7 +600,7 @@ ALL_CHECKS: tuple[Callable[[NetworkParams], CheckResult], ...] = (
         lambda n, d: 2 * n * n + 3 * d * d),  # two N x N products, three densities
     Row("propagator_completeness", 1e-10, completeness_residual,
         lambda p: _windows(p, selectors(p), 100),
-        lambda n, d: 5 * d * d),  # B, its conjugate, B^dag B and the gap
+        lambda n, d: 12),  # both ends' amplitudes and half angles, the phases: no matrix
     Row("propagator_orbit", 1e-9, orbit_residual,
         lambda p: _windows(p, selectors(p), 100),
         lambda n, d: 8 * d * d),  # B, both densities, apply's products and the gap
@@ -624,7 +630,7 @@ ALL_CHECKS: tuple[Callable[[NetworkParams], CheckResult], ...] = (
         lambda p: fisher_cases(p, np.linspace(0.07, 0.93, 8)),
         lambda n, d: 8 * d * d),  # three densities, the difference, eigh's, m and products
     Row("fisher_split_identity", 1e-10, fisher_split_residual,
-        lambda p: _grid_cases([(p, c) for c in DynClass], np.linspace(0.05, 1.95, 60) * p.period),
+        lambda p: _grid_cases([(p, c) for c in DynClass], _grid(p, 60, 0.05, 1.95)),
         lambda n, d: 16),  # both splits' fields and gaps
     check_inference_roundtrip,
     Row("bloch_fixed_points", 1e-12, bloch_fixed_point_residual,

@@ -555,6 +555,20 @@ def test_verify_at_a_subnormal_sld_step_warns_nothing(tmp_path, capsys):
     assert "FAIL  fisher_oracle_relative  " in err and "FAIL  fisher_split_identity  " in err
 
 
+def test_verify_writes_every_row_where_the_split_grid_overflows(tmp_path, capsys):
+    # At N = 3, J = 2.2e-308 the period is 9.5e307, so the last times of
+    # fisher_split_identity's grid, up to 1.95 periods, pass the float
+    # range. The grid warned, an escaping error under pytest, and verify
+    # wrote no row; those cases now read NaN and fail the row.
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--n", "3", "--j", "2.2e-308", "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    header, rows = read_csv(out)
+    assert len(rows) == 16
+    row = next(row for row in rows if row[0] == "fisher_split_identity")
+    assert row[header.index("value")] == "nan" and row[header.index("status")] == "FAIL"
+
+
 @pytest.mark.parametrize("n", ["2", "3", "6"])
 def test_verify_passes_at_small_sizes(n, tmp_path, capsys):
     # N = 2 samples its degenerate half-period point in the reduced-state check.

@@ -1,5 +1,7 @@
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,7 +27,12 @@ from openqnet import (
     reduced_state,
 )
 from openqnet.propagator import ANCHOR_RTOL
-from openqnet.verification import composition_residual, orbit_residual, random_interval
+from openqnet.verification import (
+    composition_residual,
+    orbit_residual,
+    pcp_disagreements,
+    random_interval,
+)
 
 N5 = NetworkParams(5, 1.0)
 C1 = DynClass.CONTAINS_EXCITED
@@ -139,6 +146,96 @@ def test_completeness_relation():
             else:
                 ground = ops.ground_extra + abs(ops.block_diag[0, 0]) ** 2
                 assert abs(ground + sel.k_qubits * ops.flow_weight - 1.0) <= 1e-10
+
+
+def _dense_completeness(ops) -> float:
+    # max |B^dag B + sum_i F_i^T F_i - I| from B and the flow operators
+    # written out as matrices; the plain transpose of sqrt(w) squares to w
+    # for a negative weight too.
+    d, block = ops.k_qubits + 1, ops.block_diag
+    root = lambda w: np.sqrt(complex(w))
+    flow = np.zeros((d, d), dtype=complex)
+    if ops.dyn_class is C1:
+        flow[0, 1:] = root(ops.flow_weight)  # the ground row over the q = 1 columns
+        terms = [flow]
+    else:
+        flow[1:, 0] = root(ops.flow_weight)  # the mirrored column
+        extra = np.zeros((d, d), dtype=complex)
+        extra[0, 0] = root(ops.ground_extra)
+        terms = [flow, extra]
+    total = block.conj().T @ block + sum(f.T @ f for f in terms)
+    return float(np.abs(total - np.eye(d)).max())
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 17])
+def test_completeness_from_the_scalars_is_the_dense_operator_sum(n):
+    # completeness_residual builds no matrix; it agrees with the dense sum
+    # to the round-off of the sum's largest terms.
+    params, rng = NetworkParams(n, 1.0), np.random.default_rng(n)
+    eps = np.finfo(float).eps
+    for sel in all_selectors(params):
+        k = sel.k_qubits
+        for _ in range(20):
+            ops = build_propagator(params, sel, *random_interval(rng, params, k))
+            scale = (k + 1) * np.abs(ops.block_diag).max() ** 2 + k * abs(ops.flow_weight) + 1
+            gap = abs(completeness_residual(ops) - _dense_completeness(ops))
+            assert gap <= 4 * eps * scale, (sel, ops.t1, ops.t2, gap / (eps * scale))
+
+
+def _mp_phases(n: int, k: int, contains: bool, t1: float, t2: float) -> tuple:
+    # (phi_s, phi_d), or (phi_0, None), from the amplitudes at the float
+    # times t1 and t2 in mpmath's working precision.
+    def pair(t):
+        z = mpmath.expj(n * mpmath.mpf(t))  # J = 1
+        return (1 + (n - 1) * z) / n, (1 - z) / n
+
+    (us1, ud1), (us2, ud2) = pair(t1), pair(t2)
+    if not contains:
+        return us2 / us1, None
+    denom = (ud1 - us1) * ((k - 1) * ud1 + us1)
+    phi_s = (ud1 * ud2 - us1 * us2 + (k - 2) * ud1 * (ud2 - us2)) / denom
+    return phi_s, (ud1 * us2 - us1 * ud2) / denom
+
+
+@pytest.mark.parametrize("cls", [C1, C0])
+def test_short_window_phases_hold_full_relative_accuracy(cls):
+    # t2 - t1 from 1e-12 to 1e-4 periods, where u_d(t1) u_s(t2) - u_s(t1)
+    # u_d(t2), phi_d's numerator from the amplitudes, cancels to the size of
+    # the window; the half-angle form takes no such difference (ROADMAP
+    # item 4). The reference is the amplitude form at 50 digits.
+    rng = np.random.default_rng(400 + (cls is C1))
+    worst = 0.0
+    for _ in range(200):
+        n = int(rng.integers(3, 40))
+        params = NetworkParams(n, 1.0)
+        k = int(rng.integers(1, (n if cls is C1 else n - 1) + 1))
+        t1 = float(rng.uniform(0.0, 1.0) * params.period)
+        t2 = t1 + float(10.0 ** rng.uniform(-12.0, -4.0) * params.period)
+        if is_singular(params, k, t1):
+            continue
+        ops = build_propagator(params, SubsystemSelector(k, cls), t1, t2)
+        with mpmath.workdps(50):
+            for got, want in zip((ops.phi_s, ops.phi_d), _mp_phases(n, k, cls is C1, t1, t2)):
+                if want is not None:
+                    worst = max(worst, float(abs(mpmath.mpc(got) - want) / abs(want)))
+    assert worst <= 1e-14, worst
+
+
+def test_a_window_whose_phase_gap_overflows_is_refused():
+    # N J t1 and N J t2 are finite, N J (t2 - t1) is not: the window's
+    # phases mean nothing. The flow weight reads x at each end alone.
+    params, sel = NetworkParams(2, 1.0), SubsystemSelector(1, C1)
+    message = "phase gap N*J*(t2 - t1) overflows at t1=-8e+307, t2=8e+307"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        build_propagator(params, sel, -8e307, 8e307)
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        build_propagator(params, sel, np.array([0.0, -8e307, -9e307]), 8e307)
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        classify(params, sel, -8e307, 8e307)
+    # One stack of two windows, built without the decorator's scalar loop.
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        pcp_disagreements([(params, sel, 0.1, 0.2), (params, sel, -8e307, 8e307)])
+    assert math.isfinite(flow_amplitude(params, sel, -8e307, 8e307))
 
 
 def test_orbit_consistency():
@@ -387,7 +484,7 @@ def test_a_propagator_is_its_window_scalars(n, shape):
     # the scalars within 4 eps of np.vdot; affine_map's transverse scale
     # and rotation are those of B's non-unit diagonal entry; and each
     # window's choi_spectrum and affine_map are its scalar call's, bit for
-    # bit, but the rotation angle (np.angle rounds unlike cmath.phase).
+    # bit, the rotation angle included.
     params, rng = NetworkParams(n, 1.0), np.random.default_rng(47)
     eps = np.finfo(float).eps
     for sel in all_selectors(params):
@@ -416,7 +513,8 @@ def test_a_propagator_is_its_window_scalars(n, shape):
             sign = 1.0 if sel.dyn_class is C1 else -1.0
             scale = np.hypot(entry.real, entry.imag)
             assert np.asarray(bmap.transverse_scale).tobytes() == scale.tobytes()
-            assert np.asarray(bmap.rotation_angle).tobytes() == (sign * np.angle(entry)).tobytes()
+            angle = sign * np.arctan2(entry.imag, entry.real)
+            assert np.asarray(bmap.rotation_angle).tobytes() == angle.tobytes()
         spectrum = choi_spectrum(ops)
         for index in np.ndindex(shape):
             w1, w2 = float(np.asarray(t1)[index]), float(np.asarray(t2)[index])
@@ -426,6 +524,6 @@ def test_a_propagator_is_its_window_scalars(n, shape):
             ], (sel, index)
             if sel.k_qubits == 1:
                 one = affine_map(params, sel.dyn_class, w1, w2)
-                for field in ("transverse_scale", "z_scale", "z_shift"):
+                for field in ("transverse_scale", "rotation_angle", "z_scale", "z_shift"):
                     want = np.float64(getattr(one, field)).tobytes()
                     assert np.asarray(getattr(bmap, field))[index].tobytes() == want, (sel, field)

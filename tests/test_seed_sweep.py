@@ -15,15 +15,15 @@ SEEDS = range(40)
 SIZES = range(2, 9)
 
 # ROADMAP item 4: a containing-class K = N/2 window whose t1 lies near an odd
-# half-period, accepted by the anchor test, loses accuracy in the window
-# scalars. Only even N has such a K, and on some seeds the stream draws one:
+# half-period, accepted by the anchor test, loses accuracy in the flow
+# weight. Only even N has such a K, and on some seeds the stream draws one:
 # completeness fails on 16 of 40 seeds at N = 2 and 3 of 40 at N = 8.
 KNOWN_FAILURES = {
     (row, n) for row in ("propagator_completeness", "tomography_containing") for n in (2, 4, 6, 8)
 }
 ITEM_4 = pytest.mark.xfail(
     strict=True,
-    reason="window scalars near K = N/2 anchors lose accuracy (ROADMAP item 4)",
+    reason="the flow weight near K = N/2 anchors loses accuracy (ROADMAP item 4)",
 )
 
 

@@ -157,7 +157,7 @@ def test_reported_case_reproduces_the_value(check, residual, n):
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "accepted anchors near K = N/2 lose accuracy in the window scalars: "
+        "accepted anchors near K = N/2 lose accuracy in the flow weight: "
         "3.8e-7 completeness and 3.0e-7 tomography here (ROADMAP item 4)"
     ),
 )
@@ -871,6 +871,24 @@ def test_grouped_rows_hold_no_more_than_the_positivity_stacks():
 def _grouped(cases, evaluate, entries) -> list:
     # grouped_values on a stream of case tuples, through the one converter.
     return v.grouped_values(v.columns(cases), evaluate, entries).tolist()
+
+
+def test_a_time_past_the_float_range_reads_nan_where_pcp_refuses_it():
+    # grouped_values leaves a case with a non-finite time unevaluated, as
+    # NaN, which fails its verify row; pcp_disagreements, which takes its
+    # cases from the caller, refuses such a time as the routes do.
+    sel = v.selectors(N5)[0]
+    cases = [(N5, sel, 0.1, 0.2), (N5, sel, 0.3, math.inf), (N5, sel, 0.4, 0.5)]
+    calls = []
+
+    def evaluate(params, sel, t1, t2):
+        calls.append(np.size(t1))
+        return t1 + t2
+
+    values = _grouped(cases, evaluate, lambda n, d: 1)
+    assert values[::2] == [0.1 + 0.2, 0.4 + 0.5] and math.isnan(values[1]) and calls == [2]
+    with pytest.raises(OpenQNetError, match="t2 must be finite, got inf"):
+        v.pcp_disagreements(cases)
 
 
 def test_grouped_values_come_in_stream_order_and_chunks():
